@@ -8,7 +8,8 @@ check).  Tensor files use the JSON schema of :mod:`einalg.tensorio`.
 Exit codes are exhaustive and disjoint:
 
     0  success
-    1  verification failed
+    1  verification failed: ``verify``, or ``pinv``'s own Penrose check
+       (the pseudoinverse is still written)
     2  input error (parse, shape, domain)
     3  numerical error (non-convergence, singular operand or capacitance)
     4  applicability conditions failed; direct fallback result was written
@@ -76,7 +77,7 @@ def cmd_pinv(args) -> int:
         file=sys.stderr,
     )
     tensorio.save_tensor(args.output, result)
-    return EXIT_OK
+    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def _split_for_mode(a, a_pinv, upd, mode, tol):

@@ -24,7 +24,7 @@ class DomainError(EinalgError, ValueError):
 
 
 class NumericalError(EinalgError, RuntimeError):
-    """A numerical procedure failed, e.g. the rotation sweeps hit their cap."""
+    """A numerical procedure failed, e.g. the SVD did not converge."""
 
 
 class SingularError(NumericalError):

@@ -1,12 +1,8 @@
-"""Self-contained dense complex matrix kernel: SVD, pseudoinverse, inverse.
+"""Dense complex matrix kernel: SVD, pseudoinverse, inverse.
 
-The decomposition is a one-sided Jacobi SVD (see :mod:`einalg._jacobi` for the
-hot sweep kernel and its backend selection), which is simple to make robust for
-the small-to-moderate dense matrices this package targets and needs no LAPACK.
-
-All tolerances are multiples of the standard numerical-rank threshold
-``sigma_max * max(m, n) * 2**-52``: passing ``tol`` scales that default, so
-``tol=1.0`` is the default behavior.
+The decomposition is LAPACK's SVD as bundled with numpy, truncated at the
+standard numerical-rank threshold ``sigma_max * max(m, n) * 2**-52``: passing
+``tol`` scales that default, so ``tol=1.0`` is the default behavior.
 """
 
 from __future__ import annotations
@@ -15,13 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jacobi import sweep_rows
 from .errors import DomainError, NumericalError, ShapeError, SingularMatrixError
 
 __all__ = ["Svd", "svd", "pinv_matrix", "inv_matrix", "numerical_rank"]
 
-MAX_SWEEPS = 60
-SWEEP_REL_TOL = 1e-14
 _EPS = 2.0 ** -52
 
 
@@ -55,30 +48,13 @@ def svd(mat, tol: float = 1.0) -> Svd:
     """Thin SVD truncated at ``tol * sigma_max * max(m, n) * 2**-52``."""
     mat = _as_matrix(mat)
     m, n = mat.shape
-    if m < n:
-        flipped = svd(mat.conj().T, tol=tol)
-        return Svd(u=flipped.v, s=flipped.s, v=flipped.u)
-
-    # Rows of wt are the columns of mat, so the sweep kernel works on
-    # contiguous memory; vt rows accumulate the right singular directions.
-    wt = np.ascontiguousarray(mat.T)
-    vt = np.eye(n, dtype=np.complex128)
-    abs_floor = (_EPS * np.linalg.norm(mat)) ** 2
-    sweeps = sweep_rows(wt, vt, MAX_SWEEPS, SWEEP_REL_TOL, abs_floor)
-    if sweeps < 0:
-        raise NumericalError(
-            f"rotation sweeps did not converge within {MAX_SWEEPS} passes"
-        )
-
-    norms = np.linalg.norm(wt, axis=1)
-    order = np.argsort(-norms, kind="stable")
-    sigma_max = norms[order[0]] if n else 0.0
-    threshold = tol * sigma_max * max(m, n) * _EPS
-    keep = order[norms[order] > threshold]
-    s = norms[keep]
-    u = wt[keep].T / s if len(keep) else np.zeros((m, 0), dtype=np.complex128)
-    v = vt[keep].T if len(keep) else np.zeros((n, 0), dtype=np.complex128)
-    return Svd(u=np.ascontiguousarray(u), s=s, v=np.ascontiguousarray(v))
+    try:
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"SVD of a {m} x {n} matrix failed: {err}") from err
+    sigma_max = s[0] if len(s) else 0.0
+    rank = int(np.count_nonzero(s > tol * sigma_max * max(m, n) * _EPS))
+    return Svd(u=u[:, :rank], s=s[:rank], v=vh[:rank].conj().T)
 
 
 def pinv_matrix(mat, tol: float = 1.0) -> np.ndarray:

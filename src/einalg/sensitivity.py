@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import DegenerateSolutionError, DomainError, ShapeError
 from .inverses import pinv
 from .tensor import EinsteinTensor, einstein_product, fro_norm
-from .woodbury import LowRankUpdate, decompose_update, update_pinv
+from .woodbury import LowRankUpdate, update_pinv
 
 __all__ = [
     "SolveResult",
@@ -80,6 +80,13 @@ class BoundReport:
     measured_error: float | None = None
 
 
+def _check_right_side(a: EinsteinTensor, d: EinsteinTensor) -> None:
+    if a.row_dims != d.row_dims:
+        raise ShapeError(
+            f"coefficient row modes {a.row_dims} do not match right side {d.row_dims}"
+        )
+
+
 def solve(a: EinsteinTensor, d: EinsteinTensor, tol: float = CONSISTENCY_TOL) -> SolveResult:
     """Solve ``a * x = d`` by the pseudoinverse and flag consistency.
 
@@ -88,10 +95,7 @@ def solve(a: EinsteinTensor, d: EinsteinTensor, tol: float = CONSISTENCY_TOL) ->
     ``consistent`` records whether it solves the system exactly (residual
     ``|a a+ d - d| / max(1, |d|)`` at most ``tol``).
     """
-    if a.row_dims != d.row_dims:
-        raise ShapeError(
-            f"coefficient row modes {a.row_dims} do not match right side {d.row_dims}"
-        )
+    _check_right_side(a, d)
     a_pinv = pinv(a)
     x = einstein_product(a_pinv, d)
     residual = fro_norm(einstein_product(a, x) - d) / max(1.0, fro_norm(d))
@@ -131,16 +135,17 @@ def measure_error(
         raise ShapeError(
             f"right-side perturbation shape {delta_d.shape} != {d.shape}"
         )
-    base = solve(a, d)
-    norm_x = fro_norm(base.x)
+    _check_right_side(a, d)
+    a_pinv = pinv(a)
+    x = einstein_product(a_pinv, d)
+    norm_x = fro_norm(x)
     if norm_x == 0.0:
         raise DegenerateSolutionError("base solution is zero; E_n is undefined")
 
-    a_pinv = pinv(a)
     updated = update_pinv(a, a_pinv, upd, tol=tol)
     y = einstein_product(updated.s_pinv, d + delta_d)
 
-    parts = decompose_update(a, a_pinv, upd)
+    parts = updated.parts
     norm_a = fro_norm(a)
     norm_d = fro_norm(d)
     eps_a = (
@@ -161,7 +166,7 @@ def measure_error(
         eps_a=eps_a,
         eps_d=eps_d,
         bound=norm_bound(norm_a, norm_a_pinv, spec),
-        measured_error=fro_norm(y - base.x) / norm_x,
+        measured_error=fro_norm(y - x) / norm_x,
     )
 
 
@@ -185,10 +190,7 @@ def sweep(
         raise DomainError("eps and alpha grids must be nonempty")
     if any(al <= 0 for al in alpha_grid):
         raise DomainError("alpha scalings must be positive")
-    if a.row_dims != d.row_dims:
-        raise ShapeError(
-            f"coefficient row modes {a.row_dims} do not match right side {d.row_dims}"
-        )
+    _check_right_side(a, d)
     norm_a = fro_norm(a)
     norm_a_pinv = fro_norm(pinv(a))
     reports = []

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeError, SingularCapacitanceError, SingularTensorError
-from .inverses import inverse, pinv
+from .inverses import _relative, inverse, pinv
 from .shapes import PairedShape
 from .tensor import EinsteinTensor, einstein_product, fro_norm, zeros
 
@@ -125,10 +125,12 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class UpdatedPinv:
-    """Result of :func:`update_pinv`: the pseudoinverse and the condition report."""
+    """Result of :func:`update_pinv`: the pseudoinverse, the condition report
+    and the split the report was computed from."""
 
     s_pinv: EinsteinTensor
     report: ConditionReport
+    parts: SplitParts
 
 
 def apply_update(a: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
@@ -224,10 +226,6 @@ def decompose_update(
         e1=_scaled_null_part(y1, tol),
         e2=_scaled_null_part(y2, tol),
     )
-
-
-def _relative(diff: EinsteinTensor, reference: EinsteinTensor) -> float:
-    return fro_norm(diff) / max(1.0, fro_norm(reference))
 
 
 def check_conditions(
@@ -349,4 +347,4 @@ def update_pinv(
         s_pinv = smw_pinv(a_pinv, parts, b_pinv)
     else:
         s_pinv = pinv(apply_update(a, upd))
-    return UpdatedPinv(s_pinv=s_pinv, report=report)
+    return UpdatedPinv(s_pinv=s_pinv, report=report, parts=parts)

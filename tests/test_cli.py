@@ -12,7 +12,14 @@ import sys
 import numpy as np
 import pytest
 
-from einalg import fro_norm, load_tensor, save_tensor, verify_penrose, zeros
+from einalg import (
+    EinsteinTensor,
+    fro_norm,
+    load_tensor,
+    save_tensor,
+    verify_penrose,
+    zeros,
+)
 from einalg.cli import main
 
 from conftest import FIXTURES_DIR, rand_tensor
@@ -53,6 +60,34 @@ class TestPinvCommand:
         assert got.shape.row_dims == (2,)
         assert got.shape.col_dims == (2, 3)
         assert fro_norm(got) == 0.0
+
+    def test_failed_penrose_check_exits_1(self, tmp_path, capsys):
+        # a truncation tolerance this large drops real singular values, so
+        # rule 1 (a x a = a) fails; the result is still written
+        out = tmp_path / "out.json"
+        assert run("pinv", FIX / "a.json", "--tol", "1e15", "-o", out) == 1
+        assert load_tensor(out).shape == load_tensor(FIX / "a.json").shape.transposed
+        assert "penrose residuals:" in capsys.readouterr().err
+
+    def test_huge_dynamic_range_residuals_finite(self, tmp_path, capsys):
+        src = tmp_path / "a.json"
+        save_tensor(src, EinsteinTensor(((2,), (2,)), np.diag([1e200, 1e-200])))
+        out = tmp_path / "out.json"
+        assert run("pinv", src, "-o", out) == 0
+        err = capsys.readouterr().err
+        residuals = [float(r) for r in err.split("penrose residuals:")[1].split()]
+        assert len(residuals) == 4
+        assert all(np.isfinite(r) for r in residuals)
+        assert np.allclose(
+            load_tensor(out).matrix, np.diag([1e-200, 0.0]), rtol=1e-15, atol=0.0
+        )
+
+    def test_svd_failure_exits_3(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        assert run("pinv", FIX / "a.json", "-o", tmp_path / "out.json") == 3
 
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -74,6 +74,13 @@ class TestPinv:
         shape = PairedShape((2, 3), (2,))
         assert pinv(zeros(shape)) == zeros(shape.transposed)
 
+    def test_huge_dynamic_range(self):
+        # regression: the Frobenius norm of this tensor overflows, which once
+        # made the whole pseudoinverse come back as zeros
+        shape = PairedShape((2,), (2,))
+        got = pinv(fold(np.diag([1e200, 1e-200]), shape))
+        assert np.allclose(got.matrix, np.diag([1e-200, 0.0]), rtol=1e-15, atol=0.0)
+
     def test_rectangular_shapes(self, rng):
         t = rand_tensor(rng, (3, 2), (2,))
         report = verify_penrose(t, pinv(t))
