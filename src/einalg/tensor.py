@@ -189,9 +189,25 @@ def inner(a: EinsteinTensor, b: EinsteinTensor) -> complex:
     return complex(np.vdot(a.matrix, b.matrix))
 
 
+#: Below this the sum of squares inside ``np.linalg.norm`` is subnormal or zero.
+_SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
 def fro_norm(a: EinsteinTensor) -> float:
-    """Frobenius norm: square root of the sum of squared entry magnitudes."""
-    return float(np.linalg.norm(a.matrix))
+    """Frobenius norm: square root of the sum of squared entry magnitudes.
+
+    The plain sum of squares overflows once entries pass about 1e154 and
+    underflows below about 1e-154; there the entries are first divided by
+    their largest real or imaginary magnitude ``m`` and the norm is ``m``
+    times the norm of the quotient.
+    """
+    norm = float(np.linalg.norm(a.matrix))
+    if np.isfinite(norm) and norm >= _SQRT_TINY:
+        return norm
+    m = float(np.max(np.abs(a.matrix.view(np.float64))))
+    if m == 0.0:
+        return 0.0
+    return m * float(np.linalg.norm(a.matrix / m))
 
 
 def is_hermitian(a: EinsteinTensor, tol: float = 1e-10) -> bool:

@@ -11,15 +11,20 @@ Two identities are implemented for a base tensor perturbed by a correction
   forms ``e_i = y_i * (y_i^H * y_i)^+``, checks six applicability conditions,
   and then assembles the updated pseudoinverse from those parts.
 
-The splits are computed with the orthogonal projectors ``a * a^+`` and
-``a^+ * a``, which make the orthogonality requirements hold by construction.
-Conditions are checked separately from the identity evaluation so repeated
-structurally-identical updates can amortize the check.
+The splits apply the orthogonal projectors ``a * a^+`` and ``a^+ * a``
+without forming them (``x1 = a * (a^+ * u)``), and the updated pseudoinverse
+is ``a^+`` plus one rank-2K correction.  With N the flattened size of the base
+tensor, the identity path therefore costs O(N^2 K): its only N x N work is the
+one N x 2K x N product of that correction and one add.  Conditions are checked
+separately from the identity evaluation so repeated structurally-identical
+updates can amortize the check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ShapeError, SingularCapacitanceError, SingularTensorError
 from .inverses import _relative, inverse, pinv
@@ -196,10 +201,11 @@ def decompose_update(
 ) -> SplitParts:
     """Split the update factors against the base tensor's column spaces.
 
-    ``x1 = (a a^+) u`` and ``x2 = (a^+ a) v^H`` are the projections onto the
-    left and right column spaces; the remainders ``y_i`` are orthogonal to them
-    by construction.  ``tol`` scales the rank truncation inside the ``e_i``
-    pseudoinverses.
+    ``x1 = a (a^+ u)`` and ``x2 = a^+ (a v^H)`` are the projections onto the
+    left and right column spaces, associated so that every product has K
+    columns (O(N^2 K), no N x N projector is formed); the remainders ``y_i``
+    are orthogonal to them by construction.  ``tol`` scales the rank
+    truncation inside the ``e_i`` pseudoinverses.
     """
     if a_pinv.shape != a.shape.transposed:
         raise ShapeError(
@@ -209,14 +215,12 @@ def decompose_update(
         raise ShapeError(
             f"update of shape {upd.result_shape} does not conform to base {a.shape}"
         )
-    proj_left = einstein_product(a, a_pinv)
-    proj_right = einstein_product(a_pinv, a)
     vh = upd.v.H
     u_norm = fro_norm(upd.u)
     vh_norm = fro_norm(vh)
-    x1 = _snap_residue(einstein_product(proj_left, upd.u), u_norm)
+    x1 = _snap_residue(einstein_product(a, einstein_product(a_pinv, upd.u)), u_norm)
     y1 = _snap_residue(upd.u - x1, u_norm)
-    x2 = _snap_residue(einstein_product(proj_right, vh), vh_norm)
+    x2 = _snap_residue(einstein_product(a_pinv, einstein_product(a, vh)), vh_norm)
     y2 = _snap_residue(vh - x2, vh_norm)
     return SplitParts(
         x1=x1,
@@ -242,8 +246,11 @@ def check_conditions(
     """
     x1, y1, x2, y2, e1, e2 = parts.x1, parts.y1, parts.x2, parts.y2, parts.e1, parts.e2
     e1h = e1.H
+    x2h = x2.H
     e1h_y1 = einstein_product(e1h, y1)
     by2h_e2 = einstein_product(einstein_product(b, y2.H), e2)
+    x1_b = einstein_product(x1, b)
+    b_x2h = einstein_product(b, x2h)
     residuals = {
         "3.1": _relative(
             einstein_product(
@@ -252,20 +259,13 @@ def check_conditions(
             - e2,
             e2,
         ),
-        "3.2": _relative(
-            einstein_product(x1, einstein_product(e1h_y1, b))
-            - einstein_product(x1, b),
-            einstein_product(x1, b),
-        ),
+        "3.2": _relative(einstein_product(x1, einstein_product(e1h_y1, b)) - x1_b, x1_b),
         "3.3": _relative(einstein_product(y1, e1h_y1) - y1, y1),
         "4.1": _relative(
             einstein_product(by2h_e2, einstein_product(b_pinv, e1h)) - e1h,
             e1h,
         ),
-        "4.2": _relative(
-            einstein_product(by2h_e2, x2.H) - einstein_product(b, x2.H),
-            einstein_product(b, x2.H),
-        ),
+        "4.2": _relative(einstein_product(by2h_e2, x2h) - b_x2h, b_x2h),
         "4.3": _relative(einstein_product(e2, einstein_product(y2.H, e2)) - e2, e2),
     }
     return ConditionReport(residuals=residuals, tol=tol)
@@ -274,19 +274,28 @@ def check_conditions(
 def smw_pinv(a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor) -> EinsteinTensor:
     """Updated pseudoinverse from a conforming split (conditions assumed checked).
 
-    ``a+ - e2 x2^H a+ - a+ x1 e1^H + e2 (b+ + x2^H a+ x1) e1^H``; nothing is
+    ``a+ - e2 x2^H a+ - a+ x1 e1^H + e2 (b+ + x2^H a+ x1) e1^H``, evaluated as
+    the single rank-2K correction ``a+ + l r`` with
+
+        l = [e2, a+ x1]                                  (N x 2K)
+        r = [(b+ + x2^H a+ x1) e1^H - x2^H a+ ; -e1^H]   (2K x N)
+
+    so the only N x N work is one N x 2K x N product and one add.  Nothing is
     recomputed or validated beyond shapes, so callers pair this with
     :func:`check_conditions`.
     """
-    x2h_apinv = einstein_product(parts.x2.H, a_pinv)
     apinv_x1 = einstein_product(a_pinv, parts.x1)
-    middle = b_pinv + einstein_product(parts.x2.H, apinv_x1)
-    return (
-        a_pinv
-        - einstein_product(parts.e2, x2h_apinv)
-        - einstein_product(apinv_x1, parts.e1.H)
-        + einstein_product(einstein_product(parts.e2, middle), parts.e1.H)
-    )
+    if parts.e2.shape != apinv_x1.shape:
+        raise ShapeError(f"split parts disagree: e2 {parts.e2.shape} vs a+ x1 {apinv_x1.shape}")
+    x2h = parts.x2.H
+    e1h = parts.e1.H
+    middle = b_pinv + einstein_product(x2h, apinv_x1)
+    r_top = einstein_product(middle, e1h) - einstein_product(x2h, a_pinv)
+    left = np.hstack((parts.e2.matrix, apinv_x1.matrix))
+    right = np.vstack((r_top.matrix, -e1h.matrix))
+    assembled = np.matmul(left, right)
+    assembled += a_pinv.matrix
+    return EinsteinTensor(a_pinv.shape, assembled)
 
 
 def smw_pinv_orthogonal(
@@ -311,21 +320,14 @@ def smw_pinv_hermitian(
 ) -> EinsteinTensor:
     """Specialization for a Hermitian base with ``u = v^H``: one shared split.
 
-    ``a+ - e x^H a+ - a+ x e^H + e (b+ + x^H a+ x) e^H``; the null-space part
-    ``y`` enters only through its scaled form ``e = y (y^H y)^+`` and is taken
-    here to pin the split down and validate conformity.
+    ``a+ - e x^H a+ - a+ x e^H + e (b+ + x^H a+ x) e^H``, which is
+    :func:`smw_pinv` with ``x2 = x1 = x`` and ``e2 = e1 = e``; the null-space
+    part ``y`` enters only through its scaled form ``e = y (y^H y)^+`` and is
+    taken here to pin the split down and validate conformity.
     """
     if y.shape != x.shape:
         raise ShapeError(f"split parts disagree: {x.shape} vs {y.shape}")
-    xh_apinv = einstein_product(x.H, a_pinv)
-    apinv_x = einstein_product(a_pinv, x)
-    middle = b_pinv + einstein_product(x.H, apinv_x)
-    return (
-        a_pinv
-        - einstein_product(e, xh_apinv)
-        - einstein_product(apinv_x, e.H)
-        + einstein_product(einstein_product(e, middle), e.H)
-    )
+    return smw_pinv(a_pinv, SplitParts(x, y, x, y, e, e), b_pinv)
 
 
 def update_pinv(

@@ -128,6 +128,13 @@ class TestVerifyPenrose:
         assert not report.passed
         assert report.residuals[0] == pytest.approx(1.0)
 
+    def test_zero_candidate_huge_dynamic_range(self):
+        # regression: |a| overflowed, so rule 1 read inf / inf = NaN
+        a = fold(np.diag([1e200, 1e-200]), PairedShape((2,), (2,)))
+        report = verify_penrose(a, zeros(a.shape.transposed))
+        assert not report.passed
+        assert report.residuals[0] == pytest.approx(1.0)
+
     def test_identity_pair_exact(self):
         report = verify_penrose(identity([2]), identity([2]))
         assert report.passed

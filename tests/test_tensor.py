@@ -295,6 +295,13 @@ class TestTraceInnerNorm:
         t = rand_tensor(rng, (3,), (2, 2))
         assert fro_norm(t) ** 2 == pytest.approx(inner(t, t).real, rel=1e-12)
 
+    @pytest.mark.parametrize("magnitude", [1e200, 1e-170])
+    def test_norm_beyond_squared_range(self, magnitude):
+        # regression: the plain sum of squares overflowed to inf at 1e200 and
+        # underflowed to 0 at 1e-170
+        t = fold(np.diag([3.0, 4.0j]) * magnitude, PairedShape((2,), (2,)))
+        assert fro_norm(t) == pytest.approx(5.0 * magnitude, rel=1e-15, abs=0.0)
+
 
 @st.composite
 def conforming_pair(draw):

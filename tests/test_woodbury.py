@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einalg import (
     LowRankUpdate,
     PairedShape,
     ShapeError,
     SingularCapacitanceError,
+    SplitParts,
     apply_update,
     check_conditions,
     decompose_update,
@@ -26,6 +29,7 @@ from einalg import (
     verify_penrose,
     zeros,
 )
+from einalg import woodbury
 
 from conftest import rand_tensor, scalar1111
 
@@ -43,6 +47,16 @@ def ex2_update(ex2, example_b):
 def rand_invertible(rng, row_dims, boost=3.0):
     t = rand_tensor(rng, row_dims, row_dims)
     return t + scale(identity(row_dims), boost)
+
+
+def low_rank_tensor(rng, row_dims, col_dims, rank, hermitian=False):
+    """Random tensor of the given flattened rank, optionally Hermitian."""
+    g = rand_tensor(rng, row_dims, (rank,))
+    if hermitian:
+        eig = rng.choice([-1.0, 1.0], rank) * rng.uniform(1.0, 2.0, rank)
+        m = fold(np.diag(eig), PairedShape((rank,), (rank,)))
+        return einstein_product(einstein_product(g, m), g.H)
+    return einstein_product(g, rand_tensor(rng, (rank,), col_dims))
 
 
 def null_space_part(rng, projector, row_dims, k_dims, target_norm=None):
@@ -437,3 +451,97 @@ class TestUpdatePinv:
         assert result.report.residuals["3.2"] > result.report.tol
         s = apply_update(example_a, upd)
         assert verify_penrose(s, result.s_pinv, tol=1e-8).passed
+
+
+def four_term_pinv(a_pinv, parts, b_pinv):
+    """``a+ - e2 x2^H a+ - a+ x1 e1^H + e2 (b+ + x2^H a+ x1) e1^H`` on the flattened matrices."""
+    ap, bp = a_pinv.matrix, b_pinv.matrix
+    x1, e1h = parts.x1.matrix, parts.e1.matrix.conj().T
+    x2h, e2 = parts.x2.matrix.conj().T, parts.e2.matrix
+    return ap - e2 @ x2h @ ap - ap @ x1 @ e1h + e2 @ (bp + x2h @ ap @ x1) @ e1h
+
+
+@st.composite
+def update_case(draw, hermitian):
+    """Rank-deficient (2,3 | 3,2) base (or Hermitian (2,3 | 2,3)) and a K-mode update."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = (2, 3)
+    cols = rows if hermitian else (3, 2)
+    k = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
+    a = low_rank_tensor(rng, rows, cols, draw(st.integers(1, 5)), hermitian=hermitian)
+    u = rand_tensor(rng, rows, k)
+    v = u.H if hermitian else rand_tensor(rng, k, cols)
+    return a, LowRankUpdate(u=u, b=rand_tensor(rng, k, k), v=v, order=len(k))
+
+
+def assert_close(got, want, rel):
+    assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+
+class TestRankTwoKAssembly:
+    @settings(max_examples=60, deadline=None)
+    @given(update_case(hermitian=False))
+    def test_matches_four_term_formula(self, case):
+        a, upd = case
+        a_pinv = pinv(a)
+        parts = decompose_update(a, a_pinv, upd)
+        b_pinv = pinv(upd.b)
+        got = smw_pinv(a_pinv, parts, b_pinv)
+        assert got.shape == a_pinv.shape
+        assert_close(got.matrix, four_term_pinv(a_pinv, parts, b_pinv), 1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(update_case(hermitian=True))
+    def test_hermitian_matches_general(self, case):
+        a, upd = case
+        a_pinv = pinv(a)
+        parts = decompose_update(a, a_pinv, upd)
+        b_pinv = pinv(upd.b)
+        got = smw_pinv_hermitian(a_pinv, parts.x1, parts.y1, parts.e1, b_pinv)
+        assert_close(got.matrix, smw_pinv(a_pinv, parts, b_pinv).matrix, 1e-10)
+
+    def test_mismatched_scaled_part_rejected(self, example_a, example_b, ex2_update):
+        # e2 with the right flattened size but the wrong row modes
+        a_pinv = pinv(example_a)
+        parts = decompose_update(example_a, a_pinv, ex2_update)
+        bad = SplitParts(
+            parts.x1, parts.y1, parts.x2, parts.y2, parts.e1,
+            zeros(PairedShape((4,), (1, 1))),
+        )
+        with pytest.raises(ShapeError):
+            smw_pinv(a_pinv, bad, pinv(example_b))
+
+
+class TestIdentityPathCost:
+    def test_no_cubic_product(self, rng, monkeypatch):
+        # every product on the identity path must have K on at least one side:
+        # record (rows, inner, cols) of each product update_pinv makes
+        n, k, dims = 64, 2, (4, 4, 4)
+        a = low_rank_tensor(rng, dims, dims, n - k)
+        a_pinv = pinv(a)
+        upd = LowRankUpdate(
+            u=rand_tensor(rng, dims, (k,)),
+            b=rand_tensor(rng, (k,), (k,)),
+            v=rand_tensor(rng, (k,), dims),
+            order=1,
+        )
+        sizes = []
+        product, matmul = woodbury.einstein_product, np.matmul
+
+        def recorded_product(x, y, *args):
+            sizes.append((x.shape.row_size, x.shape.col_size, y.shape.col_size))
+            return product(x, y, *args)
+
+        def recorded_matmul(x, y, *args, **kwargs):
+            sizes.append((x.shape[0], x.shape[1], y.shape[1]))
+            return matmul(x, y, *args, **kwargs)
+
+        monkeypatch.setattr(woodbury, "einstein_product", recorded_product)
+        monkeypatch.setattr(np, "matmul", recorded_matmul)
+        result = update_pinv(a, a_pinv, upd)
+        monkeypatch.undo()
+        assert result.report.applicable
+        assert (n, n, n) not in sizes
+        assert [s for s in sizes if s[0] == s[2] == n] == [(n, 2 * k, n)]
+        want = pinv(apply_update(a, upd))
+        assert fro_norm(result.s_pinv - want) <= 1e-8 * fro_norm(want)
