@@ -11,9 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import matkernel
 from .errors import ShapeError, SingularMatrixError, SingularTensorError
-from .tensor import EinsteinTensor, einstein_product, fro_norm
+from .tensor import EinsteinTensor, _adjoint, _frobenius
 from .unfold import fold
 
 __all__ = ["PenroseReport", "inverse", "pinv", "verify_penrose"]
@@ -59,8 +61,9 @@ def pinv(a: EinsteinTensor, tol: float = 1.0) -> EinsteinTensor:
     return fold(matkernel.pinv_matrix(a.matrix, tol=tol), a.shape.transposed)
 
 
-def _relative(diff: EinsteinTensor, reference: EinsteinTensor) -> float:
-    return fro_norm(diff) / max(1.0, fro_norm(reference))
+def _relative(diff: np.ndarray, reference: np.ndarray) -> float:
+    """``|diff| / max(1, |reference|)`` in Frobenius norm, on flattened matrices."""
+    return _frobenius(diff) / max(1.0, _frobenius(reference))
 
 
 def verify_penrose(a: EinsteinTensor, x: EinsteinTensor, tol: float = PENROSE_TOL) -> PenroseReport:
@@ -72,12 +75,13 @@ def verify_penrose(a: EinsteinTensor, x: EinsteinTensor, tol: float = PENROSE_TO
         raise ShapeError(
             f"candidate shape {x.shape} is not the transpose of {a.shape}"
         )
-    ax = einstein_product(a, x)
-    xa = einstein_product(x, a)
+    a, x = a.matrix, x.matrix
+    ax = a @ x
+    xa = x @ a
     residuals = (
-        _relative(einstein_product(ax, a) - a, a),
-        _relative(einstein_product(xa, x) - x, x),
-        _relative(ax.H - ax, ax),
-        _relative(xa.H - xa, xa),
+        _relative(ax @ a - a, a),
+        _relative(xa @ x - x, x),
+        _relative(_adjoint(ax) - ax, ax),
+        _relative(_adjoint(xa) - xa, xa),
     )
     return PenroseReport(residuals=residuals, tol=tol)

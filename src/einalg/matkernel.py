@@ -39,7 +39,7 @@ def _as_matrix(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={mat.ndim}")
-    if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+    if not np.isfinite(mat).all():
         raise DomainError("matrix entries must be finite")
     return mat
 

@@ -48,7 +48,7 @@ class EinsteinTensor:
                 f"matrix of shape {mat.shape} does not fill {shape} "
                 f"({shape.row_size} x {shape.col_size})"
             )
-        if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
+        if not np.isfinite(mat).all():
             raise DomainError("tensor entries must be finite")
         mat.flags.writeable = False
         self._shape = shape
@@ -162,7 +162,12 @@ def einstein_product(a: EinsteinTensor, b: EinsteinTensor, order: int | None = N
 
 def conj_transpose(a: EinsteinTensor) -> EinsteinTensor:
     """Hermitian transpose: swaps the mode sides and conjugates every entry."""
-    return EinsteinTensor(a.shape.transposed, a.matrix.conj().T)
+    return EinsteinTensor(a.shape.transposed, _adjoint(a.matrix))
+
+
+def _adjoint(mat: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix as a C-ordered copy, the layout tensors store."""
+    return np.conj(mat.T, order="C")
 
 
 def kronecker(a: EinsteinTensor, b: EinsteinTensor) -> EinsteinTensor:
@@ -194,20 +199,25 @@ _SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 def fro_norm(a: EinsteinTensor) -> float:
-    """Frobenius norm: square root of the sum of squared entry magnitudes.
+    """Frobenius norm: square root of the sum of squared entry magnitudes."""
+    return _frobenius(a.matrix)
+
+
+def _frobenius(mat: np.ndarray) -> float:
+    """Frobenius norm of a complex matrix, safe beyond the squared range.
 
     The plain sum of squares overflows once entries pass about 1e154 and
     underflows below about 1e-154; there the entries are first divided by
     their largest real or imaginary magnitude ``m`` and the norm is ``m``
     times the norm of the quotient.
     """
-    norm = float(np.linalg.norm(a.matrix))
+    norm = float(np.linalg.norm(mat))
     if np.isfinite(norm) and norm >= _SQRT_TINY:
         return norm
-    m = float(np.max(np.abs(a.matrix.view(np.float64))))
+    m = float(max(np.abs(mat.real).max(), np.abs(mat.imag).max()))
     if m == 0.0:
         return 0.0
-    return m * float(np.linalg.norm(a.matrix / m))
+    return m * float(np.linalg.norm(mat / m))
 
 
 def is_hermitian(a: EinsteinTensor, tol: float = 1e-10) -> bool:

@@ -18,18 +18,37 @@ tensor, the identity path therefore costs O(N^2 K): its only N x N work is the
 one N x 2K x N product of that correction and one add.  Conditions are checked
 separately from the identity evaluation so repeated structurally-identical
 updates can amortize the check.
+
+The public tensor functions of the pseudoinverse path are thin wrappers over
+one matrix pipeline: each validates the paired shapes of its operands at
+entry, computes on the flattened ``.matrix`` arrays, and builds an
+:class:`~einalg.tensor.EinsteinTensor` only for what it returns, so every
+returned tensor is checked to be finite and an identity-path
+:func:`update_pinv` call builds 8 tensors (the six split parts, ``b^+`` and
+``s^+``).  Products are written as ``np.matmul`` calls so that each one can be
+recorded.  Because the inputs are finite tensors, a non-finite intermediate
+is an overflow and raises :class:`~einalg.errors.NumericalError` naming the
+function it occurred in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, SingularCapacitanceError, SingularTensorError
+from .errors import (
+    DomainError,
+    NumericalError,
+    ShapeError,
+    SingularCapacitanceError,
+    SingularTensorError,
+)
 from .inverses import _relative, inverse, pinv
+from .matkernel import pinv_matrix
 from .shapes import PairedShape
-from .tensor import EinsteinTensor, einstein_product, fro_norm, zeros
+from .tensor import EinsteinTensor, _adjoint, _frobenius, einstein_product
 
 __all__ = [
     "LowRankUpdate",
@@ -137,6 +156,11 @@ class UpdatedPinv:
     report: ConditionReport
     parts: SplitParts
 
+    @property
+    def path(self) -> str:
+        """``"identity"`` when the conditions held and the identity ran, else ``"fallback"``."""
+        return "identity" if self.report.applicable else "fallback"
+
 
 def apply_update(a: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
     """The corrected tensor ``a + u * b * v``."""
@@ -144,7 +168,8 @@ def apply_update(a: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
         raise ShapeError(
             f"update of shape {upd.result_shape} does not conform to base {a.shape}"
         )
-    return a + einstein_product(einstein_product(upd.u, upd.b), upd.v)
+    corrected = a.matrix + np.matmul(np.matmul(upd.u.matrix, upd.b.matrix), upd.v.matrix)
+    return _returned("apply_update", a.shape, corrected)
 
 
 def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTensor) -> EinsteinTensor:
@@ -182,15 +207,53 @@ def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTen
     return a_inv - correction
 
 
-def _snap_residue(part: EinsteinTensor, reference_norm: float) -> EinsteinTensor:
-    if fro_norm(part) <= SPLIT_SNAP_TOL * reference_norm:
-        return zeros(part.shape)
+def _returned(stage: str, shape: PairedShape, mat: np.ndarray) -> EinsteinTensor:
+    """Wrap a result computed from finite tensors: a non-finite entry is an overflow."""
+    try:
+        return EinsteinTensor(shape, mat)
+    except DomainError as err:
+        raise NumericalError(f"{stage} overflowed: {err}") from err
+
+
+def _check_split(parts: SplitParts, *middle: EinsteinTensor) -> None:
+    """Shapes of a split and of its K-square middle factors.
+
+    ``x1``, ``y1`` and ``e1`` carry the row modes of ``u``, ``x2``, ``y2`` and
+    ``e2`` those of ``v^H``, and all of them, like both sides of each middle
+    factor, carry the K shared modes of ``x1`` as columns.
+    """
+    k = parts.x1.col_dims
+    for rows, names in (
+        (parts.x1.row_dims, ("x1", "y1", "e1")),
+        (parts.x2.row_dims, ("x2", "y2", "e2")),
+    ):
+        for name in names:
+            part = getattr(parts, name)
+            if part.row_dims != rows or part.col_dims != k:
+                raise ShapeError(
+                    f"split part {name} of shape {part.shape} does not match "
+                    f"modes {rows} by shared modes {k}"
+                )
+    for factor in middle:
+        if factor.row_dims != k or factor.col_dims != k:
+            raise ShapeError(
+                f"middle factor of shape {factor.shape} does not match shared modes {k}"
+            )
+
+
+def _snap_residue(part: np.ndarray, reference_norm: float) -> np.ndarray:
+    if _frobenius(part) <= SPLIT_SNAP_TOL * reference_norm:
+        return np.zeros_like(part)
     return part
 
 
-def _scaled_null_part(y: EinsteinTensor, tol: float) -> EinsteinTensor:
-    gram = einstein_product(y.H, y)
-    return einstein_product(y, pinv(gram, tol=tol))
+def _scaled_null_part(y: np.ndarray, tol: float, name: str) -> np.ndarray:
+    gram = np.matmul(_adjoint(y), y)
+    if not np.isfinite(gram).all():
+        raise NumericalError(
+            f"decompose_update overflowed: the Gram tensor {name}^H {name} is not finite"
+        )
+    return np.matmul(y, pinv_matrix(gram, tol=tol))
 
 
 def decompose_update(
@@ -205,7 +268,9 @@ def decompose_update(
     left and right column spaces, associated so that every product has K
     columns (O(N^2 K), no N x N projector is formed); the remainders ``y_i``
     are orthogonal to them by construction.  ``tol`` scales the rank
-    truncation inside the ``e_i`` pseudoinverses.
+    truncation inside the ``e_i`` pseudoinverses.  Raises
+    :class:`~einalg.errors.NumericalError` if a part or a K x K Gram
+    intermediate overflows.
     """
     if a_pinv.shape != a.shape.transposed:
         raise ShapeError(
@@ -215,20 +280,24 @@ def decompose_update(
         raise ShapeError(
             f"update of shape {upd.result_shape} does not conform to base {a.shape}"
         )
-    vh = upd.v.H
-    u_norm = fro_norm(upd.u)
-    vh_norm = fro_norm(vh)
-    x1 = _snap_residue(einstein_product(a, einstein_product(a_pinv, upd.u)), u_norm)
-    y1 = _snap_residue(upd.u - x1, u_norm)
-    x2 = _snap_residue(einstein_product(a_pinv, einstein_product(a, vh)), vh_norm)
+    a_mat, ap, u = a.matrix, a_pinv.matrix, upd.u.matrix
+    vh = _adjoint(upd.v.matrix)
+    u_norm = _frobenius(u)
+    vh_norm = _frobenius(vh)
+    x1 = _snap_residue(np.matmul(a_mat, np.matmul(ap, u)), u_norm)
+    y1 = _snap_residue(u - x1, u_norm)
+    x2 = _snap_residue(np.matmul(ap, np.matmul(a_mat, vh)), vh_norm)
     y2 = _snap_residue(vh - x2, vh_norm)
+    e1 = _scaled_null_part(y1, tol, "y1")
+    e2 = _scaled_null_part(y2, tol, "y2")
+    left, right = upd.u.shape, upd.v.shape.transposed
     return SplitParts(
-        x1=x1,
-        y1=y1,
-        x2=x2,
-        y2=y2,
-        e1=_scaled_null_part(y1, tol),
-        e2=_scaled_null_part(y2, tol),
+        x1=_returned("decompose_update", left, x1),
+        y1=_returned("decompose_update", left, y1),
+        x2=_returned("decompose_update", right, x2),
+        y2=_returned("decompose_update", right, y2),
+        e1=_returned("decompose_update", left, e1),
+        e2=_returned("decompose_update", right, e2),
     )
 
 
@@ -243,31 +312,36 @@ def check_conditions(
     3.1: e2 b+ e1^H y1 b = e2       4.1: b y2^H e2 b+ e1^H = e1^H
     3.2: x1 e1^H y1 b = x1 b        4.2: b y2^H e2 x2^H = b x2^H
     3.3: y1 e1^H y1 = y1            4.3: e2 y2^H e2 = e2
+
+    Raises :class:`~einalg.errors.NumericalError` if a residual is not
+    finite, which from finite parts means the condition products overflowed.
     """
-    x1, y1, x2, y2, e1, e2 = parts.x1, parts.y1, parts.x2, parts.y2, parts.e1, parts.e2
-    e1h = e1.H
-    x2h = x2.H
-    e1h_y1 = einstein_product(e1h, y1)
-    by2h_e2 = einstein_product(einstein_product(b, y2.H), e2)
-    x1_b = einstein_product(x1, b)
-    b_x2h = einstein_product(b, x2h)
+    _check_split(parts, b, b_pinv)
+    x1, y1, x2, y2, e1, e2 = (
+        part.matrix for part in (parts.x1, parts.y1, parts.x2, parts.y2, parts.e1, parts.e2)
+    )
+    b, b_pinv = b.matrix, b_pinv.matrix
+    e1h = _adjoint(e1)
+    x2h = _adjoint(x2)
+    y2h = _adjoint(y2)
+    e1h_y1 = np.matmul(e1h, y1)
+    e1h_y1_b = np.matmul(e1h_y1, b)
+    by2h_e2 = np.matmul(np.matmul(b, y2h), e2)
+    x1_b = np.matmul(x1, b)
+    b_x2h = np.matmul(b, x2h)
     residuals = {
-        "3.1": _relative(
-            einstein_product(
-                einstein_product(e2, b_pinv), einstein_product(e1h_y1, b)
-            )
-            - e2,
-            e2,
-        ),
-        "3.2": _relative(einstein_product(x1, einstein_product(e1h_y1, b)) - x1_b, x1_b),
-        "3.3": _relative(einstein_product(y1, e1h_y1) - y1, y1),
-        "4.1": _relative(
-            einstein_product(by2h_e2, einstein_product(b_pinv, e1h)) - e1h,
-            e1h,
-        ),
-        "4.2": _relative(einstein_product(by2h_e2, x2h) - b_x2h, b_x2h),
-        "4.3": _relative(einstein_product(e2, einstein_product(y2.H, e2)) - e2, e2),
+        "3.1": _relative(np.matmul(np.matmul(e2, b_pinv), e1h_y1_b) - e2, e2),
+        "3.2": _relative(np.matmul(x1, e1h_y1_b) - x1_b, x1_b),
+        "3.3": _relative(np.matmul(y1, e1h_y1) - y1, y1),
+        "4.1": _relative(np.matmul(by2h_e2, np.matmul(b_pinv, e1h)) - e1h, e1h),
+        "4.2": _relative(np.matmul(by2h_e2, x2h) - b_x2h, b_x2h),
+        "4.3": _relative(np.matmul(e2, np.matmul(y2h, e2)) - e2, e2),
     }
+    for label, residual in residuals.items():
+        if not math.isfinite(residual):
+            raise NumericalError(
+                f"check_conditions overflowed: condition {label} residual is {residual}"
+            )
     return ConditionReport(residuals=residuals, tol=tol)
 
 
@@ -284,18 +358,23 @@ def smw_pinv(a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor) 
     recomputed or validated beyond shapes, so callers pair this with
     :func:`check_conditions`.
     """
-    apinv_x1 = einstein_product(a_pinv, parts.x1)
-    if parts.e2.shape != apinv_x1.shape:
-        raise ShapeError(f"split parts disagree: e2 {parts.e2.shape} vs a+ x1 {apinv_x1.shape}")
-    x2h = parts.x2.H
-    e1h = parts.e1.H
-    middle = b_pinv + einstein_product(x2h, apinv_x1)
-    r_top = einstein_product(middle, e1h) - einstein_product(x2h, a_pinv)
-    left = np.hstack((parts.e2.matrix, apinv_x1.matrix))
-    right = np.vstack((r_top.matrix, -e1h.matrix))
+    _check_split(parts, b_pinv)
+    if a_pinv.row_dims != parts.x2.row_dims or a_pinv.col_dims != parts.x1.row_dims:
+        raise ShapeError(
+            f"base pseudoinverse of shape {a_pinv.shape} does not conform to the split "
+            f"({parts.x2.row_dims} | {parts.x1.row_dims})"
+        )
+    ap = a_pinv.matrix
+    apinv_x1 = np.matmul(ap, parts.x1.matrix)
+    x2h = _adjoint(parts.x2.matrix)
+    e1h = _adjoint(parts.e1.matrix)
+    middle = b_pinv.matrix + np.matmul(x2h, apinv_x1)
+    r_top = np.matmul(middle, e1h) - np.matmul(x2h, ap)
+    left = np.hstack((parts.e2.matrix, apinv_x1))
+    right = np.vstack((r_top, -e1h))
     assembled = np.matmul(left, right)
-    assembled += a_pinv.matrix
-    return EinsteinTensor(a_pinv.shape, assembled)
+    assembled += ap
+    return _returned("smw_pinv", a_pinv.shape, assembled)
 
 
 def smw_pinv_orthogonal(
@@ -308,7 +387,19 @@ def smw_pinv_orthogonal(
 
     Valid when the split has ``x1 = x2 = 0``; reduces to ``a+ + e2 b+ e1^H``.
     """
-    return a_pinv + einstein_product(einstein_product(e2, b_pinv), e1.H)
+    k = e1.col_dims
+    if e2.col_dims != k or b_pinv.row_dims != k or b_pinv.col_dims != k:
+        raise ShapeError(
+            f"scaled parts {e1.shape}, {e2.shape} and middle factor {b_pinv.shape} "
+            f"do not share the modes {k}"
+        )
+    if a_pinv.row_dims != e2.row_dims or a_pinv.col_dims != e1.row_dims:
+        raise ShapeError(
+            f"base pseudoinverse of shape {a_pinv.shape} does not conform to "
+            f"({e2.row_dims} | {e1.row_dims})"
+        )
+    correction = np.matmul(np.matmul(e2.matrix, b_pinv.matrix), _adjoint(e1.matrix))
+    return _returned("smw_pinv_orthogonal", a_pinv.shape, a_pinv.matrix + correction)
 
 
 def smw_pinv_hermitian(
@@ -325,8 +416,6 @@ def smw_pinv_hermitian(
     part ``y`` enters only through its scaled form ``e = y (y^H y)^+`` and is
     taken here to pin the split down and validate conformity.
     """
-    if y.shape != x.shape:
-        raise ShapeError(f"split parts disagree: {x.shape} vs {y.shape}")
     return smw_pinv(a_pinv, SplitParts(x, y, x, y, e, e), b_pinv)
 
 
@@ -340,7 +429,8 @@ def update_pinv(
 
     When the condition report is applicable the identity-based result is
     returned; otherwise the corrected tensor is pseudo-inverted directly, so a
-    valid pseudoinverse comes back either way (the report says which path ran).
+    valid pseudoinverse comes back either way (``path`` of the result says
+    which ran).
     """
     parts = decompose_update(a, a_pinv, upd)
     b_pinv = pinv(upd.b)

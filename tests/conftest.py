@@ -201,3 +201,18 @@ def ex2():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def overflow_update():
+    """Finite base ``diag(1, 1, 1, 0)`` and update ``u b v`` whose null-space
+    parts have entries near 1e200, so the Gram ``y1^H y1`` (about 1e400)
+    overflows although every input and the corrected tensor are finite."""
+    shape = PairedShape((4,), (4,))
+    k = PairedShape((1,), (1,))
+    return {
+        "a": EinsteinTensor(shape, np.diag([1.0, 1.0, 1.0, 0.0])),
+        "u": EinsteinTensor(PairedShape((4,), (1,)), np.full((4, 1), 1e200)),
+        "b": EinsteinTensor(k, [[1e-100]]),
+        "v": EinsteinTensor(PairedShape((1,), (4,)), np.full((1, 4), 1e200)),
+    }

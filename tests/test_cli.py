@@ -6,12 +6,15 @@ packaging surface.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import einalg
 from einalg import (
     EinsteinTensor,
     fro_norm,
@@ -191,6 +194,18 @@ class TestSmwCommand:
         want = inverse(s)
         assert fro_norm(lt(out) - want) <= 1e-8 * fro_norm(want)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_in_update_exits_3(self, tmp_path, overflow_update):
+        # finite inputs; the update overflows inside the split, which is a
+        # numerical failure, not an input error
+        for name, t in overflow_update.items():
+            save_tensor(tmp_path / f"{name}.json", t)
+        code = run(
+            "smw", tmp_path / "a.json", tmp_path / "u.json", tmp_path / "b.json",
+            tmp_path / "v.json", "--mode", "pinv", "-o", tmp_path / "out.json",
+        )
+        assert code == 3
+
     def test_invertible_mode_singular_base_exits_3(self, tmp_path):
         out = tmp_path / "out.json"
         code = run(
@@ -363,10 +378,14 @@ class TestVerifyCommand:
 
 class TestEntryPoint:
     def test_console_script_version(self):
+        # the child imports the same einalg as this process, installed or not
+        package_root = str(Path(einalg.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "einalg.cli", "--version"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0.1.0"

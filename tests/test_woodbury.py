@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from einalg import (
+    EinsteinTensor,
     LowRankUpdate,
+    NumericalError,
     PairedShape,
     ShapeError,
     SingularCapacitanceError,
@@ -430,6 +432,7 @@ class TestUpdatePinv:
     def test_example1_end_to_end(self, example_a, ex1, ex1_update):
         result = update_pinv(example_a, pinv(example_a), ex1_update)
         assert result.report.applicable
+        assert result.path == "identity"
         assert np.allclose(result.s_pinv.matrix, ex1["s_pinv"].matrix, atol=1e-10)
 
     def test_example2_end_to_end(self, example_a, ex2, ex2_update):
@@ -448,6 +451,7 @@ class TestUpdatePinv:
         upd = LowRankUpdate(u=u, b=scalar1111(1.0), v=v, order=2)
         result = update_pinv(example_a, a_pinv, upd)
         assert not result.report.applicable
+        assert result.path == "fallback"
         assert result.report.residuals["3.2"] > result.report.tol
         s = apply_update(example_a, upd)
         assert verify_penrose(s, result.s_pinv, tol=1e-8).passed
@@ -525,8 +529,8 @@ class TestIdentityPathCost:
             v=rand_tensor(rng, (k,), dims),
             order=1,
         )
-        sizes = []
-        product, matmul = woodbury.einstein_product, np.matmul
+        sizes, built = [], []
+        product, matmul, init = woodbury.einstein_product, np.matmul, EinsteinTensor.__init__
 
         def recorded_product(x, y, *args):
             sizes.append((x.shape.row_size, x.shape.col_size, y.shape.col_size))
@@ -536,12 +540,48 @@ class TestIdentityPathCost:
             sizes.append((x.shape[0], x.shape[1], y.shape[1]))
             return matmul(x, y, *args, **kwargs)
 
+        def recorded_init(self, *args):
+            built.append(args[0])
+            init(self, *args)
+
         monkeypatch.setattr(woodbury, "einstein_product", recorded_product)
         monkeypatch.setattr(np, "matmul", recorded_matmul)
+        monkeypatch.setattr(EinsteinTensor, "__init__", recorded_init)
         result = update_pinv(a, a_pinv, upd)
         monkeypatch.undo()
         assert result.report.applicable
+        # 8 in the split (four projections, two Grams, two scaled parts),
+        # 15 in the six conditions, 5 in the rank-2K assembly
+        assert len(sizes) == 28
         assert (n, n, n) not in sizes
         assert [s for s in sizes if s[0] == s[2] == n] == [(n, 2 * k, n)]
+        # only what update_pinv returns: the six split parts, b^+ and s^+
+        assert len(built) <= 8
         want = pinv(apply_update(a, upd))
         assert fro_norm(result.s_pinv - want) <= 1e-8 * fro_norm(want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOverflow:
+    """Overflow from finite inputs is a numerical failure, named by its stage."""
+
+    def test_gram_overflow_in_update(self, overflow_update):
+        t = overflow_update
+        upd = LowRankUpdate(u=t["u"], b=t["b"], v=t["v"], order=1)
+        with pytest.raises(NumericalError, match="decompose_update.*Gram tensor y1"):
+            update_pinv(t["a"], pinv(t["a"]), upd)
+
+    def test_condition_products_overflow(self):
+        big = fold(np.full((4, 1), 1e200), PairedShape((4,), (1,)))
+        zero = zeros(big.shape)
+        b = fold([[1.0]], PairedShape((1,), (1,)))
+        parts = SplitParts(x1=zero, y1=big, x2=zero, y2=zero, e1=big, e2=zero)
+        with pytest.raises(NumericalError, match="check_conditions"):
+            check_conditions(parts, b, b)
+
+    def test_assembly_overflow(self):
+        a_pinv = fold(1e308 * np.eye(2), PairedShape((2,), (2,)))
+        e = fold(1e154 * np.eye(2)[:, :1], PairedShape((2,), (1,)))
+        b_pinv = fold([[1.0]], PairedShape((1,), (1,)))
+        with pytest.raises(NumericalError, match="smw_pinv_orthogonal"):
+            smw_pinv_orthogonal(a_pinv, e, e, b_pinv)
