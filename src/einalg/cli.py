@@ -12,7 +12,8 @@ Exit codes are exhaustive and disjoint:
        (the pseudoinverse is still written)
     2  input error (parse, shape, domain)
     3  numerical error (non-convergence, singular operand or capacitance)
-    4  applicability conditions failed; direct fallback result was written
+    4  the mode's identity did not apply; the report's ``path`` says whether
+       the six-condition identity or the direct fallback wrote the result
     5  system inconsistent; least-squares candidate was written
 
 No command mutates its input files.
@@ -35,7 +36,7 @@ from .errors import (
     ShapeError,
 )
 from .inverses import inverse, pinv, verify_penrose
-from .tensor import fro_norm, is_hermitian
+from .tensor import _relative, fro_norm, is_hermitian
 from .woodbury import LowRankUpdate
 
 EXIT_OK = 0
@@ -80,20 +81,6 @@ def cmd_pinv(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-def _split_for_mode(a, a_pinv, upd, mode, tol):
-    parts = woodbury.decompose_update(a, a_pinv, upd)
-    b_pinv = pinv(upd.b)
-    report = woodbury.check_conditions(parts, upd.b, b_pinv, tol=tol)
-    if mode == "orthogonal":
-        # The fast path additionally needs the update to avoid the base
-        # tensor's column spaces entirely.
-        scale = max(1.0, fro_norm(upd.u), fro_norm(upd.v))
-        if fro_norm(parts.x1) > tol * scale or fro_norm(parts.x2) > tol * scale:
-            return parts, b_pinv, report, False
-        return parts, b_pinv, report, report.applicable
-    return parts, b_pinv, report, report.applicable
-
-
 def cmd_smw(args) -> int:
     a = _load(args.base)
     u = _load(args.u)
@@ -107,42 +94,35 @@ def cmd_smw(args) -> int:
         return EXIT_OK
 
     if args.mode == "hermitian":
-        u_vs_vh = fro_norm(u - v.H) > args.tol * max(1.0, fro_norm(u))
-        if not is_hermitian(a, tol=args.tol) or u_vs_vh:
+        u_vs_vh = _relative((u - v.H).matrix, u.matrix)
+        if not is_hermitian(a, tol=args.tol) or u_vs_vh > args.tol:
             raise ShapeError(
                 "hermitian mode needs a Hermitian base tensor and u == v^H"
             )
-    a_pinv = pinv(a)
-    parts, b_pinv, report, fast_path_ok = _split_for_mode(
-        a, a_pinv, upd, args.mode, args.tol
-    )
-    if fast_path_ok:
-        if args.mode == "orthogonal":
-            result = woodbury.smw_pinv_orthogonal(a_pinv, parts.e1, parts.e2, b_pinv)
-        elif args.mode == "hermitian":
-            result = woodbury.smw_pinv_hermitian(
-                a_pinv, parts.x1, parts.y1, parts.e1, b_pinv
-            )
-        else:
-            result = woodbury.smw_pinv(a_pinv, parts, b_pinv)
-        code = EXIT_OK
-    else:
-        result = pinv(woodbury.apply_update(a, upd))
-        code = EXIT_CONDITIONS_FAILED
-    tensorio.save_tensor(args.output, result)
+    updated = woodbury.update_pinv(a, pinv(a), upd, tol=args.tol)
+    report = updated.report
+    applicable = report.applicable
+    if args.mode == "orthogonal":
+        # The orthogonal identity additionally needs the update to avoid the
+        # base tensor's column spaces entirely.
+        scale = max(1.0, fro_norm(u), fro_norm(v))
+        x_norm = max(fro_norm(updated.parts.x1), fro_norm(updated.parts.x2))
+        applicable = applicable and x_norm <= args.tol * scale
+    tensorio.save_tensor(args.output, updated.s_pinv)
     report_path = args.report or (args.output + ".report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(
             {
                 "residuals": {k: report.residuals[k] for k in sorted(report.residuals)},
-                "applicable": bool(fast_path_ok),
+                "applicable": applicable,
+                "path": updated.path,
                 "tol": report.tol,
             },
             fh,
             indent=2,
         )
         fh.write("\n")
-    return code
+    return EXIT_OK if applicable else EXIT_CONDITIONS_FAILED
 
 
 def cmd_solve(args) -> int:

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import matkernel
 from .errors import ShapeError, SingularMatrixError, SingularTensorError
-from .tensor import EinsteinTensor, _adjoint, _frobenius
+from .tensor import EinsteinTensor, _adjoint, _relative
 from .unfold import fold
 
 __all__ = ["PenroseReport", "inverse", "pinv", "verify_penrose"]
@@ -59,11 +57,6 @@ def inverse(a: EinsteinTensor) -> EinsteinTensor:
 def pinv(a: EinsteinTensor, tol: float = 1.0) -> EinsteinTensor:
     """Moore-Penrose pseudoinverse; result has the transposed paired shape."""
     return fold(matkernel.pinv_matrix(a.matrix, tol=tol), a.shape.transposed)
-
-
-def _relative(diff: np.ndarray, reference: np.ndarray) -> float:
-    """``|diff| / max(1, |reference|)`` in Frobenius norm, on flattened matrices."""
-    return _frobenius(diff) / max(1.0, _frobenius(reference))
 
 
 def verify_penrose(a: EinsteinTensor, x: EinsteinTensor, tol: float = PENROSE_TOL) -> PenroseReport:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateSolutionError, DomainError, ShapeError
 from .inverses import pinv
-from .tensor import EinsteinTensor, einstein_product, fro_norm
+from .tensor import EinsteinTensor, _relative, einstein_product, fro_norm
 from .woodbury import LowRankUpdate, update_pinv
 
 __all__ = [
@@ -98,7 +98,7 @@ def solve(a: EinsteinTensor, d: EinsteinTensor, tol: float = CONSISTENCY_TOL) ->
     _check_right_side(a, d)
     a_pinv = pinv(a)
     x = einstein_product(a_pinv, d)
-    residual = fro_norm(einstein_product(a, x) - d) / max(1.0, fro_norm(d))
+    residual = _relative((einstein_product(a, x) - d).matrix, d.matrix)
     return SolveResult(x=x, consistent=residual <= tol, consistency_residual=residual)
 
 

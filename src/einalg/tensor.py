@@ -220,9 +220,13 @@ def _frobenius(mat: np.ndarray) -> float:
     return m * float(np.linalg.norm(mat / m))
 
 
+def _relative(diff: np.ndarray, reference: np.ndarray) -> float:
+    """``|diff| / max(1, |reference|)`` in Frobenius norm, on flattened matrices."""
+    return _frobenius(diff) / max(1.0, _frobenius(reference))
+
+
 def is_hermitian(a: EinsteinTensor, tol: float = 1e-10) -> bool:
     """Whether ``a`` equals its Hermitian transpose up to ``tol`` (relative)."""
     if not a.shape.is_square:
         raise ShapeError(f"hermiticity is defined for square tensors, got {a.shape}")
-    dev = np.linalg.norm(a.matrix - a.matrix.conj().T)
-    return dev <= tol * max(1.0, fro_norm(a))
+    return _relative(a.matrix - _adjoint(a.matrix), a.matrix) <= tol

@@ -19,15 +19,17 @@ one N x 2K x N product of that correction and one add.  Conditions are checked
 separately from the identity evaluation so repeated structurally-identical
 updates can amortize the check.
 
-The public tensor functions of the pseudoinverse path are thin wrappers over
-one matrix pipeline: each validates the paired shapes of its operands at
-entry, computes on the flattened ``.matrix`` arrays, and builds an
+The public tensor functions are thin wrappers over one matrix pipeline: each
+validates the paired shapes of its operands at entry, computes on the
+flattened ``.matrix`` arrays, and builds an
 :class:`~einalg.tensor.EinsteinTensor` only for what it returns, so every
 returned tensor is checked to be finite and an identity-path
 :func:`update_pinv` call builds 8 tensors (the six split parts, ``b^+`` and
-``s^+``).  Products are written as ``np.matmul`` calls so that each one can be
-recorded.  Because the inputs are finite tensors, a non-finite intermediate
-is an overflow and raises :class:`~einalg.errors.NumericalError` naming the
+``s^+``).  :func:`update_pinv` is the one split -> check -> identity ->
+fallback path; the ``einalg smw`` pseudoinverse modes run it too.  Products
+are written as ``np.matmul`` calls so that each one can be recorded.
+Because the inputs are finite tensors, a non-finite intermediate is an
+overflow and raises :class:`~einalg.errors.NumericalError` naming the
 function it occurred in.
 """
 
@@ -43,12 +45,12 @@ from .errors import (
     NumericalError,
     ShapeError,
     SingularCapacitanceError,
-    SingularTensorError,
+    SingularMatrixError,
 )
-from .inverses import _relative, inverse, pinv
-from .matkernel import pinv_matrix
+from .inverses import pinv
+from .matkernel import inv_matrix, pinv_matrix
 from .shapes import PairedShape
-from .tensor import EinsteinTensor, _adjoint, _frobenius, einstein_product
+from .tensor import EinsteinTensor, _adjoint, _frobenius, _relative
 
 __all__ = [
     "LowRankUpdate",
@@ -178,7 +180,9 @@ def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTen
     ``a_inv`` and ``b_inv`` must be the inverses of the base tensor and of the
     middle factor (the caller owns that precondition; only shapes are checked
     here).  Inverts the capacitance ``b^-1 + v * a^-1 * u`` and assembles
-    ``a^-1 - a^-1 u (b^-1 + v a^-1 u)^-1 v a^-1``.
+    ``a^-1 - a^-1 u (b^-1 + v a^-1 u)^-1 v a^-1``.  Raises
+    :class:`~einalg.errors.NumericalError` if the capacitance or the result
+    overflows.
     """
     if not a_inv.shape.is_square:
         raise ShapeError(f"base inverse must be square, got {a_inv.shape}")
@@ -190,21 +194,23 @@ def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTen
         raise ShapeError(
             f"middle-factor inverse shape {b_inv.shape} != {upd.b.shape}"
         )
-    a_inv_u = einstein_product(a_inv, upd.u)
-    capacitance = b_inv + einstein_product(einstein_product(upd.v, a_inv), upd.u)
+    a_inv_mat, u, v = a_inv.matrix, upd.u.matrix, upd.v.matrix
+    a_inv_u = np.matmul(a_inv_mat, u)
+    v_a_inv = np.matmul(v, a_inv_mat)
+    capacitance = b_inv.matrix + np.matmul(v_a_inv, u)
+    if not np.isfinite(capacitance).all():
+        raise NumericalError("smw_invertible overflowed: the capacitance tensor is not finite")
     try:
-        cap_inv = inverse(capacitance)
-    except SingularTensorError as err:
+        cap_inv = inv_matrix(capacitance)
+    except SingularMatrixError as err:
         raise SingularCapacitanceError(
             f"capacitance tensor is singular: numerical rank {err.rank} "
-            f"of {capacitance.shape.row_size}",
+            f"of {capacitance.shape[0]}",
             rank=err.rank,
             sigma_min=err.sigma_min,
         ) from err
-    correction = einstein_product(
-        einstein_product(a_inv_u, cap_inv), einstein_product(upd.v, a_inv)
-    )
-    return a_inv - correction
+    correction = np.matmul(np.matmul(a_inv_u, cap_inv), v_a_inv)
+    return _returned("smw_invertible", a_inv.shape, a_inv_mat - correction)
 
 
 def _returned(stage: str, shape: PairedShape, mat: np.ndarray) -> EinsteinTensor:

@@ -17,12 +17,14 @@ import pytest
 import einalg
 from einalg import (
     EinsteinTensor,
+    PairedShape,
     fro_norm,
     load_tensor,
     save_tensor,
     verify_penrose,
     zeros,
 )
+from einalg import woodbury
 from einalg.cli import main
 
 from conftest import FIXTURES_DIR, rand_tensor
@@ -143,10 +145,13 @@ class TestSmwCommand:
         got = load_tensor(out)
         want = load_tensor(FIX / "example1_s_pinv.json")
         assert np.allclose(got.matrix, want.matrix, atol=1e-10)
+        report = json.loads((tmp_path / "rep.json").read_text())
+        assert report["path"] == "identity"
+        assert report["applicable"] is True
 
     def test_example2_orthogonal_mode_falls_back(self, tmp_path):
-        # example 2 has nonzero column-space parts, so the orthogonal fast
-        # path must refuse and fall back (result still correct)
+        # example 2 has nonzero column-space parts, so the orthogonal identity
+        # does not apply; the six-condition identity wrote the (correct) result
         out = tmp_path / "s_pinv.json"
         code = run(
             "smw", FIX / "a.json", FIX / "example2_u.json", FIX / "b.json",
@@ -156,6 +161,10 @@ class TestSmwCommand:
         got = load_tensor(out)
         want = load_tensor(FIX / "example2_s_pinv.json")
         assert np.allclose(got.matrix, want.matrix, atol=1e-10)
+        report = json.loads((tmp_path / "s_pinv.json.report.json").read_text())
+        assert report["applicable"] is False
+        assert report["path"] == "identity"
+        assert verify_penrose(load_tensor(FIX / "example2_s.json"), got, tol=1e-8).passed
 
     def test_zero_middle_factor_falls_back(self, tmp_path):
         z = tmp_path / "zero_b.json"
@@ -170,6 +179,8 @@ class TestSmwCommand:
         got = load_tensor(out)
         base = load_tensor(FIX / "a.json")
         assert verify_penrose(base, got, tol=1e-8).passed
+        report = json.loads((tmp_path / "out.json.report.json").read_text())
+        assert report["path"] == "fallback"
 
     def test_invertible_mode(self, tmp_path, rng):
         from einalg import EinsteinTensor
@@ -206,6 +217,19 @@ class TestSmwCommand:
         )
         assert code == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_invertible_overflow_exits_3(self, tmp_path):
+        # finite inputs; the capacitance v a^-1 u overflows
+        save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.eye(2)))
+        save_tensor(tmp_path / "u.json", EinsteinTensor(((2,), (1,)), np.full((2, 1), 1e200)))
+        save_tensor(tmp_path / "b.json", EinsteinTensor(((1,), (1,)), [[1.0]]))
+        save_tensor(tmp_path / "v.json", EinsteinTensor(((1,), (2,)), np.full((1, 2), 1e200)))
+        code = run(
+            "smw", tmp_path / "a.json", tmp_path / "u.json", tmp_path / "b.json",
+            tmp_path / "v.json", "--mode", "invertible", "-o", tmp_path / "out.json",
+        )
+        assert code == 3
+
     def test_invertible_mode_singular_base_exits_3(self, tmp_path):
         out = tmp_path / "out.json"
         code = run(
@@ -222,9 +246,10 @@ class TestSmwCommand:
         )
         assert code == 2
 
-    def test_hermitian_mode(self, tmp_path, rng):
-        from einalg import EinsteinTensor, LowRankUpdate, PairedShape, apply_update
-
+    @staticmethod
+    def hermitian_files(tmp_path, rng):
+        """Hermitian rank-3 base and ``u = v^H`` in its null space, saved as
+        files; returns the tensors and the four paths in ``smw`` order."""
         g = rand_tensor(rng, (2, 2), (2, 2))
         mat = g.matrix.copy()
         mat[:, 3] = 0.0
@@ -235,19 +260,43 @@ class TestSmwCommand:
         y_mat[3, 0] = 2.0
         u = EinsteinTensor(PairedShape((2, 2), (1,)), y_mat)
         b = EinsteinTensor(PairedShape((1,), (1,)), [[1.5]])
-        save_tensor(tmp_path / "a.json", a)
-        save_tensor(tmp_path / "u.json", u)
-        save_tensor(tmp_path / "b.json", b)
-        save_tensor(tmp_path / "v.json", u.H)
+        tensors = {"a": a, "u": u, "b": b, "v": u.H}
+        for name, t in tensors.items():
+            save_tensor(tmp_path / f"{name}.json", t)
+        return tensors, [tmp_path / f"{name}.json" for name in tensors]
+
+    def test_hermitian_mode(self, tmp_path, rng):
+        from einalg import LowRankUpdate, apply_update
+
+        t, paths = self.hermitian_files(tmp_path, rng)
         out = tmp_path / "out.json"
-        code = run(
-            "smw", tmp_path / "a.json", tmp_path / "u.json", tmp_path / "b.json",
-            tmp_path / "v.json", "--mode", "hermitian", "-o", out,
-        )
+        code = run("smw", *paths, "--mode", "hermitian", "-o", out)
         assert code == 0
-        s = apply_update(a, LowRankUpdate(u=u, b=b, v=u.H, order=1))
+        s = apply_update(t["a"], LowRankUpdate(u=t["u"], b=t["b"], v=t["v"], order=1))
         got = load_tensor(out)
         assert verify_penrose(s, got, tol=1e-8).passed
+
+    def test_one_orchestrator_per_mode(self, tmp_path, rng, monkeypatch):
+        # every pseudoinverse mode is one update_pinv call, which splits once
+        _, paths = self.hermitian_files(tmp_path, rng)
+        calls = []
+        for name in ("update_pinv", "decompose_update"):
+            original = getattr(woodbury, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(woodbury, name, counted)
+        outputs = {}
+        for mode in ("pinv", "orthogonal", "hermitian"):
+            calls.clear()
+            out = tmp_path / f"{mode}.json"
+            assert run("smw", *paths, "--mode", mode, "-o", out) == 0
+            assert sorted(calls) == ["decompose_update", "update_pinv"]
+            outputs[mode] = load_tensor(out).matrix
+        want = outputs["pinv"]
+        assert np.linalg.norm(outputs["hermitian"] - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_shape_mismatch_exits_2(self, tmp_path):
         code = run(

@@ -193,6 +193,12 @@ class TestConjTranspose:
     def test_identity_hermitian(self):
         assert is_hermitian(identity([2, 2]))
 
+    def test_huge_entries_relative_deviation(self):
+        # deviation 1.4e160 against |a| = 1e171: relative 1.4e-11, although
+        # the plain sum of squares of the deviation overflows
+        a = EinsteinTensor(PairedShape((2,), (2,)), [[1e171, 1e160], [0.0, 1.0]])
+        assert is_hermitian(a)
+
     def test_non_square_rejected(self, rng):
         with pytest.raises(ShapeError):
             is_hermitian(rand_tensor(rng, (2,), (3,)))
