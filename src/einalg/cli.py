@@ -35,8 +35,8 @@ from .errors import (
     NumericalError,
     ShapeError,
 )
-from .inverses import inverse, pinv, verify_penrose
-from .tensor import _relative, fro_norm, is_hermitian
+from .inverses import PENROSE_TOL, inverse, pinv, verify_penrose
+from .tensor import _relative, is_hermitian
 from .woodbury import LowRankUpdate
 
 EXIT_OK = 0
@@ -82,6 +82,8 @@ def cmd_pinv(args) -> int:
 
 
 def cmd_smw(args) -> int:
+    if args.mode == "invertible" and args.report is not None:
+        raise DomainError("--report applies to the pseudoinverse modes, not --mode invertible")
     a = _load(args.base)
     u = _load(args.u)
     b = _load(args.b)
@@ -103,11 +105,10 @@ def cmd_smw(args) -> int:
     report = updated.report
     applicable = report.applicable
     if args.mode == "orthogonal":
-        # The orthogonal identity additionally needs the update to avoid the
-        # base tensor's column spaces entirely.
-        scale = max(1.0, fro_norm(u), fro_norm(v))
-        x_norm = max(fro_norm(updated.parts.x1), fro_norm(updated.parts.x2))
-        applicable = applicable and x_norm <= args.tol * scale
+        # The orthogonal identity also needs x1 = x2 = 0; the split has
+        # already made every part within its rounding bound an exact zero.
+        parts = updated.parts
+        applicable = applicable and not (parts.x1.matrix.any() or parts.x2.matrix.any())
     tensorio.save_tensor(args.output, updated.s_pinv)
     report_path = args.report or (args.output + ".report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
@@ -243,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check the four pseudoinverse rules")
     p.add_argument("a", help="base tensor")
     p.add_argument("x", help="candidate pseudoinverse")
-    p.add_argument("--tol", type=float, default=1e-10, help="residual tolerance")
+    p.add_argument("--tol", type=float, default=PENROSE_TOL, help="residual tolerance")
     p.set_defaults(handler=cmd_verify)
     return parser
 

@@ -44,6 +44,12 @@ def _as_matrix(mat) -> np.ndarray:
     return mat
 
 
+def _rank_floor(scale: float, shape: tuple[int, ...], tol: float) -> float:
+    """``tol * scale * max(m, n) * 2**-52``, the rank rule of :func:`svd` and of
+    the split in :func:`einalg.woodbury.decompose_update`: at or below it is residue."""
+    return tol * scale * max(shape) * _EPS
+
+
 def svd(mat, tol: float = 1.0) -> Svd:
     """Thin SVD truncated at ``tol * sigma_max * max(m, n) * 2**-52``."""
     mat = _as_matrix(mat)
@@ -53,7 +59,7 @@ def svd(mat, tol: float = 1.0) -> Svd:
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"SVD of a {m} x {n} matrix failed: {err}") from err
     sigma_max = s[0] if len(s) else 0.0
-    rank = int(np.count_nonzero(s > tol * sigma_max * max(m, n) * _EPS))
+    rank = int(np.count_nonzero(s > _rank_floor(sigma_max, mat.shape, tol)))
     return Svd(u=u[:, :rank], s=s[:rank], v=vh[:rank].conj().T)
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .errors import DegenerateSolutionError, DomainError, ShapeError
 from .inverses import pinv
 from .tensor import EinsteinTensor, _relative, einstein_product, fro_norm
-from .woodbury import LowRankUpdate, update_pinv
+from .woodbury import CONDITION_TOL, LowRankUpdate, update_pinv
 
 __all__ = [
     "SolveResult",
@@ -120,7 +120,7 @@ def measure_error(
     d: EinsteinTensor,
     upd: LowRankUpdate,
     delta_d: EinsteinTensor,
-    tol: float = 1e-8,
+    tol: float = CONDITION_TOL,
 ) -> BoundReport:
     """Solve the base and the perturbed system and compare error to bound.
 

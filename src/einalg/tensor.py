@@ -211,7 +211,8 @@ def _frobenius(mat: np.ndarray) -> float:
     their largest real or imaginary magnitude ``m`` and the norm is ``m``
     times the norm of the quotient.
     """
-    norm = float(np.linalg.norm(mat))
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.vdot(mat, mat).real))
     if np.isfinite(norm) and norm >= _SQRT_TINY:
         return norm
     m = float(max(np.abs(mat.real).max(), np.abs(mat.imag).max()))

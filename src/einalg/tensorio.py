@@ -21,7 +21,7 @@ import json
 import numpy as np
 
 from .errors import ShapeError
-from .shapes import PairedShape, phi_index
+from .shapes import PairedShape
 from .tensor import EinsteinTensor
 
 __all__ = [
@@ -113,14 +113,7 @@ def tensor_from_block_display(display, row_dims, col_dims) -> EinsteinTensor:
             f"display must be {i1n * j1n} x {i2n * j2n}, got {display.shape}"
         )
     shape = PairedShape(row_dims, col_dims)
-    mat = np.zeros((shape.row_size, shape.col_size), dtype=np.complex128)
-    for i1 in range(1, i1n + 1):
-        for i2 in range(1, i2n + 1):
-            for j1 in range(1, j1n + 1):
-                for j2 in range(1, j2n + 1):
-                    r = i1 + i1n * (j1 - 1)
-                    c = i2 + i2n * (j2 - 1)
-                    p = phi_index((i1, i2), row_dims)
-                    q = phi_index((j1, j2), col_dims)
-                    mat[p - 1, q - 1] = display[r - 1, c - 1]
-    return EinsteinTensor(shape, mat)
+    # display[i1 + I1*j1, i2 + I2*j2] (0-based) is a_{(i1,i2),(j1,j2)}, and the
+    # index map runs fastest over the leading mode: matrix[i1 + I1*i2, j1 + J1*j2].
+    mat = display.reshape(j1n, i1n, j2n, i2n).transpose(3, 1, 2, 0)
+    return EinsteinTensor(shape, mat.reshape(shape.row_size, shape.col_size))

@@ -12,10 +12,12 @@ Two identities are implemented for a base tensor perturbed by a correction
   and then assembles the updated pseudoinverse from those parts.
 
 The splits apply the orthogonal projectors ``a * a^+`` and ``a^+ * a``
-without forming them (``x1 = a * (a^+ * u)``), and the updated pseudoinverse
-is ``a^+`` plus one rank-2K correction.  With N the flattened size of the base
-tensor, the identity path therefore costs O(N^2 K): its only N x N work is the
-one N x 2K x N product of that correction and one add.  Conditions are checked
+without forming them (``x1 = a * (a^+ * u)``); a part within the rounding
+bound of that product, measured by the matrix kernel's rank rule, is an
+exact zero.  The updated pseudoinverse is ``a^+`` plus one rank-2K
+correction.  With N the flattened size of the base tensor, the identity path
+therefore costs O(N^2 K): its only N x N work is the one N x 2K x N product
+of that correction and one add.  Conditions are checked
 separately from the identity evaluation so repeated structurally-identical
 updates can amortize the check.
 
@@ -48,9 +50,9 @@ from .errors import (
     SingularMatrixError,
 )
 from .inverses import pinv
-from .matkernel import inv_matrix, pinv_matrix
+from .matkernel import _rank_floor, inv_matrix, pinv_matrix
 from .shapes import PairedShape
-from .tensor import EinsteinTensor, _adjoint, _frobenius, _relative
+from .tensor import EinsteinTensor, _adjoint, _frobenius, _relative, zeros
 
 __all__ = [
     "LowRankUpdate",
@@ -70,13 +72,6 @@ __all__ = [
 #: Default applicability tolerance: two orders above the kernel's residuals,
 #: absorbing accumulation across the six chained products.
 CONDITION_TOL = 1e-8
-
-#: Split parts smaller than this (relative to their source factor) are
-#: floating-point residue of the projection, not structure: they are snapped
-#: to exact zeros.  Without the snap, a K-sized Gram pseudoinverse would
-#: invert the residue (e.g. e = y / |y|^2 with |y| ~ 1e-16) and the
-#: applicability conditions would "hold" on pure noise.
-SPLIT_SNAP_TOL = 1e-12
 
 CONDITION_LABELS = ("3.1", "3.2", "3.3", "4.1", "4.2", "4.3")
 
@@ -247,8 +242,8 @@ def _check_split(parts: SplitParts, *middle: EinsteinTensor) -> None:
             )
 
 
-def _snap_residue(part: np.ndarray, reference_norm: float) -> np.ndarray:
-    if _frobenius(part) <= SPLIT_SNAP_TOL * reference_norm:
+def _snap_residue(part: np.ndarray, floor: float) -> np.ndarray:
+    if _frobenius(part) <= floor:
         return np.zeros_like(part)
     return part
 
@@ -273,8 +268,15 @@ def decompose_update(
     ``x1 = a (a^+ u)`` and ``x2 = a^+ (a v^H)`` are the projections onto the
     left and right column spaces, associated so that every product has K
     columns (O(N^2 K), no N x N projector is formed); the remainders ``y_i``
-    are orthogonal to them by construction.  ``tol`` scales the rank
-    truncation inside the ``e_i`` pseudoinverses.  Raises
+    are orthogonal to them by construction.
+
+    Every rank decision is the kernel's rule (:mod:`einalg.matkernel`)
+    scaled by ``tol``: the ``e_i`` pseudoinverses truncate at its threshold,
+    and ``x1``, ``y1`` are exact zeros when their norm is at most
+    ``tol * max(m, n) * 2**-52 * |a| |a^+| |u|`` (``a`` flattened to m x n;
+    ``|v^H|`` for ``x2``, ``y2``).  That is the rounding bound of
+    ``a (a^+ u)``; taken as structure, residue below it gives a huge ``e_i``
+    on which the applicability conditions hold on noise.  Raises
     :class:`~einalg.errors.NumericalError` if a part or a K x K Gram
     intermediate overflows.
     """
@@ -288,12 +290,13 @@ def decompose_update(
         )
     a_mat, ap, u = a.matrix, a_pinv.matrix, upd.u.matrix
     vh = _adjoint(upd.v.matrix)
-    u_norm = _frobenius(u)
-    vh_norm = _frobenius(vh)
-    x1 = _snap_residue(np.matmul(a_mat, np.matmul(ap, u)), u_norm)
-    y1 = _snap_residue(u - x1, u_norm)
-    x2 = _snap_residue(np.matmul(ap, np.matmul(a_mat, vh)), vh_norm)
-    y2 = _snap_residue(vh - x2, vh_norm)
+    floor = _rank_floor(_frobenius(a_mat) * _frobenius(ap), a_mat.shape, tol)
+    u_floor = floor * _frobenius(u)
+    vh_floor = floor * _frobenius(vh)
+    x1 = _snap_residue(np.matmul(a_mat, np.matmul(ap, u)), u_floor)
+    y1 = _snap_residue(u - x1, u_floor)
+    x2 = _snap_residue(np.matmul(ap, np.matmul(a_mat, vh)), vh_floor)
+    y2 = _snap_residue(vh - x2, vh_floor)
     e1 = _scaled_null_part(y1, tol, "y1")
     e2 = _scaled_null_part(y2, tol, "y2")
     left, right = upd.u.shape, upd.v.shape.transposed
@@ -391,21 +394,14 @@ def smw_pinv_orthogonal(
 ) -> EinsteinTensor:
     """Fast path for updates wholly orthogonal to the base column spaces.
 
-    Valid when the split has ``x1 = x2 = 0``; reduces to ``a+ + e2 b+ e1^H``.
+    Valid when the split has ``x1 = x2 = 0``: :func:`smw_pinv` with zero x
+    parts, ``a+ + e2 b+ e1^H`` (the y parts enter it only through ``e_i``).
     """
-    k = e1.col_dims
-    if e2.col_dims != k or b_pinv.row_dims != k or b_pinv.col_dims != k:
-        raise ShapeError(
-            f"scaled parts {e1.shape}, {e2.shape} and middle factor {b_pinv.shape} "
-            f"do not share the modes {k}"
-        )
-    if a_pinv.row_dims != e2.row_dims or a_pinv.col_dims != e1.row_dims:
-        raise ShapeError(
-            f"base pseudoinverse of shape {a_pinv.shape} does not conform to "
-            f"({e2.row_dims} | {e1.row_dims})"
-        )
-    correction = np.matmul(np.matmul(e2.matrix, b_pinv.matrix), _adjoint(e1.matrix))
-    return _returned("smw_pinv_orthogonal", a_pinv.shape, a_pinv.matrix + correction)
+    x1, x2 = zeros(e1.shape), zeros(e2.shape)
+    try:
+        return smw_pinv(a_pinv, SplitParts(x1, x1, x2, x2, e1, e2), b_pinv)
+    except NumericalError as err:
+        raise NumericalError(f"smw_pinv_orthogonal: {err}") from err
 
 
 def smw_pinv_hermitian(

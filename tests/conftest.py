@@ -142,6 +142,21 @@ def einsum_product(a, b):
     return fold(nd.reshape(shape.row_size, shape.col_size), shape)
 
 
+def conditioned_tensor(rng, dims, rank, cond):
+    """Square ``(dims | dims)`` tensor of flattened rank ``rank`` whose nonzero
+    singular values run geometrically from 1 down to ``1 / cond``, between
+    random unitary factors."""
+    n = int(np.prod(dims))
+
+    def orthonormal_columns():
+        g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+        return np.linalg.qr(g)[0]
+
+    sigma = np.logspace(0, -np.log10(cond), rank)
+    mat = (orthonormal_columns() * sigma) @ orthonormal_columns().conj().T
+    return EinsteinTensor(PairedShape(tuple(dims), tuple(dims)), mat)
+
+
 def rand_tensor(rng, row_dims, col_dims, real=False):
     shape = PairedShape(tuple(row_dims), tuple(col_dims))
     size = (shape.row_size, shape.col_size)

@@ -27,7 +27,7 @@ from einalg import (
 from einalg import woodbury
 from einalg.cli import main
 
-from conftest import FIXTURES_DIR, rand_tensor
+from conftest import FIXTURES_DIR, conditioned_tensor, rand_tensor
 
 FIX = FIXTURES_DIR
 
@@ -229,6 +229,49 @@ class TestSmwCommand:
             tmp_path / "v.json", "--mode", "invertible", "-o", tmp_path / "out.json",
         )
         assert code == 3
+
+    def test_invertible_mode_rejects_report(self, tmp_path, capsys):
+        # the invertible mode writes no condition report, so --report is an
+        # input error rather than a flag silently ignored
+        save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.eye(2)))
+        save_tensor(tmp_path / "u.json", EinsteinTensor(((2,), (1,)), [[0.5], [0.25]]))
+        save_tensor(tmp_path / "b.json", EinsteinTensor(((1,), (1,)), [[1.0]]))
+        save_tensor(tmp_path / "v.json", EinsteinTensor(((1,), (2,)), [[0.5, 0.25]]))
+        out, rep = tmp_path / "out.json", tmp_path / "rep.json"
+        code = run(
+            "smw", tmp_path / "a.json", tmp_path / "u.json", tmp_path / "b.json",
+            tmp_path / "v.json", "--mode", "invertible", "-o", out, "--report", rep,
+        )
+        assert code == 2
+        assert "--report" in capsys.readouterr().err
+        assert not out.exists() and not rep.exists()
+
+    @pytest.mark.parametrize("cond", [1e6, 1e8])
+    def test_ill_conditioned_base_falls_back(self, tmp_path, rng, cond):
+        # an invertible base leaves the identity nothing to apply to; the
+        # projection residue must not pass for a null-space part, and the
+        # file holds the direct pseudoinverse
+        from einalg import LowRankUpdate, apply_update
+
+        dims = (4, 4)
+        t = {
+            "a": conditioned_tensor(rng, dims, 16, cond),
+            "u": rand_tensor(rng, dims, (1,)),
+            "b": rand_tensor(rng, (1,), (1,)),
+            "v": rand_tensor(rng, (1,), dims),
+        }
+        paths = [tmp_path / f"{name}.json" for name in t]
+        for path, tensor in zip(paths, t.values()):
+            save_tensor(path, tensor)
+        out = tmp_path / "out.json"
+        code = run("smw", *paths, "--mode", "pinv", "-o", out)
+        assert code == 4
+        report = json.loads((tmp_path / "out.json.report.json").read_text())
+        assert report["path"] == "fallback"
+        s = apply_update(t["a"], LowRankUpdate(u=t["u"], b=t["b"], v=t["v"], order=1))
+        want = np.linalg.pinv(s.matrix)
+        got = load_tensor(out).matrix
+        assert np.linalg.norm(got - want) <= 1e-10 * cond * np.linalg.norm(want)
 
     def test_invertible_mode_singular_base_exits_3(self, tmp_path):
         out = tmp_path / "out.json"

@@ -32,7 +32,7 @@ from einalg import (
     zeros,
 )
 
-from conftest import rand_tensor, scalar1111
+from conftest import conditioned_tensor, rand_tensor, scalar1111
 
 
 @pytest.fixture
@@ -513,6 +513,60 @@ class TestRankTwoKAssembly:
         )
         with pytest.raises(ShapeError):
             smw_pinv(a_pinv, bad, pinv(example_b))
+
+
+@st.composite
+def conditioned_update(draw):
+    """Rank-deficient (4,4 | 4,4) base with ``cond`` in 1e2..1e8 and a Gaussian
+    K-mode update, which has parts in the null spaces as well as in the
+    column spaces."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cond = 10.0 ** draw(st.floats(2.0, 8.0))
+    k = draw(st.integers(1, 2))
+    dims = (4, 4)
+    a = conditioned_tensor(rng, dims, 16 - draw(st.integers(k, 4)), cond)
+    upd = LowRankUpdate(
+        u=rand_tensor(rng, dims, (k,)),
+        b=rand_tensor(rng, (k,), (k,)),
+        v=rand_tensor(rng, (k,), dims),
+        order=1,
+    )
+    return a, upd, cond
+
+
+class TestIllConditionedBase:
+    """The split's zero test scales with the rounding bound of ``a (a^+ u)``."""
+
+    @pytest.mark.parametrize("cond", [1e6, 1e8])
+    def test_invertible_base_falls_back(self, rng, cond):
+        # an invertible base has no null space, so y1 and y2 are the residue
+        # of the projection (about cond * 2**-52 * |u|); taken as structure,
+        # e1 = y1 (y1^H y1)^+ is huge, the conditions hold on it and the
+        # identity result is off by many orders of magnitude
+        dims = (4, 4)
+        a = conditioned_tensor(rng, dims, 16, cond)
+        a_pinv = pinv(a)
+        for _ in range(5):
+            upd = LowRankUpdate(
+                u=rand_tensor(rng, dims, (1,)),
+                b=rand_tensor(rng, (1,), (1,)),
+                v=rand_tensor(rng, (1,), dims),
+                order=1,
+            )
+            result = update_pinv(a, a_pinv, upd)
+            assert not (result.parts.y1.matrix.any() or result.parts.y2.matrix.any())
+            assert result.path == "fallback"
+            want = np.linalg.pinv(apply_update(a, upd).matrix)
+            assert_close(result.s_pinv.matrix, want, 1e-10 * cond)
+
+    @settings(max_examples=60, deadline=None)
+    @given(conditioned_update())
+    def test_identity_matches_lapack(self, case):
+        a, upd, cond = case
+        result = update_pinv(a, pinv(a), upd)
+        assert result.path == "identity"
+        want = np.linalg.pinv(apply_update(a, upd).matrix)
+        assert_close(result.s_pinv.matrix, want, 1e-10 * cond)
 
 
 class TestIdentityPathCost:
