@@ -559,6 +559,34 @@ class TestIllConditionedBase:
             want = np.linalg.pinv(apply_update(a, upd).matrix)
             assert_close(result.s_pinv.matrix, want, 1e-10 * cond)
 
+    @pytest.mark.parametrize("rank", [16, 15])
+    def test_split_within_floor_falls_back(self, rng, rank):
+        # the smallest kept singular value, 1e-14, sits just above the
+        # kernel's cutoff (16 * 2**-52), so the split floor is larger than
+        # |u| and both parts of each split are within it; zeroing both would
+        # make every condition hold on zeros and return a^+ unchanged
+        dims = (4, 4)
+        sigma = np.ones(16)
+        sigma[rank - 1:] = 0.0
+        sigma[rank - 1] = 1e-14
+        a = EinsteinTensor((dims, dims), np.diag(sigma))
+        a_pinv = pinv(a)
+        assert np.count_nonzero(a_pinv.matrix) == rank
+        for _ in range(5):
+            upd = LowRankUpdate(
+                u=rand_tensor(rng, dims, (1,)),
+                b=rand_tensor(rng, (1,), (1,)),
+                v=rand_tensor(rng, (1,), dims),
+                order=1,
+            )
+            result = update_pinv(a, a_pinv, upd)
+            parts = result.parts
+            assert parts.x1.matrix.any() and parts.x2.matrix.any()
+            assert not (parts.y1.matrix.any() or parts.y2.matrix.any())
+            assert result.path == "fallback"
+            want = np.linalg.pinv(apply_update(a, upd).matrix)
+            assert_close(result.s_pinv.matrix, want, 1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(conditioned_update())
     def test_identity_matches_lapack(self, case):
