@@ -45,10 +45,8 @@ def _as_matrix(mat) -> np.ndarray:
 
 
 def _rank_floor(scale: float, shape: tuple[int, ...], tol: float) -> float:
-    """``tol * scale * max(m, n) * 2**-52``, the rank rule of :func:`svd`
-    (``scale = sigma_max``) and of the split in
-    :func:`einalg.woodbury.decompose_update` (``scale`` a product of Frobenius
-    norms): at or below it is residue."""
+    """``tol * scale * max(m, n) * 2**-52``, the rank rule of :func:`svd` and of
+    the split in :func:`einalg.woodbury.decompose_update`: at or below it is residue."""
     return tol * scale * max(shape) * _EPS
 
 

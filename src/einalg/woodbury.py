@@ -12,12 +12,12 @@ Two identities are implemented for a base tensor perturbed by a correction
   and then assembles the updated pseudoinverse from those parts.
 
 The splits apply the orthogonal projectors ``a * a^+`` and ``a^+ * a``
-without forming them (``x1 = a * (a^+ * u)``); a part within the rounding
-bound of that product, measured by the matrix kernel's rank rule, is an
-exact zero, but never both parts of one split.  The updated pseudoinverse is ``a^+`` plus one rank-2K
-correction.  With N the flattened size of the base tensor, the identity path
-therefore costs O(N^2 K): its only N x N work is the one N x 2K x N product
-of that correction and one add.  Conditions are checked
+without forming them (``x1 = a * (a^+ * u)``; within the rounding bound of
+that product a part is an exact zero, ``y`` first and never both), and the
+updated pseudoinverse is ``a^+`` plus one rank-2K correction.  With N the
+flattened size of the base tensor, the identity path therefore costs
+O(N^2 K): its only N x N work is the one N x 2K x N product of that
+correction and one add.  Conditions are checked
 separately from the identity evaluation so repeated structurally-identical
 updates can amortize the check.
 
@@ -243,13 +243,8 @@ def _check_split(parts: SplitParts, *middle: EinsteinTensor) -> None:
 
 
 def _split(whole: np.ndarray, x: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(x, whole - x)`` with the part at or below ``floor`` made an exact zero.
-
-    The y part is tested first and at most one part is zeroed: when both are
-    within the floor the split cannot be told from residue, and ``y = 0``
-    leaves the identity nothing to apply to, so the conditions fail (unless
-    the update is zero) and :func:`update_pinv` falls back.
-    """
+    """``(x, whole - x)`` with one part within ``floor`` zeroed, ``y`` first: both
+    zeroed would make the conditions hold on zeros, and ``y = 0`` falls back."""
     y = whole - x
     if _frobenius(y) <= floor:
         return x, np.zeros_like(y)
@@ -278,20 +273,13 @@ def decompose_update(
     ``x1 = a (a^+ u)`` and ``x2 = a^+ (a v^H)`` are the projections onto the
     left and right column spaces, associated so that every product has K
     columns (O(N^2 K), no N x N projector is formed); the remainders ``y_i``
-    are orthogonal to them by construction.
-
-    Every rank decision is the kernel's rule (:mod:`einalg.matkernel`)
-    scaled by ``tol``: the ``e_i`` pseudoinverses truncate at its threshold,
-    and one of ``x1``, ``y1`` is an exact zero when its norm is at most
-    ``tol * max(m, n) * 2**-52 * |a|_F |a^+|_F |u|_F`` (``a`` flattened to
-    m x n; ``|v^H|_F`` for ``x2``, ``y2``).  That is the rounding bound of
-    ``a (a^+ u)``; taken as structure, residue below it gives a huge ``e_i``
-    on which the applicability conditions hold on noise.  The Frobenius
-    norms are cheap and exceed the kernel's spectral ``sigma_max`` scale:
-    ``|a|_F |a^+|_F`` is at most ``rank(a)`` times ``|a|_2 |a^+|_2``, so a
-    genuine null-space part up to that factor above the spectral bound is
-    zeroed as well and the call falls back.  If both parts of a split are
-    within the floor, only ``y`` is zeroed (see :func:`_split`).  Raises
+    are orthogonal to them by construction.  The kernel's rule
+    (:mod:`einalg.matkernel`) scaled by ``tol`` truncates the ``e_i``
+    pseudoinverses and zeroes a part within ``tol * max(m, n) * 2**-52 *
+    |a|_F |a^+|_F |u|_F`` (``|v^H|_F`` on the right), the rounding bound of
+    ``a (a^+ u)`` and at most ``rank(a)`` times the spectral one: residue
+    taken as structure gives a huge ``e_i`` and conditions that hold on noise.
+    Raises
     :class:`~einalg.errors.NumericalError` if a part or a K x K Gram
     intermediate overflows.
     """
@@ -306,10 +294,8 @@ def decompose_update(
     a_mat, ap, u = a.matrix, a_pinv.matrix, upd.u.matrix
     vh = _adjoint(upd.v.matrix)
     floor = _rank_floor(_frobenius(a_mat) * _frobenius(ap), a_mat.shape, tol)
-    u_floor = floor * _frobenius(u)
-    vh_floor = floor * _frobenius(vh)
-    x1, y1 = _split(u, np.matmul(a_mat, np.matmul(ap, u)), u_floor)
-    x2, y2 = _split(vh, np.matmul(ap, np.matmul(a_mat, vh)), vh_floor)
+    x1, y1 = _split(u, np.matmul(a_mat, np.matmul(ap, u)), floor * _frobenius(u))
+    x2, y2 = _split(vh, np.matmul(ap, np.matmul(a_mat, vh)), floor * _frobenius(vh))
     e1 = _scaled_null_part(y1, tol, "y1")
     e2 = _scaled_null_part(y2, tol, "y2")
     left, right = upd.u.shape, upd.v.shape.transposed
@@ -405,12 +391,8 @@ def smw_pinv_orthogonal(
     e2: EinsteinTensor,
     b_pinv: EinsteinTensor,
 ) -> EinsteinTensor:
-    """Reference form of :func:`smw_pinv` for updates wholly orthogonal to
-    the base column spaces.
-
-    Valid when the split has ``x1 = x2 = 0``, where the identity reduces to
-    ``a+ + e2 b+ e1^H`` (the y parts enter it only through ``e_i``).  It runs
-    :func:`smw_pinv` on zero x parts, so it costs no less than that.
+    """Reference form of :func:`smw_pinv` for ``x1 = x2 = 0`` (an update wholly
+    orthogonal to the base column spaces): ``a+ + e2 b+ e1^H``, at full cost.
     """
     x1, x2 = zeros(e1.shape), zeros(e2.shape)
     try:
