@@ -157,6 +157,25 @@ def conditioned_tensor(rng, dims, rank, cond):
     return EinsteinTensor(PairedShape(tuple(dims), tuple(dims)), mat)
 
 
+def near_cutoff_tensor(dims, rank):
+    """Diagonal ``(dims | dims)`` tensor of flattened rank ``rank``: ones, and
+    last 1e-14, which sits just above the kernel's cutoff ``n * 2**-52``."""
+    sigma = np.zeros(int(np.prod(dims)))
+    sigma[:rank] = 1.0
+    sigma[rank - 1] = 1e-14
+    return EinsteinTensor(PairedShape(tuple(dims), tuple(dims)), np.diag(sigma))
+
+
+#: (4,4 | 4,4) bases on which ``update_pinv`` must fall back, each with the
+#: relative accuracy LAPACK's pseudoinverse of the corrected tensor has there.
+ILL_CONDITIONED_BASES = [
+    pytest.param(lambda rng: conditioned_tensor(rng, (4, 4), 16, 1e6), 1e-4, id="cond1e6"),
+    pytest.param(lambda rng: conditioned_tensor(rng, (4, 4), 16, 1e8), 1e-2, id="cond1e8"),
+    pytest.param(lambda rng: near_cutoff_tensor((4, 4), 16), 1e-12, id="cutoff-rank16"),
+    pytest.param(lambda rng: near_cutoff_tensor((4, 4), 15), 1e-12, id="cutoff-rank15"),
+]
+
+
 def rand_tensor(rng, row_dims, col_dims, real=False):
     shape = PairedShape(tuple(row_dims), tuple(col_dims))
     size = (shape.row_size, shape.col_size)
