@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from . import matkernel
 from .errors import ShapeError, SingularMatrixError, SingularTensorError
 from .tensor import EinsteinTensor, _adjoint, _relative
-from .unfold import fold
 
 __all__ = ["PenroseReport", "inverse", "pinv", "verify_penrose"]
 
@@ -51,12 +50,12 @@ def inverse(a: EinsteinTensor) -> EinsteinTensor:
             rank=err.rank,
             sigma_min=err.sigma_min,
         ) from err
-    return fold(inv, a.shape)
+    return EinsteinTensor._adopt(a.shape, inv)
 
 
 def pinv(a: EinsteinTensor, tol: float = 1.0) -> EinsteinTensor:
     """Moore-Penrose pseudoinverse; result has the transposed paired shape."""
-    return fold(matkernel.pinv_matrix(a.matrix, tol=tol), a.shape.transposed)
+    return EinsteinTensor._adopt(a.shape.transposed, matkernel.pinv_matrix(a.matrix, tol=tol))
 
 
 def verify_penrose(a: EinsteinTensor, x: EinsteinTensor, tol: float = PENROSE_TOL) -> PenroseReport:

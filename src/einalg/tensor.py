@@ -13,6 +13,8 @@ so tensors can be shared freely between threads.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, ShapeError
@@ -42,7 +44,17 @@ class EinsteinTensor:
     def __init__(self, shape: PairedShape, matrix):
         if not isinstance(shape, PairedShape):
             shape = PairedShape(*shape)
-        mat = np.array(matrix, dtype=np.complex128, order="C")
+        self._hold(shape, np.array(matrix, dtype=np.complex128, order="C"))
+
+    @classmethod
+    def _adopt(cls, shape: PairedShape, mat: np.ndarray) -> "EinsteinTensor":
+        """Tensor that keeps ``mat`` itself, with the constructor's checks but no
+        copy: for an array the library has just computed and nothing else writes."""
+        tensor = cls.__new__(cls)
+        tensor._hold(shape, np.ascontiguousarray(mat, dtype=np.complex128))
+        return tensor
+
+    def _hold(self, shape: PairedShape, mat: np.ndarray) -> None:
         if mat.shape != (shape.row_size, shape.col_size):
             raise ShapeError(
                 f"matrix of shape {mat.shape} does not fill {shape} "
@@ -209,11 +221,11 @@ def _frobenius(mat: np.ndarray) -> float:
     The plain sum of squares overflows once entries pass about 1e154 and
     underflows below about 1e-154; there the entries are first divided by
     their largest real or imaginary magnitude ``m`` and the norm is ``m``
-    times the norm of the quotient.
+    times the norm of the quotient.  ``np.vdot`` is a BLAS call, not a ufunc,
+    so its overflow to ``inf`` raises no floating-point warning.
     """
-    with np.errstate(over="ignore"):
-        norm = float(np.sqrt(np.vdot(mat, mat).real))
-    if np.isfinite(norm) and norm >= _SQRT_TINY:
+    norm = math.sqrt(np.vdot(mat, mat).real)
+    if math.isfinite(norm) and norm >= _SQRT_TINY:
         return norm
     m = float(max(np.abs(mat.real).max(), np.abs(mat.imag).max()))
     if m == 0.0:

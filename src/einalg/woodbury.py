@@ -12,12 +12,15 @@ Two identities are implemented for a base tensor perturbed by a correction
   and then assembles the updated pseudoinverse from those parts.
 
 The splits apply the orthogonal projectors ``a * a^+`` and ``a^+ * a``
-without forming them (``x1 = a * (a^+ * u)``; within the rounding bound of
-that product a part is an exact zero, ``y`` first and never both), and the
-updated pseudoinverse is ``a^+`` plus one rank-2K correction.  With N the
-flattened size of the base tensor, the identity path therefore costs
-O(N^2 K): its only N x N work is the one N x 2K x N product of that
-correction and one add.  Conditions are checked
+without forming them (``x1 = a * (a^+ * u)``, ``x2^H = (v * a^+) * a``; within
+the rounding bound of those products a part is an exact zero, ``y`` first and
+never both), and the updated pseudoinverse is ``a^+`` plus one rank-2K
+correction that reuses ``a^+ * u`` and ``v * a^+`` as ``a^+ * x1`` and
+``x2^H * a^+`` (``a^+ a a^+ = a^+``).  With N the flattened size of the base
+tensor, an identity-path :func:`update_pinv` call therefore costs O(N^2 K):
+its N x N work is the two base norms of the split's zero test, four
+N x N x K products, one N x 2K x N product, one add and the finiteness scan
+of the result, which is returned without a copy.  Conditions are checked
 separately from the identity evaluation so repeated structurally-identical
 updates can amortize the check.
 
@@ -27,9 +30,10 @@ flattened ``.matrix`` arrays, and builds an
 :class:`~einalg.tensor.EinsteinTensor` only for what it returns, so every
 returned tensor is checked to be finite and an identity-path
 :func:`update_pinv` call builds 8 tensors (the six split parts, ``b^+`` and
-``s^+``).  :func:`update_pinv` is the one split -> check -> identity ->
-fallback path; the ``einalg smw`` pseudoinverse modes run it too.  Products
-are written as ``np.matmul`` calls so that each one can be recorded.
+``s^+``), each around the array just computed.  :func:`update_pinv` is the
+one split -> check -> identity -> fallback path; the ``einalg smw``
+pseudoinverse modes run it too.  Products are written as ``np.matmul`` calls
+so that each one can be recorded.
 Because the inputs are finite tensors, a non-finite intermediate is an
 overflow and raises :class:`~einalg.errors.NumericalError` naming the
 function it occurred in.
@@ -209,9 +213,10 @@ def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTen
 
 
 def _returned(stage: str, shape: PairedShape, mat: np.ndarray) -> EinsteinTensor:
-    """Wrap a result computed from finite tensors: a non-finite entry is an overflow."""
+    """Wrap a result computed from finite tensors, without a copy: a non-finite
+    entry is an overflow."""
     try:
-        return EinsteinTensor(shape, mat)
+        return EinsteinTensor._adopt(shape, mat)
     except DomainError as err:
         raise NumericalError(f"{stage} overflowed: {err}") from err
 
@@ -242,15 +247,18 @@ def _check_split(parts: SplitParts, *middle: EinsteinTensor) -> None:
             )
 
 
-def _split(whole: np.ndarray, x: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """``(x, whole - x)`` with one part within ``floor`` zeroed, ``y`` first: both
-    zeroed would make the conditions hold on zeros, and ``y = 0`` falls back."""
+def _split(
+    whole: np.ndarray, x: np.ndarray, pre: np.ndarray, floor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(x, whole - x, pre)`` with one part within ``floor`` zeroed, ``y`` first:
+    both zeroed would make the conditions hold on zeros, and ``y = 0`` falls back.
+    ``pre``, the ``a^+`` product ``x`` was made from, is zeroed with ``x``."""
     y = whole - x
     if _frobenius(y) <= floor:
-        return x, np.zeros_like(y)
+        return x, np.zeros_like(y), pre
     if _frobenius(x) <= floor:
-        return np.zeros_like(x), whole
-    return x, y
+        return np.zeros_like(x), whole, np.zeros_like(pre)
+    return x, y, pre
 
 
 def _scaled_null_part(y: np.ndarray, tol: float, name: str) -> np.ndarray:
@@ -270,10 +278,10 @@ def decompose_update(
 ) -> SplitParts:
     """Split the update factors against the base tensor's column spaces.
 
-    ``x1 = a (a^+ u)`` and ``x2 = a^+ (a v^H)`` are the projections onto the
+    ``x1 = a (a^+ u)`` and ``x2^H = (v a^+) a`` are the projections onto the
     left and right column spaces, associated so that every product has K
-    columns (O(N^2 K), no N x N projector is formed); the remainders ``y_i``
-    are orthogonal to them by construction.  The kernel's rule
+    columns or K rows (O(N^2 K), no N x N projector is formed); the remainders
+    ``y_i`` are orthogonal to them by construction.  The kernel's rule
     (:mod:`einalg.matkernel`) scaled by ``tol`` truncates the ``e_i``
     pseudoinverses and zeroes a part within ``tol * max(m, n) * 2**-52 *
     |a|_F |a^+|_F |u|_F`` (``|v^H|_F`` on the right), the rounding bound of
@@ -283,6 +291,14 @@ def decompose_update(
     :class:`~einalg.errors.NumericalError` if a part or a K x K Gram
     intermediate overflows.
     """
+    return _decompose(a, a_pinv, upd, tol)[0]
+
+
+def _decompose(
+    a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate, tol: float = 1.0
+) -> tuple[SplitParts, np.ndarray, np.ndarray]:
+    """:func:`decompose_update`, plus ``a^+ u`` and ``v a^+`` zeroed with ``x1``
+    and ``x2``: they are ``a^+ x1`` and ``x2^H a^+``, as ``a^+ a a^+ = a^+``."""
     if a_pinv.shape != a.shape.transposed:
         raise ShapeError(
             f"pseudoinverse shape {a_pinv.shape} is not the transpose of {a.shape}"
@@ -291,15 +307,16 @@ def decompose_update(
         raise ShapeError(
             f"update of shape {upd.result_shape} does not conform to base {a.shape}"
         )
-    a_mat, ap, u = a.matrix, a_pinv.matrix, upd.u.matrix
-    vh = _adjoint(upd.v.matrix)
+    a_mat, ap, u, v = a.matrix, a_pinv.matrix, upd.u.matrix, upd.v.matrix
     floor = _rank_floor(_frobenius(a_mat) * _frobenius(ap), a_mat.shape, tol)
-    x1, y1 = _split(u, np.matmul(a_mat, np.matmul(ap, u)), floor * _frobenius(u))
-    x2, y2 = _split(vh, np.matmul(ap, np.matmul(a_mat, vh)), floor * _frobenius(vh))
+    ap_u, v_ap = np.matmul(ap, u), np.matmul(v, ap)
+    x1, y1, ap_u = _split(u, np.matmul(a_mat, ap_u), ap_u, floor * _frobenius(u))
+    x2h, y2h, v_ap = _split(v, np.matmul(v_ap, a_mat), v_ap, floor * _frobenius(v))
+    x2, y2 = _adjoint(x2h), _adjoint(y2h)
     e1 = _scaled_null_part(y1, tol, "y1")
     e2 = _scaled_null_part(y2, tol, "y2")
     left, right = upd.u.shape, upd.v.shape.transposed
-    return SplitParts(
+    parts = SplitParts(
         x1=_returned("decompose_update", left, x1),
         y1=_returned("decompose_update", left, y1),
         x2=_returned("decompose_update", right, x2),
@@ -307,6 +324,7 @@ def decompose_update(
         e1=_returned("decompose_update", left, e1),
         e2=_returned("decompose_update", right, e2),
     )
+    return parts, ap_u, v_ap
 
 
 def check_conditions(
@@ -362,9 +380,10 @@ def smw_pinv(a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor) 
         l = [e2, a+ x1]                                  (N x 2K)
         r = [(b+ + x2^H a+ x1) e1^H - x2^H a+ ; -e1^H]   (2K x N)
 
-    so the only N x N work is one N x 2K x N product and one add.  Nothing is
-    recomputed or validated beyond shapes, so callers pair this with
-    :func:`check_conditions`.
+    so its N x N work is the two N x N x K products ``a+ x1`` and ``x2^H a+``,
+    one N x 2K x N product, one add and the finiteness scan of the result,
+    which is returned without a copy.  Nothing is recomputed or validated
+    beyond shapes, so callers pair this with :func:`check_conditions`.
     """
     _check_split(parts, b_pinv)
     if a_pinv.row_dims != parts.x2.row_dims or a_pinv.col_dims != parts.x1.row_dims:
@@ -373,12 +392,25 @@ def smw_pinv(a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor) 
             f"({parts.x2.row_dims} | {parts.x1.row_dims})"
         )
     ap = a_pinv.matrix
-    apinv_x1 = np.matmul(ap, parts.x1.matrix)
+    ap_x1 = np.matmul(ap, parts.x1.matrix)
+    x2h_ap = np.matmul(_adjoint(parts.x2.matrix), ap)
+    return _assembled(a_pinv, parts, b_pinv, ap_x1, x2h_ap)
+
+
+def _assembled(
+    a_pinv: EinsteinTensor,
+    parts: SplitParts,
+    b_pinv: EinsteinTensor,
+    ap_x1: np.ndarray,
+    x2h_ap: np.ndarray,
+) -> EinsteinTensor:
+    """The ``a+ + l r`` of :func:`smw_pinv` given ``a+ x1`` and ``x2^H a+``."""
+    ap = a_pinv.matrix
     x2h = _adjoint(parts.x2.matrix)
     e1h = _adjoint(parts.e1.matrix)
-    middle = b_pinv.matrix + np.matmul(x2h, apinv_x1)
-    r_top = np.matmul(middle, e1h) - np.matmul(x2h, ap)
-    left = np.hstack((parts.e2.matrix, apinv_x1))
+    middle = b_pinv.matrix + np.matmul(x2h, ap_x1)
+    r_top = np.matmul(middle, e1h) - x2h_ap
+    left = np.hstack((parts.e2.matrix, ap_x1))
     right = np.vstack((r_top, -e1h))
     assembled = np.matmul(left, right)
     assembled += ap
@@ -429,13 +461,15 @@ def update_pinv(
     When the condition report is applicable the identity-based result is
     returned; otherwise the corrected tensor is pseudo-inverted directly, so a
     valid pseudoinverse comes back either way (``path`` of the result says
-    which ran).
+    which ran).  The identity result is :func:`smw_pinv`'s assembly with the
+    split's ``a^+ u`` and ``v a^+`` standing in for ``a^+ x1`` and ``x2^H a^+``.
     """
-    parts = decompose_update(a, a_pinv, upd)
+    parts, ap_x1, x2h_ap = _decompose(a, a_pinv, upd)
     b_pinv = pinv(upd.b)
     report = check_conditions(parts, upd.b, b_pinv, tol=tol)
     if report.applicable:
-        s_pinv = smw_pinv(a_pinv, parts, b_pinv)
+        s_pinv = _assembled(a_pinv, parts, b_pinv, ap_x1, x2h_ap)
     else:
+        del ap_x1, x2h_ap  # not held through the direct pseudoinverse
         s_pinv = pinv(apply_update(a, upd))
     return UpdatedPinv(s_pinv=s_pinv, report=report, parts=parts)

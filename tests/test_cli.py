@@ -323,7 +323,7 @@ class TestSmwCommand:
         # every pseudoinverse mode is one update_pinv call, which splits once
         _, paths = self.hermitian_files(tmp_path, rng)
         calls = []
-        for name in ("update_pinv", "decompose_update"):
+        for name in ("update_pinv", "_decompose"):
             original = getattr(woodbury, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -336,7 +336,7 @@ class TestSmwCommand:
             calls.clear()
             out = tmp_path / f"{mode}.json"
             assert run("smw", *paths, "--mode", mode, "-o", out) == 0
-            assert sorted(calls) == ["decompose_update", "update_pinv"]
+            assert sorted(calls) == ["_decompose", "update_pinv"]
             outputs[mode] = load_tensor(out).matrix
         want = outputs["pinv"]
         assert np.linalg.norm(outputs["hermitian"] - want) <= 1e-12 * np.linalg.norm(want)

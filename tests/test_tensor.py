@@ -64,6 +64,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             example_a.matrix[0, 0] = 5.0
 
+    @pytest.mark.parametrize("build", [
+        lambda mat, shape: EinsteinTensor(shape, mat),
+        lambda mat, shape: fold(mat, shape),
+    ], ids=["constructor", "fold"])
+    def test_caller_array_is_copied(self, build):
+        # the public constructors keep their own copy: writing the caller's
+        # array afterwards leaves the tensor as built
+        mat = np.arange(6, dtype=np.complex128).reshape(2, 3)
+        t = build(mat, PairedShape((2,), (3,)))
+        mat[0, 0] = 99.0
+        assert t.entry((1,), (1,)) == 0.0
+        assert np.array_equal(t.matrix, np.arange(6).reshape(2, 3))
+
     def test_entry_uses_one_based_indices(self, example_a):
         assert example_a.entry((1, 1), (1, 1)) == 1.0
         assert example_a.entry((1, 2), (1, 1)) == -1.0

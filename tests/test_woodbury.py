@@ -1,5 +1,7 @@
 """Low-rank update identities: worked examples, random oracles, fallbacks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -587,7 +589,7 @@ class TestIdentityPathCost:
             order=1,
         )
         sizes, built = [], []
-        matmul, init = np.matmul, EinsteinTensor.__init__
+        matmul, init, adopt = np.matmul, EinsteinTensor.__init__, EinsteinTensor._adopt
 
         def recorded_matmul(x, y, *args, **kwargs):
             sizes.append((x.shape[0], x.shape[1], y.shape[1]))
@@ -597,20 +599,108 @@ class TestIdentityPathCost:
             built.append(args[0])
             init(self, *args)
 
+        def recorded_adopt(cls, shape, mat):
+            built.append(shape)
+            return adopt(shape, mat)
+
         monkeypatch.setattr(np, "matmul", recorded_matmul)
         monkeypatch.setattr(EinsteinTensor, "__init__", recorded_init)
+        monkeypatch.setattr(EinsteinTensor, "_adopt", classmethod(recorded_adopt))
         result = update_pinv(a, a_pinv, upd)
         monkeypatch.undo()
         assert result.report.applicable
         # 8 in the split (four projections, two Grams, two scaled parts),
-        # 15 in the six conditions, 5 in the rank-2K assembly
-        assert len(sizes) == 28
+        # 15 in the six conditions, 3 in the rank-2K assembly, which reuses
+        # the split's a^+ u and v a^+ as a^+ x1 and x2^H a^+
+        assert len(sizes) == 26
         assert (n, n, n) not in sizes
         assert [s for s in sizes if s[0] == s[2] == n] == [(n, 2 * k, n)]
+        # the four projections are the only other products with an N x N operand
+        assert len([s for s in sizes if s[1] == n and n in (s[0], s[2])]) == 4
         # only what update_pinv returns: the six split parts, b^+ and s^+
         assert len(built) <= 8
         want = pinv(apply_update(a, upd))
         assert fro_norm(result.s_pinv - want) <= 1e-8 * fro_norm(want)
+
+    def test_result_is_not_copied(self, rng):
+        # the N x N result is the one array the call allocates at that size:
+        # wrapping it in the returned tensor must not copy it (the rest of
+        # the peak is a few N x K parts and the N^2-byte finiteness mask)
+        n, k, dims = 64, 1, (4, 4, 4)
+        a = low_rank_tensor(rng, dims, dims, n - k)
+        a_pinv = pinv(a)
+        upd = LowRankUpdate(
+            u=rand_tensor(rng, dims, (k,)),
+            b=rand_tensor(rng, (k,), (k,)),
+            v=rand_tensor(rng, (k,), dims),
+            order=1,
+        )
+        update_pinv(a, a_pinv, upd)
+        tracemalloc.start()
+        try:
+            result = update_pinv(a, a_pinv, upd)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.path == "identity"
+        assert peak <= 1.5 * n * n * 16
+
+
+@st.composite
+def identity_case(draw):
+    """Rank-deficient (2,3 | 3,2) base with room for a K-mode update in its null
+    spaces; half the draws project the update wholly out of its column spaces."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows, cols = (2, 3), (3, 2)
+    k = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
+    size = int(np.prod(k))
+    a = low_rank_tensor(rng, rows, cols, draw(st.integers(1, 6 - size)))
+    u = rand_tensor(rng, rows, k)
+    v = rand_tensor(rng, k, cols)
+    if draw(st.booleans()):
+        a_pinv = pinv(a)
+        u = u - einstein_product(a, einstein_product(a_pinv, u))
+        v = v - einstein_product(einstein_product(v, a_pinv), a)
+    return a, LowRankUpdate(u=u, b=rand_tensor(rng, k, k), v=v, order=len(k))
+
+
+class TestIdentityReuse:
+    """The identity path reuses the split's ``a^+ u`` and ``v a^+`` in place of
+    the ``a^+ x1`` and ``x2^H a^+`` that :func:`smw_pinv` computes."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(identity_case())
+    def test_matches_smw_pinv(self, case):
+        a, upd = case
+        a_pinv = pinv(a)
+        result = update_pinv(a, a_pinv, upd)
+        assert result.path == "identity"
+        want = smw_pinv(a_pinv, decompose_update(a, a_pinv, upd), pinv(upd.b)).matrix
+        parts = result.parts
+        if parts.x1.matrix.any() or parts.x2.matrix.any():
+            assert_close(result.s_pinv.matrix, want, 1e-12)
+        else:
+            assert np.array_equal(result.s_pinv.matrix, want)
+
+    def test_returned_tensors_are_read_only(self, example_a, ex2_update, rng):
+        # results are kept without a copy, and are as immutable as copied ones
+        a_pinv = pinv(example_a)
+        upd_zero_v = LowRankUpdate(ex2_update.u, ex2_update.b, zeros(ex2_update.v.shape), 2)
+        runs = [update_pinv(example_a, a_pinv, upd) for upd in (ex2_update, upd_zero_v)]
+        assert [run.path for run in runs] == ["identity", "fallback"]
+        parts = decompose_update(example_a, a_pinv, ex2_update)
+        returned = [
+            a_pinv,
+            inverse(rand_invertible(rng, (2, 2))),
+            smw_pinv(a_pinv, parts, pinv(ex2_update.b)),
+            *vars(parts).values(),
+        ]
+        for run in runs:
+            returned += [run.s_pinv, *vars(run.parts).values()]
+        for t in returned:
+            assert not t.matrix.flags.writeable
+            with pytest.raises(ValueError):
+                t.matrix[0, 0] = 1.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
