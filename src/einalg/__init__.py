@@ -10,140 +10,24 @@ systems.  A command-line front end (``einalg``) exposes the main operations
 over JSON tensor files.
 """
 
-from .errors import (
-    DegenerateSolutionError,
-    DomainError,
-    EinalgError,
-    IndexOutOfRangeError,
-    NumericalError,
-    ShapeError,
-    SingularCapacitanceError,
-    SingularError,
-    SingularMatrixError,
-    SingularTensorError,
-)
-from .shapes import PairedShape, phi_index, phi_inverse
-from .tensor import (
-    EinsteinTensor,
-    add,
-    conj_transpose,
-    einstein_product,
-    fro_norm,
-    identity,
-    inner,
-    is_hermitian,
-    kronecker,
-    scale,
-    trace,
-    zeros,
-)
-from .unfold import (
-    fold,
-    full_column_rank,
-    full_row_rank,
-    is_invertible,
-    unfold,
-    unfold_rank,
-)
-from .matkernel import Svd, inv_matrix, numerical_rank, pinv_matrix, svd
-from .inverses import PenroseReport, inverse, pinv, verify_penrose
-from .woodbury import (
-    ConditionReport,
-    LowRankUpdate,
-    SplitParts,
-    UpdatedPinv,
-    apply_update,
-    check_conditions,
-    decompose_update,
-    smw_invertible,
-    smw_pinv,
-    smw_pinv_hermitian,
-    smw_pinv_orthogonal,
-    update_pinv,
-)
-from .sensitivity import (
-    BoundReport,
-    PerturbationSpec,
-    SolveResult,
-    measure_error,
-    norm_bound,
-    solve,
-    sweep,
-)
-from .tensorio import (
-    load_tensor,
-    save_tensor,
-    tensor_from_block_display,
-    tensor_from_dict,
-    tensor_to_dict,
-)
+from . import errors, inverses, matkernel, sensitivity, shapes, tensor, tensorio, woodbury
+from . import unfold as _unfold  # the function ``unfold`` shadows the submodule below
+from .errors import *
+from .shapes import *
+from .tensor import *
+from .unfold import *
+from .matkernel import *
+from .inverses import *
+from .woodbury import *
+from .sensitivity import *
+from .tensorio import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EinalgError",
-    "ShapeError",
-    "IndexOutOfRangeError",
-    "DomainError",
-    "NumericalError",
-    "SingularError",
-    "SingularMatrixError",
-    "SingularTensorError",
-    "SingularCapacitanceError",
-    "DegenerateSolutionError",
-    "PairedShape",
-    "phi_index",
-    "phi_inverse",
-    "EinsteinTensor",
-    "zeros",
-    "identity",
-    "add",
-    "scale",
-    "einstein_product",
-    "conj_transpose",
-    "kronecker",
-    "trace",
-    "inner",
-    "fro_norm",
-    "is_hermitian",
-    "unfold",
-    "fold",
-    "unfold_rank",
-    "full_row_rank",
-    "full_column_rank",
-    "is_invertible",
-    "Svd",
-    "svd",
-    "pinv_matrix",
-    "inv_matrix",
-    "numerical_rank",
-    "PenroseReport",
-    "inverse",
-    "pinv",
-    "verify_penrose",
-    "LowRankUpdate",
-    "SplitParts",
-    "ConditionReport",
-    "UpdatedPinv",
-    "apply_update",
-    "smw_invertible",
-    "decompose_update",
-    "check_conditions",
-    "smw_pinv",
-    "smw_pinv_orthogonal",
-    "smw_pinv_hermitian",
-    "update_pinv",
-    "SolveResult",
-    "PerturbationSpec",
-    "BoundReport",
-    "solve",
-    "norm_bound",
-    "measure_error",
-    "sweep",
-    "load_tensor",
-    "save_tensor",
-    "tensor_to_dict",
-    "tensor_from_dict",
-    "tensor_from_block_display",
-    "__version__",
-]
+    name
+    for module in (
+        errors, shapes, tensor, _unfold, matkernel, inverses, woodbury, sensitivity, tensorio
+    )
+    for name in module.__all__
+] + ["__version__"]

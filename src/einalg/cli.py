@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import metadata
 
@@ -57,12 +58,8 @@ def _version() -> str:
 def _load(path):
     try:
         return tensorio.load_tensor(path)
-    except (OSError, json.JSONDecodeError, ValueError) as err:
-        raise _InputError(f"{path}: {err}") from err
-
-
-class _InputError(Exception):
-    pass
+    except (OSError, ValueError) as err:
+        raise DomainError(f"{path}: {err}") from err
 
 
 def _format_float(x) -> str:
@@ -82,8 +79,10 @@ def cmd_pinv(args) -> int:
 
 
 def cmd_smw(args) -> int:
-    if args.mode == "invertible" and args.report is not None:
-        raise DomainError("--report applies to the pseudoinverse modes, not --mode invertible")
+    if args.mode == "invertible":
+        for flag, value in (("--report", args.report), ("--tol", args.tol)):
+            if value is not None:
+                raise DomainError(f"{flag} applies to the pseudoinverse modes, not --mode invertible")
     a = _load(args.base)
     u = _load(args.u)
     b = _load(args.b)
@@ -95,13 +94,14 @@ def cmd_smw(args) -> int:
         tensorio.save_tensor(args.output, result)
         return EXIT_OK
 
+    tol = woodbury.CONDITION_TOL if args.tol is None else args.tol
     if args.mode == "hermitian":
         u_vs_vh = _relative((u - v.H).matrix, u.matrix)
-        if not is_hermitian(a, tol=args.tol) or u_vs_vh > args.tol:
+        if not is_hermitian(a, tol=tol) or u_vs_vh > tol:
             raise ShapeError(
                 "hermitian mode needs a Hermitian base tensor and u == v^H"
             )
-    updated = woodbury.update_pinv(a, pinv(a), upd, tol=args.tol)
+    updated = woodbury.update_pinv(a, pinv(a), upd, tol=tol)
     report = updated.report
     applicable = report.applicable
     if args.mode == "orthogonal":
@@ -209,8 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="pinv",
         help="which identity to apply",
     )
-    p.add_argument("--tol", type=float, default=woodbury.CONDITION_TOL,
-                   help="applicability tolerance")
+    p.add_argument("--tol", type=float, default=None,
+                   help="applicability tolerance (default: %g; pseudoinverse modes only)"
+                   % woodbury.CONDITION_TOL)
     p.add_argument("--output", "-o", required=True, help="output tensor path")
     p.add_argument(
         "--report",
@@ -253,19 +254,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        tol = getattr(args, "tol", None)
+        if tol is not None and not 0 <= tol < math.inf:
+            raise DomainError(f"--tol must be finite and >= 0, got {tol}")
         return args.handler(args)
-    except _InputError as err:
-        print(f"einalg: error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ShapeError, IndexOutOfRangeError, DomainError) as err:
+    except (ShapeError, IndexOutOfRangeError, DomainError, OSError) as err:
         print(f"einalg: error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalError as err:
         print(f"einalg: numerical error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as err:
-        print(f"einalg: error: {err}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -6,6 +6,19 @@ to distinguish shape problems (bad operand structure) from numerical problems
 (singular operands, non-convergent iterations).
 """
 
+__all__ = [
+    "EinalgError",
+    "ShapeError",
+    "IndexOutOfRangeError",
+    "DomainError",
+    "NumericalError",
+    "SingularError",
+    "SingularMatrixError",
+    "SingularTensorError",
+    "SingularCapacitanceError",
+    "DegenerateSolutionError",
+]
+
 
 class EinalgError(Exception):
     """Base class for all einalg errors."""

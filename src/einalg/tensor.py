@@ -221,15 +221,16 @@ def _frobenius(mat: np.ndarray) -> float:
     The plain sum of squares overflows once entries pass about 1e154 and
     underflows below about 1e-154; there the entries are first divided by
     their largest real or imaginary magnitude ``m`` and the norm is ``m``
-    times the norm of the quotient.  ``np.vdot`` is a BLAS call, not a ufunc,
-    so its overflow to ``inf`` raises no floating-point warning.
+    times the norm of the quotient (``m`` itself when it is zero, inf or nan).
+    ``np.vdot`` is a BLAS call, not a ufunc, so its overflow to ``inf`` raises
+    no floating-point warning.
     """
     norm = math.sqrt(np.vdot(mat, mat).real)
     if math.isfinite(norm) and norm >= _SQRT_TINY:
         return norm
     m = float(max(np.abs(mat.real).max(), np.abs(mat.imag).max()))
-    if m == 0.0:
-        return 0.0
+    if not 0.0 < m < math.inf:
+        return m
     return m * float(np.linalg.norm(mat / m))
 
 

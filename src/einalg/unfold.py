@@ -1,9 +1,9 @@
 """Flattening between paired-mode tensors and matrices, with rank predicates.
 
 Because tensors store their flattened matrix directly (see
-:mod:`einalg.tensor`), :func:`unfold` returns a read-only view and
-:func:`fold` validates sizes and copies.  The rank and invertibility
-predicates run the matrix kernel's SVD on the flattened form.
+:mod:`einalg.tensor`), :func:`unfold` returns a read-only view and :func:`fold`
+copies through the tensor constructor, which validates sizes.  The rank and
+invertibility predicates run the matrix kernel's SVD on the flattened form.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import numpy as np
 
 from . import matkernel
 from .errors import ShapeError
-from .shapes import PairedShape
 from .tensor import EinsteinTensor
 
 __all__ = [
@@ -31,15 +30,7 @@ def unfold(a: EinsteinTensor) -> np.ndarray:
 
 
 def fold(mat, shape) -> EinsteinTensor:
-    """Tensor of the given paired shape whose flattened form is ``mat``."""
-    if not isinstance(shape, PairedShape):
-        shape = PairedShape(*shape)
-    mat = np.asarray(mat, dtype=np.complex128)
-    if mat.shape != (shape.row_size, shape.col_size):
-        raise ShapeError(
-            f"matrix of shape {mat.shape} cannot fold into {shape} "
-            f"({shape.row_size} x {shape.col_size})"
-        )
+    """Tensor of the given paired shape whose flattened form is ``mat`` (copied)."""
     return EinsteinTensor(shape, mat)
 
 

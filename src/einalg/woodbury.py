@@ -77,8 +77,6 @@ __all__ = [
 #: absorbing accumulation across the six chained products.
 CONDITION_TOL = 1e-8
 
-CONDITION_LABELS = ("3.1", "3.2", "3.3", "4.1", "4.2", "4.3")
-
 
 @dataclass(frozen=True)
 class LowRankUpdate:
@@ -111,6 +109,14 @@ class LowRankUpdate:
     @property
     def result_shape(self) -> PairedShape:
         return PairedShape(self.u.row_dims, self.v.col_dims)
+
+    def _conform(self, base: PairedShape) -> None:
+        """Raise :class:`~einalg.errors.ShapeError` unless the correction has the
+        base tensor's shape."""
+        if self.result_shape != base:
+            raise ShapeError(
+                f"update of shape {self.result_shape} does not conform to base {base}"
+            )
 
 
 @dataclass(frozen=True)
@@ -165,12 +171,8 @@ class UpdatedPinv:
 
 def apply_update(a: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
     """The corrected tensor ``a + u * b * v``."""
-    if upd.result_shape != a.shape:
-        raise ShapeError(
-            f"update of shape {upd.result_shape} does not conform to base {a.shape}"
-        )
-    corrected = a.matrix + np.matmul(np.matmul(upd.u.matrix, upd.b.matrix), upd.v.matrix)
-    return _returned("apply_update", a.shape, corrected)
+    upd._conform(a.shape)
+    return _corrected("apply_update", a, np.matmul(upd.u.matrix, upd.b.matrix), upd.v.matrix)
 
 
 def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTensor) -> EinsteinTensor:
@@ -185,10 +187,7 @@ def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTen
     """
     if not a_inv.shape.is_square:
         raise ShapeError(f"base inverse must be square, got {a_inv.shape}")
-    if upd.result_shape != a_inv.shape:
-        raise ShapeError(
-            f"update of shape {upd.result_shape} does not conform to base {a_inv.shape}"
-        )
+    upd._conform(a_inv.shape)
     if b_inv.shape != upd.b.shape:
         raise ShapeError(
             f"middle-factor inverse shape {b_inv.shape} != {upd.b.shape}"
@@ -208,8 +207,17 @@ def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTen
             rank=err.rank,
             sigma_min=err.sigma_min,
         ) from err
-    correction = np.matmul(np.matmul(a_inv_u, cap_inv), v_a_inv)
-    return _returned("smw_invertible", a_inv.shape, a_inv_mat - correction)
+    return _corrected("smw_invertible", a_inv, np.matmul(a_inv_u, cap_inv), -v_a_inv)
+
+
+def _corrected(
+    stage: str, base: EinsteinTensor, left: np.ndarray, right: np.ndarray
+) -> EinsteinTensor:
+    """``base + left right``, the result of ``stage``, in the one array the
+    product allocates."""
+    mat = np.matmul(left, right)
+    mat += base.matrix
+    return _returned(stage, base.shape, mat)
 
 
 def _returned(stage: str, shape: PairedShape, mat: np.ndarray) -> EinsteinTensor:
@@ -303,10 +311,7 @@ def _decompose(
         raise ShapeError(
             f"pseudoinverse shape {a_pinv.shape} is not the transpose of {a.shape}"
         )
-    if upd.result_shape != a.shape:
-        raise ShapeError(
-            f"update of shape {upd.result_shape} does not conform to base {a.shape}"
-        )
+    upd._conform(a.shape)
     a_mat, ap, u, v = a.matrix, a_pinv.matrix, upd.u.matrix, upd.v.matrix
     floor = _rank_floor(_frobenius(a_mat) * _frobenius(ap), a_mat.shape, tol)
     ap_u, v_ap = np.matmul(ap, u), np.matmul(v, ap)
@@ -405,16 +410,12 @@ def _assembled(
     x2h_ap: np.ndarray,
 ) -> EinsteinTensor:
     """The ``a+ + l r`` of :func:`smw_pinv` given ``a+ x1`` and ``x2^H a+``."""
-    ap = a_pinv.matrix
     x2h = _adjoint(parts.x2.matrix)
     e1h = _adjoint(parts.e1.matrix)
     middle = b_pinv.matrix + np.matmul(x2h, ap_x1)
     r_top = np.matmul(middle, e1h) - x2h_ap
     left = np.hstack((parts.e2.matrix, ap_x1))
-    right = np.vstack((r_top, -e1h))
-    assembled = np.matmul(left, right)
-    assembled += ap
-    return _returned("smw_pinv", a_pinv.shape, assembled)
+    return _corrected("smw_pinv", a_pinv, left, np.vstack((r_top, -e1h)))
 
 
 def smw_pinv_orthogonal(

@@ -107,6 +107,10 @@ class TestPinvCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert run("pinv", tmp_path / "nope.json", "-o", tmp_path / "out.json") == 2
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        assert run("pinv", FIX / "a.json", "-o", tmp_path / "missing" / "x.json") == 2
+        assert "einalg: error:" in capsys.readouterr().err
+
 
 class TestSmwCommand:
     def test_example1_pinv_mode(self, tmp_path):
@@ -230,21 +234,30 @@ class TestSmwCommand:
         )
         assert code == 3
 
-    def test_invertible_mode_rejects_report(self, tmp_path, capsys):
-        # the invertible mode writes no condition report, so --report is an
-        # input error rather than a flag silently ignored
+    @staticmethod
+    def invertible_argv(tmp_path):
         save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.eye(2)))
         save_tensor(tmp_path / "u.json", EinsteinTensor(((2,), (1,)), [[0.5], [0.25]]))
         save_tensor(tmp_path / "b.json", EinsteinTensor(((1,), (1,)), [[1.0]]))
         save_tensor(tmp_path / "v.json", EinsteinTensor(((1,), (2,)), [[0.5, 0.25]]))
-        out, rep = tmp_path / "out.json", tmp_path / "rep.json"
-        code = run(
+        return [
             "smw", tmp_path / "a.json", tmp_path / "u.json", tmp_path / "b.json",
-            tmp_path / "v.json", "--mode", "invertible", "-o", out, "--report", rep,
-        )
-        assert code == 2
+            tmp_path / "v.json", "--mode", "invertible", "-o", tmp_path / "out.json",
+        ]
+
+    def test_invertible_mode_rejects_report(self, tmp_path, capsys):
+        # the invertible mode writes no condition report, so --report is an
+        # input error rather than a flag silently ignored
+        rep = tmp_path / "rep.json"
+        assert run(*self.invertible_argv(tmp_path), "--report", rep) == 2
         assert "--report" in capsys.readouterr().err
-        assert not out.exists() and not rep.exists()
+        assert not (tmp_path / "out.json").exists() and not rep.exists()
+
+    def test_invertible_mode_rejects_tol(self, tmp_path, capsys):
+        # the invertible mode checks no conditions, so it has no tolerance
+        assert run(*self.invertible_argv(tmp_path), "--tol", "1e-8") == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("base, rel", ILL_CONDITIONED_BASES)
     def test_ill_conditioned_base_falls_back(self, tmp_path, rng, base, rel):
@@ -435,6 +448,13 @@ class TestSweepCommand:
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[5]) == 0.0
 
+    def test_no_alpha_steps_exits_2(self, tmp_path, capsys):
+        args = self.sweep_args(tmp_path / "out.csv")
+        args[args.index("--alpha-steps") + 1] = "0"
+        assert run(*args) == 2
+        assert "--alpha-steps" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_bad_alpha_exits_2(self, tmp_path):
         code = run(
             "sweep", FIX / "a.json", FIX / "d.json",
@@ -466,6 +486,28 @@ class TestVerifyCommand:
 
     def test_shape_mismatch_exits_2(self):
         assert run("verify", FIX / "a.json", FIX / "d.json") == 2
+
+
+class TestTolOption:
+    """Every command that takes ``--tol`` rejects a negative or non-finite one."""
+
+    INPUTS = {
+        "pinv": ["a.json"],
+        "smw": ["a.json", "example1_u.json", "b.json", "example1_v.json"],
+        "solve": ["a.json", "d.json"],
+        "verify": ["a.json", "a_pinv.json"],
+    }
+
+    @pytest.mark.parametrize("command", INPUTS)
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tol_exits_2(self, tmp_path, capsys, command, tol):
+        out = tmp_path / "out.json"
+        argv = [command, *(FIX / name for name in self.INPUTS[command]), "--tol", tol]
+        if command != "verify":
+            argv += ["-o", out]
+        assert run(*argv) == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEntryPoint:

@@ -213,6 +213,14 @@ class TestMeasureError:
         with pytest.raises(DegenerateSolutionError):
             measure_error(example_a, d, upd, zeros(d.shape))
 
+    def test_right_side_perturbation_shape_rejected(self, example_a, example_d):
+        shape_u = PairedShape((2, 2), (1, 1))
+        upd = LowRankUpdate(
+            u=zeros(shape_u), b=scalar1111(1.0), v=zeros(shape_u.transposed), order=2
+        )
+        with pytest.raises(ShapeError, match="right-side perturbation"):
+            measure_error(example_a, example_d, upd, zeros(example_d.shape.transposed))
+
 
 class TestSweep:
     def test_scale_invariance_at_zero_coefficient_eps(self, example_a, example_d):

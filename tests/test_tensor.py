@@ -28,6 +28,8 @@ from einalg import (
     zeros,
 )
 
+from einalg.tensor import _frobenius
+
 from conftest import einsum_product, rand_tensor
 
 
@@ -320,6 +322,12 @@ class TestTraceInnerNorm:
         # underflowed to 0 at 1e-170
         t = fold(np.diag([3.0, 4.0j]) * magnitude, PairedShape((2,), (2,)))
         assert fro_norm(t) == pytest.approx(5.0 * magnitude, rel=1e-15, abs=0.0)
+
+    def test_norm_of_non_finite_matrix(self):
+        # regression: the rescale fallback divided inf / inf, which warns
+        # (an error under this suite's filter) and gave nan for an infinite entry
+        assert _frobenius(np.array([[np.inf]])) == np.inf
+        assert math.isnan(_frobenius(np.array([[np.nan]])))
 
 
 @st.composite

@@ -101,6 +101,54 @@ class TestApplyUpdate:
             apply_update(rand_tensor(rng, (3,), (3,)), upd)
 
 
+def rank_one_update(rng, rows, cols):
+    return LowRankUpdate(
+        u=rand_tensor(rng, rows, (1,)),
+        b=fold([[2.0]], PairedShape((1,), (1,))),
+        v=rand_tensor(rng, (1,), cols),
+        order=1,
+    )
+
+
+class TestNonConformingOperands:
+    """Each entry point rejects operands whose modes do not conform."""
+
+    def test_smw_invertible_non_square_base_inverse(self, rng):
+        upd = rank_one_update(rng, (2,), (3,))
+        with pytest.raises(ShapeError, match="must be square"):
+            smw_invertible(rand_tensor(rng, (3,), (2,)), upd, inverse(upd.b))
+
+    def test_smw_invertible_update_not_conforming(self, rng):
+        upd = rank_one_update(rng, (2,), (2,))
+        with pytest.raises(ShapeError, match="does not conform"):
+            smw_invertible(rand_invertible(rng, (3,)), upd, inverse(upd.b))
+
+    def test_smw_invertible_middle_inverse_shape(self, rng):
+        upd = rank_one_update(rng, (2,), (2,))
+        with pytest.raises(ShapeError, match="middle-factor inverse"):
+            smw_invertible(rand_invertible(rng, (2,)), upd, identity([2]))
+
+    def test_decompose_update_pinv_not_transposed(self, rng):
+        a = rand_tensor(rng, (2,), (3,))
+        with pytest.raises(ShapeError, match="not the transpose"):
+            decompose_update(a, a, rank_one_update(rng, (2,), (3,)))
+
+    def test_smw_pinv_base_pinv_not_conforming(self, rng):
+        a = rand_tensor(rng, (2,), (3,))
+        upd = rank_one_update(rng, (2,), (3,))
+        parts = decompose_update(a, pinv(a), upd)
+        with pytest.raises(ShapeError, match="does not conform to the split"):
+            smw_pinv(pinv(rand_tensor(rng, (2,), (2,))), parts, pinv(upd.b))
+
+    def test_check_conditions_middle_factor_modes(self, rng):
+        a = rand_tensor(rng, (2,), (3,))
+        upd = rank_one_update(rng, (2,), (3,))
+        parts = decompose_update(a, pinv(a), upd)
+        b = identity([2])
+        with pytest.raises(ShapeError, match="middle factor"):
+            check_conditions(parts, b, b)
+
+
 class TestSmwInvertible:
     def test_zero_update_returns_base_inverse(self, rng):
         a = rand_invertible(rng, (2, 2))
