@@ -17,19 +17,24 @@ Exit codes are exhaustive and disjoint:
     5  system inconsistent; least-squares candidate was written
 
 No command mutates its input files.
+
+``einalg --version`` prints ``einalg.__version__``.  :func:`main` parses with
+one parser per process, built by :func:`build_parser` on the first call, so
+in-process callers pay for the argparse tree once; the ``cmd_*`` handler is
+looked up on the module at each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
-from importlib import metadata
 
 import numpy as np
 
-from . import sensitivity, tensorio, woodbury
+from . import __version__, sensitivity, tensorio, woodbury
 from .errors import (
     DomainError,
     IndexOutOfRangeError,
@@ -46,13 +51,6 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_CONDITIONS_FAILED = 4
 EXIT_INCONSISTENT = 5
-
-
-def _version() -> str:
-    try:
-        return metadata.version("einalg")
-    except metadata.PackageNotFoundError:
-        return "0.1.0"
 
 
 def _load(path):
@@ -143,6 +141,9 @@ def cmd_sweep(args) -> int:
     d = _load(args.d)
     if args.alpha_steps < 1:
         raise DomainError("--alpha-steps must be >= 1")
+    for flag, value in (("--alpha-min", args.alpha_min), ("--alpha-max", args.alpha_max)):
+        if not math.isfinite(value):
+            raise DomainError(f"{flag} must be finite, got {value}")
     if args.alpha_steps == 1:
         alphas = [args.alpha_min]
     else:
@@ -189,14 +190,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Einstein-product tensor algebra: pseudoinverses, "
         "low-rank inverse updates, multilinear solving, sensitivity sweeps.",
     )
-    parser.add_argument("--version", action="version", version=_version())
+    parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pinv", help="Moore-Penrose pseudoinverse of a tensor file")
     p.add_argument("input", help="input tensor (JSON)")
     p.add_argument("--tol", type=float, default=1.0, help="rank-truncation multiplier")
     p.add_argument("--output", "-o", required=True, help="output tensor path")
-    p.set_defaults(handler=cmd_pinv)
 
     p = sub.add_parser("smw", help="low-rank inverse update of a base tensor")
     p.add_argument("base", help="base tensor (JSON)")
@@ -219,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="condition-report path (default: OUTPUT.report.json; "
         "pseudoinverse modes only)",
     )
-    p.set_defaults(handler=cmd_smw)
 
     p = sub.add_parser("solve", help="solve a multilinear system a * x = d")
     p.add_argument("a", help="coefficient tensor")
@@ -227,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=sensitivity.CONSISTENCY_TOL,
                    help="consistency tolerance")
     p.add_argument("--output", "-o", required=True, help="solution tensor path")
-    p.set_defaults(handler=cmd_solve)
 
     p = sub.add_parser("sweep", help="normalized-error-bound grid to CSV")
     p.add_argument("a", help="coefficient tensor")
@@ -240,24 +238,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-max", type=float, required=True)
     p.add_argument("--alpha-steps", type=int, required=True)
     p.add_argument("--output", "-o", required=True, help="output CSV path")
-    p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("verify", help="check the four pseudoinverse rules")
     p.add_argument("a", help="base tensor")
     p.add_argument("x", help="candidate pseudoinverse")
     p.add_argument("--tol", type=float, default=PENROSE_TOL, help="residual tolerance")
-    p.set_defaults(handler=cmd_verify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # The parser is a constant of the process: parse_args leaves it unchanged.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up per call, so a replaced module attribute (tracing, tests) runs.
+    handler = {
+        "pinv": cmd_pinv,
+        "smw": cmd_smw,
+        "solve": cmd_solve,
+        "sweep": cmd_sweep,
+        "verify": cmd_verify,
+    }[args.command]
     try:
         tol = getattr(args, "tol", None)
         if tol is not None and not 0 <= tol < math.inf:
             raise DomainError(f"--tol must be finite and >= 0, got {tol}")
-        return args.handler(args)
+        return handler(args)
     except (ShapeError, IndexOutOfRangeError, DomainError, OSError) as err:
         print(f"einalg: error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -188,8 +188,8 @@ def sweep(
     alpha_grid = sorted(float(al) for al in alpha_grid)
     if not eps_a_list or not alpha_grid:
         raise DomainError("eps and alpha grids must be nonempty")
-    if any(al <= 0 for al in alpha_grid):
-        raise DomainError("alpha scalings must be positive")
+    if not all(0 < al < math.inf for al in alpha_grid):
+        raise DomainError("alpha scalings must be finite and positive")
     _check_right_side(a, d)
     norm_a = fro_norm(a)
     norm_a_pinv = fro_norm(pinv(a))

@@ -4,7 +4,12 @@ A tensor file is a JSON object with exactly the fields ``row_dims``,
 ``col_dims`` (lists of positive integers) and ``entries`` (a list of
 ``[re, im]`` pairs in flattened row-major order, i.e. the C-order flattening of
 the tensor's matrix form).  Serialization uses the shortest round-trip decimal
-representation, so ``load(save(t)) == t`` bit-exactly.
+representation, so ``load(save(t)) == t`` bit-exactly.  Both directions work
+on the whole entry array at once: :func:`save_tensor` formats the float64 view
+of the matrix in one join, writing the bytes ``json.dumps`` would, and
+:func:`tensor_from_dict` checks the pair structure and number types in one
+pass over an object array before one float conversion; only a malformed file
+is walked entry by entry, to name the first bad entry.
 
 Fourth-order tensors are conventionally displayed as a single block matrix
 that interleaves row and column modes: the entry ``a_{(i1,i2),(j1,j2)}`` sits
@@ -43,6 +48,24 @@ def tensor_to_dict(t: EinsteinTensor) -> dict:
     }
 
 
+def _types_are(items, allowed) -> bool:
+    """Every item is an instance of ``allowed`` and none is a bool."""
+    return all(issubclass(t, allowed) and not issubclass(t, bool) for t in set(map(type, items)))
+
+
+def _pair_array(entries):
+    """``entries`` as an n x 2 object array when every entry is an ``[re, im]``
+    list of two numbers (bools excluded), else None."""
+    pairs = np.array(entries, dtype=object)
+    if (
+        pairs.shape == (len(entries), 2)
+        and _types_are(entries, list)
+        and _types_are(pairs.ravel(), (int, float))
+    ):
+        return pairs
+    return None
+
+
 def tensor_from_dict(data) -> EinsteinTensor:
     """Parse the tensor file schema; raises ValueError on malformed input."""
     if not isinstance(data, dict):
@@ -66,26 +89,26 @@ def tensor_from_dict(data) -> EinsteinTensor:
         raise ValueError(
             f"entries must hold {shape.row_size * shape.col_size} [re, im] pairs"
         )
-    values = np.empty(len(entries), dtype=np.complex128)
-    for k, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise ValueError(f"entry {k} is not an [re, im] pair: {pair!r}")
-        values[k] = complex(pair[0], pair[1])
+    pairs = _pair_array(entries)
+    if pairs is None:
+        k = next(k for k, pair in enumerate(entries) if _pair_array([pair]) is None)
+        raise ValueError(f"entry {k} is not an [re, im] pair: {entries[k]!r}")
+    values = pairs.astype(np.float64).view(np.complex128)
     return EinsteinTensor(shape, values.reshape(shape.row_size, shape.col_size))
 
 
 def save_tensor(path, t: EinsteinTensor) -> None:
+    # %r of a Python float is the shortest round-trip decimal, the number
+    # format json.dumps writes, so the file matches json.dumps(tensor_to_dict(t)).
+    parts = iter(t.matrix.view(np.float64).ravel().tolist())
+    entries = ", ".join(["[%r, %r]" % pair for pair in zip(parts, parts)])
+    text = '{\n  "row_dims": %s,\n  "col_dims": %s,\n  "entries": [%s]\n}\n' % (
+        json.dumps(list(t.row_dims)),
+        json.dumps(list(t.col_dims)),
+        entries,
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        data = tensor_to_dict(t)
-        fh.write('{\n  "row_dims": %s,\n  "col_dims": %s,\n  "entries": %s\n}\n' % (
-            json.dumps(data["row_dims"]),
-            json.dumps(data["col_dims"]),
-            json.dumps(data["entries"]),
-        ))
+        fh.write(text)
 
 
 def load_tensor(path) -> EinsteinTensor:

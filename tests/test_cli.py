@@ -24,7 +24,7 @@ from einalg import (
     verify_penrose,
     zeros,
 )
-from einalg import woodbury
+from einalg import cli, woodbury
 from einalg.cli import main
 
 from conftest import FIXTURES_DIR, ILL_CONDITIONED_BASES, rand_tensor
@@ -464,6 +464,16 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--alpha-min", "--alpha-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_alpha_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out.csv"
+        args = self.sweep_args(out)
+        args[args.index(flag) + 1] = value
+        assert run(*args) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_valid_pair_exits_0(self, capsys):
@@ -508,6 +518,32 @@ class TestTolOption:
         assert run(*argv) == 2
         assert "--tol" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestParser:
+    VERIFY = ("verify", FIX / "a.json", FIX / "a_pinv.json")
+
+    def test_one_parser_per_process(self, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting)
+        try:
+            for _ in range(3):
+                assert run(*self.VERIFY) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_handler_looked_up_per_call(self, monkeypatch):
+        assert run(*self.VERIFY) == 0
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: 42)
+        assert run(*self.VERIFY) == 42
 
 
 class TestEntryPoint:

@@ -271,3 +271,8 @@ class TestSweep:
             sweep(example_a, example_d, [0.01], 0.01, [])
         with pytest.raises(DomainError):
             sweep(example_a, example_d, [0.01], 0.01, [0.0, 1.0])
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, example_a, example_d, alpha):
+        with pytest.raises(DomainError, match="finite"):
+            sweep(example_a, example_d, [0.01], 0.01, [1.0, alpha])

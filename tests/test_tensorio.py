@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einalg import (
     EinsteinTensor,
@@ -18,6 +20,21 @@ from einalg import (
 )
 
 from conftest import rand_tensor
+
+
+def reference_bytes(t):
+    """The file as the per-entry writer formats it: json.dumps of nested pairs."""
+    data = tensor_to_dict(t)
+    return '{\n  "row_dims": %s,\n  "col_dims": %s,\n  "entries": %s\n}\n' % (
+        json.dumps(data["row_dims"]),
+        json.dumps(data["col_dims"]),
+        json.dumps(data["entries"]),
+    )
+
+
+def reference_values(entries):
+    """Entries parsed one pair at a time."""
+    return np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
 
 
 class TestRoundTrip:
@@ -35,6 +52,44 @@ class TestRoundTrip:
         path = tmp_path / "t.json"
         save_tensor(path, t)
         assert load_tensor(path) == t
+
+    def test_golden_bytes(self, tmp_path):
+        mat = np.array(
+            [[complex(-0.0, 5e-324), complex(1e-300, -1e308)],
+             [complex(0.1, 2.0), complex(1e16, math.pi * 1e-17)]]
+        )
+        path = tmp_path / "t.json"
+        save_tensor(path, EinsteinTensor(PairedShape((2,), (2,)), mat))
+        assert path.read_bytes() == (
+            b'{\n  "row_dims": [2],\n  "col_dims": [2],\n  "entries": '
+            b'[[-0.0, 5e-324], [1e-300, -1e+308], [0.1, 2.0], [1e+16, 3.1415926535897935e-17]]'
+            b'\n}\n'
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2)),
+        data=st.data(),
+    )
+    def test_file_round_trip_keeps_every_bit(self, tmp_path_factory, dims, data):
+        rows, cols = (dims[0], dims[1]), (dims[2],)
+        n = 2 * math.prod(rows) * math.prod(cols)
+        parts = data.draw(st.lists(
+            st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0]),
+            min_size=n, max_size=n,
+        ))
+        mat = np.array(parts).view(np.complex128).reshape(math.prod(rows), math.prod(cols))
+        t = EinsteinTensor(PairedShape(rows, cols), mat)
+        path = tmp_path_factory.mktemp("rt") / "t.json"
+        save_tensor(path, t)
+        assert path.read_text(encoding="utf-8") == reference_bytes(t)
+        back = load_tensor(path)
+        # == treats -0.0 and 0.0 as equal; the bit patterns do not
+        assert np.array_equal(back.matrix.view(np.uint64), t.matrix.view(np.uint64))
+        entries = json.loads(path.read_text(encoding="utf-8"))["entries"]
+        assert np.array_equal(
+            reference_values(entries).view(np.uint64), back.matrix.ravel().view(np.uint64)
+        )
 
     def test_file_is_valid_json_with_exact_fields(self, tmp_path, rng):
         t = rand_tensor(rng, (2,), (2,), real=True)
@@ -77,6 +132,21 @@ class TestValidation:
         data["entries"][2] = [1.0, "x"]
         with pytest.raises(ValueError):
             tensor_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "pair", [[True, 0.0], [1.0, "2"], (1.0, 2.0), [1.0, None], [1.0, 2.0, 3.0]]
+    )
+    def test_rejected_pair_is_named(self, pair):
+        data = self.base()
+        data["entries"][2] = pair
+        with pytest.raises(ValueError, match=r"entry 2 "):
+            tensor_from_dict(data)
+
+    def test_numpy_floats_accepted(self):
+        data = self.base()
+        data["entries"] = [[np.float64(k), np.float64(-k)] for k in range(4)]
+        t = tensor_from_dict(data)
+        assert np.array_equal(t.matrix.ravel(), [k - 1j * k for k in range(4)])
 
     def test_non_integer_dims(self):
         data = self.base()
