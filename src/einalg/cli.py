@@ -42,7 +42,7 @@ from .errors import (
     ShapeError,
 )
 from .inverses import PENROSE_TOL, inverse, pinv, verify_penrose
-from .tensor import _relative, is_hermitian
+from .tensor import _relative, fro_norm, is_hermitian
 from .woodbury import LowRankUpdate
 
 EXIT_OK = 0
@@ -94,7 +94,7 @@ def cmd_smw(args) -> int:
 
     tol = woodbury.CONDITION_TOL if args.tol is None else args.tol
     if args.mode == "hermitian":
-        u_vs_vh = _relative((u - v.H).matrix, u.matrix)
+        u_vs_vh = _relative((u - v.H).matrix, fro_norm(u))
         if not is_hermitian(a, tol=tol) or u_vs_vh > tol:
             raise ShapeError(
                 "hermitian mode needs a Hermitian base tensor and u == v^H"

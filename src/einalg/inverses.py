@@ -4,7 +4,8 @@ Both inverses go through the flattened matrix: the tensor pseudoinverse is the
 fold of the matrix pseudoinverse, so it inherits every guarantee of the matrix
 kernel.  ``pinv`` is defined for arbitrary paired shapes, not only square
 tensors; low-rank update code relies on pseudoinverses of rectangular and even
-scalar-shaped operands.
+scalar-shaped operands.  Both come from finite tensors, so a non-finite
+result is an overflow and raises :class:`~einalg.errors.NumericalError`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 from . import matkernel
 from .errors import ShapeError, SingularMatrixError, SingularTensorError
-from .tensor import EinsteinTensor, _adjoint, _relative
+from .tensor import EinsteinTensor, _adjoint, _frobenius, _relative, _returned, fro_norm
 
 __all__ = ["PenroseReport", "inverse", "pinv", "verify_penrose"]
 
@@ -50,12 +51,12 @@ def inverse(a: EinsteinTensor) -> EinsteinTensor:
             rank=err.rank,
             sigma_min=err.sigma_min,
         ) from err
-    return EinsteinTensor._adopt(a.shape, inv)
+    return _returned("inverse", a.shape, inv)
 
 
 def pinv(a: EinsteinTensor, tol: float = 1.0) -> EinsteinTensor:
     """Moore-Penrose pseudoinverse; result has the transposed paired shape."""
-    return EinsteinTensor._adopt(a.shape.transposed, matkernel.pinv_matrix(a.matrix, tol=tol))
+    return _returned("pinv", a.shape.transposed, matkernel.pinv_matrix(a.matrix, tol=tol))
 
 
 def verify_penrose(a: EinsteinTensor, x: EinsteinTensor, tol: float = PENROSE_TOL) -> PenroseReport:
@@ -67,13 +68,14 @@ def verify_penrose(a: EinsteinTensor, x: EinsteinTensor, tol: float = PENROSE_TO
         raise ShapeError(
             f"candidate shape {x.shape} is not the transpose of {a.shape}"
         )
+    norm_a, norm_x = fro_norm(a), fro_norm(x)
     a, x = a.matrix, x.matrix
     ax = a @ x
     xa = x @ a
     residuals = (
-        _relative(ax @ a - a, a),
-        _relative(xa @ x - x, x),
-        _relative(_adjoint(ax) - ax, ax),
-        _relative(_adjoint(xa) - xa, xa),
+        _relative(ax @ a - a, norm_a),
+        _relative(xa @ x - x, norm_x),
+        _relative(_adjoint(ax) - ax, _frobenius(ax)),
+        _relative(_adjoint(xa) - xa, _frobenius(xa)),
     )
     return PenroseReport(residuals=residuals, tol=tol)

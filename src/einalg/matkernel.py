@@ -3,6 +3,9 @@
 The decomposition is LAPACK's SVD as bundled with numpy, truncated at the
 standard numerical-rank threshold ``sigma_max * max(m, n) * 2**-52``: passing
 ``tol`` scales that default, so ``tol=1.0`` is the default behavior.
+Inverses are assembled as ``(v / s) @ u^H`` without floating-point warnings:
+a retained singular value below about 1e-308 makes them overflow to a
+non-finite matrix, which the tensor layer reports as a numerical error.
 """
 
 from __future__ import annotations
@@ -50,23 +53,49 @@ def _rank_floor(scale: float, shape: tuple[int, ...], tol: float) -> float:
     return tol * scale * max(shape) * _EPS
 
 
+def _lapack_svd(mat: np.ndarray):
+    """LAPACK's thin SVD of a matrix or of a stack of them."""
+    try:
+        return np.linalg.svd(mat, full_matrices=False)
+    except np.linalg.LinAlgError as err:
+        m, n = mat.shape[-2:]
+        raise NumericalError(f"SVD of a {m} x {n} matrix failed: {err}") from err
+
+
+def _truncated(
+    u: np.ndarray, s: np.ndarray, vh: np.ndarray, shape: tuple[int, ...], tol: float
+) -> Svd:
+    """The thin SVD ``u, s, vh`` of a matrix of ``shape`` cut at the rank rule."""
+    sigma_max = s[0] if len(s) else 0.0
+    rank = int(np.count_nonzero(s > _rank_floor(sigma_max, shape, tol)))
+    return Svd(u=u[:, :rank], s=s[:rank], v=vh[:rank].conj().T)
+
+
+def _inverted(d: Svd) -> np.ndarray:
+    """``(v / s) @ u^H``; an overflow leaves non-finite entries, not a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (d.v / d.s) @ d.u.conj().T
+
+
 def svd(mat, tol: float = 1.0) -> Svd:
     """Thin SVD truncated at ``tol * sigma_max * max(m, n) * 2**-52``."""
     mat = _as_matrix(mat)
-    m, n = mat.shape
-    try:
-        u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    except np.linalg.LinAlgError as err:
-        raise NumericalError(f"SVD of a {m} x {n} matrix failed: {err}") from err
-    sigma_max = s[0] if len(s) else 0.0
-    rank = int(np.count_nonzero(s > _rank_floor(sigma_max, mat.shape, tol)))
-    return Svd(u=u[:, :rank], s=s[:rank], v=vh[:rank].conj().T)
+    return _truncated(*_lapack_svd(mat), mat.shape, tol)
 
 
 def pinv_matrix(mat, tol: float = 1.0) -> np.ndarray:
     """Moore-Penrose pseudoinverse via the truncated SVD."""
-    d = svd(mat, tol=tol)
-    return (d.v / d.s) @ d.u.conj().T
+    return _inverted(svd(mat, tol=tol))
+
+
+def _pinv_stack(stack: np.ndarray, tol: float = 1.0) -> list[np.ndarray]:
+    """:func:`pinv_matrix` of each finite matrix of a stack, from one LAPACK call.
+
+    Equal, slice by slice, to :func:`pinv_matrix`: LAPACK factors each slice
+    as it would alone, and each is truncated and assembled the same way."""
+    u, s, vh = _lapack_svd(stack)
+    shape = stack.shape[1:]
+    return [_inverted(_truncated(*factors, shape, tol)) for factors in zip(u, s, vh)]
 
 
 def inv_matrix(mat) -> np.ndarray:
@@ -82,7 +111,7 @@ def inv_matrix(mat) -> np.ndarray:
             rank=d.rank,
             sigma_min=float(d.s[-1]) if d.rank else 0.0,
         )
-    return (d.v / d.s) @ d.u.conj().T
+    return _inverted(d)
 
 
 def numerical_rank(mat, tol: float = 1.0) -> int:

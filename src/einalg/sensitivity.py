@@ -98,7 +98,7 @@ def solve(a: EinsteinTensor, d: EinsteinTensor, tol: float = CONSISTENCY_TOL) ->
     _check_right_side(a, d)
     a_pinv = pinv(a)
     x = einstein_product(a_pinv, d)
-    residual = _relative((einstein_product(a, x) - d).matrix, d.matrix)
+    residual = _relative((einstein_product(a, x) - d).matrix, fro_norm(d))
     return SolveResult(x=x, consistent=residual <= tol, consistency_residual=residual)
 
 

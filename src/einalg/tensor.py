@@ -8,7 +8,10 @@ therefore a reinterpretation of the buffer, never a copy-permute, and every
 Einstein product dispatches to one dense matrix-matrix multiply.
 
 Values are immutable after construction and all operations are pure functions,
-so tensors can be shared freely between threads.
+so tensors can be shared freely between threads.  Construction checks that
+every entry is finite with one pass over the entries, the sum of squares
+behind the Frobenius norm, and keeps that norm: :func:`fro_norm` reads it and
+never recomputes it, and the read-only matrix cannot make it stale.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, NumericalError, ShapeError
 from .shapes import PairedShape, phi_index
 
 __all__ = [
@@ -39,7 +42,7 @@ __all__ = [
 class EinsteinTensor:
     """Immutable dense complex tensor with paired row/column modes."""
 
-    __slots__ = ("_shape", "_mat")
+    __slots__ = ("_shape", "_mat", "_norm")
 
     def __init__(self, shape: PairedShape, matrix):
         if not isinstance(shape, PairedShape):
@@ -60,11 +63,15 @@ class EinsteinTensor:
                 f"matrix of shape {mat.shape} does not fill {shape} "
                 f"({shape.row_size} x {shape.col_size})"
             )
-        if not np.isfinite(mat).all():
+        # A finite norm proves every entry finite; a non-finite one may come
+        # from finite entries beyond the squared range, so the scan decides.
+        norm = _frobenius(mat)
+        if not math.isfinite(norm) and not np.isfinite(mat).all():
             raise DomainError("tensor entries must be finite")
         mat.flags.writeable = False
         self._shape = shape
         self._mat = mat
+        self._norm = norm
 
     @property
     def shape(self) -> PairedShape:
@@ -206,22 +213,26 @@ def inner(a: EinsteinTensor, b: EinsteinTensor) -> complex:
     return complex(np.vdot(a.matrix, b.matrix))
 
 
-#: Below this the sum of squares inside ``np.linalg.norm`` is subnormal or zero.
+#: Below this the sum of squares behind a Frobenius norm is subnormal or zero.
 _SQRT_TINY = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 def fro_norm(a: EinsteinTensor) -> float:
-    """Frobenius norm: square root of the sum of squared entry magnitudes."""
-    return _frobenius(a.matrix)
+    """Frobenius norm: square root of the sum of squared entry magnitudes.
+
+    Computed once, when the tensor is built; this reads the kept value."""
+    return a._norm
 
 
 def _frobenius(mat: np.ndarray) -> float:
     """Frobenius norm of a complex matrix, safe beyond the squared range.
 
     The plain sum of squares overflows once entries pass about 1e154 and
-    underflows below about 1e-154; there the entries are first divided by
-    their largest real or imaginary magnitude ``m`` and the norm is ``m``
-    times the norm of the quotient (``m`` itself when it is zero, inf or nan).
+    underflows below about 1e-154; there the real and imaginary parts are
+    first scaled by the exact power of two ``2**-e`` that brings their
+    largest magnitude ``m`` into [0.5, 1), and the norm is ``2**e`` times
+    the norm of the scaled parts (``m`` itself when it is zero, inf or nan).
+    Neither step rounds or overflows, also for a subnormal ``m``.
     ``np.vdot`` is a BLAS call, not a ufunc, so its overflow to ``inf`` raises
     no floating-point warning.
     """
@@ -231,16 +242,31 @@ def _frobenius(mat: np.ndarray) -> float:
     m = float(max(np.abs(mat.real).max(), np.abs(mat.imag).max()))
     if not 0.0 < m < math.inf:
         return m
-    return m * float(np.linalg.norm(mat / m))
+    e = math.frexp(m)[1]
+    parts = np.ldexp(np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64), -e)
+    try:
+        return math.ldexp(float(np.linalg.norm(parts)), e)
+    except OverflowError:  # finite entries whose norm is beyond the float range
+        return math.inf
 
 
-def _relative(diff: np.ndarray, reference: np.ndarray) -> float:
-    """``|diff| / max(1, |reference|)`` in Frobenius norm, on flattened matrices."""
-    return _frobenius(diff) / max(1.0, _frobenius(reference))
+def _relative(diff: np.ndarray, ref_norm: float) -> float:
+    """``|diff| / max(1, ref_norm)``, ``diff`` a flattened matrix and
+    ``ref_norm`` the Frobenius norm of the reference it deviates from."""
+    return _frobenius(diff) / max(1.0, ref_norm)
+
+
+def _returned(stage: str, shape: PairedShape, mat: np.ndarray) -> EinsteinTensor:
+    """Wrap a result computed from finite tensors, without a copy: a non-finite
+    entry is an overflow in ``stage``."""
+    try:
+        return EinsteinTensor._adopt(shape, mat)
+    except DomainError as err:
+        raise NumericalError(f"{stage} overflowed: {err}") from err
 
 
 def is_hermitian(a: EinsteinTensor, tol: float = 1e-10) -> bool:
     """Whether ``a`` equals its Hermitian transpose up to ``tol`` (relative)."""
     if not a.shape.is_square:
         raise ShapeError(f"hermiticity is defined for square tensors, got {a.shape}")
-    return _relative(a.matrix - _adjoint(a.matrix), a.matrix) <= tol
+    return _relative(a.matrix - _adjoint(a.matrix), fro_norm(a)) <= tol

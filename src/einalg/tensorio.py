@@ -8,8 +8,9 @@ representation, so ``load(save(t)) == t`` bit-exactly.  Both directions work
 on the whole entry array at once: :func:`save_tensor` formats the float64 view
 of the matrix in one join, writing the bytes ``json.dumps`` would, and
 :func:`tensor_from_dict` checks the pair structure and number types in one
-pass over an object array before one float conversion; only a malformed file
-is walked entry by entry, to name the first bad entry.
+pass over an object array before one float conversion; only a malformed file,
+or one with an integer beyond the float range, is walked entry by entry, to
+name the first bad entry.
 
 Fourth-order tensors are conventionally displayed as a single block matrix
 that interleaves row and column modes: the entry ``a_{(i1,i2),(j1,j2)}`` sits
@@ -66,6 +67,15 @@ def _pair_array(entries):
     return None
 
 
+def _beyond_float(x) -> bool:
+    """Whether the number ``x`` (an int, say) rounds past the float range."""
+    try:
+        float(x)
+    except OverflowError:
+        return True
+    return False
+
+
 def tensor_from_dict(data) -> EinsteinTensor:
     """Parse the tensor file schema; raises ValueError on malformed input."""
     if not isinstance(data, dict):
@@ -93,7 +103,11 @@ def tensor_from_dict(data) -> EinsteinTensor:
     if pairs is None:
         k = next(k for k, pair in enumerate(entries) if _pair_array([pair]) is None)
         raise ValueError(f"entry {k} is not an [re, im] pair: {entries[k]!r}")
-    values = pairs.astype(np.float64).view(np.complex128)
+    try:
+        values = pairs.astype(np.float64).view(np.complex128)
+    except OverflowError:
+        k = next(k for k, pair in enumerate(entries) if any(map(_beyond_float, pair)))
+        raise ValueError(f"entry {k} is beyond the float range: {entries[k]!r}") from None
     return EinsteinTensor(shape, values.reshape(shape.row_size, shape.col_size))
 
 

@@ -18,21 +18,24 @@ never both), and the updated pseudoinverse is ``a^+`` plus one rank-2K
 correction that reuses ``a^+ * u`` and ``v * a^+`` as ``a^+ * x1`` and
 ``x2^H * a^+`` (``a^+ a a^+ = a^+``).  With N the flattened size of the base
 tensor, an identity-path :func:`update_pinv` call therefore costs O(N^2 K):
-its N x N work is the two base norms of the split's zero test, four
-N x N x K products, one N x 2K x N product, one add and the finiteness scan
-of the result, which is returned without a copy.  Conditions are checked
-separately from the identity evaluation so repeated structurally-identical
-updates can amortize the check.
+its N x N work is four N x N x K products, one N x 2K x N product, one add
+and one pass over the result, which checks it finite and keeps its norm; the
+result is returned without a copy.  The norms of ``a``, ``a^+``, ``u`` and
+``v`` that the split's zero test needs are the ones those tensors kept when
+they were built, and ``b^+`` and the two Gram pseudoinverses come from one
+LAPACK call on a (3, K, K) stack.  Conditions are checked separately from the
+identity evaluation so repeated structurally-identical updates can amortize
+the check.
 
 The public tensor functions are thin wrappers over one matrix pipeline: each
 validates the paired shapes of its operands at entry, computes on the
 flattened ``.matrix`` arrays, and builds an
 :class:`~einalg.tensor.EinsteinTensor` only for what it returns, so every
 returned tensor is checked to be finite and an identity-path
-:func:`update_pinv` call builds 8 tensors (the six split parts, ``b^+`` and
-``s^+``), each around the array just computed.  :func:`update_pinv` is the
-one split -> check -> identity -> fallback path; the ``einalg smw``
-pseudoinverse modes run it too.  Products are written as ``np.matmul`` calls
+:func:`update_pinv` call builds 7 tensors (the six split parts and ``s^+``),
+each around the array just computed; ``b^+`` stays a matrix.
+:func:`update_pinv` is the one split -> check -> identity -> fallback path;
+the ``einalg smw`` pseudoinverse modes run it too.  Products are written as ``np.matmul`` calls
 so that each one can be recorded.
 Because the inputs are finite tensors, a non-finite intermediate is an
 overflow and raises :class:`~einalg.errors.NumericalError` naming the
@@ -47,16 +50,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DomainError,
     NumericalError,
     ShapeError,
     SingularCapacitanceError,
     SingularMatrixError,
 )
 from .inverses import pinv
-from .matkernel import _rank_floor, inv_matrix, pinv_matrix
+from .matkernel import _pinv_stack, _rank_floor, inv_matrix
 from .shapes import PairedShape
-from .tensor import EinsteinTensor, _adjoint, _frobenius, _relative, zeros
+from .tensor import EinsteinTensor, _adjoint, _frobenius, _relative, _returned, fro_norm, zeros
 
 __all__ = [
     "LowRankUpdate",
@@ -220,15 +222,6 @@ def _corrected(
     return _returned(stage, base.shape, mat)
 
 
-def _returned(stage: str, shape: PairedShape, mat: np.ndarray) -> EinsteinTensor:
-    """Wrap a result computed from finite tensors, without a copy: a non-finite
-    entry is an overflow."""
-    try:
-        return EinsteinTensor._adopt(shape, mat)
-    except DomainError as err:
-        raise NumericalError(f"{stage} overflowed: {err}") from err
-
-
 def _check_split(parts: SplitParts, *middle: EinsteinTensor) -> None:
     """Shapes of a split and of its K-square middle factors.
 
@@ -269,13 +262,13 @@ def _split(
     return x, y, pre
 
 
-def _scaled_null_part(y: np.ndarray, tol: float, name: str) -> np.ndarray:
+def _gram(y: np.ndarray, name: str) -> np.ndarray:
     gram = np.matmul(_adjoint(y), y)
     if not np.isfinite(gram).all():
         raise NumericalError(
             f"decompose_update overflowed: the Gram tensor {name}^H {name} is not finite"
         )
-    return np.matmul(y, pinv_matrix(gram, tol=tol))
+    return gram
 
 
 def decompose_update(
@@ -304,22 +297,26 @@ def decompose_update(
 
 def _decompose(
     a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate, tol: float = 1.0
-) -> tuple[SplitParts, np.ndarray, np.ndarray]:
+) -> tuple[SplitParts, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`decompose_update`, plus ``a^+ u`` and ``v a^+`` zeroed with ``x1``
-    and ``x2``: they are ``a^+ x1`` and ``x2^H a^+``, as ``a^+ a a^+ = a^+``."""
+    and ``x2`` (they are ``a^+ x1`` and ``x2^H a^+``, as ``a^+ a a^+ = a^+``)
+    and the matrix ``b^+``, taken in the LAPACK call that pseudo-inverts the
+    two Grams."""
     if a_pinv.shape != a.shape.transposed:
         raise ShapeError(
             f"pseudoinverse shape {a_pinv.shape} is not the transpose of {a.shape}"
         )
     upd._conform(a.shape)
     a_mat, ap, u, v = a.matrix, a_pinv.matrix, upd.u.matrix, upd.v.matrix
-    floor = _rank_floor(_frobenius(a_mat) * _frobenius(ap), a_mat.shape, tol)
+    floor = _rank_floor(fro_norm(a) * fro_norm(a_pinv), a_mat.shape, tol)
     ap_u, v_ap = np.matmul(ap, u), np.matmul(v, ap)
-    x1, y1, ap_u = _split(u, np.matmul(a_mat, ap_u), ap_u, floor * _frobenius(u))
-    x2h, y2h, v_ap = _split(v, np.matmul(v_ap, a_mat), v_ap, floor * _frobenius(v))
+    x1, y1, ap_u = _split(u, np.matmul(a_mat, ap_u), ap_u, floor * fro_norm(upd.u))
+    x2h, y2h, v_ap = _split(v, np.matmul(v_ap, a_mat), v_ap, floor * fro_norm(upd.v))
     x2, y2 = _adjoint(x2h), _adjoint(y2h)
-    e1 = _scaled_null_part(y1, tol, "y1")
-    e2 = _scaled_null_part(y2, tol, "y2")
+    gram1_pinv, gram2_pinv, b_pinv = _pinv_stack(
+        np.stack((_gram(y1, "y1"), _gram(y2, "y2"), upd.b.matrix)), tol=tol
+    )
+    e1, e2 = np.matmul(y1, gram1_pinv), np.matmul(y2, gram2_pinv)
     left, right = upd.u.shape, upd.v.shape.transposed
     parts = SplitParts(
         x1=_returned("decompose_update", left, x1),
@@ -329,7 +326,7 @@ def _decompose(
         e1=_returned("decompose_update", left, e1),
         e2=_returned("decompose_update", right, e2),
     )
-    return parts, ap_u, v_ap
+    return parts, ap_u, v_ap, b_pinv
 
 
 def check_conditions(
@@ -348,10 +345,18 @@ def check_conditions(
     finite, which from finite parts means the condition products overflowed.
     """
     _check_split(parts, b, b_pinv)
+    return _condition_report(parts, b.matrix, b_pinv.matrix, tol)
+
+
+def _condition_report(
+    parts: SplitParts, b: np.ndarray, b_pinv: np.ndarray, tol: float
+) -> ConditionReport:
+    """:func:`check_conditions` on a split known to conform, with the middle
+    factors as matrices; the parts' kept norms are the references they need."""
     x1, y1, x2, y2, e1, e2 = (
         part.matrix for part in (parts.x1, parts.y1, parts.x2, parts.y2, parts.e1, parts.e2)
     )
-    b, b_pinv = b.matrix, b_pinv.matrix
+    norm_y1, norm_e1, norm_e2 = fro_norm(parts.y1), fro_norm(parts.e1), fro_norm(parts.e2)
     e1h = _adjoint(e1)
     x2h = _adjoint(x2)
     y2h = _adjoint(y2)
@@ -361,12 +366,12 @@ def check_conditions(
     x1_b = np.matmul(x1, b)
     b_x2h = np.matmul(b, x2h)
     residuals = {
-        "3.1": _relative(np.matmul(np.matmul(e2, b_pinv), e1h_y1_b) - e2, e2),
-        "3.2": _relative(np.matmul(x1, e1h_y1_b) - x1_b, x1_b),
-        "3.3": _relative(np.matmul(y1, e1h_y1) - y1, y1),
-        "4.1": _relative(np.matmul(by2h_e2, np.matmul(b_pinv, e1h)) - e1h, e1h),
-        "4.2": _relative(np.matmul(by2h_e2, x2h) - b_x2h, b_x2h),
-        "4.3": _relative(np.matmul(e2, np.matmul(y2h, e2)) - e2, e2),
+        "3.1": _relative(np.matmul(np.matmul(e2, b_pinv), e1h_y1_b) - e2, norm_e2),
+        "3.2": _relative(np.matmul(x1, e1h_y1_b) - x1_b, _frobenius(x1_b)),
+        "3.3": _relative(np.matmul(y1, e1h_y1) - y1, norm_y1),
+        "4.1": _relative(np.matmul(by2h_e2, np.matmul(b_pinv, e1h)) - e1h, norm_e1),
+        "4.2": _relative(np.matmul(by2h_e2, x2h) - b_x2h, _frobenius(b_x2h)),
+        "4.3": _relative(np.matmul(e2, np.matmul(y2h, e2)) - e2, norm_e2),
     }
     for label, residual in residuals.items():
         if not math.isfinite(residual):
@@ -386,9 +391,10 @@ def smw_pinv(a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor) 
         r = [(b+ + x2^H a+ x1) e1^H - x2^H a+ ; -e1^H]   (2K x N)
 
     so its N x N work is the two N x N x K products ``a+ x1`` and ``x2^H a+``,
-    one N x 2K x N product, one add and the finiteness scan of the result,
-    which is returned without a copy.  Nothing is recomputed or validated
-    beyond shapes, so callers pair this with :func:`check_conditions`.
+    one N x 2K x N product, one add and the pass over the result that checks
+    it finite and keeps its norm; the result is returned without a copy.
+    Nothing is recomputed or validated beyond shapes, so callers pair this
+    with :func:`check_conditions`.
     """
     _check_split(parts, b_pinv)
     if a_pinv.row_dims != parts.x2.row_dims or a_pinv.col_dims != parts.x1.row_dims:
@@ -399,20 +405,21 @@ def smw_pinv(a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor) 
     ap = a_pinv.matrix
     ap_x1 = np.matmul(ap, parts.x1.matrix)
     x2h_ap = np.matmul(_adjoint(parts.x2.matrix), ap)
-    return _assembled(a_pinv, parts, b_pinv, ap_x1, x2h_ap)
+    return _assembled(a_pinv, parts, b_pinv.matrix, ap_x1, x2h_ap)
 
 
 def _assembled(
     a_pinv: EinsteinTensor,
     parts: SplitParts,
-    b_pinv: EinsteinTensor,
+    b_pinv: np.ndarray,
     ap_x1: np.ndarray,
     x2h_ap: np.ndarray,
 ) -> EinsteinTensor:
-    """The ``a+ + l r`` of :func:`smw_pinv` given ``a+ x1`` and ``x2^H a+``."""
+    """The ``a+ + l r`` of :func:`smw_pinv` given the matrix ``b+``, ``a+ x1``
+    and ``x2^H a+``."""
     x2h = _adjoint(parts.x2.matrix)
     e1h = _adjoint(parts.e1.matrix)
-    middle = b_pinv.matrix + np.matmul(x2h, ap_x1)
+    middle = b_pinv + np.matmul(x2h, ap_x1)
     r_top = np.matmul(middle, e1h) - x2h_ap
     left = np.hstack((parts.e2.matrix, ap_x1))
     return _corrected("smw_pinv", a_pinv, left, np.vstack((r_top, -e1h)))
@@ -464,10 +471,14 @@ def update_pinv(
     valid pseudoinverse comes back either way (``path`` of the result says
     which ran).  The identity result is :func:`smw_pinv`'s assembly with the
     split's ``a^+ u`` and ``v a^+`` standing in for ``a^+ x1`` and ``x2^H a^+``.
+    ``b^+`` is taken in the split's LAPACK call and kept as a matrix, and the
+    conditions skip the shape checks of :func:`check_conditions`: the split
+    was built here, to the update's shapes.
     """
-    parts, ap_x1, x2h_ap = _decompose(a, a_pinv, upd)
-    b_pinv = pinv(upd.b)
-    report = check_conditions(parts, upd.b, b_pinv, tol=tol)
+    parts, ap_x1, x2h_ap, b_pinv = _decompose(a, a_pinv, upd)
+    if not np.isfinite(b_pinv).all():
+        raise NumericalError("update_pinv overflowed: the pseudoinverse of b is not finite")
+    report = _condition_report(parts, upd.b.matrix, b_pinv, tol)
     if report.applicable:
         s_pinv = _assembled(a_pinv, parts, b_pinv, ap_x1, x2h_ap)
     else:

@@ -94,6 +94,24 @@ class TestPinvCommand:
         monkeypatch.setattr(np.linalg, "svd", fail)
         assert run("pinv", FIX / "a.json", "-o", tmp_path / "out.json") == 3
 
+    def test_overflowing_pseudoinverse_exits_3(self, tmp_path, capsys):
+        # regression: 1 / 5e-324 overflowed with a warning in the kernel, and
+        # the non-finite result was reported as an input error (exit 2)
+        src = tmp_path / "a.json"
+        save_tensor(src, EinsteinTensor(((1,), (1,)), [[5e-324]]))
+        assert run("pinv", src, "-o", tmp_path / "out.json") == 3
+        assert "numerical error: pinv overflowed" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
+        # regression: the float conversion's OverflowError escaped as a traceback
+        src = tmp_path / "a.json"
+        src.write_text('{"row_dims": [1], "col_dims": [2], "entries": [[1, 0], [1%s, 0]]}'
+                       % ("0" * 400))
+        assert run("pinv", src, "-o", tmp_path / "out.json") == 2
+        err = capsys.readouterr().err
+        assert f"einalg: error: {src}: entry 1 is beyond the float range" in err
+
     def test_malformed_json_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -233,6 +251,14 @@ class TestSmwCommand:
             tmp_path / "v.json", "--mode", "invertible", "-o", tmp_path / "out.json",
         )
         assert code == 3
+
+    def test_invertible_overflowing_base_inverse_exits_3(self, tmp_path, capsys):
+        # regression: inverse(a) of a subnormal base overflowed with a warning
+        # and was reported as an input error (exit 2)
+        argv = self.invertible_argv(tmp_path)
+        save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.eye(2) * 1e-310))
+        assert run(*argv) == 3
+        assert "numerical error: inverse overflowed" in capsys.readouterr().err
 
     @staticmethod
     def invertible_argv(tmp_path):

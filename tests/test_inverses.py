@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from einalg import (
+    EinsteinTensor,
+    NumericalError,
     PairedShape,
     ShapeError,
     SingularTensorError,
@@ -62,6 +64,20 @@ class TestInverse:
         eye = identity([2, 2])
         assert fro_norm(einstein_product(t, inv) - eye) <= 1e-10
         assert fro_norm(einstein_product(inv, t) - eye) <= 1e-10
+
+
+class TestOverflow:
+    # regression: an inverse beyond the float range warned in the kernel and
+    # then failed the tensor's finiteness check as an input error
+    @pytest.mark.parametrize("entry", [5e-324, 1e-310])
+    def test_pinv_overflow_is_numerical(self, entry):
+        with pytest.raises(NumericalError, match="pinv overflowed"):
+            pinv(EinsteinTensor(PairedShape((1,), (1,)), [[entry]]))
+
+    @pytest.mark.parametrize("entry", [5e-324, 1e-310])
+    def test_inverse_overflow_is_numerical(self, entry):
+        with pytest.raises(NumericalError, match="inverse overflowed"):
+            inverse(EinsteinTensor(PairedShape((1,), (1,)), [[entry]]))
 
 
 class TestPinv:

@@ -13,6 +13,7 @@ from einalg import (
     pinv_matrix,
     svd,
 )
+from einalg.matkernel import _pinv_stack
 
 
 def rand_matrix(rng, m, n, rank=None, smin=0.5, smax=2.0):
@@ -142,6 +143,40 @@ class TestPinvMatrix:
 
     def test_zero_matrix(self):
         assert np.array_equal(pinv_matrix(np.zeros((3, 2))), np.zeros((2, 3)))
+
+
+class TestPinvStack:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_each_slice_is_pinv_matrix(self, rng, k):
+        # one LAPACK call for the stack, the same bits as one call per slice,
+        # for full-rank, rank-deficient, zero and Hermitian slices
+        gram = rand_matrix(rng, 6, k, rank=max(k - 1, 0))
+        slices = [
+            rand_matrix(rng, k, k),
+            rand_matrix(rng, k, k, rank=k - 1),
+            np.zeros((k, k)),
+            gram.conj().T @ gram,
+        ]
+        for tol in (1.0, 1e6):
+            got = _pinv_stack(np.stack(slices).astype(np.complex128), tol=tol)
+            assert len(got) == len(slices)
+            for mat, p in zip(slices, got):
+                assert np.array_equal(p, pinv_matrix(mat, tol=tol))
+
+
+class TestOverflow:
+    # a retained singular value below 1/DBL_MAX: the inverse is not finite,
+    # and the kernel says so by its entries, without a warning
+    def test_pinv_of_subnormal_is_not_finite(self):
+        assert not np.isfinite(pinv_matrix(np.array([[5e-324]]))).any()
+
+    def test_inverse_of_subnormal_is_not_finite(self):
+        assert not np.isfinite(inv_matrix(np.array([[1e-310, 0.0], [0.0, 1e-310]]))).all()
+
+    def test_stack_of_subnormal_is_not_finite(self):
+        got = _pinv_stack(np.array([[[5e-324 + 0j]], [[2.0]]]))
+        assert not np.isfinite(got[0]).any()
+        assert got[1] == 0.5
 
 
 class TestInvMatrix:

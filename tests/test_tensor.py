@@ -329,6 +329,62 @@ class TestTraceInnerNorm:
         assert _frobenius(np.array([[np.inf]])) == np.inf
         assert math.isnan(_frobenius(np.array([[np.nan]])))
 
+    @pytest.mark.parametrize("entry", [5e-324, 1e-310 + 0j, -2.5e-320j, 3e-309 - 4e-309j])
+    def test_norm_of_subnormal_matrix(self, entry):
+        # regression: dividing a complex matrix by a subnormal largest part
+        # overflowed (a warning, an error under this suite's filter) to nan
+        assert _frobenius(np.array([[entry]])) == abs(entry)
+        assert fro_norm(EinsteinTensor(PairedShape((1,), (1,)), [[entry]])) == abs(entry)
+
+    def test_norm_of_subnormal_entries(self):
+        mat = np.array([[3e-320, 4e-320j], [0.0, -0.0]])
+        assert _frobenius(mat) == pytest.approx(5e-320, rel=1e-3, abs=0.0)
+
+    def test_norm_beyond_float_range_is_inf(self):
+        # every entry is finite, the norm itself is not: the tensor is still built
+        t = EinsteinTensor(PairedShape((2,), (1,)), [[1.5e308], [1.5e308j]])
+        assert fro_norm(t) == math.inf
+
+    def test_non_finite_entry_rejected_at_any_scale(self):
+        for small in (0.0, 5e-324, 1e-200, 1.0, 1e300):
+            for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+                with pytest.raises(DomainError):
+                    EinsteinTensor(PairedShape((2,), (1,)), [[small], [bad]])
+
+
+#: Finite parts across the whole range: signed zeros, subnormals, both sides of
+#: the squared range (1e-154, 1e154) and entries up to 1e300.
+_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-154, 1e154, 1e300, -1e300]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True),
+    st.floats(min_value=1e154, max_value=1e300),
+    st.floats(min_value=-1e-300, max_value=1e-300, allow_subnormal=True),
+)
+
+
+@st.composite
+def complex_matrix(draw):
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    parts = draw(st.lists(_PARTS, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    return np.array(parts).view(np.complex128).reshape(rows, cols)
+
+
+class TestKeptNorm:
+    @settings(max_examples=200, deadline=None)
+    @given(complex_matrix())
+    def test_kept_norm_is_frobenius(self, mat):
+        # construction keeps the norm its finiteness pass computed, bit for bit
+        shape = PairedShape((mat.shape[0],), (mat.shape[1],))
+        want = _frobenius(mat)
+        for t in (EinsteinTensor(shape, mat), EinsteinTensor._adopt(shape, mat.copy())):
+            assert fro_norm(t) == want == _frobenius(t.matrix)
+
+    def test_norm_is_not_recomputed(self, rng, monkeypatch):
+        t = rand_tensor(rng, (3,), (2,))
+        want = fro_norm(t)
+        monkeypatch.setattr(np, "vdot", None)
+        assert fro_norm(t) == want
+
 
 @st.composite
 def conforming_pair(draw):

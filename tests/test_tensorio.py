@@ -142,6 +142,14 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"entry 2 "):
             tensor_from_dict(data)
 
+    @pytest.mark.parametrize("big", [10**400, -(10**309)], ids=["1e400", "-1e309"])
+    def test_integer_beyond_float_range_is_named(self, big):
+        # regression: the float conversion raised OverflowError, not ValueError
+        data = self.base()
+        data["entries"][3] = [1.0, big]
+        with pytest.raises(ValueError, match=r"entry 3 is beyond the float range"):
+            tensor_from_dict(data)
+
     def test_numpy_floats_accepted(self):
         data = self.base()
         data["entries"] = [[np.float64(k), np.float64(-k)] for k in range(4)]
