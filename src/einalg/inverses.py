@@ -56,7 +56,8 @@ def inverse(a: EinsteinTensor) -> EinsteinTensor:
 
 def pinv(a: EinsteinTensor, tol: float = 1.0) -> EinsteinTensor:
     """Moore-Penrose pseudoinverse; result has the transposed paired shape."""
-    return _returned("pinv", a.shape.transposed, matkernel.pinv_matrix(a.matrix, tol=tol))
+    # a tensor's matrix is finite complex by construction: no second scan
+    return _returned("pinv", a.shape.transposed, matkernel._pinv_stack(a.matrix, tol=tol))
 
 
 def verify_penrose(a: EinsteinTensor, x: EinsteinTensor, tol: float = PENROSE_TOL) -> PenroseReport:

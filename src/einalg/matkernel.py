@@ -62,40 +62,45 @@ def _lapack_svd(mat: np.ndarray):
         raise NumericalError(f"SVD of a {m} x {n} matrix failed: {err}") from err
 
 
-def _truncated(
-    u: np.ndarray, s: np.ndarray, vh: np.ndarray, shape: tuple[int, ...], tol: float
-) -> Svd:
-    """The thin SVD ``u, s, vh`` of a matrix of ``shape`` cut at the rank rule."""
-    sigma_max = s[0] if len(s) else 0.0
-    rank = int(np.count_nonzero(s > _rank_floor(sigma_max, shape, tol)))
-    return Svd(u=u[:, :rank], s=s[:rank], v=vh[:rank].conj().T)
+def _kept(s: np.ndarray, shape: tuple[int, ...], tol: float) -> np.ndarray:
+    """Which singular values of a matrix of ``shape``, or of each matrix of a
+    stack, are above the rank rule of their own largest."""
+    return s > _rank_floor(s[..., :1], shape, tol)
 
 
-def _inverted(d: Svd) -> np.ndarray:
-    """``(v / s) @ u^H``; an overflow leaves non-finite entries, not a warning."""
+def _inverted(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """``(v / s) @ u^H`` of a thin SVD or of a stack of them, with ``s = inf``
+    where a value is cut, which makes its column an exact zero; an overflow
+    leaves non-finite entries, not a warning.  ``u`` and ``vh`` are LAPACK's
+    own arrays and are overwritten: the only new array is the result."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return (d.v / d.s) @ d.u.conj().T
+        np.conj(vh, out=vh)
+        vh /= s[..., None]
+        return vh.swapaxes(-1, -2) @ np.conj(u, out=u).swapaxes(-1, -2)
 
 
 def svd(mat, tol: float = 1.0) -> Svd:
     """Thin SVD truncated at ``tol * sigma_max * max(m, n) * 2**-52``."""
     mat = _as_matrix(mat)
-    return _truncated(*_lapack_svd(mat), mat.shape, tol)
+    u, s, vh = _lapack_svd(mat)
+    rank = int(np.count_nonzero(_kept(s, mat.shape, tol)))
+    return Svd(u=u[:, :rank], s=s[:rank], v=vh[:rank].conj().T)
 
 
 def pinv_matrix(mat, tol: float = 1.0) -> np.ndarray:
     """Moore-Penrose pseudoinverse via the truncated SVD."""
-    return _inverted(svd(mat, tol=tol))
+    return _pinv_stack(_as_matrix(mat), tol=tol)
 
 
-def _pinv_stack(stack: np.ndarray, tol: float = 1.0) -> list[np.ndarray]:
-    """:func:`pinv_matrix` of each finite matrix of a stack, from one LAPACK call.
+def _pinv_stack(stack: np.ndarray, tol: float = 1.0) -> np.ndarray:
+    """:func:`pinv_matrix` of a finite matrix, or of each finite matrix of a
+    stack from one LAPACK call, with no check of the entries.
 
-    Equal, slice by slice, to :func:`pinv_matrix`: LAPACK factors each slice
-    as it would alone, and each is truncated and assembled the same way."""
+    Every pseudoinverse of the kernel is cut and assembled here, so a slice
+    of a stack gets the bits it gets alone: LAPACK factors each slice as it
+    would alone, and the cut and the assembly act on each slice alike."""
     u, s, vh = _lapack_svd(stack)
-    shape = stack.shape[1:]
-    return [_inverted(_truncated(*factors, shape, tol)) for factors in zip(u, s, vh)]
+    return _inverted(u, np.where(_kept(s, stack.shape[-2:], tol), s, np.inf), vh)
 
 
 def inv_matrix(mat) -> np.ndarray:
@@ -104,14 +109,15 @@ def inv_matrix(mat) -> np.ndarray:
     m, n = mat.shape
     if m != n:
         raise ShapeError(f"inverse needs a square matrix, got {m} x {n}")
-    d = svd(mat)
-    if d.rank < n:
+    u, s, vh = _lapack_svd(mat)
+    rank = int(np.count_nonzero(_kept(s, mat.shape, 1.0)))
+    if rank < n:
         raise SingularMatrixError(
-            f"matrix is singular: numerical rank {d.rank} of {n}",
-            rank=d.rank,
-            sigma_min=float(d.s[-1]) if d.rank else 0.0,
+            f"matrix is singular: numerical rank {rank} of {n}",
+            rank=rank,
+            sigma_min=float(s[rank - 1]) if rank else 0.0,
         )
-    return _inverted(d)
+    return _inverted(u, s, vh)
 
 
 def numerical_rank(mat, tol: float = 1.0) -> int:

@@ -23,10 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateSolutionError, DomainError, ShapeError
+import numpy as np
+
+from .errors import DegenerateSolutionError, DomainError, NumericalError, ShapeError
 from .inverses import pinv
-from .tensor import EinsteinTensor, _relative, einstein_product, fro_norm
-from .woodbury import CONDITION_TOL, LowRankUpdate, update_pinv
+from .shapes import PairedShape
+from .tensor import EinsteinTensor, _frobenius, _quiet_overflow, _relative, _returned, fro_norm
+from .woodbury import CONDITION_TOL, LowRankUpdate, _updated
 
 __all__ = [
     "SolveResult",
@@ -87,18 +90,23 @@ def _check_right_side(a: EinsteinTensor, d: EinsteinTensor) -> None:
         )
 
 
+@_quiet_overflow
 def solve(a: EinsteinTensor, d: EinsteinTensor, tol: float = CONSISTENCY_TOL) -> SolveResult:
     """Solve ``a * x = d`` by the pseudoinverse and flag consistency.
 
     Returns ``x = a+ * d``; for an invertible coefficient this is the unique
     solution, otherwise it is the least-squares-style candidate and
     ``consistent`` records whether it solves the system exactly (residual
-    ``|a a+ d - d| / max(1, |d|)`` at most ``tol``).
+    ``|a a+ d - d| / max(1, |d|)`` at most ``tol``).  Raises
+    :class:`~einalg.errors.NumericalError` if ``x`` or that residual
+    overflows.
     """
     _check_right_side(a, d)
-    a_pinv = pinv(a)
-    x = einstein_product(a_pinv, d)
-    residual = _relative((einstein_product(a, x) - d).matrix, fro_norm(d))
+    shape = PairedShape(a.col_dims, d.col_dims)
+    x = _returned("solve (x = a^+ d)", shape, np.matmul(pinv(a).matrix, d.matrix))
+    residual = _relative(np.matmul(a.matrix, x.matrix) - d.matrix, fro_norm(d))
+    if not math.isfinite(residual):
+        raise NumericalError(f"solve overflowed: the residual a x - d has norm {residual}")
     return SolveResult(x=x, consistent=residual <= tol, consistency_residual=residual)
 
 
@@ -115,6 +123,7 @@ def norm_bound(norm_a: float, norm_a_pinv: float, p: PerturbationSpec) -> float:
     return (1.0 + eps_d) * norm_a**3 * coefficient_terms + eps_d * norm_a * norm_a_pinv
 
 
+@_quiet_overflow
 def measure_error(
     a: EinsteinTensor,
     d: EinsteinTensor,
@@ -124,12 +133,17 @@ def measure_error(
 ) -> BoundReport:
     """Solve the base and the perturbed system and compare error to bound.
 
-    The perturbed pseudoinverse goes through the low-rank update machinery
-    (:func:`~einalg.woodbury.update_pinv`), so identity-conforming
-    perturbations take the fast path.  The eps levels are inferred from the
-    actual tensors (``eps_a`` as the largest split-part norm over ``|a|``,
-    ``eps_d = |delta_d| / |d|``) so that the reported bound is valid for the
-    perturbation that actually happened.
+    The perturbed system goes through the low-rank update machinery (the
+    split -> check -> identity | fallback step of
+    :func:`~einalg.woodbury.update_pinv`), so identity-conforming
+    perturbations take the fast path, and there the updated pseudoinverse
+    ``s^+ = a^+ + l r`` is never formed: ``y - x = a^+ delta_d + l (r (d +
+    delta_d))`` costs O(N^2) for ``a^+ delta_d`` plus O(NK).  The eps levels
+    are inferred from the actual tensors (``eps_a`` as the largest split-part
+    norm over ``|a|``, ``eps_d = |delta_d| / |d|``) so that the reported bound
+    is valid for the perturbation that actually happened.  Raises
+    :class:`~einalg.errors.NumericalError` if ``x``, the update or ``y``
+    overflows.
     """
     if delta_d.shape != d.shape:
         raise ShapeError(
@@ -137,15 +151,27 @@ def measure_error(
         )
     _check_right_side(a, d)
     a_pinv = pinv(a)
-    x = einstein_product(a_pinv, d)
-    norm_x = fro_norm(x)
+    ap = a_pinv.matrix
+    x = np.matmul(ap, d.matrix)
+    norm_x = _frobenius(x)
+    if not math.isfinite(norm_x):
+        raise NumericalError("measure_error overflowed: the solution x = a^+ d is not finite")
     if norm_x == 0.0:
         raise DegenerateSolutionError("base solution is zero; E_n is undefined")
 
-    updated = update_pinv(a, a_pinv, upd, tol=tol)
-    y = einstein_product(updated.s_pinv, d + delta_d)
+    parts, _, s_pinv, factors = _updated(a, a_pinv, upd, tol)
+    rhs = d.matrix + delta_d.matrix
+    if factors is None:
+        y_minus_x = np.matmul(s_pinv.matrix, rhs) - x
+    else:
+        left, right = factors
+        y_minus_x = np.matmul(ap, delta_d.matrix) + np.matmul(left, np.matmul(right, rhs))
+    measured_error = _frobenius(y_minus_x) / norm_x
+    if not math.isfinite(measured_error):
+        raise NumericalError(
+            "measure_error overflowed: the perturbed solution y = s^+ (d + delta_d) is not finite"
+        )
 
-    parts = updated.parts
     norm_a = fro_norm(a)
     norm_d = fro_norm(d)
     eps_a = (
@@ -166,7 +192,7 @@ def measure_error(
         eps_a=eps_a,
         eps_d=eps_d,
         bound=norm_bound(norm_a, norm_a_pinv, spec),
-        measured_error=fro_norm(y - x) / norm_x,
+        measured_error=measured_error,
     )
 
 

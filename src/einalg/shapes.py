@@ -58,7 +58,11 @@ class PairedShape:
 
     @property
     def transposed(self) -> "PairedShape":
-        return PairedShape(self.col_dims, self.row_dims)
+        # the swapped dims of a valid shape are valid: built without the checks
+        shape = object.__new__(PairedShape)
+        object.__setattr__(shape, "row_dims", self.col_dims)
+        object.__setattr__(shape, "col_dims", self.row_dims)
+        return shape
 
     @property
     def is_square(self) -> bool:

@@ -50,14 +50,15 @@ class EinsteinTensor:
         self._hold(shape, np.array(matrix, dtype=np.complex128, order="C"))
 
     @classmethod
-    def _adopt(cls, shape: PairedShape, mat: np.ndarray) -> "EinsteinTensor":
+    def _adopt(cls, shape: PairedShape, mat: np.ndarray, norm: float | None = None) -> "EinsteinTensor":
         """Tensor that keeps ``mat`` itself, with the constructor's checks but no
-        copy: for an array the library has just computed and nothing else writes."""
+        copy: for an array the library has just computed and nothing else writes.
+        ``norm``, when given, is ``_frobenius(mat)``, already computed."""
         tensor = cls.__new__(cls)
-        tensor._hold(shape, np.ascontiguousarray(mat, dtype=np.complex128))
+        tensor._hold(shape, np.ascontiguousarray(mat, dtype=np.complex128), norm)
         return tensor
 
-    def _hold(self, shape: PairedShape, mat: np.ndarray) -> None:
+    def _hold(self, shape: PairedShape, mat: np.ndarray, norm: float | None = None) -> None:
         if mat.shape != (shape.row_size, shape.col_size):
             raise ShapeError(
                 f"matrix of shape {mat.shape} does not fill {shape} "
@@ -65,7 +66,8 @@ class EinsteinTensor:
             )
         # A finite norm proves every entry finite; a non-finite one may come
         # from finite entries beyond the squared range, so the scan decides.
-        norm = _frobenius(mat)
+        if norm is None:
+            norm = _frobenius(mat)
         if not math.isfinite(norm) and not np.isfinite(mat).all():
             raise DomainError("tensor entries must be finite")
         mat.flags.writeable = False
@@ -250,17 +252,25 @@ def _frobenius(mat: np.ndarray) -> float:
         return math.inf
 
 
+#: Decorator for the entry points whose products of finite operands may
+#: overflow: they check their results finite and raise, so numpy's
+#: floating-point warning would only come first.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
 def _relative(diff: np.ndarray, ref_norm: float) -> float:
     """``|diff| / max(1, ref_norm)``, ``diff`` a flattened matrix and
     ``ref_norm`` the Frobenius norm of the reference it deviates from."""
     return _frobenius(diff) / max(1.0, ref_norm)
 
 
-def _returned(stage: str, shape: PairedShape, mat: np.ndarray) -> EinsteinTensor:
+def _returned(
+    stage: str, shape: PairedShape, mat: np.ndarray, norm: float | None = None
+) -> EinsteinTensor:
     """Wrap a result computed from finite tensors, without a copy: a non-finite
-    entry is an overflow in ``stage``."""
+    entry is an overflow in ``stage``.  ``norm`` is as for ``_adopt``."""
     try:
-        return EinsteinTensor._adopt(shape, mat)
+        return EinsteinTensor._adopt(shape, mat, norm)
     except DomainError as err:
         raise NumericalError(f"{stage} overflowed: {err}") from err
 

@@ -34,12 +34,16 @@ flattened ``.matrix`` arrays, and builds an
 returned tensor is checked to be finite and an identity-path
 :func:`update_pinv` call builds 7 tensors (the six split parts and ``s^+``),
 each around the array just computed; ``b^+`` stays a matrix.
-:func:`update_pinv` is the one split -> check -> identity -> fallback path;
-the ``einalg smw`` pseudoinverse modes run it too.  Products are written as ``np.matmul`` calls
-so that each one can be recorded.
+The split -> check -> identity -> fallback path is one private step with two
+callers: :func:`update_pinv`, which the ``einalg smw`` pseudoinverse modes
+run too, adds the rank-2K correction ``l r`` to ``a^+``, and
+:func:`~einalg.sensitivity.measure_error` applies ``l`` and ``r`` to a right
+side in O(NK), without forming ``s^+``.  Products are written as
+``np.matmul`` calls so that each one can be recorded.
 Because the inputs are finite tensors, a non-finite intermediate is an
 overflow and raises :class:`~einalg.errors.NumericalError` naming the
-function it occurred in.
+function it occurred in; the public functions run with numpy's overflow
+warnings off, so none comes first.
 """
 
 from __future__ import annotations
@@ -58,7 +62,16 @@ from .errors import (
 from .inverses import pinv
 from .matkernel import _pinv_stack, _rank_floor, inv_matrix
 from .shapes import PairedShape
-from .tensor import EinsteinTensor, _adjoint, _frobenius, _relative, _returned, fro_norm, zeros
+from .tensor import (
+    EinsteinTensor,
+    _adjoint,
+    _frobenius,
+    _quiet_overflow,
+    _relative,
+    _returned,
+    fro_norm,
+    zeros,
+)
 
 __all__ = [
     "LowRankUpdate",
@@ -115,7 +128,7 @@ class LowRankUpdate:
     def _conform(self, base: PairedShape) -> None:
         """Raise :class:`~einalg.errors.ShapeError` unless the correction has the
         base tensor's shape."""
-        if self.result_shape != base:
+        if self.u.row_dims != base.row_dims or self.v.col_dims != base.col_dims:
             raise ShapeError(
                 f"update of shape {self.result_shape} does not conform to base {base}"
             )
@@ -171,12 +184,14 @@ class UpdatedPinv:
         return "identity" if self.report.applicable else "fallback"
 
 
+@_quiet_overflow
 def apply_update(a: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
     """The corrected tensor ``a + u * b * v``."""
     upd._conform(a.shape)
     return _corrected("apply_update", a, np.matmul(upd.u.matrix, upd.b.matrix), upd.v.matrix)
 
 
+@_quiet_overflow
 def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTensor) -> EinsteinTensor:
     """Inverse of the corrected tensor from the inverses of its pieces.
 
@@ -249,21 +264,25 @@ def _check_split(parts: SplitParts, *middle: EinsteinTensor) -> None:
 
 
 def _split(
-    whole: np.ndarray, x: np.ndarray, pre: np.ndarray, floor: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(x, whole - x, pre)`` with one part within ``floor`` zeroed, ``y`` first:
-    both zeroed would make the conditions hold on zeros, and ``y = 0`` falls back.
-    ``pre``, the ``a^+`` product ``x`` was made from, is zeroed with ``x``."""
+    whole: np.ndarray, x: np.ndarray, pre: np.ndarray, floor: float, norm_whole: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None, float]:
+    """``(x, whole - x, pre, |x|, |y|)`` with one part within ``floor`` zeroed,
+    ``y`` first: both zeroed would make the conditions hold on zeros, and
+    ``y = 0`` falls back.  ``pre``, the ``a^+`` product ``x`` was made from, is
+    zeroed with ``x``.  The norms are the ``_frobenius`` of the returned
+    arrays (``|whole|`` is ``norm_whole``), ``|x|`` None when not computed."""
     y = whole - x
-    if _frobenius(y) <= floor:
-        return x, np.zeros_like(y), pre
-    if _frobenius(x) <= floor:
-        return np.zeros_like(x), whole, np.zeros_like(pre)
-    return x, y, pre
+    norm_y = _frobenius(y)
+    if norm_y <= floor:
+        return x, np.zeros_like(y), pre, None, 0.0
+    norm_x = _frobenius(x)
+    if norm_x <= floor:
+        return np.zeros_like(x), whole, np.zeros_like(pre), 0.0, norm_whole
+    return x, y, pre, norm_x, norm_y
 
 
-def _gram(y: np.ndarray, name: str) -> np.ndarray:
-    gram = np.matmul(_adjoint(y), y)
+def _gram(yh: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
+    gram = np.matmul(yh, y)
     if not np.isfinite(gram).all():
         raise NumericalError(
             f"decompose_update overflowed: the Gram tensor {name}^H {name} is not finite"
@@ -271,6 +290,7 @@ def _gram(y: np.ndarray, name: str) -> np.ndarray:
     return gram
 
 
+@_quiet_overflow
 def decompose_update(
     a: EinsteinTensor,
     a_pinv: EinsteinTensor,
@@ -297,38 +317,41 @@ def decompose_update(
 
 def _decompose(
     a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate, tol: float = 1.0
-) -> tuple[SplitParts, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`decompose_update`, plus ``a^+ u`` and ``v a^+`` zeroed with ``x1``
-    and ``x2`` (they are ``a^+ x1`` and ``x2^H a^+``, as ``a^+ a a^+ = a^+``)
-    and the matrix ``b^+``, taken in the LAPACK call that pseudo-inverts the
-    two Grams."""
-    if a_pinv.shape != a.shape.transposed:
+) -> tuple[SplitParts, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`decompose_update`, plus what the identity reuses: ``a^+ u`` and
+    ``v a^+`` zeroed with ``x1`` and ``x2`` (they are ``a^+ x1`` and
+    ``x2^H a^+``, as ``a^+ a a^+ = a^+``), the K x N ``x2^H`` and ``y2^H`` the
+    right split is made of, and the matrix ``b^+``, taken in the LAPACK call
+    that pseudo-inverts the two Grams."""
+    if a_pinv.row_dims != a.col_dims or a_pinv.col_dims != a.row_dims:
         raise ShapeError(
             f"pseudoinverse shape {a_pinv.shape} is not the transpose of {a.shape}"
         )
     upd._conform(a.shape)
     a_mat, ap, u, v = a.matrix, a_pinv.matrix, upd.u.matrix, upd.v.matrix
+    norm_u, norm_v = fro_norm(upd.u), fro_norm(upd.v)
     floor = _rank_floor(fro_norm(a) * fro_norm(a_pinv), a_mat.shape, tol)
     ap_u, v_ap = np.matmul(ap, u), np.matmul(v, ap)
-    x1, y1, ap_u = _split(u, np.matmul(a_mat, ap_u), ap_u, floor * fro_norm(upd.u))
-    x2h, y2h, v_ap = _split(v, np.matmul(v_ap, a_mat), v_ap, floor * fro_norm(upd.v))
-    x2, y2 = _adjoint(x2h), _adjoint(y2h)
+    x1, y1, ap_u, norm_x1, norm_y1 = _split(u, np.matmul(a_mat, ap_u), ap_u, floor * norm_u, norm_u)
+    x2h, y2h, v_ap, _, _ = _split(v, np.matmul(v_ap, a_mat), v_ap, floor * norm_v, norm_v)
+    y2 = _adjoint(y2h)
     gram1_pinv, gram2_pinv, b_pinv = _pinv_stack(
-        np.stack((_gram(y1, "y1"), _gram(y2, "y2"), upd.b.matrix)), tol=tol
+        np.stack((_gram(_adjoint(y1), y1, "y1"), _gram(y2h, y2, "y2"), upd.b.matrix)), tol=tol
     )
     e1, e2 = np.matmul(y1, gram1_pinv), np.matmul(y2, gram2_pinv)
     left, right = upd.u.shape, upd.v.shape.transposed
     parts = SplitParts(
-        x1=_returned("decompose_update", left, x1),
-        y1=_returned("decompose_update", left, y1),
-        x2=_returned("decompose_update", right, x2),
+        x1=_returned("decompose_update", left, x1, norm_x1),
+        y1=_returned("decompose_update", left, y1, norm_y1),
+        x2=_returned("decompose_update", right, _adjoint(x2h)),
         y2=_returned("decompose_update", right, y2),
         e1=_returned("decompose_update", left, e1),
         e2=_returned("decompose_update", right, e2),
     )
-    return parts, ap_u, v_ap, b_pinv
+    return parts, ap_u, v_ap, x2h, y2h, b_pinv
 
 
+@_quiet_overflow
 def check_conditions(
     parts: SplitParts,
     b: EinsteinTensor,
@@ -345,21 +368,24 @@ def check_conditions(
     finite, which from finite parts means the condition products overflowed.
     """
     _check_split(parts, b, b_pinv)
-    return _condition_report(parts, b.matrix, b_pinv.matrix, tol)
+    x2h, y2h, e1h = (_adjoint(part.matrix) for part in (parts.x2, parts.y2, parts.e1))
+    return _condition_report(parts, x2h, y2h, e1h, b.matrix, b_pinv.matrix, tol)
 
 
 def _condition_report(
-    parts: SplitParts, b: np.ndarray, b_pinv: np.ndarray, tol: float
+    parts: SplitParts,
+    x2h: np.ndarray,
+    y2h: np.ndarray,
+    e1h: np.ndarray,
+    b: np.ndarray,
+    b_pinv: np.ndarray,
+    tol: float,
 ) -> ConditionReport:
-    """:func:`check_conditions` on a split known to conform, with the middle
-    factors as matrices; the parts' kept norms are the references they need."""
-    x1, y1, x2, y2, e1, e2 = (
-        part.matrix for part in (parts.x1, parts.y1, parts.x2, parts.y2, parts.e1, parts.e2)
-    )
+    """:func:`check_conditions` on a split known to conform, given the K x N
+    ``x2^H``, ``y2^H`` and ``e1^H`` and the middle factors as matrices; the
+    parts' kept norms are the references the residuals need."""
+    x1, y1, e2 = parts.x1.matrix, parts.y1.matrix, parts.e2.matrix
     norm_y1, norm_e1, norm_e2 = fro_norm(parts.y1), fro_norm(parts.e1), fro_norm(parts.e2)
-    e1h = _adjoint(e1)
-    x2h = _adjoint(x2)
-    y2h = _adjoint(y2)
     e1h_y1 = np.matmul(e1h, y1)
     e1h_y1_b = np.matmul(e1h_y1, b)
     by2h_e2 = np.matmul(np.matmul(b, y2h), e2)
@@ -381,6 +407,7 @@ def _condition_report(
     return ConditionReport(residuals=residuals, tol=tol)
 
 
+@_quiet_overflow
 def smw_pinv(a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor) -> EinsteinTensor:
     """Updated pseudoinverse from a conforming split (conditions assumed checked).
 
@@ -402,27 +429,26 @@ def smw_pinv(a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor) 
             f"base pseudoinverse of shape {a_pinv.shape} does not conform to the split "
             f"({parts.x2.row_dims} | {parts.x1.row_dims})"
         )
-    ap = a_pinv.matrix
+    ap, x2h = a_pinv.matrix, _adjoint(parts.x2.matrix)
     ap_x1 = np.matmul(ap, parts.x1.matrix)
-    x2h_ap = np.matmul(_adjoint(parts.x2.matrix), ap)
-    return _assembled(a_pinv, parts, b_pinv.matrix, ap_x1, x2h_ap)
+    x2h_ap = np.matmul(x2h, ap)
+    factors = _factors(parts.e2.matrix, x2h, _adjoint(parts.e1.matrix), b_pinv.matrix, ap_x1, x2h_ap)
+    return _corrected("smw_pinv", a_pinv, *factors)
 
 
-def _assembled(
-    a_pinv: EinsteinTensor,
-    parts: SplitParts,
+def _factors(
+    e2: np.ndarray,
+    x2h: np.ndarray,
+    e1h: np.ndarray,
     b_pinv: np.ndarray,
     ap_x1: np.ndarray,
     x2h_ap: np.ndarray,
-) -> EinsteinTensor:
-    """The ``a+ + l r`` of :func:`smw_pinv` given the matrix ``b+``, ``a+ x1``
-    and ``x2^H a+``."""
-    x2h = _adjoint(parts.x2.matrix)
-    e1h = _adjoint(parts.e1.matrix)
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``l`` and ``r`` of :func:`smw_pinv`'s ``a+ + l r``, given the
+    matrices ``e2``, ``x2^H``, ``e1^H``, ``b+``, ``a+ x1`` and ``x2^H a+``."""
     middle = b_pinv + np.matmul(x2h, ap_x1)
     r_top = np.matmul(middle, e1h) - x2h_ap
-    left = np.hstack((parts.e2.matrix, ap_x1))
-    return _corrected("smw_pinv", a_pinv, left, np.vstack((r_top, -e1h)))
+    return np.hstack((e2, ap_x1)), np.vstack((r_top, -e1h))
 
 
 def smw_pinv_orthogonal(
@@ -458,6 +484,7 @@ def smw_pinv_hermitian(
     return smw_pinv(a_pinv, SplitParts(x, y, x, y, e, e), b_pinv)
 
 
+@_quiet_overflow
 def update_pinv(
     a: EinsteinTensor,
     a_pinv: EinsteinTensor,
@@ -475,13 +502,30 @@ def update_pinv(
     conditions skip the shape checks of :func:`check_conditions`: the split
     was built here, to the update's shapes.
     """
-    parts, ap_x1, x2h_ap, b_pinv = _decompose(a, a_pinv, upd)
+    parts, report, s_pinv, factors = _updated(a, a_pinv, upd, tol)
+    if factors is not None:
+        s_pinv = _corrected("smw_pinv", a_pinv, *factors)
+    return UpdatedPinv(s_pinv=s_pinv, report=report, parts=parts)
+
+
+def _updated(
+    a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate, tol: float
+) -> tuple[SplitParts, ConditionReport, EinsteinTensor | None, tuple[np.ndarray, np.ndarray] | None]:
+    """The one split -> check -> identity | fallback step of :func:`update_pinv`
+    and :func:`~einalg.sensitivity.measure_error`, with overflow checks but no
+    warning guard of its own: ``(parts, report, s_pinv, factors)``.
+
+    On the identity path ``factors`` is the ``(l, r)`` of ``s^+ = a^+ + l r``
+    (N x 2K and 2K x N) and ``s_pinv`` is None, so a caller that only applies
+    ``s^+`` never forms it; on the fallback ``s_pinv`` is the direct
+    pseudoinverse and ``factors`` is None.
+    """
+    parts, ap_x1, x2h_ap, x2h, y2h, b_pinv = _decompose(a, a_pinv, upd)
     if not np.isfinite(b_pinv).all():
         raise NumericalError("update_pinv overflowed: the pseudoinverse of b is not finite")
-    report = _condition_report(parts, upd.b.matrix, b_pinv, tol)
-    if report.applicable:
-        s_pinv = _assembled(a_pinv, parts, b_pinv, ap_x1, x2h_ap)
-    else:
-        del ap_x1, x2h_ap  # not held through the direct pseudoinverse
-        s_pinv = pinv(apply_update(a, upd))
-    return UpdatedPinv(s_pinv=s_pinv, report=report, parts=parts)
+    e1h = _adjoint(parts.e1.matrix)
+    report = _condition_report(parts, x2h, y2h, e1h, upd.b.matrix, b_pinv, tol)
+    if not report.applicable:
+        del ap_x1, x2h_ap, x2h, y2h, e1h  # not held through the direct pseudoinverse
+        return parts, report, pinv(apply_update(a, upd)), None
+    return parts, report, None, _factors(parts.e2.matrix, x2h, e1h, b_pinv, ap_x1, x2h_ap)

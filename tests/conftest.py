@@ -176,6 +176,30 @@ ILL_CONDITIONED_BASES = [
 ]
 
 
+def record_work(monkeypatch):
+    """Lists that fill, until ``monkeypatch.undo()``, with ``(rows, inner,
+    cols)`` of every ``np.matmul`` call and the shape of every tensor built."""
+    sizes, built = [], []
+    matmul, init, adopt = np.matmul, EinsteinTensor.__init__, EinsteinTensor._adopt
+
+    def recorded_matmul(x, y, *args, **kwargs):
+        sizes.append((x.shape[0], x.shape[1], y.shape[1]))
+        return matmul(x, y, *args, **kwargs)
+
+    def recorded_init(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    def recorded_adopt(cls, shape, mat, *args):
+        built.append(shape)
+        return adopt(shape, mat, *args)
+
+    monkeypatch.setattr(np, "matmul", recorded_matmul)
+    monkeypatch.setattr(EinsteinTensor, "__init__", recorded_init)
+    monkeypatch.setattr(EinsteinTensor, "_adopt", classmethod(recorded_adopt))
+    return sizes, built
+
+
 def rand_tensor(rng, row_dims, col_dims, real=False):
     shape = PairedShape(tuple(row_dims), tuple(col_dims))
     size = (shape.row_size, shape.col_size)

@@ -227,7 +227,6 @@ class TestSmwCommand:
         want = inverse(s)
         assert fro_norm(lt(out) - want) <= 1e-8 * fro_norm(want)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_in_update_exits_3(self, tmp_path, overflow_update):
         # finite inputs; the update overflows inside the split, which is a
         # numerical failure, not an input error
@@ -239,7 +238,6 @@ class TestSmwCommand:
         )
         assert code == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_invertible_overflow_exits_3(self, tmp_path):
         # finite inputs; the capacitance v a^-1 u overflows
         save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.eye(2)))
@@ -412,6 +410,16 @@ class TestSolveCommand:
 
     def test_shape_mismatch_exits_2(self, tmp_path):
         assert run("solve", FIX / "a.json", FIX / "b.json", "-o", tmp_path / "x.json") == 2
+
+    def test_overflowing_solution_exits_3(self, tmp_path, capsys):
+        # regression: x = a^+ d of finite inputs overflowed with a warning and
+        # was reported as an input error (exit 2)
+        save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), 1e-300 * np.eye(2)))
+        save_tensor(tmp_path / "d.json", EinsteinTensor(((2,), (1,)), [[1e10], [1.0]]))
+        out = tmp_path / "x.json"
+        assert run("solve", tmp_path / "a.json", tmp_path / "d.json", "-o", out) == 3
+        assert "numerical error: solve (x = a^+ d) overflowed" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepCommand:

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from einalg import (
     DegenerateSolutionError,
     DomainError,
+    EinsteinTensor,
     LowRankUpdate,
+    NumericalError,
     PairedShape,
     PerturbationSpec,
     ShapeError,
@@ -24,10 +26,22 @@ from einalg import (
     scale,
     solve,
     sweep,
+    update_pinv,
     zeros,
 )
 
-from conftest import rand_tensor, scalar1111
+from conftest import conditioned_tensor, rand_tensor, record_work, scalar1111
+
+
+def column(*entries):
+    """(len | 1) tensor with the given entries."""
+    return fold(np.array(entries, dtype=complex)[:, None], PairedShape((len(entries),), (1,)))
+
+
+def rank_one_update(u, b, v):
+    """Order-1 update ``u b v^H`` of a (len(u) | len(v)) base."""
+    b = EinsteinTensor(PairedShape((1,), (1,)), [[b]])
+    return LowRankUpdate(u=column(*u), b=b, v=column(*v).H, order=1)
 
 
 class TestSolve:
@@ -76,6 +90,20 @@ class TestSolve:
     def test_row_mode_mismatch(self, rng):
         with pytest.raises(ShapeError):
             solve(rand_tensor(rng, (2,), (2,)), rand_tensor(rng, (3,), (1,)))
+
+    def test_overflowing_solution_is_numerical_error(self):
+        # regression: x = a^+ d of finite operands overflowed with a warning
+        # and was reported as non-finite input
+        a = fold(1e-300 * np.eye(2), PairedShape((2,), (2,)))
+        with pytest.raises(NumericalError, match=r"solve \(x = a\^\+ d\) overflowed"):
+            solve(a, column(1e10, 1.0))
+
+    def test_overflowing_residual_is_numerical_error(self):
+        # x = a^+ d is finite (about 1e12), but the products a_ij x_j of a x
+        # pass the float range before they cancel
+        a = fold(1e300 * np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-40]]), PairedShape((2,), (2,)))
+        with pytest.raises(NumericalError, match="solve overflowed: the residual a x - d"):
+            solve(a, column(1e300, 0.0))
 
 
 class TestNormBound:
@@ -220,6 +248,121 @@ class TestMeasureError:
         )
         with pytest.raises(ShapeError, match="right-side perturbation"):
             measure_error(example_a, example_d, upd, zeros(example_d.shape.transposed))
+
+    def test_overflowing_base_solution_is_numerical_error(self):
+        a = fold(1e-300 * np.eye(2), PairedShape((2,), (2,)))
+        d = column(1e10, 1.0)
+        upd = rank_one_update((0.0, 0.0), 1.0, (0.0, 0.0))
+        with pytest.raises(NumericalError, match=r"measure_error overflowed: the solution x = a\^\+ d"):
+            measure_error(a, d, upd, zeros(d.shape))
+
+    @pytest.mark.parametrize(
+        "path, a, d, upd, delta_d",
+        [
+            # x = (1e300, 1e300), and the right-side perturbation overflows y
+            (
+                "identity",
+                fold(1e-300 * np.eye(2), PairedShape((2,), (2,))),
+                column(1.0, 1.0),
+                rank_one_update((0.0, 0.0), 1.0, (0.0, 0.0)),
+                column(1e9, 0.0),
+            ),
+            # s = diag(2**-40, 1): its pseudoinverse scales d = (1e300, 0) past the range
+            (
+                "fallback",
+                identity([2]),
+                column(1e300, 0.0),
+                rank_one_update((1.0, 0.0), -1.0 + 2.0**-40, (1.0, 0.0)),
+                column(0.0, 0.0),
+            ),
+        ],
+        ids=["identity", "fallback"],
+    )
+    def test_overflowing_perturbed_solution_is_numerical_error(self, path, a, d, upd, delta_d):
+        # regression: y of finite operands overflowed with a warning and was
+        # reported as non-finite input
+        assert update_pinv(a, pinv(a), upd).path == path
+        with pytest.raises(NumericalError, match="measure_error overflowed: the perturbed solution y"):
+            measure_error(a, d, upd, delta_d)
+
+
+@st.composite
+def perturbed_system(draw):
+    """Rank-deficient (2,2 | 2,2) system with a K-mode update that takes
+    either path, and a right-side perturbation of 1e-3 to 1 times ``|d|``.
+
+    The reference ``|y - x|`` subtracts two solutions; its own rounding is
+    about ``2**-52 |y| / |y - x|`` relative, so perturbations are kept well
+    above that."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = (2, 2)
+    k = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
+    rank = draw(st.integers(1, 3))
+    a = einstein_product(rand_tensor(rng, dims, (rank,)), rand_tensor(rng, (rank,), dims))
+    u, v = rand_tensor(rng, dims, k), rand_tensor(rng, k, dims)
+    if draw(st.booleans()):  # inside the column spaces: the fallback runs
+        u, v = einstein_product(a, u), einstein_product(v, a)
+    upd = LowRankUpdate(u=u, b=rand_tensor(rng, k, k), v=v, order=len(k))
+    d = rand_tensor(rng, dims, (1,))
+    delta = rand_tensor(rng, dims, (1,))
+    delta = scale(delta, 10 ** draw(st.floats(-3, 0)) * fro_norm(d) / fro_norm(delta))
+    return a, d, upd, delta
+
+
+class TestMeasureErrorThroughFactors:
+    """On the identity path ``measure_error`` applies ``s^+ = a^+ + l r`` to the
+    right side without forming it; the result is the one ``update_pinv``'s
+    ``s^+`` gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(perturbed_system())
+    def test_matches_update_pinv(self, case):
+        a, d, upd, delta = case
+        report = measure_error(a, d, upd, delta)
+        a_pinv = pinv(a)
+        x = einstein_product(a_pinv, d)
+        updated = update_pinv(a, a_pinv, upd)
+        y = einstein_product(updated.s_pinv, d + delta)
+        want = fro_norm(y - x) / fro_norm(x)
+        assert report.measured_error == pytest.approx(want, rel=1e-12, abs=0.0)
+        parts = updated.parts
+        eps_a = max(fro_norm(p) for p in (parts.x1, parts.x2, parts.e1, parts.e2)) / fro_norm(a)
+        eps_d = fro_norm(delta) / fro_norm(d)
+        assert report.norm_a == fro_norm(a)
+        assert report.norm_a_pinv == fro_norm(a_pinv)
+        assert report.eps_a == eps_a
+        assert report.bound == norm_bound(fro_norm(a), fro_norm(a_pinv), PerturbationSpec(eps_a, eps_d))
+
+    def test_no_n_by_n_work_but_a_pinv(self, rng, monkeypatch):
+        # identity case at N=64, K=2: beyond pinv(a) (assembled in the matrix
+        # kernel, not recorded here) every product has 1 or K on some side,
+        # and the only N x N tensor built is a^+
+        n, k, dims = 64, 2, (4, 4, 4)
+        a = conditioned_tensor(rng, dims, n - k, 10.0)
+        upd = LowRankUpdate(
+            u=rand_tensor(rng, dims, (k,)),
+            b=rand_tensor(rng, (k,), (k,)),
+            v=rand_tensor(rng, (k,), dims),
+            order=1,
+        )
+        d, delta = rand_tensor(rng, dims, (1,)), scale(rand_tensor(rng, dims, (1,)), 1e-2)
+        assert update_pinv(a, pinv(a), upd).path == "identity"
+        sizes, built = record_work(monkeypatch)
+        report = measure_error(a, d, upd, delta)
+        monkeypatch.undo()
+        # x = a^+ d, 8 in the split, 15 in the conditions, 2 for the factors
+        # l and r, then a^+ delta_d, r (d + delta_d) and l (r (d + delta_d))
+        assert len(sizes) == 29
+        assert (n, n, n) not in sizes and (n, 2 * k, n) not in sizes
+        assert sizes.count((n, n, 1)) == 2
+        assert [s for s in sizes if s[2] == 1 and s != (n, n, 1)] == [(2 * k, n, 1), (n, 2 * k, 1)]
+        # a^+ and the six split parts
+        assert len(built) == 7
+        assert [s for s in built if (s.row_dims, s.col_dims) == (dims, dims)] == [a.shape]
+        a_pinv = pinv(a)
+        y = einstein_product(update_pinv(a, a_pinv, upd).s_pinv, d + delta)
+        x = einstein_product(a_pinv, d)
+        assert report.measured_error == pytest.approx(fro_norm(y - x) / fro_norm(x), rel=1e-12)
 
 
 class TestSweep:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from einalg import (
-    EinsteinTensor,
     LowRankUpdate,
     NumericalError,
     PairedShape,
@@ -34,7 +33,13 @@ from einalg import (
     zeros,
 )
 
-from conftest import ILL_CONDITIONED_BASES, conditioned_tensor, rand_tensor, scalar1111
+from conftest import (
+    ILL_CONDITIONED_BASES,
+    conditioned_tensor,
+    rand_tensor,
+    record_work,
+    scalar1111,
+)
 
 
 @pytest.fixture
@@ -636,31 +641,15 @@ class TestIdentityPathCost:
             v=rand_tensor(rng, (k,), dims),
             order=1,
         )
-        sizes, built = [], []
-        matmul, init, adopt = np.matmul, EinsteinTensor.__init__, EinsteinTensor._adopt
-
-        def recorded_matmul(x, y, *args, **kwargs):
-            sizes.append((x.shape[0], x.shape[1], y.shape[1]))
-            return matmul(x, y, *args, **kwargs)
-
-        def recorded_init(self, *args):
-            built.append(args[0])
-            init(self, *args)
-
-        def recorded_adopt(cls, shape, mat):
-            built.append(shape)
-            return adopt(shape, mat)
-
-        monkeypatch.setattr(np, "matmul", recorded_matmul)
-        monkeypatch.setattr(EinsteinTensor, "__init__", recorded_init)
-        monkeypatch.setattr(EinsteinTensor, "_adopt", classmethod(recorded_adopt))
+        sizes, built = record_work(monkeypatch)
         result = update_pinv(a, a_pinv, upd)
         monkeypatch.undo()
         assert result.report.applicable
         # 8 in the split (four projections, two Grams, two scaled parts),
-        # 15 in the six conditions, 3 in the rank-2K assembly, which reuses
-        # the split's a^+ u and v a^+ as a^+ x1 and x2^H a^+; the K x K
-        # pseudoinverses are assembled in the matrix kernel, not here
+        # 15 in the six conditions, 2 for the factors l and r, which reuse
+        # the split's a^+ u and v a^+ as a^+ x1 and x2^H a^+, and 1 for
+        # a^+ + l r; the K x K pseudoinverses are cut and assembled in the
+        # matrix kernel's one pass over the stack, not here
         assert len(sizes) == 26
         assert (n, n, n) not in sizes
         assert [s for s in sizes if s[0] == s[2] == n] == [(n, 2 * k, n)]
@@ -779,7 +768,6 @@ class TestIdentityReuse:
                 t.matrix[0, 0] = 1.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestOverflow:
     """Overflow from finite inputs is a numerical failure, named by its stage."""
 
