@@ -18,14 +18,18 @@ never both), and the updated pseudoinverse is ``a^+`` plus one rank-2K
 correction that reuses ``a^+ * u`` and ``v * a^+`` as ``a^+ * x1`` and
 ``x2^H * a^+`` (``a^+ a a^+ = a^+``).  With N the flattened size of the base
 tensor, an identity-path :func:`update_pinv` call therefore costs O(N^2 K):
-its N x N work is four N x N x K products, one N x 2K x N product, one add
-and one pass over the result, which checks it finite and keeps its norm; the
-result is returned without a copy.  The norms of ``a``, ``a^+``, ``u`` and
-``v`` that the split's zero test needs are the ones those tensors kept when
-they were built, and ``b^+`` and the two Gram pseudoinverses come from one
-LAPACK call on a (3, K, K) stack.  Conditions are checked separately from the
-identity evaluation so repeated structurally-identical updates can amortize
-the check.
+its N x N work is four products of an N x N matrix with K vectors, one
+N x 2K x N product, one add and one pass over the result, which checks it
+finite and keeps its norm; the result is returned without a copy.  Every
+product here of an N x N matrix with 2 or 3 vectors, in the split, in
+:func:`smw_pinv` and in :func:`smw_invertible`, is that many matrix-vector
+products in one batched call, which at those widths beats a GEMM that packs
+the whole N x N operand; one vector and 4 or more stay one product.  The
+norms of ``a``, ``a^+``, ``u`` and ``v`` that the split's zero test needs are
+the ones those tensors kept when they were built, and ``b^+`` and the two
+Gram pseudoinverses come from one LAPACK call on a (3, K, K) stack.
+Conditions are checked separately from the identity evaluation so repeated
+structurally-identical updates can amortize the check.
 
 The public tensor functions are thin wrappers over one matrix pipeline: each
 validates the paired shapes of its operands at entry, computes on the
@@ -184,6 +188,47 @@ class UpdatedPinv:
         return "identity" if self.report.applicable else "fallback"
 
 
+#: Widest thin operand that :func:`_mat_cols` and :func:`_rows_mat` take as
+#: that many matrix-vector products rather than one GEMM.  OpenBLAS packs the
+#: whole N x N operand for a complex GEMM however thin the other side is, so
+#: at 2 or 3 columns that costs more than as many ``zgemv`` passes; numpy
+#: already hands one column to ``zgemv``.  Medians in µs, complex128, one
+#: OpenBLAS thread on a 2-core x86-64 host, GEMM -> K matrix-vector products:
+#:
+#:   m @ cols     K=2            K=3            K=4
+#:   N = 64       8 -> 6         10 -> 8        5 -> 7
+#:   N = 256      58 -> 38       94 -> 58       49 -> 75
+#:   N = 512      434 -> 377     574 -> 560     378 -> 717
+#:   N = 1024     1732 -> 1510   2308 -> 2166   1721 -> 2930
+#:   rows @ m
+#:   N = 64       8 -> 6         9 -> 8         7 -> 6
+#:   N = 256      74 -> 35       101 -> 55      102 -> 69
+#:   N = 512      394 -> 372     500 -> 551     446 -> 712
+#:   N = 1024     1619 -> 1491   1999 -> 2197   1912 -> 2960
+#:
+#: The gain is up to 2x at N = 256; from N = 512 the two forms are within 10%
+#: at 2-3 columns, and from 4 columns GEMM is up to 2x faster.
+_MATVEC_MAX = 3
+
+
+def _mat_cols(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``m @ cols`` for a thin ``cols``, as one matrix-vector product per
+    column in one batched call when it has 2 to ``_MATVEC_MAX`` columns.  That
+    result is the transposed view of the (K, N) column stack, so a second
+    product of its columns reads them without a copy."""
+    if not 1 < cols.shape[1] <= _MATVEC_MAX:
+        return np.matmul(m, cols)
+    return np.matmul(m, cols.T[:, :, None])[:, :, 0].T
+
+
+def _rows_mat(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``rows @ m`` for a thin ``rows``, as one vector-matrix product per row
+    in one batched call when it has 2 to ``_MATVEC_MAX`` rows."""
+    if not 1 < rows.shape[0] <= _MATVEC_MAX:
+        return np.matmul(rows, m)
+    return np.matmul(rows[:, None, :], m)[:, 0, :]
+
+
 @_quiet_overflow
 def apply_update(a: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
     """The corrected tensor ``a + u * b * v``."""
@@ -210,8 +255,8 @@ def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTen
             f"middle-factor inverse shape {b_inv.shape} != {upd.b.shape}"
         )
     a_inv_mat, u, v = a_inv.matrix, upd.u.matrix, upd.v.matrix
-    a_inv_u = np.matmul(a_inv_mat, u)
-    v_a_inv = np.matmul(v, a_inv_mat)
+    a_inv_u = _mat_cols(a_inv_mat, u)
+    v_a_inv = _rows_mat(v, a_inv_mat)
     capacitance = b_inv.matrix + np.matmul(v_a_inv, u)
     if not np.isfinite(capacitance).all():
         raise NumericalError("smw_invertible overflowed: the capacitance tensor is not finite")
@@ -331,9 +376,9 @@ def _decompose(
     a_mat, ap, u, v = a.matrix, a_pinv.matrix, upd.u.matrix, upd.v.matrix
     norm_u, norm_v = fro_norm(upd.u), fro_norm(upd.v)
     floor = _rank_floor(fro_norm(a) * fro_norm(a_pinv), a_mat.shape, tol)
-    ap_u, v_ap = np.matmul(ap, u), np.matmul(v, ap)
-    x1, y1, ap_u, norm_x1, norm_y1 = _split(u, np.matmul(a_mat, ap_u), ap_u, floor * norm_u, norm_u)
-    x2h, y2h, v_ap, _, _ = _split(v, np.matmul(v_ap, a_mat), v_ap, floor * norm_v, norm_v)
+    ap_u, v_ap = _mat_cols(ap, u), _rows_mat(v, ap)
+    x1, y1, ap_u, norm_x1, norm_y1 = _split(u, _mat_cols(a_mat, ap_u), ap_u, floor * norm_u, norm_u)
+    x2h, y2h, v_ap, _, _ = _split(v, _rows_mat(v_ap, a_mat), v_ap, floor * norm_v, norm_v)
     y2 = _adjoint(y2h)
     gram1_pinv, gram2_pinv, b_pinv = _pinv_stack(
         np.stack((_gram(_adjoint(y1), y1, "y1"), _gram(y2h, y2, "y2"), upd.b.matrix)), tol=tol
@@ -417,9 +462,10 @@ def smw_pinv(a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor) 
         l = [e2, a+ x1]                                  (N x 2K)
         r = [(b+ + x2^H a+ x1) e1^H - x2^H a+ ; -e1^H]   (2K x N)
 
-    so its N x N work is the two N x N x K products ``a+ x1`` and ``x2^H a+``,
-    one N x 2K x N product, one add and the pass over the result that checks
-    it finite and keeps its norm; the result is returned without a copy.
+    so its N x N work is the two products ``a+ x1`` and ``x2^H a+`` of ``a+``
+    with K vectors, one N x 2K x N product, one add and the pass over the
+    result that checks it finite and keeps its norm; the result is returned
+    without a copy.
     Nothing is recomputed or validated beyond shapes, so callers pair this
     with :func:`check_conditions`.
     """
@@ -430,8 +476,8 @@ def smw_pinv(a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor) 
             f"({parts.x2.row_dims} | {parts.x1.row_dims})"
         )
     ap, x2h = a_pinv.matrix, _adjoint(parts.x2.matrix)
-    ap_x1 = np.matmul(ap, parts.x1.matrix)
-    x2h_ap = np.matmul(x2h, ap)
+    ap_x1 = _mat_cols(ap, parts.x1.matrix)
+    x2h_ap = _rows_mat(x2h, ap)
     factors = _factors(parts.e2.matrix, x2h, _adjoint(parts.e1.matrix), b_pinv.matrix, ap_x1, x2h_ap)
     return _corrected("smw_pinv", a_pinv, *factors)
 

@@ -7,6 +7,7 @@ truth, and test_fixture_files.py checks the shipped JSON fixtures against
 them.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -177,13 +178,17 @@ ILL_CONDITIONED_BASES = [
 
 
 def record_work(monkeypatch):
-    """Lists that fill, until ``monkeypatch.undo()``, with ``(rows, inner,
-    cols)`` of every ``np.matmul`` call and the shape of every tensor built."""
+    """Lists that fill, until ``monkeypatch.undo()``, with ``(batch, rows,
+    inner, cols)`` of every ``np.matmul`` call and the shape of every tensor
+    built.  ``batch`` counts the products over the operands' broadcast leading
+    axes (1 for two matrices), and the rest are the sizes of each product, so
+    K stacked N x N x 1 products read ``(K, N, N, 1)``."""
     sizes, built = [], []
     matmul, init, adopt = np.matmul, EinsteinTensor.__init__, EinsteinTensor._adopt
 
     def recorded_matmul(x, y, *args, **kwargs):
-        sizes.append((x.shape[0], x.shape[1], y.shape[1]))
+        batch = math.prod(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]))
+        sizes.append((batch, x.shape[-2], x.shape[-1], y.shape[-1]))
         return matmul(x, y, *args, **kwargs)
 
     def recorded_init(self, *args):

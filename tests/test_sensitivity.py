@@ -351,11 +351,16 @@ class TestMeasureErrorThroughFactors:
         report = measure_error(a, d, upd, delta)
         monkeypatch.undo()
         # x = a^+ d, 8 in the split, 15 in the conditions, 2 for the factors
-        # l and r, then a^+ delta_d, r (d + delta_d) and l (r (d + delta_d))
+        # l and r, then a^+ delta_d, r (d + delta_d) and l (r (d + delta_d));
+        # each size is (batch, rows, inner, cols)
         assert len(sizes) == 29
-        assert (n, n, n) not in sizes and (n, 2 * k, n) not in sizes
-        assert sizes.count((n, n, 1)) == 2
-        assert [s for s in sizes if s[2] == 1 and s != (n, n, 1)] == [(2 * k, n, 1), (n, 2 * k, 1)]
+        assert not [s for s in sizes if s[1:] in ((n, n, n), (n, 2 * k, n))]
+        # the split's four projections, each K matrix-vector products in one call
+        col, row = (k, n, n, 1), (k, 1, n, n)
+        assert [s for s in sizes if s[0] != 1] == [col, row, col, row]
+        assert sizes.count((1, n, n, 1)) == 2
+        applied = [s for s in sizes if s[0] == 1 and s[3] == 1 and s != (1, n, n, 1)]
+        assert applied == [(1, 2 * k, n, 1), (1, n, 2 * k, 1)]
         # a^+ and the six split parts
         assert len(built) == 7
         assert [s for s in built if (s.row_dims, s.col_dims) == (dims, dims)] == [a.shape]
