@@ -13,9 +13,9 @@ limits the normalized solution change ``E_n = |y - x| / |x|`` whenever the
 split parts of the coefficient perturbation satisfy ``|x_i|, |e_i| <=
 eps_A |a|`` and ``|delta_d| <= eps_D |d|``.  :func:`measure_error` runs the
 whole pipeline (solve, update the pseudoinverse, re-solve, infer the eps
-values from the actual tensors) and reports the measured error next to the
-bound; :func:`sweep` evaluates the bound across a grid of perturbation levels
-and norm scalings.
+values from the split the update actually made) and reports the measured
+error next to the bound; :func:`sweep` evaluates the bound across a grid of
+perturbation levels and norm scalings.
 """
 
 from __future__ import annotations
@@ -139,11 +139,13 @@ def measure_error(
     perturbations take the fast path, and there the updated pseudoinverse
     ``s^+ = a^+ + l r`` is never formed: ``y - x = a^+ delta_d + l (r (d +
     delta_d))`` costs O(N^2) for ``a^+ delta_d`` plus O(NK).  The eps levels
-    are inferred from the actual tensors (``eps_a`` as the largest split-part
-    norm over ``|a|``, ``eps_d = |delta_d| / |d|``) so that the reported bound
-    is valid for the perturbation that actually happened.  Raises
-    :class:`~einalg.errors.NumericalError` if ``x``, the update or ``y``
-    overflows.
+    are inferred from the actual tensors (``eps_a`` as the largest of the
+    split's ``|x1|``, ``|x2|``, ``|e1|``, ``|e2|`` over ``|a|``, ``eps_d =
+    |delta_d| / |d|``) so that the reported bound is valid for the
+    perturbation that actually happened.  The split stays matrices and
+    only the norms it kept are read, so on the identity path the one tensor
+    built is ``a^+``.  Raises :class:`~einalg.errors.NumericalError` if
+    ``x``, the update or ``y`` overflows.
     """
     if delta_d.shape != d.shape:
         raise ShapeError(
@@ -159,7 +161,7 @@ def measure_error(
     if norm_x == 0.0:
         raise DegenerateSolutionError("base solution is zero; E_n is undefined")
 
-    parts, _, s_pinv, factors = _updated(a, a_pinv, upd, tol)
+    split, _, s_pinv, factors = _updated(a, a_pinv, upd, tol)
     rhs = d.matrix + delta_d.matrix
     if factors is None:
         y_minus_x = np.matmul(s_pinv.matrix, rhs) - x
@@ -174,15 +176,8 @@ def measure_error(
 
     norm_a = fro_norm(a)
     norm_d = fro_norm(d)
-    eps_a = (
-        max(
-            fro_norm(parts.x1),
-            fro_norm(parts.x2),
-            fro_norm(parts.e1),
-            fro_norm(parts.e2),
-        )
-        / norm_a
-    )
+    norms = split.norms
+    eps_a = max(norms["x1"], norms["x2"], norms["e1"], norms["e2"]) / norm_a
     eps_d = fro_norm(delta_d) / norm_d if norm_d > 0 else 0.0
     spec = PerturbationSpec(eps_a=eps_a, eps_d=eps_d)
     norm_a_pinv = fro_norm(a_pinv)

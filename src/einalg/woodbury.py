@@ -27,7 +27,10 @@ products in one batched call, which at those widths beats a GEMM that packs
 the whole N x N operand; one vector and 4 or more stay one product.  The
 norms of ``a``, ``a^+``, ``u`` and ``v`` that the split's zero test needs are
 the ones those tensors kept when they were built, and ``b^+`` and the two
-Gram pseudoinverses come from one LAPACK call on a (3, K, K) stack.
+Gram pseudoinverses come from one LAPACK call on a (3, K, K) stack; none
+when the split leaves no null-space part (``u`` and ``v^H`` inside the
+column spaces), where ``e1 = e2 = 0`` and the three, which meet only
+products with ``e1^H`` or ``e2``, are zeros.
 Conditions are checked separately from the identity evaluation so repeated
 structurally-identical updates can amortize the check.
 
@@ -38,12 +41,14 @@ flattened ``.matrix`` arrays, and builds an
 returned tensor is checked to be finite and an identity-path
 :func:`update_pinv` call builds 7 tensors (the six split parts and ``s^+``),
 each around the array just computed; ``b^+`` stays a matrix.
-The split -> check -> identity -> fallback path is one private step with two
-callers: :func:`update_pinv`, which the ``einalg smw`` pseudoinverse modes
-run too, adds the rank-2K correction ``l r`` to ``a^+``, and
-:func:`~einalg.sensitivity.measure_error` applies ``l`` and ``r`` to a right
-side in O(NK), without forming ``s^+``.  Products are written as
-``np.matmul`` calls so that each one can be recorded.
+The split -> check -> identity -> fallback path is one private step on
+matrices with two callers: :func:`update_pinv`, which the ``einalg smw``
+pseudoinverse modes run too, wraps the six split parts and adds the rank-2K
+correction ``l r`` to ``a^+``, and :func:`~einalg.sensitivity.measure_error`
+applies ``l`` and ``r`` to a right side in O(NK), without forming ``s^+``,
+and reads only the norms the step kept, so it builds no tensor of its own.
+Products are written as ``np.matmul`` calls so that each one can be
+recorded.
 Because the inputs are finite tensors, a non-finite intermediate is an
 overflow and raises :class:`~einalg.errors.NumericalError` naming the
 function it occurred in; the public functions run with numpy's overflow
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -326,13 +332,46 @@ def _split(
     return x, y, pre, norm_x, norm_y
 
 
-def _gram(yh: np.ndarray, y: np.ndarray, name: str) -> np.ndarray:
-    gram = np.matmul(yh, y)
-    if not np.isfinite(gram).all():
-        raise NumericalError(
-            f"decompose_update overflowed: the Gram tensor {name}^H {name} is not finite"
+class _Split(NamedTuple):
+    """A split as matrices, in :class:`SplitParts`' layout (``x2``, ``y2`` and
+    ``e2`` are N x K), with the norms of ``x1``, ``y1``, ``x2``, ``e1`` and
+    ``e2`` by part name; ``|y2|`` is needed neither by the conditions nor by
+    the bound, and is left to the wrap."""
+
+    x1: np.ndarray
+    y1: np.ndarray
+    x2: np.ndarray
+    y2: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    norms: dict[str, float]
+
+    @classmethod
+    def of(cls, parts: SplitParts) -> "_Split":
+        tensors = [getattr(parts, name) for name in cls._fields[:6]]
+        return cls(
+            *(t.matrix for t in tensors),
+            norms={name: fro_norm(t) for name, t in zip(cls._fields, tensors)},
         )
-    return gram
+
+    def wrapped(self, upd: LowRankUpdate) -> SplitParts:
+        """The six parts as tensors, each around its matrix, with its norm."""
+        left, right = upd.u.shape, upd.v.shape.transposed
+        shapes = (left, left, right, right, left, right)
+        return SplitParts(*(
+            _returned("decompose_update", shape, mat, self.norms.get(name))
+            for name, mat, shape in zip(self._fields, self[:6], shapes)
+        ))
+
+
+def _part_norm(mat: np.ndarray, norm: float | None = None) -> float:
+    """``|mat|`` (``norm`` when already computed), with the check a wrap of
+    ``mat`` makes: a non-finite part is an overflow."""
+    if norm is None:
+        norm = _frobenius(mat)
+    if not math.isfinite(norm) and not np.isfinite(mat).all():
+        raise NumericalError("decompose_update overflowed: tensor entries must be finite")
+    return norm
 
 
 @_quiet_overflow
@@ -357,43 +396,60 @@ def decompose_update(
     :class:`~einalg.errors.NumericalError` if a part or a K x K Gram
     intermediate overflows.
     """
-    return _decompose(a, a_pinv, upd, tol)[0]
+    return _decompose(a, a_pinv, upd, tol)[0].wrapped(upd)
 
 
 def _decompose(
     a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate, tol: float = 1.0
-) -> tuple[SplitParts, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`decompose_update`, plus what the identity reuses: ``a^+ u`` and
-    ``v a^+`` zeroed with ``x1`` and ``x2`` (they are ``a^+ x1`` and
-    ``x2^H a^+``, as ``a^+ a a^+ = a^+``), the K x N ``x2^H`` and ``y2^H`` the
-    right split is made of, and the matrix ``b^+``, taken in the LAPACK call
-    that pseudo-inverts the two Grams."""
+) -> tuple[_Split, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`decompose_update` on matrices, plus what the identity reuses:
+    ``a^+ u`` and ``v a^+`` zeroed with ``x1`` and ``x2`` (they are ``a^+ x1``
+    and ``x2^H a^+``, as ``a^+ a a^+ = a^+``), the K x N ``x2^H`` and ``y2^H``
+    the right split is made of, and the matrix ``b^+``, taken in the LAPACK
+    call that pseudo-inverts the two Grams.
+
+    When the split leaves both ``y1`` and ``y2`` exact zeros, ``e1 = e2 = 0``
+    and that call is skipped: the three K x K pseudoinverses are zeros.  The
+    conditions and the identity meet ``b^+`` and the Gram pseudoinverses only
+    in products with ``e1^H`` or ``e2``, so every residual and ``s^+`` come
+    out as they would from the computed ones."""
     if a_pinv.row_dims != a.col_dims or a_pinv.col_dims != a.row_dims:
         raise ShapeError(
             f"pseudoinverse shape {a_pinv.shape} is not the transpose of {a.shape}"
         )
     upd._conform(a.shape)
-    a_mat, ap, u, v = a.matrix, a_pinv.matrix, upd.u.matrix, upd.v.matrix
+    a_mat, ap, u, v, b = a.matrix, a_pinv.matrix, upd.u.matrix, upd.v.matrix, upd.b.matrix
     norm_u, norm_v = fro_norm(upd.u), fro_norm(upd.v)
     floor = _rank_floor(fro_norm(a) * fro_norm(a_pinv), a_mat.shape, tol)
     ap_u, v_ap = _mat_cols(ap, u), _rows_mat(v, ap)
     x1, y1, ap_u, norm_x1, norm_y1 = _split(u, _mat_cols(a_mat, ap_u), ap_u, floor * norm_u, norm_u)
-    x2h, y2h, v_ap, _, _ = _split(v, _rows_mat(v_ap, a_mat), v_ap, floor * norm_v, norm_v)
+    x2h, y2h, v_ap, _, norm_y2h = _split(v, _rows_mat(v_ap, a_mat), v_ap, floor * norm_v, norm_v)
     y2 = _adjoint(y2h)
-    gram1_pinv, gram2_pinv, b_pinv = _pinv_stack(
-        np.stack((_gram(_adjoint(y1), y1, "y1"), _gram(y2h, y2, "y2"), upd.b.matrix)), tol=tol
-    )
-    e1, e2 = np.matmul(y1, gram1_pinv), np.matmul(y2, gram2_pinv)
-    left, right = upd.u.shape, upd.v.shape.transposed
-    parts = SplitParts(
-        x1=_returned("decompose_update", left, x1, norm_x1),
-        y1=_returned("decompose_update", left, y1, norm_y1),
-        x2=_returned("decompose_update", right, _adjoint(x2h)),
-        y2=_returned("decompose_update", right, y2),
-        e1=_returned("decompose_update", left, e1),
-        e2=_returned("decompose_update", right, e2),
-    )
-    return parts, ap_u, v_ap, x2h, y2h, b_pinv
+    if norm_y1 == norm_y2h == 0.0:
+        e1, e2, b_pinv = np.zeros_like(y1), np.zeros_like(y2), np.zeros_like(b)
+    else:
+        stack = np.empty((3, *b.shape), dtype=np.complex128)
+        np.matmul(_adjoint(y1), y1, out=stack[0])
+        np.matmul(y2h, y2, out=stack[1])
+        stack[2] = b
+        if not np.isfinite(stack).all():
+            name = "y1" if not np.isfinite(stack[0]).all() else "y2"
+            raise NumericalError(
+                f"decompose_update overflowed: the Gram tensor {name}^H {name} is not finite"
+            )
+        gram1_pinv, gram2_pinv, b_pinv = _pinv_stack(stack, tol=tol)
+        e1, e2 = np.matmul(y1, gram1_pinv), np.matmul(y2, gram2_pinv)
+    x2 = _adjoint(x2h)
+    # y2 needs no check: it is zero, or its Gram, whose diagonal holds its
+    # squared column norms, is finite
+    norms = {
+        "x1": _part_norm(x1, norm_x1),
+        "y1": _part_norm(y1, norm_y1),
+        "x2": _part_norm(x2),
+        "e1": _part_norm(e1),
+        "e2": _part_norm(e2),
+    }
+    return _Split(x1, y1, x2, y2, e1, e2, norms), ap_u, v_ap, x2h, y2h, b_pinv
 
 
 @_quiet_overflow
@@ -414,42 +470,41 @@ def check_conditions(
     """
     _check_split(parts, b, b_pinv)
     x2h, y2h, e1h = (_adjoint(part.matrix) for part in (parts.x2, parts.y2, parts.e1))
-    return _condition_report(parts, x2h, y2h, e1h, b.matrix, b_pinv.matrix, tol)
+    residuals = _residuals(_Split.of(parts), x2h, y2h, e1h, b.matrix, b_pinv.matrix)
+    return ConditionReport(residuals=residuals, tol=tol)
 
 
-def _condition_report(
-    parts: SplitParts,
+def _residuals(
+    split: _Split,
     x2h: np.ndarray,
     y2h: np.ndarray,
     e1h: np.ndarray,
     b: np.ndarray,
     b_pinv: np.ndarray,
-    tol: float,
-) -> ConditionReport:
-    """:func:`check_conditions` on a split known to conform, given the K x N
-    ``x2^H``, ``y2^H`` and ``e1^H`` and the middle factors as matrices; the
-    parts' kept norms are the references the residuals need."""
-    x1, y1, e2 = parts.x1.matrix, parts.y1.matrix, parts.e2.matrix
-    norm_y1, norm_e1, norm_e2 = fro_norm(parts.y1), fro_norm(parts.e1), fro_norm(parts.e2)
+) -> dict[str, float]:
+    """:func:`check_conditions`' residuals of a split known to conform, given
+    the K x N ``x2^H``, ``y2^H`` and ``e1^H`` and the middle factors as
+    matrices; the split's norms are the references the residuals need."""
+    x1, y1, e2, norms = split.x1, split.y1, split.e2, split.norms
     e1h_y1 = np.matmul(e1h, y1)
     e1h_y1_b = np.matmul(e1h_y1, b)
     by2h_e2 = np.matmul(np.matmul(b, y2h), e2)
     x1_b = np.matmul(x1, b)
     b_x2h = np.matmul(b, x2h)
     residuals = {
-        "3.1": _relative(np.matmul(np.matmul(e2, b_pinv), e1h_y1_b) - e2, norm_e2),
+        "3.1": _relative(np.matmul(np.matmul(e2, b_pinv), e1h_y1_b) - e2, norms["e2"]),
         "3.2": _relative(np.matmul(x1, e1h_y1_b) - x1_b, _frobenius(x1_b)),
-        "3.3": _relative(np.matmul(y1, e1h_y1) - y1, norm_y1),
-        "4.1": _relative(np.matmul(by2h_e2, np.matmul(b_pinv, e1h)) - e1h, norm_e1),
+        "3.3": _relative(np.matmul(y1, e1h_y1) - y1, norms["y1"]),
+        "4.1": _relative(np.matmul(by2h_e2, np.matmul(b_pinv, e1h)) - e1h, norms["e1"]),
         "4.2": _relative(np.matmul(by2h_e2, x2h) - b_x2h, _frobenius(b_x2h)),
-        "4.3": _relative(np.matmul(e2, np.matmul(y2h, e2)) - e2, norm_e2),
+        "4.3": _relative(np.matmul(e2, np.matmul(y2h, e2)) - e2, norms["e2"]),
     }
     for label, residual in residuals.items():
         if not math.isfinite(residual):
             raise NumericalError(
                 f"check_conditions overflowed: condition {label} residual is {residual}"
             )
-    return ConditionReport(residuals=residuals, tol=tol)
+    return residuals
 
 
 @_quiet_overflow
@@ -494,7 +549,7 @@ def _factors(
     matrices ``e2``, ``x2^H``, ``e1^H``, ``b+``, ``a+ x1`` and ``x2^H a+``."""
     middle = b_pinv + np.matmul(x2h, ap_x1)
     r_top = np.matmul(middle, e1h) - x2h_ap
-    return np.hstack((e2, ap_x1)), np.vstack((r_top, -e1h))
+    return np.concatenate((e2, ap_x1), axis=1), np.concatenate((r_top, -e1h))
 
 
 def smw_pinv_orthogonal(
@@ -544,11 +599,13 @@ def update_pinv(
     valid pseudoinverse comes back either way (``path`` of the result says
     which ran).  The identity result is :func:`smw_pinv`'s assembly with the
     split's ``a^+ u`` and ``v a^+`` standing in for ``a^+ x1`` and ``x2^H a^+``.
-    ``b^+`` is taken in the split's LAPACK call and kept as a matrix, and the
+    ``b^+`` is taken in the split's LAPACK call and kept as a matrix (not
+    taken at all when the split leaves no null-space part), and the
     conditions skip the shape checks of :func:`check_conditions`: the split
     was built here, to the update's shapes.
     """
-    parts, report, s_pinv, factors = _updated(a, a_pinv, upd, tol)
+    split, report, s_pinv, factors = _updated(a, a_pinv, upd, tol)
+    parts = split.wrapped(upd)
     if factors is not None:
         s_pinv = _corrected("smw_pinv", a_pinv, *factors)
     return UpdatedPinv(s_pinv=s_pinv, report=report, parts=parts)
@@ -556,22 +613,24 @@ def update_pinv(
 
 def _updated(
     a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate, tol: float
-) -> tuple[SplitParts, ConditionReport, EinsteinTensor | None, tuple[np.ndarray, np.ndarray] | None]:
+) -> tuple[_Split, ConditionReport, EinsteinTensor | None, tuple[np.ndarray, np.ndarray] | None]:
     """The one split -> check -> identity | fallback step of :func:`update_pinv`
-    and :func:`~einalg.sensitivity.measure_error`, with overflow checks but no
-    warning guard of its own: ``(parts, report, s_pinv, factors)``.
+    and :func:`~einalg.sensitivity.measure_error`, on matrices, with overflow
+    checks but no warning guard of its own: ``(split, report, s_pinv,
+    factors)``.
 
     On the identity path ``factors`` is the ``(l, r)`` of ``s^+ = a^+ + l r``
     (N x 2K and 2K x N) and ``s_pinv`` is None, so a caller that only applies
     ``s^+`` never forms it; on the fallback ``s_pinv`` is the direct
-    pseudoinverse and ``factors`` is None.
+    pseudoinverse and ``factors`` is None.  Only that pseudoinverse is a
+    tensor: the callers wrap what they return.
     """
-    parts, ap_x1, x2h_ap, x2h, y2h, b_pinv = _decompose(a, a_pinv, upd)
+    split, ap_x1, x2h_ap, x2h, y2h, b_pinv = _decompose(a, a_pinv, upd)
     if not np.isfinite(b_pinv).all():
         raise NumericalError("update_pinv overflowed: the pseudoinverse of b is not finite")
-    e1h = _adjoint(parts.e1.matrix)
-    report = _condition_report(parts, x2h, y2h, e1h, upd.b.matrix, b_pinv, tol)
+    e1h = _adjoint(split.e1)
+    report = ConditionReport(_residuals(split, x2h, y2h, e1h, upd.b.matrix, b_pinv), tol)
     if not report.applicable:
-        del ap_x1, x2h_ap, x2h, y2h, e1h  # not held through the direct pseudoinverse
-        return parts, report, pinv(apply_update(a, upd)), None
-    return parts, report, None, _factors(parts.e2.matrix, x2h, e1h, b_pinv, ap_x1, x2h_ap)
+        del ap_x1, x2h_ap, x2h, y2h, e1h, b_pinv  # not held through the direct pseudoinverse
+        return split, report, pinv(apply_update(a, upd)), None
+    return split, report, None, _factors(split.e2, x2h, e1h, b_pinv, ap_x1, x2h_ap)

@@ -20,6 +20,7 @@ from einalg import (
     PairedShape,
     fro_norm,
     load_tensor,
+    pinv,
     save_tensor,
     verify_penrose,
     zeros,
@@ -226,6 +227,22 @@ class TestSmwCommand:
         s = apply_update(lt(a_path), LowRankUpdate(u=u, b=b, v=v, order=1))
         want = inverse(s)
         assert fro_norm(lt(out) - want) <= 1e-8 * fro_norm(want)
+
+    def test_column_space_update_with_subnormal_middle_factor_exits_0(self, tmp_path):
+        # regression: b^+ of b = 5e-324 overflows, but with u and v^H inside
+        # a's column spaces it is not needed, and s^+ = a^+; this exited 3
+        b = tmp_path / "b.json"
+        save_tensor(b, EinsteinTensor(((1, 1), (1, 1)), [[5e-324]]))
+        out = tmp_path / "out.json"
+        code = run(
+            "smw", FIX / "a.json", FIX / "example2_x1.json", b,
+            FIX / "example2_x2h.json", "--mode", "pinv", "-o", out,
+        )
+        assert code == 0
+        report = json.loads((tmp_path / "out.json.report.json").read_text())
+        assert report["path"] == "identity"
+        want = pinv(load_tensor(FIX / "a.json"))
+        assert load_tensor(out).matrix.tobytes() == want.matrix.tobytes()
 
     def test_overflow_in_update_exits_3(self, tmp_path, overflow_update):
         # finite inputs; the update overflows inside the split, which is a

@@ -23,6 +23,7 @@ from einalg import (
     fro_norm,
     identity,
     inverse,
+    measure_error,
     pinv,
     scale,
     smw_invertible,
@@ -690,6 +691,23 @@ class TestIdentityPathCost:
             assert update_pinv(a, a_pinv, upd).path == "identity"
             size = int(np.prod(k))
             assert shapes == [(3, size, size)]
+        # u and v^H inside a's column spaces: the split leaves no null-space
+        # part, so there is no K x K stack; the fallback's direct pseudoinverse
+        # is update_pinv's only decomposition, and measure_error adds pinv(a)
+        d, delta = rand_tensor(rng, dims, (1,)), scale(rand_tensor(rng, dims, (1,)), 1e-2)
+        for k in ((1,), (2,), (2, 2)):
+            upd = LowRankUpdate(
+                u=einstein_product(a, rand_tensor(rng, dims, k)),
+                b=rand_tensor(rng, k, k),
+                v=einstein_product(rand_tensor(rng, k, dims), a),
+                order=len(k),
+            )
+            shapes.clear()
+            assert update_pinv(a, a_pinv, upd).path == "fallback"
+            assert shapes == [(n, n)]
+            shapes.clear()
+            measure_error(a, d, upd, delta)
+            assert shapes == [(n, n), (n, n)]
 
     def test_result_is_not_copied(self, rng):
         # the N x N result is the one array the call allocates at that size:
@@ -874,3 +892,15 @@ class TestMiddleFactorOverflow:
         upd = LowRankUpdate(ex2_update.u, scalar1111(5e-324), ex2_update.v, ex2_update.order)
         with pytest.raises(NumericalError, match="update_pinv overflowed: the pseudoinverse of b"):
             update_pinv(example_a, pinv(example_a), upd)
+
+    def test_column_space_update_does_not_take_it(self, example_a, ex2):
+        # regression: u = x1 and v^H = x2 lie inside a's column spaces, so the
+        # split leaves no null-space part and b^+ would meet only e1^H = e2 = 0;
+        # its overflow was raised all the same, although s^+ = a^+ to working
+        # precision
+        upd = LowRankUpdate(ex2["x1"], scalar1111(5e-324), ex2["x2h"], 2)
+        a_pinv = pinv(example_a)
+        result = update_pinv(example_a, a_pinv, upd)
+        assert not (result.parts.y1.matrix.any() or result.parts.y2.matrix.any())
+        assert result.path == "identity"
+        assert result.s_pinv.matrix.tobytes() == a_pinv.matrix.tobytes()
