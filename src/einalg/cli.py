@@ -13,7 +13,8 @@ Exit codes are exhaustive and disjoint:
     2  input error (parse, shape, domain)
     3  numerical error (non-convergence, singular operand or capacitance)
     4  the mode's identity did not apply; the report's ``path`` says whether
-       the six-condition identity or the direct fallback wrote the result
+       the six-condition identity, the capacitance step or the direct
+       fallback wrote the result
     5  system inconsistent; least-squares candidate was written
 
 No command mutates its input files.
@@ -77,44 +78,40 @@ def cmd_pinv(args) -> int:
 
 
 def cmd_smw(args) -> int:
-    if args.mode == "invertible":
-        for flag, value in (("--report", args.report), ("--tol", args.tol)):
-            if value is not None:
-                raise DomainError(f"{flag} applies to the pseudoinverse modes, not --mode invertible")
     a = _load(args.base)
     u = _load(args.u)
     b = _load(args.b)
     v = _load(args.v)
     upd = LowRankUpdate(u=u, b=b, v=v, order=len(u.col_dims))
+    tol = args.tol
 
     if args.mode == "invertible":
-        result = woodbury.smw_invertible(inverse(a), upd, inverse(b))
-        tensorio.save_tensor(args.output, result)
-        return EXIT_OK
-
-    tol = woodbury.CONDITION_TOL if args.tol is None else args.tol
-    if args.mode == "hermitian":
-        u_vs_vh = _relative((u - v.H).matrix, fro_norm(u))
-        if not is_hermitian(a, tol=tol) or u_vs_vh > tol:
-            raise ShapeError(
-                "hermitian mode needs a Hermitian base tensor and u == v^H"
-            )
-    updated = woodbury.update_pinv(a, pinv(a), upd, tol=tol)
-    report = updated.report
-    applicable = report.applicable
-    if args.mode == "orthogonal":
-        # The orthogonal identity also needs x1 = x2 = 0; the split has
-        # already made every part within its rounding bound an exact zero.
-        parts = updated.parts
-        applicable = applicable and not (parts.x1.matrix.any() or parts.x2.matrix.any())
-    tensorio.save_tensor(args.output, updated.s_pinv)
+        result, residual = woodbury._smw_invertible(inverse(a), upd, inverse(b))
+        report = woodbury.ConditionReport({"C": residual}, tol)
+        path, applicable = "capacitance", report.applicable
+    else:
+        if args.mode == "hermitian":
+            u_vs_vh = _relative((u - v.H).matrix, fro_norm(u))
+            if not is_hermitian(a, tol=tol) or u_vs_vh > tol:
+                raise ShapeError(
+                    "hermitian mode needs a Hermitian base tensor and u == v^H"
+                )
+        updated = woodbury.update_pinv(a, pinv(a), upd, tol=tol)
+        result, report, path = updated.s_pinv, updated.report, updated.path
+        applicable = report.applicable
+        if args.mode == "orthogonal":
+            # The orthogonal identity also needs x1 = x2 = 0; the split has
+            # already made every part within its rounding bound an exact zero.
+            parts = updated.parts
+            applicable = applicable and not (parts.x1.matrix.any() or parts.x2.matrix.any())
+    tensorio.save_tensor(args.output, result)
     report_path = args.report or (args.output + ".report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(
             {
                 "residuals": {k: report.residuals[k] for k in sorted(report.residuals)},
                 "applicable": applicable,
-                "path": updated.path,
+                "path": path,
                 "tol": report.tol,
             },
             fh,
@@ -209,15 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="pinv",
         help="which identity to apply",
     )
-    p.add_argument("--tol", type=float, default=None,
-                   help="applicability tolerance (default: %g; pseudoinverse modes only)"
-                   % woodbury.CONDITION_TOL)
+    p.add_argument("--tol", type=float, default=woodbury.CONDITION_TOL,
+                   help="applicability tolerance")
     p.add_argument("--output", "-o", required=True, help="output tensor path")
     p.add_argument(
         "--report",
         default=None,
-        help="condition-report path (default: OUTPUT.report.json; "
-        "pseudoinverse modes only)",
+        help="condition-report path (default: OUTPUT.report.json)",
     )
 
     p = sub.add_parser("solve", help="solve a multilinear system a * x = d")

@@ -109,15 +109,23 @@ def inv_matrix(mat) -> np.ndarray:
     m, n = mat.shape
     if m != n:
         raise ShapeError(f"inverse needs a square matrix, got {m} x {n}")
+    return _inverse(mat)[0]
+
+
+def _inverse(mat: np.ndarray, scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`inv_matrix` of a finite square matrix, with no check of the
+    entries, and the matrix's singular values, largest first.  ``scale``, at
+    least ``sigma_max``, replaces it in the rank rule: for a matrix summed from
+    terms of that size, whose rounding it has to stand above."""
     u, s, vh = _lapack_svd(mat)
-    rank = int(np.count_nonzero(_kept(s, mat.shape, 1.0)))
-    if rank < n:
+    rank = int(np.count_nonzero(s > _rank_floor(s[0] if scale is None else scale, mat.shape, 1.0)))
+    if rank < len(s):
         raise SingularMatrixError(
-            f"matrix is singular: numerical rank {rank} of {n}",
+            f"matrix is singular: numerical rank {rank} of {len(s)}",
             rank=rank,
             sigma_min=float(s[rank - 1]) if rank else 0.0,
         )
-    return _inverted(u, s, vh)
+    return _inverted(u, s, vh), s
 
 
 def numerical_rank(mat, tol: float = 1.0) -> int:

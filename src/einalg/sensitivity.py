@@ -134,11 +134,12 @@ def measure_error(
     """Solve the base and the perturbed system and compare error to bound.
 
     The perturbed system goes through the low-rank update machinery (the
-    split -> check -> identity | fallback step of
+    split -> check -> identity | capacitance | fallback step of
     :func:`~einalg.woodbury.update_pinv`), so identity-conforming
-    perturbations take the fast path, and there the updated pseudoinverse
-    ``s^+ = a^+ + l r`` is never formed: ``y - x = a^+ delta_d + l (r (d +
-    delta_d))`` costs O(N^2) for ``a^+ delta_d`` plus O(NK).  The eps levels
+    perturbations, and those inside ``a``'s column spaces, take a fast path,
+    and there the updated pseudoinverse ``s^+ = a^+ + l r`` is never formed:
+    ``y - x = a^+ delta_d + l (r (d + delta_d))`` costs O(N^2) for
+    ``a^+ delta_d`` plus O(NK).  The eps levels
     are inferred from the actual tensors (``eps_a`` as the largest of the
     split's ``|x1|``, ``|x2|``, ``|e1|``, ``|e2|`` over ``|a|``, ``eps_d =
     |delta_d| / |d|``) so that the reported bound is valid for the

@@ -3,13 +3,22 @@
 Two identities are implemented for a base tensor perturbed by a correction
 ``u * b * v`` contracted over K shared modes:
 
-* the invertible case, which inverts only the small capacitance tensor
-  ``b^-1 + v * a^-1 * u``;
+* the capacitance form, which inverts only the K x K capacitance
+  ``C = c0 + w (v a^+ u)`` for ``b = c0^-1 w``: ``b^-1 + v a^-1 u`` in the
+  invertible case, and ``I + b (v a^+ u)`` for a pseudoinverse when ``u`` and
+  ``v^H`` lie in the base's column spaces (every invertible base), where
+  ``(a + u b v)^+ = a^+ - (a^+ u) C^-1 b (v a^+)`` whenever ``C`` is
+  invertible (Meyer 1973; Deng 2011);
 * the pseudoinverse case, which first splits the update factors against the
   column spaces of the base tensor (``u = x1 + y1`` with ``x1`` in the column
   space and ``y1`` orthogonal to it, and the mirrored split of ``v^H``),
   forms ``e_i = y_i * (y_i^H * y_i)^+``, checks six applicability conditions,
   and then assembles the updated pseudoinverse from those parts.
+
+:func:`update_pinv` takes the first when the split leaves no null-space part
+and the second otherwise, and falls back to a direct pseudoinverse when the
+check of either fails; its ``path`` is ``"capacitance"``, ``"identity"`` or
+``"fallback"``.
 
 The splits apply the orthogonal projectors ``a * a^+`` and ``a^+ * a``
 without forming them (``x1 = a * (a^+ * u)``, ``x2^H = (v * a^+) * a``; within
@@ -41,12 +50,13 @@ flattened ``.matrix`` arrays, and builds an
 returned tensor is checked to be finite and an identity-path
 :func:`update_pinv` call builds 7 tensors (the six split parts and ``s^+``),
 each around the array just computed; ``b^+`` stays a matrix.
-The split -> check -> identity -> fallback path is one private step on
-matrices with two callers: :func:`update_pinv`, which the ``einalg smw``
-pseudoinverse modes run too, wraps the six split parts and adds the rank-2K
-correction ``l r`` to ``a^+``, and :func:`~einalg.sensitivity.measure_error`
-applies ``l`` and ``r`` to a right side in O(NK), without forming ``s^+``,
-and reads only the norms the step kept, so it builds no tensor of its own.
+The split -> check -> identity | capacitance | fallback path is one private
+step on matrices with two callers: :func:`update_pinv`, which the ``einalg
+smw`` pseudoinverse modes run too, wraps the six split parts and adds the
+correction ``l r`` (rank 2K, or rank K on the capacitance path) to ``a^+``,
+and :func:`~einalg.sensitivity.measure_error` applies ``l`` and ``r`` to a
+right side in O(NK), without forming ``s^+``, and reads only the norms the
+step kept, so it builds no tensor of its own.
 Products are written as ``np.matmul`` calls so that each one can be
 recorded.
 Because the inputs are finite tensors, a non-finite intermediate is an
@@ -70,7 +80,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .inverses import pinv
-from .matkernel import _pinv_stack, _rank_floor, inv_matrix
+from .matkernel import _inverse, _pinv_stack, _rank_floor
 from .shapes import PairedShape
 from .tensor import (
     EinsteinTensor,
@@ -164,11 +174,16 @@ class SplitParts:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Relative residuals of the six applicability conditions.
+    """Relative residuals of the applicability conditions.
 
     Labels 3.1-3.3 form the left family (updated pseudoinverse times update),
-    4.1-4.3 the right family.  ``applicable`` is true iff every residual is
-    <= ``tol``.
+    4.1-4.3 the right family.  A split with no null-space part has the one
+    label ``C`` instead, the verdict of the capacitance step: the larger of
+    the split's rounding bound relative to ``|u|``, ``max(m, n) 2**-52 |a|_F
+    |a^+|_F``, and the rank floor of the capacitance ``C`` over its smallest
+    singular value (about ``K 2**-52 cond(C)``; ``inf`` when the rank rule
+    drops ``C``'s rank).  ``applicable`` is true iff every residual is <=
+    ``tol``.
     """
 
     residuals: dict[str, float]
@@ -190,8 +205,12 @@ class UpdatedPinv:
 
     @property
     def path(self) -> str:
-        """``"identity"`` when the conditions held and the identity ran, else ``"fallback"``."""
-        return "identity" if self.report.applicable else "fallback"
+        """``"identity"`` when the six conditions held and the identity ran,
+        ``"capacitance"`` when ``u`` and ``v^H`` lie in the base's column
+        spaces and the capacitance step ran, else ``"fallback"``."""
+        if not self.report.applicable:
+            return "fallback"
+        return "capacitance" if "C" in self.report.residuals else "identity"
 
 
 #: Widest thin operand that :func:`_mat_cols` and :func:`_rows_mat` take as
@@ -242,17 +261,27 @@ def apply_update(a: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
     return _corrected("apply_update", a, np.matmul(upd.u.matrix, upd.b.matrix), upd.v.matrix)
 
 
-@_quiet_overflow
 def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTensor) -> EinsteinTensor:
     """Inverse of the corrected tensor from the inverses of its pieces.
 
     ``a_inv`` and ``b_inv`` must be the inverses of the base tensor and of the
     middle factor (the caller owns that precondition; only shapes are checked
-    here).  Inverts the capacitance ``b^-1 + v * a^-1 * u`` and assembles
-    ``a^-1 - a^-1 u (b^-1 + v a^-1 u)^-1 v a^-1``.  Raises
-    :class:`~einalg.errors.NumericalError` if the capacitance or the result
-    overflows.
+    here).  This is the capacitance step of :func:`update_pinv`, given
+    ``b^-1``: it inverts the K x K capacitance ``C = b^-1 + v a^-1 u`` under
+    the kernel's rank rule and adds ``(a^-1 u)(-C^-1 v a^-1)`` to ``a^-1``.
+    Raises :class:`~einalg.errors.SingularCapacitanceError` if the rule drops
+    ``C``'s rank, and :class:`~einalg.errors.NumericalError` if ``C``, the
+    factor or the result overflows.
     """
+    return _smw_invertible(a_inv, upd, b_inv)[0]
+
+
+@_quiet_overflow
+def _smw_invertible(
+    a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTensor
+) -> tuple[EinsteinTensor, float]:
+    """:func:`smw_invertible` and its capacitance residual (see
+    :func:`_capacitance`), for the CLI's report."""
     if not a_inv.shape.is_square:
         raise ShapeError(f"base inverse must be square, got {a_inv.shape}")
     upd._conform(a_inv.shape)
@@ -260,22 +289,54 @@ def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTen
         raise ShapeError(
             f"middle-factor inverse shape {b_inv.shape} != {upd.b.shape}"
         )
-    a_inv_mat, u, v = a_inv.matrix, upd.u.matrix, upd.v.matrix
-    a_inv_u = _mat_cols(a_inv_mat, u)
-    v_a_inv = _rows_mat(v, a_inv_mat)
-    capacitance = b_inv.matrix + np.matmul(v_a_inv, u)
-    if not np.isfinite(capacitance).all():
-        raise NumericalError("smw_invertible overflowed: the capacitance tensor is not finite")
+    a_inv_mat, u = a_inv.matrix, upd.u.matrix
+    right, residual = _capacitance(
+        "smw_invertible", _rows_mat(upd.v.matrix, a_inv_mat), u, b_inv.matrix
+    )
+    return _corrected("smw_invertible", a_inv, _mat_cols(a_inv_mat, u), right), residual
+
+
+def _capacitance(
+    stage: str, v_ap: np.ndarray, u: np.ndarray, c0: np.ndarray, w: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """The capacitance step: ``(r, residual)`` with ``r = -(C^-1 w)(v a^+)``
+    (K x N) and ``C = c0 + w (v a^+ u)`` (``w = I`` when None), so that the
+    updated inverse is ``a^+ + (a^+ u) r``.
+
+    That is the corrected tensor ``a + u (c0^-1 w) v``: :func:`smw_invertible`
+    passes ``c0 = b^-1``, and :func:`update_pinv` passes ``c0 = I``, ``w = b``,
+    the form that holds for a pseudoinverse when ``u`` and ``v^H`` lie in
+    ``a``'s column spaces and ``C`` is invertible (Meyer 1973; Deng 2011), and
+    needs no ``b^-1``.  ``C`` is inverted under the kernel's rank rule taken
+    relative to ``|c0|_F + |w (v a^+ u)|_F``, not to ``C``'s own largest
+    singular value, so that a ``C`` in which the two terms cancel to rounding
+    is singular; ``residual`` is that rule's floor over ``C``'s smallest
+    singular value, about ``K 2**-52 cond(C)`` when nothing cancels, and the
+    rule drops the rank when it reaches 1.  Raises
+    :class:`~einalg.errors.SingularCapacitanceError` if the rule drops the
+    rank, and :class:`~einalg.errors.NumericalError` naming ``stage`` if ``C``
+    or ``r`` overflows."""
+    cap = np.matmul(v_ap, u)
+    if w is not None:
+        cap = np.matmul(w, cap)
+    scale = _frobenius(c0) + _frobenius(cap)
+    cap += c0
+    if not (math.isfinite(scale) and np.isfinite(cap).all()):
+        raise NumericalError(f"{stage} overflowed: the capacitance tensor is not finite")
     try:
-        cap_inv = inv_matrix(capacitance)
+        cap_inv, sigma = _inverse(cap, scale)
     except SingularMatrixError as err:
         raise SingularCapacitanceError(
-            f"capacitance tensor is singular: numerical rank {err.rank} "
-            f"of {capacitance.shape[0]}",
+            f"capacitance tensor is singular: numerical rank {err.rank} of {len(cap)}",
             rank=err.rank,
             sigma_min=err.sigma_min,
         ) from err
-    return _corrected("smw_invertible", a_inv, np.matmul(a_inv_u, cap_inv), -v_a_inv)
+    if w is not None:
+        cap_inv = np.matmul(cap_inv, w)
+    right = np.matmul(-cap_inv, v_ap)
+    if not np.isfinite(right).all():
+        raise NumericalError(f"{stage} overflowed: the capacitance factor is not finite")
+    return right, float(_rank_floor(scale, cap.shape, 1.0) / sigma[-1])
 
 
 def _corrected(
@@ -332,35 +393,43 @@ def _split(
     return x, y, pre, norm_x, norm_y
 
 
+#: The parts of a split, in :class:`SplitParts`' order.
+_PART_NAMES = ("x1", "y1", "x2", "y2", "e1", "e2")
+
+
 class _Split(NamedTuple):
-    """A split as matrices, in :class:`SplitParts`' layout (``x2``, ``y2`` and
-    ``e2`` are N x K), with the norms of ``x1``, ``y1``, ``x2``, ``e1`` and
-    ``e2`` by part name; ``|y2|`` is needed neither by the conditions nor by
-    the bound, and is left to the wrap."""
+    """A split as matrices: ``x1``, ``y1``, ``e1`` and ``e2`` in
+    :class:`SplitParts`' layout, the right parts as the split makes them, the
+    K x N ``x2^H`` and ``y2^H``, and the norms of all six parts by name
+    (``|x2|`` is ``|x2^H|``)."""
 
     x1: np.ndarray
     y1: np.ndarray
-    x2: np.ndarray
-    y2: np.ndarray
+    x2h: np.ndarray
+    y2h: np.ndarray
     e1: np.ndarray
     e2: np.ndarray
     norms: dict[str, float]
 
     @classmethod
     def of(cls, parts: SplitParts) -> "_Split":
-        tensors = [getattr(parts, name) for name in cls._fields[:6]]
         return cls(
-            *(t.matrix for t in tensors),
-            norms={name: fro_norm(t) for name, t in zip(cls._fields, tensors)},
+            parts.x1.matrix, parts.y1.matrix, _adjoint(parts.x2.matrix),
+            _adjoint(parts.y2.matrix), parts.e1.matrix, parts.e2.matrix,
+            norms={name: fro_norm(getattr(parts, name)) for name in _PART_NAMES},
         )
 
     def wrapped(self, upd: LowRankUpdate) -> SplitParts:
-        """The six parts as tensors, each around its matrix, with its norm."""
+        """The six parts as tensors, each around its matrix (the adjoint of
+        ``x2^H`` and ``y2^H``), with its kept norm: for ``x2`` and ``y2`` that
+        is the norm of the adjoint, which may differ from a fresh one in the
+        last bit."""
         left, right = upd.u.shape, upd.v.shape.transposed
         shapes = (left, left, right, right, left, right)
+        mats = (self.x1, self.y1, _adjoint(self.x2h), _adjoint(self.y2h), self.e1, self.e2)
         return SplitParts(*(
-            _returned("decompose_update", shape, mat, self.norms.get(name))
-            for name, mat, shape in zip(self._fields, self[:6], shapes)
+            _returned("decompose_update", shape, mat, self.norms[name])
+            for name, mat, shape in zip(_PART_NAMES, mats, shapes)
         ))
 
 
@@ -401,18 +470,19 @@ def decompose_update(
 
 def _decompose(
     a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate, tol: float = 1.0
-) -> tuple[_Split, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`decompose_update` on matrices, plus what the identity reuses:
-    ``a^+ u`` and ``v a^+`` zeroed with ``x1`` and ``x2`` (they are ``a^+ x1``
-    and ``x2^H a^+``, as ``a^+ a a^+ = a^+``), the K x N ``x2^H`` and ``y2^H``
-    the right split is made of, and the matrix ``b^+``, taken in the LAPACK
-    call that pseudo-inverts the two Grams.
+) -> tuple[_Split, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`decompose_update` on matrices, plus what the identity and the
+    capacitance step reuse: ``a^+ u`` and ``v a^+`` zeroed with ``x1`` and
+    ``x2`` (they are ``a^+ x1`` and ``x2^H a^+``, as ``a^+ a a^+ = a^+``), and
+    the matrix ``b^+``, taken in the LAPACK call that pseudo-inverts the two
+    Grams.
 
     When the split leaves both ``y1`` and ``y2`` exact zeros, ``e1 = e2 = 0``
     and that call is skipped: the three K x K pseudoinverses are zeros.  The
     conditions and the identity meet ``b^+`` and the Gram pseudoinverses only
     in products with ``e1^H`` or ``e2``, so every residual and ``s^+`` come
-    out as they would from the computed ones."""
+    out as they would from the computed ones, and the capacitance step, which
+    is what such a split takes, needs none of them."""
     if a_pinv.row_dims != a.col_dims or a_pinv.col_dims != a.row_dims:
         raise ShapeError(
             f"pseudoinverse shape {a_pinv.shape} is not the transpose of {a.shape}"
@@ -423,11 +493,11 @@ def _decompose(
     floor = _rank_floor(fro_norm(a) * fro_norm(a_pinv), a_mat.shape, tol)
     ap_u, v_ap = _mat_cols(ap, u), _rows_mat(v, ap)
     x1, y1, ap_u, norm_x1, norm_y1 = _split(u, _mat_cols(a_mat, ap_u), ap_u, floor * norm_u, norm_u)
-    x2h, y2h, v_ap, _, norm_y2h = _split(v, _rows_mat(v_ap, a_mat), v_ap, floor * norm_v, norm_v)
-    y2 = _adjoint(y2h)
+    x2h, y2h, v_ap, norm_x2h, norm_y2h = _split(v, _rows_mat(v_ap, a_mat), v_ap, floor * norm_v, norm_v)
     if norm_y1 == norm_y2h == 0.0:
-        e1, e2, b_pinv = np.zeros_like(y1), np.zeros_like(y2), np.zeros_like(b)
+        e1, e2, b_pinv = np.zeros_like(y1), np.zeros(y2h.shape[::-1], y2h.dtype), np.zeros_like(b)
     else:
+        y2 = _adjoint(y2h)
         stack = np.empty((3, *b.shape), dtype=np.complex128)
         np.matmul(_adjoint(y1), y1, out=stack[0])
         np.matmul(y2h, y2, out=stack[1])
@@ -439,17 +509,17 @@ def _decompose(
             )
         gram1_pinv, gram2_pinv, b_pinv = _pinv_stack(stack, tol=tol)
         e1, e2 = np.matmul(y1, gram1_pinv), np.matmul(y2, gram2_pinv)
-    x2 = _adjoint(x2h)
     # y2 needs no check: it is zero, or its Gram, whose diagonal holds its
     # squared column norms, is finite
     norms = {
         "x1": _part_norm(x1, norm_x1),
         "y1": _part_norm(y1, norm_y1),
-        "x2": _part_norm(x2),
+        "x2": _part_norm(x2h, norm_x2h),
+        "y2": norm_y2h,
         "e1": _part_norm(e1),
         "e2": _part_norm(e2),
     }
-    return _Split(x1, y1, x2, y2, e1, e2, norms), ap_u, v_ap, x2h, y2h, b_pinv
+    return _Split(x1, y1, x2h, y2h, e1, e2, norms), ap_u, v_ap, b_pinv
 
 
 @_quiet_overflow
@@ -469,23 +539,18 @@ def check_conditions(
     finite, which from finite parts means the condition products overflowed.
     """
     _check_split(parts, b, b_pinv)
-    x2h, y2h, e1h = (_adjoint(part.matrix) for part in (parts.x2, parts.y2, parts.e1))
-    residuals = _residuals(_Split.of(parts), x2h, y2h, e1h, b.matrix, b_pinv.matrix)
+    split = _Split.of(parts)
+    residuals = _residuals(split, _adjoint(split.e1), b.matrix, b_pinv.matrix)
     return ConditionReport(residuals=residuals, tol=tol)
 
 
 def _residuals(
-    split: _Split,
-    x2h: np.ndarray,
-    y2h: np.ndarray,
-    e1h: np.ndarray,
-    b: np.ndarray,
-    b_pinv: np.ndarray,
+    split: _Split, e1h: np.ndarray, b: np.ndarray, b_pinv: np.ndarray
 ) -> dict[str, float]:
     """:func:`check_conditions`' residuals of a split known to conform, given
-    the K x N ``x2^H``, ``y2^H`` and ``e1^H`` and the middle factors as
-    matrices; the split's norms are the references the residuals need."""
-    x1, y1, e2, norms = split.x1, split.y1, split.e2, split.norms
+    the K x N ``e1^H`` and the middle factors as matrices; the split's norms
+    are the references the residuals need."""
+    x1, y1, x2h, y2h, e2, norms = split.x1, split.y1, split.x2h, split.y2h, split.e2, split.norms
     e1h_y1 = np.matmul(e1h, y1)
     e1h_y1_b = np.matmul(e1h_y1, b)
     by2h_e2 = np.matmul(np.matmul(b, y2h), e2)
@@ -594,43 +659,75 @@ def update_pinv(
 ) -> UpdatedPinv:
     """Split, check, and update; fall back to a direct pseudoinverse if needed.
 
-    When the condition report is applicable the identity-based result is
+    When the condition report is applicable the result of an identity is
     returned; otherwise the corrected tensor is pseudo-inverted directly, so a
     valid pseudoinverse comes back either way (``path`` of the result says
-    which ran).  The identity result is :func:`smw_pinv`'s assembly with the
-    split's ``a^+ u`` and ``v a^+`` standing in for ``a^+ x1`` and ``x2^H a^+``.
-    ``b^+`` is taken in the split's LAPACK call and kept as a matrix (not
-    taken at all when the split leaves no null-space part), and the
+    which ran).  A split with a null-space part checks the six conditions,
+    and the identity result is :func:`smw_pinv`'s assembly with the split's
+    ``a^+ u`` and ``v a^+`` standing in for ``a^+ x1`` and ``x2^H a^+``.
+    ``b^+`` is taken in the split's LAPACK call and kept as a matrix, and the
     conditions skip the shape checks of :func:`check_conditions`: the split
-    was built here, to the update's shapes.
+    was built here, to the update's shapes.  A split with none (every
+    invertible base, and ``u`` and ``v^H`` inside the column spaces) runs no
+    condition but takes the capacitance step of :func:`smw_invertible` with
+    ``c0 = I`` and ``w = b``: ``s^+ = a^+ - (a^+ u) C^-1 b (v a^+)``,
+    ``C = I + b (v a^+ u)``.  Its report is the one residual ``C``
+    (:class:`ConditionReport`), which also holds the split's rounding bound
+    relative to ``|u|``, ``max(m, n) 2**-52 |a|_F |a^+|_F``: on an
+    ill-conditioned base, or one with a kept singular value at the cutoff,
+    the formula cancels against ``a^+``'s largest entries, and the update
+    falls back.  Raises :class:`~einalg.errors.NumericalError` if a split
+    part, a K x K intermediate, a factor or the result overflows.
     """
     split, report, s_pinv, factors = _updated(a, a_pinv, upd, tol)
-    parts = split.wrapped(upd)
     if factors is not None:
-        s_pinv = _corrected("smw_pinv", a_pinv, *factors)
-    return UpdatedPinv(s_pinv=s_pinv, report=report, parts=parts)
+        s_pinv = _corrected("update_pinv", a_pinv, *factors)
+        del factors  # not held while the wrap takes the adjoints of x2^H and y2^H
+    return UpdatedPinv(s_pinv=s_pinv, report=report, parts=split.wrapped(upd))
 
 
 def _updated(
     a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate, tol: float
 ) -> tuple[_Split, ConditionReport, EinsteinTensor | None, tuple[np.ndarray, np.ndarray] | None]:
-    """The one split -> check -> identity | fallback step of :func:`update_pinv`
-    and :func:`~einalg.sensitivity.measure_error`, on matrices, with overflow
-    checks but no warning guard of its own: ``(split, report, s_pinv,
-    factors)``.
+    """The one split -> check -> identity | capacitance | fallback step of
+    :func:`update_pinv` and :func:`~einalg.sensitivity.measure_error`, on
+    matrices, with overflow checks but no warning guard of its own:
+    ``(split, report, s_pinv, factors)``.
 
     On the identity path ``factors`` is the ``(l, r)`` of ``s^+ = a^+ + l r``
-    (N x 2K and 2K x N) and ``s_pinv`` is None, so a caller that only applies
-    ``s^+`` never forms it; on the fallback ``s_pinv`` is the direct
-    pseudoinverse and ``factors`` is None.  Only that pseudoinverse is a
-    tensor: the callers wrap what they return.
+    (N x 2K and 2K x N), on the capacitance path ``(a^+ u, r)`` (N x K and
+    K x N), and ``s_pinv`` is None, so a caller that only applies ``s^+``
+    never forms it; on the fallback ``s_pinv`` is the direct pseudoinverse
+    and ``factors`` is None.  Only that pseudoinverse is a tensor: the
+    callers wrap what they return.
     """
-    split, ap_x1, x2h_ap, x2h, y2h, b_pinv = _decompose(a, a_pinv, upd)
-    if not np.isfinite(b_pinv).all():
-        raise NumericalError("update_pinv overflowed: the pseudoinverse of b is not finite")
-    e1h = _adjoint(split.e1)
-    report = ConditionReport(_residuals(split, x2h, y2h, e1h, upd.b.matrix, b_pinv), tol)
-    if not report.applicable:
-        del ap_x1, x2h_ap, x2h, y2h, e1h, b_pinv  # not held through the direct pseudoinverse
+    split, ap_x1, x2h_ap, b_pinv = _decompose(a, a_pinv, upd)
+    b = upd.b.matrix
+    factors = None
+    if split.norms["y1"] == split.norms["y2"] == 0.0:
+        # the split's rounding bound relative to |u| and |v^H|; C is not
+        # formed when that alone is above the tolerance
+        residual = _rank_floor(fro_norm(a) * fro_norm(a_pinv), a.matrix.shape, 1.0)
+        if residual <= tol:
+            try:
+                right, cap_residual = _capacitance(
+                    "update_pinv", x2h_ap, upd.u.matrix, np.eye(len(b)), b
+                )
+            except SingularCapacitanceError:
+                right, cap_residual = None, math.inf
+            residual = max(residual, cap_residual)
+        report = ConditionReport({"C": residual}, tol)
+        if report.applicable:
+            factors = ap_x1, right
+    else:
+        if not np.isfinite(b_pinv).all():
+            raise NumericalError("update_pinv overflowed: the pseudoinverse of b is not finite")
+        e1h = _adjoint(split.e1)
+        report = ConditionReport(_residuals(split, e1h, b, b_pinv), tol)
+        if report.applicable:
+            factors = _factors(split.e2, split.x2h, e1h, b_pinv, ap_x1, x2h_ap)
+        del e1h
+    if factors is None:
+        del ap_x1, x2h_ap, b_pinv  # not held through the direct pseudoinverse
         return split, report, pinv(apply_update(a, upd)), None
-    return split, report, None, _factors(split.e2, x2h, e1h, b_pinv, ap_x1, x2h_ap)
+    return split, report, None, factors

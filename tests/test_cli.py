@@ -20,7 +20,6 @@ from einalg import (
     PairedShape,
     fro_norm,
     load_tensor,
-    pinv,
     save_tensor,
     verify_penrose,
     zeros,
@@ -28,7 +27,7 @@ from einalg import (
 from einalg import cli, woodbury
 from einalg.cli import main
 
-from conftest import FIXTURES_DIR, ILL_CONDITIONED_BASES, rand_tensor
+from conftest import COND1E6_REL, FIXTURES_DIR, ILL_CONDITIONED_BASES, cond1e6_base, rand_tensor
 
 FIX = FIXTURES_DIR
 
@@ -230,19 +229,53 @@ class TestSmwCommand:
 
     def test_column_space_update_with_subnormal_middle_factor_exits_0(self, tmp_path):
         # regression: b^+ of b = 5e-324 overflows, but with u and v^H inside
-        # a's column spaces it is not needed, and s^+ = a^+; this exited 3
+        # a's column spaces the capacitance step runs, which needs no b^+;
+        # this exited 3
         b = tmp_path / "b.json"
         save_tensor(b, EinsteinTensor(((1, 1), (1, 1)), [[5e-324]]))
         out = tmp_path / "out.json"
-        code = run(
-            "smw", FIX / "a.json", FIX / "example2_x1.json", b,
-            FIX / "example2_x2h.json", "--mode", "pinv", "-o", out,
-        )
+        names = [FIX / "a.json", FIX / "example2_x1.json", b, FIX / "example2_x2h.json"]
+        code = run("smw", *names, "--mode", "pinv", "-o", out)
         assert code == 0
         report = json.loads((tmp_path / "out.json.report.json").read_text())
-        assert report["path"] == "identity"
-        want = pinv(load_tensor(FIX / "a.json"))
-        assert load_tensor(out).matrix.tobytes() == want.matrix.tobytes()
+        assert report["path"] == "capacitance"
+        a, u, b, v = (load_tensor(name).matrix for name in names)
+        want = np.linalg.pinv(a + u @ b @ v)
+        got = load_tensor(out).matrix
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_full_rank_base_takes_capacitance(self, tmp_path):
+        # an invertible base leaves no null-space part: the pseudoinverse mode
+        # inverts the K x K C = I + b v a^+ u, and exits 0 (it exited 4)
+        out = tmp_path / "out.json"
+        names = [FIX / "example1_s.json", FIX / "example1_u.json", FIX / "b.json",
+                 FIX / "example1_v.json"]
+        assert run("smw", *names, "--mode", "pinv", "-o", out) == 0
+        report = json.loads((tmp_path / "out.json.report.json").read_text())
+        assert report["path"] == "capacitance" and report["applicable"] is True
+        assert set(report["residuals"]) == {"C"} and report["residuals"]["C"] <= report["tol"]
+        a, u, b, v = (load_tensor(name).matrix for name in names)
+        want = np.linalg.inv(a + u @ b @ v)
+        assert np.allclose(load_tensor(out).matrix, want, atol=1e-10)
+
+    @pytest.mark.parametrize("u, b, v", [
+        ((1e200, 0.0), 1.0, (1e200, 0.0)),
+        ((1.0, 0.0), 1e300, (1e-300, 1e300)),
+    ], ids=["capacitance", "factor"])
+    def test_capacitance_overflow_exits_3(self, tmp_path, capsys, u, b, v):
+        # finite inputs on an invertible base; C = I + b v a^+ u, or the
+        # factor -(C^-1 b) v a^+, overflows
+        save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.eye(2)))
+        save_tensor(tmp_path / "u.json", EinsteinTensor(((2,), (1,)), np.array(u)[:, None]))
+        save_tensor(tmp_path / "b.json", EinsteinTensor(((1,), (1,)), [[b]]))
+        save_tensor(tmp_path / "v.json", EinsteinTensor(((1,), (2,)), np.array(v)[None, :]))
+        code = run(
+            "smw", tmp_path / "a.json", tmp_path / "u.json", tmp_path / "b.json",
+            tmp_path / "v.json", "--mode", "pinv", "-o", tmp_path / "out.json",
+        )
+        assert code == 3
+        assert "numerical error: update_pinv overflowed: the capacitance" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     def test_overflow_in_update_exits_3(self, tmp_path, overflow_update):
         # finite inputs; the update overflows inside the split, which is a
@@ -286,19 +319,32 @@ class TestSmwCommand:
             tmp_path / "v.json", "--mode", "invertible", "-o", tmp_path / "out.json",
         ]
 
-    def test_invertible_mode_rejects_report(self, tmp_path, capsys):
-        # the invertible mode writes no condition report, so --report is an
-        # input error rather than a flag silently ignored
+    def test_invertible_mode_writes_report(self, tmp_path):
+        # the report of the pseudoinverse modes, with C's residual and the
+        # capacitance path; C = 1 + (0.5, 0.25) (0.5, 0.25)^T = 1.3125
         rep = tmp_path / "rep.json"
-        assert run(*self.invertible_argv(tmp_path), "--report", rep) == 2
-        assert "--report" in capsys.readouterr().err
-        assert not (tmp_path / "out.json").exists() and not rep.exists()
+        assert run(*self.invertible_argv(tmp_path), "--report", rep) == 0
+        # C's residual is the rank floor 2**-52 (|c0| + |v a^-1 u|) =
+        # 2**-52 (1 + 0.3125) over C's one singular value, 1.3125
+        assert json.loads(rep.read_text()) == {
+            "residuals": {"C": 2.0**-52},
+            "applicable": True,
+            "path": "capacitance",
+            "tol": woodbury.CONDITION_TOL,
+        }
+        want = np.eye(2) - np.outer([0.5, 0.25], [0.5, 0.25]) / 1.3125
+        assert np.allclose(load_tensor(tmp_path / "out.json").matrix, want, atol=1e-15)
 
-    def test_invertible_mode_rejects_tol(self, tmp_path, capsys):
-        # the invertible mode checks no conditions, so it has no tolerance
-        assert run(*self.invertible_argv(tmp_path), "--tol", "1e-8") == 2
-        assert "--tol" in capsys.readouterr().err
-        assert not (tmp_path / "out.json").exists()
+    def test_invertible_mode_tol_gates_the_capacitance(self, tmp_path):
+        # C's residual is above --tol 0: the capacitance result is written
+        # and the command exits 4, as a pseudoinverse mode whose identity did
+        # not apply
+        assert run(*self.invertible_argv(tmp_path), "--tol", "0") == 4
+        report = json.loads((tmp_path / "out.json.report.json").read_text())
+        assert report["applicable"] is False and report["path"] == "capacitance"
+        assert report["tol"] == 0.0
+        want = np.eye(2) - np.outer([0.5, 0.25], [0.5, 0.25]) / 1.3125
+        assert np.allclose(load_tensor(tmp_path / "out.json").matrix, want, atol=1e-15)
 
     @pytest.mark.parametrize("base, rel", ILL_CONDITIONED_BASES)
     def test_ill_conditioned_base_falls_back(self, tmp_path, rng, base, rel):
@@ -326,6 +372,30 @@ class TestSmwCommand:
         want = np.linalg.pinv(s.matrix)
         got = load_tensor(out).matrix
         assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+
+    def test_cond1e6_base_takes_capacitance(self, tmp_path, rng):
+        # the split's rounding bound is below the tolerance at cond 1e6: the
+        # file holds the capacitance result, and the command exits 0
+        from einalg import LowRankUpdate, apply_update
+
+        dims = (4, 4)
+        t = {
+            "a": cond1e6_base(rng),
+            "u": rand_tensor(rng, dims, (1,)),
+            "b": rand_tensor(rng, (1,), (1,)),
+            "v": rand_tensor(rng, (1,), dims),
+        }
+        paths = [tmp_path / f"{name}.json" for name in t]
+        for path, tensor in zip(paths, t.values()):
+            save_tensor(path, tensor)
+        out = tmp_path / "out.json"
+        assert run("smw", *paths, "--mode", "pinv", "-o", out) == 0
+        report = json.loads((tmp_path / "out.json.report.json").read_text())
+        assert report["path"] == "capacitance"
+        s = apply_update(t["a"], LowRankUpdate(u=t["u"], b=t["b"], v=t["v"], order=1))
+        want = np.linalg.pinv(s.matrix)
+        got = load_tensor(out).matrix
+        assert np.linalg.norm(got - want) <= COND1E6_REL * np.linalg.norm(want)
 
     def test_invertible_mode_singular_base_exits_3(self, tmp_path):
         out = tmp_path / "out.json"

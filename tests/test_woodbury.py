@@ -1,17 +1,19 @@
 """Low-rank update identities: worked examples, random oracles, fallbacks."""
 
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from einalg import (
     LowRankUpdate,
     NumericalError,
     PairedShape,
+    EinsteinTensor,
     ShapeError,
     SingularCapacitanceError,
     SplitParts,
@@ -37,7 +39,9 @@ from einalg import (
 from einalg import woodbury
 
 from conftest import (
+    COND1E6_REL,
     ILL_CONDITIONED_BASES,
+    cond1e6_base,
     conditioned_tensor,
     rand_tensor,
     record_work,
@@ -603,6 +607,8 @@ class TestIllConditionedBase:
         # many orders of magnitude.  With a kept singular value near the
         # kernel's cutoff the split floor exceeds |u|; zeroing both parts of a
         # split makes every condition hold on zeros and returns a^+ unchanged.
+        # The split leaves no null-space part, and its rounding bound, which
+        # the capacitance step reports as C, is above the tolerance.
         dims = (4, 4)
         a = base(rng)
         a_pinv = pinv(a)
@@ -618,8 +624,29 @@ class TestIllConditionedBase:
             assert parts.x1.matrix.any() and parts.x2.matrix.any()
             assert not (parts.y1.matrix.any() or parts.y2.matrix.any())
             assert result.path == "fallback"
+            assert result.report.residuals["C"] > result.report.tol
             want = np.linalg.pinv(apply_update(a, upd).matrix)
             assert_close(result.s_pinv.matrix, want, rel)
+
+    def test_cond1e6_base_takes_capacitance(self, rng):
+        # the split's rounding bound, 16 * 2**-52 |a|_F |a^+|_F, is below the
+        # tolerance at cond 1e6, so the update goes through C = I + b v a^+ u
+        dims = (4, 4)
+        a = cond1e6_base(rng)
+        a_pinv = pinv(a)
+        for _ in range(5):
+            upd = LowRankUpdate(
+                u=rand_tensor(rng, dims, (1,)),
+                b=rand_tensor(rng, (1,), (1,)),
+                v=rand_tensor(rng, (1,), dims),
+                order=1,
+            )
+            result = update_pinv(a, a_pinv, upd)
+            assert not (result.parts.y1.matrix.any() or result.parts.y2.matrix.any())
+            assert result.path == "capacitance"
+            assert list(result.report.residuals) == ["C"]
+            want = np.linalg.pinv(apply_update(a, upd).matrix)
+            assert_close(result.s_pinv.matrix, want, COND1E6_REL)
 
     @settings(max_examples=60, deadline=None)
     @given(conditioned_update())
@@ -692,8 +719,9 @@ class TestIdentityPathCost:
             size = int(np.prod(k))
             assert shapes == [(3, size, size)]
         # u and v^H inside a's column spaces: the split leaves no null-space
-        # part, so there is no K x K stack; the fallback's direct pseudoinverse
-        # is update_pinv's only decomposition, and measure_error adds pinv(a)
+        # part, so there is no K x K stack and no direct pseudoinverse; the
+        # capacitance C = I + b v a^+ u is update_pinv's only decomposition,
+        # and measure_error adds pinv(a)
         d, delta = rand_tensor(rng, dims, (1,)), scale(rand_tensor(rng, dims, (1,)), 1e-2)
         for k in ((1,), (2,), (2, 2)):
             upd = LowRankUpdate(
@@ -702,12 +730,13 @@ class TestIdentityPathCost:
                 v=einstein_product(rand_tensor(rng, k, dims), a),
                 order=len(k),
             )
+            size = int(np.prod(k))
             shapes.clear()
-            assert update_pinv(a, a_pinv, upd).path == "fallback"
-            assert shapes == [(n, n)]
+            assert update_pinv(a, a_pinv, upd).path == "capacitance"
+            assert shapes == [(size, size)]
             shapes.clear()
             measure_error(a, d, upd, delta)
-            assert shapes == [(n, n), (n, n)]
+            assert shapes == [(n, n), (size, size)]
 
     def test_result_is_not_copied(self, rng):
         # the N x N result is the one array the call allocates at that size:
@@ -895,12 +924,145 @@ class TestMiddleFactorOverflow:
 
     def test_column_space_update_does_not_take_it(self, example_a, ex2):
         # regression: u = x1 and v^H = x2 lie inside a's column spaces, so the
-        # split leaves no null-space part and b^+ would meet only e1^H = e2 = 0;
-        # its overflow was raised all the same, although s^+ = a^+ to working
-        # precision
+        # split leaves no null-space part and the capacitance step, which
+        # needs no b^+, runs; b^+'s overflow was raised all the same
         upd = LowRankUpdate(ex2["x1"], scalar1111(5e-324), ex2["x2h"], 2)
-        a_pinv = pinv(example_a)
-        result = update_pinv(example_a, a_pinv, upd)
+        result = update_pinv(example_a, pinv(example_a), upd)
         assert not (result.parts.y1.matrix.any() or result.parts.y2.matrix.any())
-        assert result.path == "identity"
-        assert result.s_pinv.matrix.tobytes() == a_pinv.matrix.tobytes()
+        assert result.path == "capacitance"
+        want = np.linalg.pinv(apply_update(example_a, upd).matrix)
+        assert_close(result.s_pinv.matrix, want, 1e-12)
+
+
+@st.composite
+def capacitance_case(draw):
+    """An invertible base, or a rank-deficient one with ``u`` and ``v^H``
+    inside its column spaces, at N = 16 or 64 with ``cond(a)`` up to 1e6, and
+    a K-mode update (K = 1 to 4) with ``b`` singular or not.  ``b`` is scaled
+    so that ``|u b v|_2`` is at most half of ``a``'s smallest nonzero singular
+    value: the corrected tensor keeps ``a``'s rank with ``cond(s) <= 3
+    cond(a)``, so LAPACK's pseudoinverse of it is good to a few
+    ``cond(a) 2**-52``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dims = draw(st.sampled_from([(4, 4), (4, 4, 4)]))
+    n, k = int(np.prod(dims)), draw(st.integers(1, 4))
+    cond = 10.0 ** draw(st.floats(0.0, 6.0))
+    invertible = draw(st.booleans())
+    a = conditioned_tensor(rng, dims, n if invertible else n - draw(st.integers(1, 4)), cond)
+    u, v = rand_tensor(rng, dims, (k,)), rand_tensor(rng, (k,), dims)
+    if not invertible:
+        u, v = einstein_product(a, u), einstein_product(v, a)
+    b = rand_tensor(rng, (k,), (k,)).matrix.copy()
+    if draw(st.booleans()):
+        b[:, 0] = 0.0  # rank K - 1
+    size = np.linalg.norm(u.matrix @ b @ v.matrix, 2)
+    if size > 0:
+        b *= draw(st.floats(0.0, 0.5)) / (cond * size)
+    upd = LowRankUpdate(u=u, b=EinsteinTensor(PairedShape((k,), (k,)), b), v=v, order=1)
+    return a, upd, cond
+
+
+class TestCapacitancePath:
+    """With no null-space part in the split, ``(a + u b v)^+ = a^+ - (a^+ u)
+    C^-1 b (v a^+)`` with ``C = I + b (v a^+ u)``, whenever ``C`` is
+    invertible and the split's rounding bound is within the tolerance."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(capacitance_case())
+    def test_matches_lapack(self, case):
+        a, upd, cond = case
+        a_pinv = pinv(a)
+        result = update_pinv(a, a_pinv, upd)
+        # rounding of a u' may leave u a part outside a's column space above
+        # the split's floor; those draws are skipped
+        assume(not (result.parts.y1.matrix.any() or result.parts.y2.matrix.any()))
+        n = a.matrix.shape[0]
+        bound = n * 2.0**-52 * fro_norm(a) * fro_norm(a_pinv)
+        assert result.path == ("capacitance" if bound <= woodbury.CONDITION_TOL else "fallback")
+        want = np.linalg.pinv(apply_update(a, upd).matrix)
+        # 2000 seeded draws of this kind stayed within 16 cond(a) 2**-52
+        assert_close(result.s_pinv.matrix, want, 64 * cond * 2.0**-52)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("invertible", [True, False], ids=["invertible", "column-space"])
+    def test_rank_dropping_middle_factor_falls_back(self, rng, k, invertible):
+        # b = -(v a^+ u)^-1 cancels C = I + b (v a^+ u) to rounding: the
+        # corrected tensor loses K of a's rank, which no capacitance keeps
+        dims = (4, 4)
+        a = conditioned_tensor(rng, dims, 16 if invertible else 13, 10.0)
+        a_pinv = pinv(a)
+        u, v = rand_tensor(rng, dims, (k,)), rand_tensor(rng, (k,), dims)
+        if not invertible:
+            u, v = einstein_product(a, u), einstein_product(v, a)
+        b = -np.linalg.inv(v.matrix @ a_pinv.matrix @ u.matrix)
+        upd = LowRankUpdate(u=u, b=EinsteinTensor(PairedShape((k,), (k,)), b), v=v, order=1)
+        result = update_pinv(a, a_pinv, upd)
+        assert result.path == "fallback"
+        assert result.report.residuals == {"C": math.inf}
+        s = apply_update(a, upd).matrix
+        rank = np.linalg.matrix_rank(s, tol=16 * 2.0**-52 * np.linalg.norm(s, 2))
+        assert rank == (16 if invertible else 13) - k
+        want = np.linalg.pinv(s, rtol=16 * 2.0**-52)
+        assert_close(result.s_pinv.matrix, want, 1e-10)
+
+    def test_singular_middle_factor_needs_no_pseudoinverse(self, rng):
+        # the form has no b^+ in it: a zero b, whose b^+ the conditions would
+        # use, gives back a^+ itself
+        a = conditioned_tensor(rng, (4, 4), 16, 10.0)
+        a_pinv = pinv(a)
+        upd = LowRankUpdate(
+            rand_tensor(rng, (4, 4), (2,)), zeros(((2,), (2,))), rand_tensor(rng, (2,), (4, 4)), 1
+        )
+        result = update_pinv(a, a_pinv, upd)
+        assert result.path == "capacitance"
+        assert np.array_equal(result.s_pinv.matrix, a_pinv.matrix)
+
+    def test_smw_invertible_shares_the_step(self, rng, monkeypatch):
+        # smw_invertible is the same step with c0 = b^-1 and w = I
+        a = rand_invertible(rng, (2, 2))
+        b = rand_invertible(rng, (2,), boost=2.0)
+        upd = LowRankUpdate(rand_tensor(rng, (2, 2), (2,)), b, rand_tensor(rng, (2,), (2, 2)), 1)
+        calls = []
+        step = woodbury._capacitance
+
+        def recorded(stage, *args):
+            calls.append(stage)
+            return step(stage, *args)
+
+        monkeypatch.setattr(woodbury, "_capacitance", recorded)
+        got = smw_invertible(inverse(a), upd, inverse(b))
+        assert update_pinv(a, pinv(a), upd).path == "capacitance"
+        assert calls == ["smw_invertible", "update_pinv"]
+        want = inverse(apply_update(a, upd))
+        assert fro_norm(got - want) <= 1e-8 * fro_norm(want)
+
+
+#: Updates of an invertible base whose capacitance step overflows, by what
+#: overflows: ``C``, or the factor ``r = -(C^-1 b)(v a^+)``.
+CAPACITANCE_OVERFLOWS = [
+    # v a^+ u = 1e400
+    pytest.param((1e200, 0.0), 1.0, (1e200, 0.0), "capacitance tensor", id="capacitance"),
+    # C = 1 + 1e300 * 1e-300 = 2, and C^-1 b (v a^+) = 5e299 * (1e-300, 1e300)
+    pytest.param((1.0, 0.0), 1e300, (1e-300, 1e300), "capacitance factor", id="factor"),
+]
+
+
+def capacitance_overflow(u, b, v):
+    """The 2 x 2 identity and a rank-one update ``u b v``."""
+    return identity([2]), LowRankUpdate(
+        fold(np.array(u, dtype=complex)[:, None], PairedShape((2,), (1,))),
+        fold([[b]], PairedShape((1,), (1,))),
+        fold(np.array(v, dtype=complex)[None, :], PairedShape((1,), (2,))),
+        1,
+    )
+
+
+class TestCapacitanceOverflow:
+    @pytest.mark.parametrize("u, b, v, what", CAPACITANCE_OVERFLOWS)
+    def test_numerical_error(self, u, b, v, what):
+        a, upd = capacitance_overflow(u, b, v)
+        d = fold([[1.0], [1.0]], PairedShape((2,), (1,)))
+        with pytest.raises(NumericalError, match=f"update_pinv overflowed: the {what}"):
+            update_pinv(a, pinv(a), upd)
+        with pytest.raises(NumericalError, match=f"update_pinv overflowed: the {what}"):
+            measure_error(a, d, upd, zeros(d.shape))
