@@ -83,20 +83,19 @@ def cmd_smw(args) -> int:
     b = _load(args.b)
     v = _load(args.v)
     upd = LowRankUpdate(u=u, b=b, v=v, order=len(u.col_dims))
-    tol = args.tol
 
     if args.mode == "invertible":
         result, residual = woodbury._smw_invertible(inverse(a), upd, inverse(b))
-        report = woodbury.ConditionReport({"C": residual}, tol)
+        report = woodbury.ConditionReport({"C": residual}, args.tol)
         path, applicable = "capacitance", report.applicable
     else:
         if args.mode == "hermitian":
             u_vs_vh = _relative((u - v.H).matrix, fro_norm(u))
-            if not is_hermitian(a, tol=tol) or u_vs_vh > tol:
+            if not is_hermitian(a, tol=args.tol) or u_vs_vh > args.tol:
                 raise ShapeError(
                     "hermitian mode needs a Hermitian base tensor and u == v^H"
                 )
-        updated = woodbury.update_pinv(a, pinv(a), upd, tol=tol)
+        updated = woodbury.update_pinv(a, pinv(a), upd, tol=args.tol)
         result, report, path = updated.s_pinv, updated.report, updated.path
         applicable = report.applicable
         if args.mode == "orthogonal":
@@ -207,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which identity to apply",
     )
     p.add_argument("--tol", type=float, default=woodbury.CONDITION_TOL,
-                   help="applicability tolerance")
+                   help="applicability tolerance (default: %g)" % woodbury.CONDITION_TOL)
     p.add_argument("--output", "-o", required=True, help="output tensor path")
     p.add_argument(
         "--report",

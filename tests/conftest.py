@@ -190,6 +190,15 @@ def cond1e6_base(rng):
 
 COND1E6_REL = 1e-4
 
+#: Rank-one updates ``u b v`` of the 2 x 2 identity whose capacitance step
+#: overflows, by what overflows: ``C``, or the factor ``r = -(C^-1 b)(v a^+)``.
+CAPACITANCE_OVERFLOWS = [
+    # v a^+ u = 1e400
+    pytest.param((1e200, 0.0), 1.0, (1e200, 0.0), "capacitance tensor", id="capacitance"),
+    # C = 1 + 1e300 * 1e-300 = 2, and C^-1 b (v a^+) = 5e299 * (1e-300, 1e300)
+    pytest.param((1.0, 0.0), 1e300, (1e-300, 1e300), "capacitance factor", id="factor"),
+]
+
 
 def record_work(monkeypatch):
     """Lists that fill, until ``monkeypatch.undo()``, with ``(batch, rows,

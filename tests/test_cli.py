@@ -27,7 +27,14 @@ from einalg import (
 from einalg import cli, woodbury
 from einalg.cli import main
 
-from conftest import COND1E6_REL, FIXTURES_DIR, ILL_CONDITIONED_BASES, cond1e6_base, rand_tensor
+from conftest import (
+    CAPACITANCE_OVERFLOWS,
+    COND1E6_REL,
+    FIXTURES_DIR,
+    ILL_CONDITIONED_BASES,
+    cond1e6_base,
+    rand_tensor,
+)
 
 FIX = FIXTURES_DIR
 
@@ -258,11 +265,8 @@ class TestSmwCommand:
         want = np.linalg.inv(a + u @ b @ v)
         assert np.allclose(load_tensor(out).matrix, want, atol=1e-10)
 
-    @pytest.mark.parametrize("u, b, v", [
-        ((1e200, 0.0), 1.0, (1e200, 0.0)),
-        ((1.0, 0.0), 1e300, (1e-300, 1e300)),
-    ], ids=["capacitance", "factor"])
-    def test_capacitance_overflow_exits_3(self, tmp_path, capsys, u, b, v):
+    @pytest.mark.parametrize("u, b, v, what", CAPACITANCE_OVERFLOWS)
+    def test_capacitance_overflow_exits_3(self, tmp_path, capsys, u, b, v, what):
         # finite inputs on an invertible base; C = I + b v a^+ u, or the
         # factor -(C^-1 b) v a^+, overflows
         save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.eye(2)))
@@ -274,7 +278,7 @@ class TestSmwCommand:
             tmp_path / "v.json", "--mode", "pinv", "-o", tmp_path / "out.json",
         )
         assert code == 3
-        assert "numerical error: update_pinv overflowed: the capacitance" in capsys.readouterr().err
+        assert f"numerical error: update_pinv overflowed: the {what}" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
     def test_overflow_in_update_exits_3(self, tmp_path, overflow_update):

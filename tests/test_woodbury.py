@@ -39,6 +39,7 @@ from einalg import (
 from einalg import woodbury
 
 from conftest import (
+    CAPACITANCE_OVERFLOWS,
     COND1E6_REL,
     ILL_CONDITIONED_BASES,
     cond1e6_base,
@@ -1037,30 +1038,16 @@ class TestCapacitancePath:
         assert fro_norm(got - want) <= 1e-8 * fro_norm(want)
 
 
-#: Updates of an invertible base whose capacitance step overflows, by what
-#: overflows: ``C``, or the factor ``r = -(C^-1 b)(v a^+)``.
-CAPACITANCE_OVERFLOWS = [
-    # v a^+ u = 1e400
-    pytest.param((1e200, 0.0), 1.0, (1e200, 0.0), "capacitance tensor", id="capacitance"),
-    # C = 1 + 1e300 * 1e-300 = 2, and C^-1 b (v a^+) = 5e299 * (1e-300, 1e300)
-    pytest.param((1.0, 0.0), 1e300, (1e-300, 1e300), "capacitance factor", id="factor"),
-]
-
-
-def capacitance_overflow(u, b, v):
-    """The 2 x 2 identity and a rank-one update ``u b v``."""
-    return identity([2]), LowRankUpdate(
-        fold(np.array(u, dtype=complex)[:, None], PairedShape((2,), (1,))),
-        fold([[b]], PairedShape((1,), (1,))),
-        fold(np.array(v, dtype=complex)[None, :], PairedShape((1,), (2,))),
-        1,
-    )
-
-
 class TestCapacitanceOverflow:
     @pytest.mark.parametrize("u, b, v, what", CAPACITANCE_OVERFLOWS)
     def test_numerical_error(self, u, b, v, what):
-        a, upd = capacitance_overflow(u, b, v)
+        a = identity([2])
+        upd = LowRankUpdate(
+            fold(np.array(u)[:, None], PairedShape((2,), (1,))),
+            fold([[b]], PairedShape((1,), (1,))),
+            fold(np.array(v)[None, :], PairedShape((1,), (2,))),
+            1,
+        )
         d = fold([[1.0], [1.0]], PairedShape((2,), (1,)))
         with pytest.raises(NumericalError, match=f"update_pinv overflowed: the {what}"):
             update_pinv(a, pinv(a), upd)
