@@ -65,6 +65,12 @@ def _format_float(x) -> str:
     return "%.17g" % x
 
 
+def _json_residual(r: float) -> float | None:
+    """A residual as strict JSON (RFC 8259 has no inf or nan): ``None``, which
+    writes as ``null``, when it is not finite."""
+    return r if math.isfinite(r) else None
+
+
 def cmd_pinv(args) -> int:
     a = _load(args.input)
     result = pinv(a, tol=args.tol)
@@ -105,16 +111,18 @@ def cmd_smw(args) -> int:
             applicable = applicable and not (parts.x1.matrix.any() or parts.x2.matrix.any())
     tensorio.save_tensor(args.output, result)
     report_path = args.report or (args.output + ".report.json")
+    residuals = report.residuals
     with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(
             {
-                "residuals": {k: report.residuals[k] for k in sorted(report.residuals)},
+                "residuals": {k: _json_residual(residuals[k]) for k in sorted(residuals)},
                 "applicable": applicable,
                 "path": path,
                 "tol": report.tol,
             },
             fh,
             indent=2,
+            allow_nan=False,
         )
         fh.write("\n")
     return EXIT_OK if applicable else EXIT_CONDITIONS_FAILED
@@ -140,10 +148,7 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--alpha-min", args.alpha_min), ("--alpha-max", args.alpha_max)):
         if not math.isfinite(value):
             raise DomainError(f"{flag} must be finite, got {value}")
-    if args.alpha_steps == 1:
-        alphas = [args.alpha_min]
-    else:
-        alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
+    alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
     rows = sensitivity.sweep(a, d, args.eps_a, args.eps_d, alphas)
     # Rows come back ordered by (eps_a, alpha); pair them with the exact grid
     # values instead of re-deriving alpha from the stored norms.
@@ -171,10 +176,11 @@ def cmd_verify(args) -> int:
     print(
         json.dumps(
             {
-                "residuals": list(report.residuals),
+                "residuals": [_json_residual(r) for r in report.residuals],
                 "passed": report.passed,
                 "tol": report.tol,
-            }
+            },
+            allow_nan=False,
         )
     )
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
@@ -249,13 +255,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     # Looked up per call, so a replaced module attribute (tracing, tests) runs.
-    handler = {
-        "pinv": cmd_pinv,
-        "smw": cmd_smw,
-        "solve": cmd_solve,
-        "sweep": cmd_sweep,
-        "verify": cmd_verify,
-    }[args.command]
+    handler = globals()[f"cmd_{args.command}"]
     try:
         tol = getattr(args, "tol", None)
         if tol is not None and not 0 <= tol < math.inf:

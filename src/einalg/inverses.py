@@ -4,8 +4,10 @@ Both inverses go through the flattened matrix: the tensor pseudoinverse is the
 fold of the matrix pseudoinverse, so it inherits every guarantee of the matrix
 kernel.  ``pinv`` is defined for arbitrary paired shapes, not only square
 tensors; low-rank update code relies on pseudoinverses of rectangular and even
-scalar-shaped operands.  Both come from finite tensors, so a non-finite
-result is an overflow and raises :class:`~einalg.errors.NumericalError`.
+scalar-shaped operands.  Both hand the kernel the tensor's matrix, which is
+finite complex by construction, with no second scan of its entries, so a
+non-finite result is an overflow and raises
+:class:`~einalg.errors.NumericalError`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ from dataclasses import dataclass
 
 from . import matkernel
 from .errors import ShapeError, SingularMatrixError, SingularTensorError
-from .tensor import EinsteinTensor, _adjoint, _frobenius, _relative, _returned, fro_norm
+from .tensor import (
+    EinsteinTensor,
+    _adjoint,
+    _frobenius,
+    _quiet_overflow,
+    _relative,
+    _returned,
+    fro_norm,
+)
 
 __all__ = ["PenroseReport", "inverse", "pinv", "verify_penrose"]
 
@@ -43,7 +53,7 @@ def inverse(a: EinsteinTensor) -> EinsteinTensor:
     if not a.shape.is_square:
         raise ShapeError(f"inverse needs a square tensor, got {a.shape}")
     try:
-        inv = matkernel.inv_matrix(a.matrix)
+        inv = matkernel._inverse(a.matrix)[0]
     except SingularMatrixError as err:
         raise SingularTensorError(
             f"tensor of shape {a.shape} is singular: numerical rank "
@@ -56,10 +66,10 @@ def inverse(a: EinsteinTensor) -> EinsteinTensor:
 
 def pinv(a: EinsteinTensor, tol: float = 1.0) -> EinsteinTensor:
     """Moore-Penrose pseudoinverse; result has the transposed paired shape."""
-    # a tensor's matrix is finite complex by construction: no second scan
     return _returned("pinv", a.shape.transposed, matkernel._pinv_stack(a.matrix, tol=tol))
 
 
+@_quiet_overflow
 def verify_penrose(a: EinsteinTensor, x: EinsteinTensor, tol: float = PENROSE_TOL) -> PenroseReport:
     """Check the four pseudoinverse rules for the candidate ``x``.
 

@@ -62,10 +62,11 @@ def _lapack_svd(mat: np.ndarray):
         raise NumericalError(f"SVD of a {m} x {n} matrix failed: {err}") from err
 
 
-def _kept(s: np.ndarray, shape: tuple[int, ...], tol: float) -> np.ndarray:
+def _kept(s: np.ndarray, shape: tuple[int, ...], tol: float, scale: float | None = None) -> np.ndarray:
     """Which singular values of a matrix of ``shape``, or of each matrix of a
-    stack, are above the rank rule of their own largest."""
-    return s > _rank_floor(s[..., :1], shape, tol)
+    stack, are above the rank rule of their own largest, or of ``scale`` when
+    given.  This is the kernel's one rank cut."""
+    return s > _rank_floor(s[..., :1] if scale is None else scale, shape, tol)
 
 
 def _inverted(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
@@ -118,7 +119,7 @@ def _inverse(mat: np.ndarray, scale: float | None = None) -> tuple[np.ndarray, n
     least ``sigma_max``, replaces it in the rank rule: for a matrix summed from
     terms of that size, whose rounding it has to stand above."""
     u, s, vh = _lapack_svd(mat)
-    rank = int(np.count_nonzero(s > _rank_floor(s[0] if scale is None else scale, mat.shape, 1.0)))
+    rank = int(np.count_nonzero(_kept(s, mat.shape, 1.0, scale)))
     if rank < len(s):
         raise SingularMatrixError(
             f"matrix is singular: numerical rank {rank} of {len(s)}",

@@ -11,11 +11,15 @@ Values are immutable after construction and all operations are pure functions,
 so tensors can be shared freely between threads.  Construction checks that
 every entry is finite with one pass over the entries, the sum of squares
 behind the Frobenius norm, and keeps that norm: :func:`fro_norm` reads it and
-never recomputes it, and the read-only matrix cannot make it stale.
+never recomputes it, and the read-only matrix cannot make it stale.  The
+algebra keeps each array it computes without a copy, and a non-finite entry
+from finite operands is an overflow: it raises
+:class:`~einalg.errors.NumericalError` naming the function.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -149,18 +153,30 @@ def identity(row_dims) -> EinsteinTensor:
     return EinsteinTensor(shape, np.eye(shape.row_size))
 
 
+#: Decorator for the entry points whose products of finite operands may
+#: overflow: they check their results finite and raise, so numpy's
+#: floating-point warning would only come first.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_overflow
 def add(a: EinsteinTensor, b: EinsteinTensor) -> EinsteinTensor:
     """Entrywise sum; operands must share one shape."""
     if a.shape != b.shape:
         raise ShapeError(f"cannot add {a.shape} and {b.shape}")
-    return EinsteinTensor(a.shape, a.matrix + b.matrix)
+    return _returned("add", a.shape, a.matrix + b.matrix)
 
 
+@_quiet_overflow
 def scale(a: EinsteinTensor, c) -> EinsteinTensor:
-    """Entrywise multiplication by the scalar ``c``."""
-    return EinsteinTensor(a.shape, a.matrix * complex(c))
+    """Entrywise multiplication by the scalar ``c``, which must be finite."""
+    c = complex(c)
+    if not cmath.isfinite(c):
+        raise DomainError(f"scale factor must be finite, got {c}")
+    return _returned("scale", a.shape, a.matrix * c)
 
 
+@_quiet_overflow
 def einstein_product(a: EinsteinTensor, b: EinsteinTensor, order: int | None = None) -> EinsteinTensor:
     """Einstein product contracting ``a``'s column modes against ``b``'s row modes.
 
@@ -178,12 +194,12 @@ def einstein_product(a: EinsteinTensor, b: EinsteinTensor, order: int | None = N
             f"contraction order {order} does not match the {len(a.col_dims)} shared modes"
         )
     shape = PairedShape(a.row_dims, b.col_dims)
-    return EinsteinTensor(shape, a.matrix @ b.matrix)
+    return _returned("einstein_product", shape, a.matrix @ b.matrix)
 
 
 def conj_transpose(a: EinsteinTensor) -> EinsteinTensor:
     """Hermitian transpose: swaps the mode sides and conjugates every entry."""
-    return EinsteinTensor(a.shape.transposed, _adjoint(a.matrix))
+    return _returned("conj_transpose", a.shape.transposed, _adjoint(a.matrix))
 
 
 def _adjoint(mat: np.ndarray) -> np.ndarray:
@@ -191,6 +207,7 @@ def _adjoint(mat: np.ndarray) -> np.ndarray:
     return np.conj(mat.T, order="C")
 
 
+@_quiet_overflow
 def kronecker(a: EinsteinTensor, b: EinsteinTensor) -> EinsteinTensor:
     """Kronecker product: modes concatenate as ``(a.rows ++ b.rows | a.cols ++ b.cols)``.
 
@@ -198,7 +215,7 @@ def kronecker(a: EinsteinTensor, b: EinsteinTensor) -> EinsteinTensor:
     form is ``np.kron`` with the factor order swapped.
     """
     shape = PairedShape(a.row_dims + b.row_dims, a.col_dims + b.col_dims)
-    return EinsteinTensor(shape, np.kron(b.matrix, a.matrix))
+    return _returned("kronecker", shape, np.kron(b.matrix, a.matrix))
 
 
 def trace(a: EinsteinTensor) -> complex:
@@ -252,12 +269,6 @@ def _frobenius(mat: np.ndarray) -> float:
         return math.inf
 
 
-#: Decorator for the entry points whose products of finite operands may
-#: overflow: they check their results finite and raise, so numpy's
-#: floating-point warning would only come first.
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
-
-
 def _relative(diff: np.ndarray, ref_norm: float) -> float:
     """``|diff| / max(1, ref_norm)``, ``diff`` a flattened matrix and
     ``ref_norm`` the Frobenius norm of the reference it deviates from."""
@@ -275,6 +286,7 @@ def _returned(
         raise NumericalError(f"{stage} overflowed: {err}") from err
 
 
+@_quiet_overflow
 def is_hermitian(a: EinsteinTensor, tol: float = 1e-10) -> bool:
     """Whether ``a`` equals its Hermitian transpose up to ``tol`` (relative)."""
     if not a.shape.is_square:

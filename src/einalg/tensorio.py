@@ -88,10 +88,8 @@ def tensor_from_dict(data) -> EinsteinTensor:
             f"(missing: {sorted(missing)}, unexpected: {sorted(extra)})"
         )
     for key in ("row_dims", "col_dims"):
-        dims = data[key]
-        if not isinstance(dims, list) or not all(
-            isinstance(d, int) and not isinstance(d, bool) for d in dims
-        ):
+        # the entries are checked by PairedShape
+        if not isinstance(data[key], list):
             raise ValueError(f"{key} must be a list of integers")
     shape = PairedShape(tuple(data["row_dims"]), tuple(data["col_dims"]))
     entries = data["entries"]

@@ -18,45 +18,17 @@ Two identities are implemented for a base tensor perturbed by a correction
 :func:`update_pinv` takes the first when the split leaves no null-space part
 and the second otherwise, and falls back to a direct pseudoinverse when the
 check of either fails; its ``path`` is ``"capacitance"``, ``"identity"`` or
-``"fallback"``.
-
-The splits apply the orthogonal projectors ``a * a^+`` and ``a^+ * a``
-without forming them (``x1 = a * (a^+ * u)``, ``x2^H = (v * a^+) * a``; within
-the rounding bound of those products a part is an exact zero, ``y`` first and
-never both), and the updated pseudoinverse is ``a^+`` plus one rank-2K
-correction that reuses ``a^+ * u`` and ``v * a^+`` as ``a^+ * x1`` and
-``x2^H * a^+`` (``a^+ a a^+ = a^+``).  With N the flattened size of the base
-tensor, an identity-path :func:`update_pinv` call therefore costs O(N^2 K):
-its N x N work is four products of an N x N matrix with K vectors, one
-N x 2K x N product, one add and one pass over the result, which checks it
-finite and keeps its norm; the result is returned without a copy.  Every
-product here of an N x N matrix with 2 or 3 vectors, in the split, in
-:func:`smw_pinv` and in :func:`smw_invertible`, is that many matrix-vector
-products in one batched call, which at those widths beats a GEMM that packs
-the whole N x N operand; one vector and 4 or more stay one product.  The
-norms of ``a``, ``a^+``, ``u`` and ``v`` that the split's zero test needs are
-the ones those tensors kept when they were built, and ``b^+`` and the two
-Gram pseudoinverses come from one LAPACK call on a (3, K, K) stack; none
-when the split leaves no null-space part (``u`` and ``v^H`` inside the
-column spaces), where ``e1 = e2 = 0`` and the three, which meet only
-products with ``e1^H`` or ``e2``, are zeros.
-Conditions are checked separately from the identity evaluation so repeated
-structurally-identical updates can amortize the check.
+``"fallback"``.  Conditions are checked separately from the identity
+evaluation so repeated structurally-identical updates can amortize the check.
 
 The public tensor functions are thin wrappers over one matrix pipeline: each
 validates the paired shapes of its operands at entry, computes on the
 flattened ``.matrix`` arrays, and builds an
 :class:`~einalg.tensor.EinsteinTensor` only for what it returns, so every
-returned tensor is checked to be finite and an identity-path
-:func:`update_pinv` call builds 7 tensors (the six split parts and ``s^+``),
-each around the array just computed; ``b^+`` stays a matrix.
-The split -> check -> identity | capacitance | fallback path is one private
-step on matrices with two callers: :func:`update_pinv`, which the ``einalg
-smw`` pseudoinverse modes run too, wraps the six split parts and adds the
-correction ``l r`` (rank 2K, or rank K on the capacitance path) to ``a^+``,
-and :func:`~einalg.sensitivity.measure_error` applies ``l`` and ``r`` to a
-right side in O(NK), without forming ``s^+``, and reads only the norms the
-step kept, so it builds no tensor of its own.
+returned tensor is checked to be finite.  The split -> check -> identity |
+capacitance | fallback path is one private step on matrices, shared by
+:func:`update_pinv`, which the ``einalg smw`` pseudoinverse modes run too, and
+:func:`~einalg.sensitivity.measure_error`.
 Products are written as ``np.matmul`` calls so that each one can be
 recorded.
 Because the inputs are finite tensors, a non-finite intermediate is an
@@ -162,6 +134,10 @@ class SplitParts:
     parts live in the base tensor's column spaces (left and right), the y parts
     are orthogonal to them, and ``e1``, ``e2`` are the scaled null-space parts
     ``y_i * (y_i^H * y_i)^+``.
+
+    ``x1``, ``y1`` and ``e1`` carry the row modes of ``u``, ``x2``, ``y2`` and
+    ``e2`` those of ``v^H``, and all six carry the K shared modes of ``x1`` as
+    columns; construction raises :class:`~einalg.errors.ShapeError` otherwise.
     """
 
     x1: EinsteinTensor
@@ -170,6 +146,20 @@ class SplitParts:
     y2: EinsteinTensor
     e1: EinsteinTensor
     e2: EinsteinTensor
+
+    def __post_init__(self):
+        k = self.x1.col_dims
+        for rows, names in (
+            (self.x1.row_dims, ("x1", "y1", "e1")),
+            (self.x2.row_dims, ("x2", "y2", "e2")),
+        ):
+            for name in names:
+                part = getattr(self, name)
+                if part.row_dims != rows or part.col_dims != k:
+                    raise ShapeError(
+                        f"split part {name} of shape {part.shape} does not match "
+                        f"modes {rows} by shared modes {k}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -349,25 +339,10 @@ def _corrected(
     return _returned(stage, base.shape, mat)
 
 
-def _check_split(parts: SplitParts, *middle: EinsteinTensor) -> None:
-    """Shapes of a split and of its K-square middle factors.
-
-    ``x1``, ``y1`` and ``e1`` carry the row modes of ``u``, ``x2``, ``y2`` and
-    ``e2`` those of ``v^H``, and all of them, like both sides of each middle
-    factor, carry the K shared modes of ``x1`` as columns.
-    """
+def _check_middle(parts: SplitParts, *middle: EinsteinTensor) -> None:
+    """Raise :class:`~einalg.errors.ShapeError` unless each middle factor
+    carries the K shared modes of the split on both sides."""
     k = parts.x1.col_dims
-    for rows, names in (
-        (parts.x1.row_dims, ("x1", "y1", "e1")),
-        (parts.x2.row_dims, ("x2", "y2", "e2")),
-    ):
-        for name in names:
-            part = getattr(parts, name)
-            if part.row_dims != rows or part.col_dims != k:
-                raise ShapeError(
-                    f"split part {name} of shape {part.shape} does not match "
-                    f"modes {rows} by shared modes {k}"
-                )
     for factor in middle:
         if factor.row_dims != k or factor.col_dims != k:
             raise ShapeError(
@@ -377,17 +352,16 @@ def _check_split(parts: SplitParts, *middle: EinsteinTensor) -> None:
 
 def _split(
     whole: np.ndarray, x: np.ndarray, pre: np.ndarray, floor: float, norm_whole: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float | None, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """``(x, whole - x, pre, |x|, |y|)`` with one part within ``floor`` zeroed,
     ``y`` first: both zeroed would make the conditions hold on zeros, and
     ``y = 0`` falls back.  ``pre``, the ``a^+`` product ``x`` was made from, is
     zeroed with ``x``.  The norms are the ``_frobenius`` of the returned
-    arrays (``|whole|`` is ``norm_whole``), ``|x|`` None when not computed."""
+    arrays (``|whole|`` is ``norm_whole``)."""
     y = whole - x
-    norm_y = _frobenius(y)
+    norm_x, norm_y = _frobenius(x), _frobenius(y)
     if norm_y <= floor:
-        return x, np.zeros_like(y), pre, None, 0.0
-    norm_x = _frobenius(x)
+        return x, np.zeros_like(y), pre, norm_x, 0.0
     if norm_x <= floor:
         return np.zeros_like(x), whole, np.zeros_like(pre), 0.0, norm_whole
     return x, y, pre, norm_x, norm_y
@@ -470,19 +444,23 @@ def decompose_update(
 
 def _decompose(
     a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate, tol: float = 1.0
-) -> tuple[_Split, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[_Split, np.ndarray, np.ndarray, np.ndarray | None, float]:
     """:func:`decompose_update` on matrices, plus what the identity and the
-    capacitance step reuse: ``a^+ u`` and ``v a^+`` zeroed with ``x1`` and
-    ``x2`` (they are ``a^+ x1`` and ``x2^H a^+``, as ``a^+ a a^+ = a^+``), and
-    the matrix ``b^+``, taken in the LAPACK call that pseudo-inverts the two
-    Grams.
+    capacitance step reuse: ``(split, a^+ u, v a^+, b^+, floor)``.  ``a^+ u``
+    and ``v a^+`` are zeroed with ``x1`` and ``x2`` (they are ``a^+ x1`` and
+    ``x2^H a^+``, as ``a^+ a a^+ = a^+``), so the updated pseudoinverse is
+    ``a^+`` plus one correction built from them and K-sized pieces.  The
+    matrix ``b^+`` is taken in one LAPACK call on a (3, K, K) stack with the
+    two Gram pseudoinverses.  ``floor``, ``tol * max(m, n) * 2**-52 * |a|_F
+    |a^+|_F``, is the split's rounding bound relative to ``|u|`` and
+    ``|v^H|``; those four norms are the ones the tensors kept when they were
+    built.
 
-    When the split leaves both ``y1`` and ``y2`` exact zeros, ``e1 = e2 = 0``
-    and that call is skipped: the three K x K pseudoinverses are zeros.  The
-    conditions and the identity meet ``b^+`` and the Gram pseudoinverses only
-    in products with ``e1^H`` or ``e2``, so every residual and ``s^+`` come
-    out as they would from the computed ones, and the capacitance step, which
-    is what such a split takes, needs none of them."""
+    When the split leaves both ``y1`` and ``y2`` exact zeros (no null-space
+    part: the capacitance step's case), ``e1 = e2 = 0``, that call is skipped
+    and ``b^+`` is None: the conditions and the identity, which that split
+    does not take, meet the three K x K pseudoinverses only in products with
+    ``e1^H`` or ``e2``."""
     if a_pinv.row_dims != a.col_dims or a_pinv.col_dims != a.row_dims:
         raise ShapeError(
             f"pseudoinverse shape {a_pinv.shape} is not the transpose of {a.shape}"
@@ -495,7 +473,7 @@ def _decompose(
     x1, y1, ap_u, norm_x1, norm_y1 = _split(u, _mat_cols(a_mat, ap_u), ap_u, floor * norm_u, norm_u)
     x2h, y2h, v_ap, norm_x2h, norm_y2h = _split(v, _rows_mat(v_ap, a_mat), v_ap, floor * norm_v, norm_v)
     if norm_y1 == norm_y2h == 0.0:
-        e1, e2, b_pinv = np.zeros_like(y1), np.zeros(y2h.shape[::-1], y2h.dtype), np.zeros_like(b)
+        e1, e2, b_pinv = np.zeros_like(y1), np.zeros(y2h.shape[::-1], y2h.dtype), None
     else:
         y2 = _adjoint(y2h)
         stack = np.empty((3, *b.shape), dtype=np.complex128)
@@ -519,7 +497,7 @@ def _decompose(
         "e1": _part_norm(e1),
         "e2": _part_norm(e2),
     }
-    return _Split(x1, y1, x2h, y2h, e1, e2, norms), ap_u, v_ap, b_pinv
+    return _Split(x1, y1, x2h, y2h, e1, e2, norms), ap_u, v_ap, b_pinv, floor
 
 
 @_quiet_overflow
@@ -538,7 +516,7 @@ def check_conditions(
     Raises :class:`~einalg.errors.NumericalError` if a residual is not
     finite, which from finite parts means the condition products overflowed.
     """
-    _check_split(parts, b, b_pinv)
+    _check_middle(parts, b, b_pinv)
     split = _Split.of(parts)
     residuals = _residuals(split, _adjoint(split.e1), b.matrix, b_pinv.matrix)
     return ConditionReport(residuals=residuals, tol=tol)
@@ -589,7 +567,7 @@ def smw_pinv(a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor) 
     Nothing is recomputed or validated beyond shapes, so callers pair this
     with :func:`check_conditions`.
     """
-    _check_split(parts, b_pinv)
+    _check_middle(parts, b_pinv)
     if a_pinv.row_dims != parts.x2.row_dims or a_pinv.col_dims != parts.x1.row_dims:
         raise ShapeError(
             f"base pseudoinverse of shape {a_pinv.shape} does not conform to the split "
@@ -676,7 +654,9 @@ def update_pinv(
     relative to ``|u|``, ``max(m, n) 2**-52 |a|_F |a^+|_F``: on an
     ill-conditioned base, or one with a kept singular value at the cutoff,
     the formula cancels against ``a^+``'s largest entries, and the update
-    falls back.  Raises :class:`~einalg.errors.NumericalError` if a split
+    falls back.  An identity-path call costs O(N^2 K) and builds seven
+    tensors, the six split parts and ``s^+``, each around the array just
+    computed.  Raises :class:`~einalg.errors.NumericalError` if a split
     part, a K x K intermediate, a factor or the result overflows.
     """
     split, report, s_pinv, factors = _updated(a, a_pinv, upd, tol)
@@ -701,13 +681,12 @@ def _updated(
     and ``factors`` is None.  Only that pseudoinverse is a tensor: the
     callers wrap what they return.
     """
-    split, ap_x1, x2h_ap, b_pinv = _decompose(a, a_pinv, upd)
+    split, ap_x1, x2h_ap, b_pinv, residual = _decompose(a, a_pinv, upd)
     b = upd.b.matrix
     factors = None
-    if split.norms["y1"] == split.norms["y2"] == 0.0:
-        # the split's rounding bound relative to |u| and |v^H|; C is not
-        # formed when that alone is above the tolerance
-        residual = _rank_floor(fro_norm(a) * fro_norm(a_pinv), a.matrix.shape, 1.0)
+    if b_pinv is None:
+        # C is not formed when the split's rounding bound alone is above the
+        # tolerance
         if residual <= tol:
             try:
                 right, cap_residual = _capacitance(

@@ -43,6 +43,14 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def strict_json(text):
+    """``json.loads`` that rejects the non-standard ``NaN`` and ``Infinity``."""
+    def reject(name):
+        raise ValueError(f"not RFC 8259 JSON: {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestPinvCommand:
     def test_worked_example(self, tmp_path, capsys):
         out = tmp_path / "out.json"
@@ -264,6 +272,23 @@ class TestSmwCommand:
         a, u, b, v = (load_tensor(name).matrix for name in names)
         want = np.linalg.inv(a + u @ b @ v)
         assert np.allclose(load_tensor(out).matrix, want, atol=1e-10)
+
+    def test_singular_capacitance_writes_null(self, tmp_path):
+        # C = 1 + b v a^+ u = 0: the rank rule drops C's rank, the residual is
+        # inf, and the report writes it as null
+        e1 = np.array([[1.0], [0.0]])
+        save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.eye(2)))
+        save_tensor(tmp_path / "u.json", EinsteinTensor(((2,), (1,)), e1))
+        save_tensor(tmp_path / "b.json", EinsteinTensor(((1,), (1,)), [[-1.0]]))
+        save_tensor(tmp_path / "v.json", EinsteinTensor(((1,), (2,)), e1.T))
+        code = run(
+            "smw", tmp_path / "a.json", tmp_path / "u.json", tmp_path / "b.json",
+            tmp_path / "v.json", "--mode", "pinv", "-o", tmp_path / "out.json",
+        )
+        assert code == 4
+        report = strict_json((tmp_path / "out.json.report.json").read_text())
+        assert report["residuals"] == {"C": None}
+        assert report["path"] == "fallback" and report["applicable"] is False
 
     @pytest.mark.parametrize("u, b, v, what", CAPACITANCE_OVERFLOWS)
     def test_capacitance_overflow_exits_3(self, tmp_path, capsys, u, b, v, what):
@@ -573,6 +598,20 @@ class TestSweepCommand:
         row = out.read_text().splitlines()[1].split(",")
         assert float(row[5]) == 0.0
 
+    def test_one_step_takes_alpha_min(self, tmp_path):
+        # one alpha step is --alpha-min, whatever --alpha-max is
+        args = self.sweep_args(tmp_path / "wide.csv")
+        args[args.index("--alpha-steps") + 1] = "1"
+        assert run(*args) == 0
+        args[args.index("-o") + 1] = tmp_path / "point.csv"
+        args[args.index("--alpha-max") + 1] = args[args.index("--alpha-min") + 1]
+        assert run(*args) == 0
+        wide = (tmp_path / "wide.csv").read_bytes()
+        assert wide == (tmp_path / "point.csv").read_bytes()
+        rows = [line.split(",") for line in wide.decode().splitlines()[1:]]
+        assert len(rows) == 3
+        assert all(float(row[2]) == 0.2236 for row in rows)
+
     def test_no_alpha_steps_exits_2(self, tmp_path, capsys):
         args = self.sweep_args(tmp_path / "out.csv")
         args[args.index("--alpha-steps") + 1] = "0"
@@ -621,6 +660,15 @@ class TestVerifyCommand:
 
     def test_shape_mismatch_exits_2(self):
         assert run("verify", FIX / "a.json", FIX / "d.json") == 2
+
+    def test_overflowing_residuals_write_null(self, tmp_path, capsys):
+        # the candidate's products overflow: the NaN residuals fail the check
+        # and are written as null, with no RuntimeWarning first
+        p = tmp_path / "big.json"
+        save_tensor(p, EinsteinTensor(((2,), (2,)), np.full((2, 2), 1e300)))
+        assert run("verify", p, p) == 1
+        data = strict_json(capsys.readouterr().out)
+        assert data["residuals"] == [None] * 4 and data["passed"] is False
 
 
 class TestTolOption:

@@ -1,5 +1,7 @@
 """Tensor inverse / pseudoinverse behavior, including the Tikhonov-limit oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -159,3 +161,11 @@ class TestVerifyPenrose:
     def test_shape_mismatch(self, example_a, rng):
         with pytest.raises(ShapeError):
             verify_penrose(example_a, rand_tensor(rng, (2, 2), (2,)))
+
+    def test_overflowing_products_do_not_pass(self):
+        # a x and x a overflow: every residual is NaN, which does not pass,
+        # and no RuntimeWarning (an error under this suite's filter) comes first
+        a = fold(np.full((2, 2), 1e300), PairedShape((2,), (2,)))
+        report = verify_penrose(a, a)
+        assert all(math.isnan(r) for r in report.residuals)
+        assert not report.passed

@@ -12,6 +12,7 @@ import einalg as ea
 from einalg import (
     DomainError,
     EinsteinTensor,
+    NumericalError,
     PairedShape,
     ShapeError,
     add,
@@ -218,6 +219,12 @@ class TestConjTranspose:
         with pytest.raises(ShapeError):
             is_hermitian(rand_tensor(rng, (2,), (3,)))
 
+    def test_overflowing_deviation_is_not_hermitian(self):
+        # a - a^H overflows to inf: the verdict is false, and no RuntimeWarning
+        # (an error under this suite's filter) comes first
+        a = EinsteinTensor(PairedShape((2,), (2,)), [[0.0, 1.5e308], [-1.5e308, 0.0]])
+        assert not is_hermitian(a)
+
 
 class TestKronecker:
     def test_worked_example_correction(self, example_b, ex1):
@@ -270,6 +277,31 @@ class TestKronecker:
     def test_overflow_rejected(self):
         with pytest.raises(ShapeError):
             PairedShape((2**40, 2**40), (2**40, 2**40))
+
+
+def _full(value):
+    return EinsteinTensor(PairedShape((2,), (2,)), np.full((2, 2), value))
+
+
+class TestAlgebraOverflow:
+    """An overflow from finite operands is a numerical failure named by its
+    function, with no RuntimeWarning first."""
+
+    @pytest.mark.parametrize("fn, args", [
+        (add, (_full(1.5e308), _full(1.5e308))),
+        (scale, (_full(1e200), 1e200)),
+        (einstein_product, (_full(1e200), _full(1e200))),
+        (kronecker, (_full(1e200), _full(1e200))),
+    ], ids=["add", "scale", "einstein_product", "kronecker"])
+    def test_overflow_is_numerical(self, fn, args):
+        with pytest.raises(NumericalError, match=f"^{fn.__name__} overflowed"):
+            fn(*args)
+
+    @pytest.mark.parametrize("base", [0.0, 1.0])
+    @pytest.mark.parametrize("c", [math.inf, complex(0.0, math.nan)])
+    def test_scale_by_non_finite_is_input_error(self, base, c):
+        with pytest.raises(DomainError, match="scale factor must be finite"):
+            scale(_full(base), c)
 
 
 class TestTraceInnerNorm:

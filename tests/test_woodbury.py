@@ -1,6 +1,7 @@
 """Low-rank update identities: worked examples, random oracles, fallbacks."""
 
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -566,15 +567,24 @@ class TestRankTwoKAssembly:
         got = smw_pinv_hermitian(a_pinv, parts.x1, parts.y1, parts.e1, b_pinv)
         assert_close(got.matrix, smw_pinv(a_pinv, parts, b_pinv).matrix, 1e-10)
 
+    def test_split_checks_its_shapes(self, example_a, ex2_update):
+        parts = decompose_update(example_a, pinv(example_a), ex2_update)
+        message = "split part e2 of shape (4 | 1x1) does not match modes (2, 2) by shared modes (1, 1)"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            SplitParts(
+                parts.x1, parts.y1, parts.x2, parts.y2, parts.e1,
+                zeros(PairedShape((4,), (1, 1))),
+            )
+
     def test_mismatched_scaled_part_rejected(self, example_a, example_b, ex2_update):
         # e2 with the right flattened size but the wrong row modes
         a_pinv = pinv(example_a)
         parts = decompose_update(example_a, a_pinv, ex2_update)
-        bad = SplitParts(
-            parts.x1, parts.y1, parts.x2, parts.y2, parts.e1,
-            zeros(PairedShape((4,), (1, 1))),
-        )
         with pytest.raises(ShapeError):
+            bad = SplitParts(
+                parts.x1, parts.y1, parts.x2, parts.y2, parts.e1,
+                zeros(PairedShape((4,), (1, 1))),
+            )
             smw_pinv(a_pinv, bad, pinv(example_b))
 
 
