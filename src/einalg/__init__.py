@@ -11,11 +11,9 @@ over JSON tensor files.
 """
 
 from . import errors, inverses, matkernel, sensitivity, shapes, tensor, tensorio, woodbury
-from . import unfold as _unfold  # the function ``unfold`` shadows the submodule below
 from .errors import *
 from .shapes import *
 from .tensor import *
-from .unfold import *
 from .matkernel import *
 from .inverses import *
 from .woodbury import *
@@ -26,8 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     name
-    for module in (
-        errors, shapes, tensor, _unfold, matkernel, inverses, woodbury, sensitivity, tensorio
-    )
+    for module in (errors, shapes, tensor, matkernel, inverses, woodbury, sensitivity, tensorio)
     for name in module.__all__
 ] + ["__version__"]

@@ -1,13 +1,15 @@
-"""Tensor inverse and Moore-Penrose pseudoinverse, plus the four-rule verifier.
+"""Rank predicates, tensor inverse and Moore-Penrose pseudoinverse, plus the
+four-rule verifier.
 
-Both inverses go through the flattened matrix: the tensor pseudoinverse is the
-fold of the matrix pseudoinverse, so it inherits every guarantee of the matrix
-kernel.  ``pinv`` is defined for arbitrary paired shapes, not only square
-tensors; low-rank update code relies on pseudoinverses of rectangular and even
-scalar-shaped operands.  Both hand the kernel the tensor's matrix, which is
-finite complex by construction, with no second scan of its entries, so a
-non-finite result is an overflow and raises
-:class:`~einalg.errors.NumericalError`.
+The rank predicates and both inverses go through the flattened matrix: a
+rank is the number of singular values the kernel keeps, and the tensor
+pseudoinverse is the fold of the matrix pseudoinverse, so it inherits every
+guarantee of the matrix kernel.  ``pinv`` is defined for arbitrary paired
+shapes, not only square tensors; low-rank update code relies on
+pseudoinverses of rectangular and even scalar-shaped operands.  Both hand
+the kernel the tensor's matrix, which is finite complex by construction, with
+no second scan of its entries, so a non-finite result is an overflow and
+raises :class:`~einalg.errors.NumericalError`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,16 @@ from .tensor import (
     fro_norm,
 )
 
-__all__ = ["PenroseReport", "inverse", "pinv", "verify_penrose"]
+__all__ = [
+    "unfold_rank",
+    "full_row_rank",
+    "full_column_rank",
+    "is_invertible",
+    "PenroseReport",
+    "inverse",
+    "pinv",
+    "verify_penrose",
+]
 
 #: Default relative tolerance for the four pseudoinverse rules.
 PENROSE_TOL = 1e-10
@@ -46,6 +57,28 @@ class PenroseReport:
     @property
     def passed(self) -> bool:
         return all(r <= self.tol for r in self.residuals)
+
+
+def unfold_rank(a: EinsteinTensor, tol: float = 1.0) -> int:
+    """Numerical rank of the flattened matrix."""
+    return matkernel.numerical_rank(a.matrix, tol=tol)
+
+
+def full_row_rank(a: EinsteinTensor, tol: float = 1.0) -> bool:
+    """Whether the flattened matrix has rank equal to the row size."""
+    return unfold_rank(a, tol=tol) == a.shape.row_size
+
+
+def full_column_rank(a: EinsteinTensor, tol: float = 1.0) -> bool:
+    """Whether the flattened matrix has rank equal to the column size."""
+    return unfold_rank(a, tol=tol) == a.shape.col_size
+
+
+def is_invertible(a: EinsteinTensor, tol: float = 1.0) -> bool:
+    """Whether the square tensor ``a`` has a numerically full-rank flattening."""
+    if not a.shape.is_square:
+        raise ShapeError(f"invertibility is defined for square tensors, got {a.shape}")
+    return full_row_rank(a, tol=tol)
 
 
 def inverse(a: EinsteinTensor) -> EinsteinTensor:

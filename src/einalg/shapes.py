@@ -58,11 +58,7 @@ class PairedShape:
 
     @property
     def transposed(self) -> "PairedShape":
-        # the swapped dims of a valid shape are valid: built without the checks
-        shape = object.__new__(PairedShape)
-        object.__setattr__(shape, "row_dims", self.col_dims)
-        object.__setattr__(shape, "col_dims", self.row_dims)
-        return shape
+        return PairedShape(self.col_dims, self.row_dims)
 
     @property
     def is_square(self) -> bool:
@@ -74,7 +70,11 @@ class PairedShape:
         return f"({rows} | {cols})"
 
 
-def _check_multi_index(idx, dims):
+def phi_index(idx, dims) -> int:
+    """Flat 1-based offset of the 1-based multi-index ``idx`` within ``dims``.
+
+    The first component varies fastest; the empty index maps to 1.
+    """
     idx = tuple(idx)
     dims = tuple(dims)
     if len(idx) != len(dims):
@@ -86,15 +86,6 @@ def _check_multi_index(idx, dims):
             raise IndexOutOfRangeError(
                 f"index component {k + 1} is {i}, valid range is 1..{d}"
             )
-    return idx, dims
-
-
-def phi_index(idx, dims) -> int:
-    """Flat 1-based offset of the 1-based multi-index ``idx`` within ``dims``.
-
-    The first component varies fastest; the empty index maps to 1.
-    """
-    idx, dims = _check_multi_index(idx, dims)
     flat = 1
     stride = 1
     for i, d in zip(idx, dims):

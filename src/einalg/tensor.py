@@ -5,7 +5,9 @@ An :class:`EinsteinTensor` is a dense complex tensor with a
 the row-major flattened matrix whose element ``(phi(i) - 1, phi(j) - 1)`` is the
 tensor entry ``a_{i_1..i_M, j_1..j_N}``.  Flattening a tensor to that matrix is
 therefore a reinterpretation of the buffer, never a copy-permute, and every
-Einstein product dispatches to one dense matrix-matrix multiply.
+Einstein product dispatches to one dense matrix-matrix multiply: :func:`unfold`
+returns the matrix as a read-only view, and :func:`fold` copies one back
+through the constructor, which checks its size.
 
 Values are immutable after construction and all operations are pure functions,
 so tensors can be shared freely between threads.  Construction checks that
@@ -40,7 +42,15 @@ __all__ = [
     "inner",
     "fro_norm",
     "is_hermitian",
+    "unfold",
+    "fold",
 ]
+
+
+#: Decorator for the entry points whose products of finite operands may
+#: overflow: they check their results finite and raise, so numpy's
+#: floating-point warning would only come first.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 class EinsteinTensor:
@@ -52,15 +62,6 @@ class EinsteinTensor:
         if not isinstance(shape, PairedShape):
             shape = PairedShape(*shape)
         self._hold(shape, np.array(matrix, dtype=np.complex128, order="C"))
-
-    @classmethod
-    def _adopt(cls, shape: PairedShape, mat: np.ndarray, norm: float | None = None) -> "EinsteinTensor":
-        """Tensor that keeps ``mat`` itself, with the constructor's checks but no
-        copy: for an array the library has just computed and nothing else writes.
-        ``norm``, when given, is ``_frobenius(mat)``, already computed."""
-        tensor = cls.__new__(cls)
-        tensor._hold(shape, np.ascontiguousarray(mat, dtype=np.complex128), norm)
-        return tensor
 
     def _hold(self, shape: PairedShape, mat: np.ndarray, norm: float | None = None) -> None:
         if mat.shape != (shape.row_size, shape.col_size):
@@ -120,8 +121,13 @@ class EinsteinTensor:
 
     __rmul__ = __mul__
 
+    @_quiet_overflow
     def __truediv__(self, c):
-        return scale(self, 1.0 / complex(c))
+        """``self * (1 / c)`` for a finite nonzero scalar ``c``."""
+        c = complex(c)
+        if c == 0 or not cmath.isfinite(c):
+            raise DomainError(f"divisor must be finite and nonzero, got {c}")
+        return _returned("divide", self._shape, self._mat * (1.0 / c))
 
     def __matmul__(self, other):
         return einstein_product(self, other)
@@ -151,12 +157,6 @@ def identity(row_dims) -> EinsteinTensor:
         raise ShapeError("identity needs at least one mode")
     shape = PairedShape(row_dims, row_dims)
     return EinsteinTensor(shape, np.eye(shape.row_size))
-
-
-#: Decorator for the entry points whose products of finite operands may
-#: overflow: they check their results finite and raise, so numpy's
-#: floating-point warning would only come first.
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 @_quiet_overflow
@@ -278,12 +278,16 @@ def _relative(diff: np.ndarray, ref_norm: float) -> float:
 def _returned(
     stage: str, shape: PairedShape, mat: np.ndarray, norm: float | None = None
 ) -> EinsteinTensor:
-    """Wrap a result computed from finite tensors, without a copy: a non-finite
-    entry is an overflow in ``stage``.  ``norm`` is as for ``_adopt``."""
+    """Tensor that keeps ``mat`` itself, with the constructor's checks but no
+    copy: for a result the library has just computed from finite tensors and
+    nothing else writes, so a non-finite entry is an overflow in ``stage``.
+    ``norm``, when given, is ``_frobenius(mat)``, already computed."""
+    tensor = EinsteinTensor.__new__(EinsteinTensor)
     try:
-        return EinsteinTensor._adopt(shape, mat, norm)
+        tensor._hold(shape, np.ascontiguousarray(mat, dtype=np.complex128), norm)
     except DomainError as err:
         raise NumericalError(f"{stage} overflowed: {err}") from err
+    return tensor
 
 
 @_quiet_overflow
@@ -292,3 +296,13 @@ def is_hermitian(a: EinsteinTensor, tol: float = 1e-10) -> bool:
     if not a.shape.is_square:
         raise ShapeError(f"hermiticity is defined for square tensors, got {a.shape}")
     return _relative(a.matrix - _adjoint(a.matrix), fro_norm(a)) <= tol
+
+
+def unfold(a: EinsteinTensor) -> np.ndarray:
+    """The ``row_size x col_size`` matrix holding ``a``'s entries (no copy)."""
+    return a.matrix
+
+
+def fold(mat, shape) -> EinsteinTensor:
+    """Tensor of the given paired shape whose flattened form is ``mat`` (copied)."""
+    return EinsteinTensor(shape, mat)

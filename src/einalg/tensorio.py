@@ -41,11 +41,10 @@ __all__ = [
 
 def tensor_to_dict(t: EinsteinTensor) -> dict:
     """JSON-ready dict in the tensor file schema."""
-    flat = t.matrix.ravel()
     return {
         "row_dims": list(t.row_dims),
         "col_dims": list(t.col_dims),
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
+        "entries": t.matrix.view(np.float64).reshape(-1, 2).tolist(),
     }
 
 

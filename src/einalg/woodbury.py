@@ -281,23 +281,24 @@ def _smw_invertible(
         )
     a_inv_mat, u = a_inv.matrix, upd.u.matrix
     right, residual = _capacitance(
-        "smw_invertible", _rows_mat(upd.v.matrix, a_inv_mat), u, b_inv.matrix
+        "smw_invertible", _rows_mat(upd.v.matrix, a_inv_mat), u, b_inv.matrix,
+        np.eye(u.shape[1]),
     )
     return _corrected("smw_invertible", a_inv, _mat_cols(a_inv_mat, u), right), residual
 
 
 def _capacitance(
-    stage: str, v_ap: np.ndarray, u: np.ndarray, c0: np.ndarray, w: np.ndarray | None = None
+    stage: str, v_ap: np.ndarray, u: np.ndarray, c0: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """The capacitance step: ``(r, residual)`` with ``r = -(C^-1 w)(v a^+)``
-    (K x N) and ``C = c0 + w (v a^+ u)`` (``w = I`` when None), so that the
-    updated inverse is ``a^+ + (a^+ u) r``.
+    (K x N) and ``C = c0 + w (v a^+ u)``, so that the updated inverse is
+    ``a^+ + (a^+ u) r``.
 
     That is the corrected tensor ``a + u (c0^-1 w) v``: :func:`smw_invertible`
-    passes ``c0 = b^-1``, and :func:`update_pinv` passes ``c0 = I``, ``w = b``,
-    the form that holds for a pseudoinverse when ``u`` and ``v^H`` lie in
-    ``a``'s column spaces and ``C`` is invertible (Meyer 1973; Deng 2011), and
-    needs no ``b^-1``.  ``C`` is inverted under the kernel's rank rule taken
+    passes ``c0 = b^-1``, ``w = I``, and :func:`update_pinv` passes
+    ``c0 = I``, ``w = b``, the form that holds for a pseudoinverse when ``u``
+    and ``v^H`` lie in ``a``'s column spaces and ``C`` is invertible (Meyer
+    1973; Deng 2011), and needs no ``b^-1``.  ``C`` is inverted under the kernel's rank rule taken
     relative to ``|c0|_F + |w (v a^+ u)|_F``, not to ``C``'s own largest
     singular value, so that a ``C`` in which the two terms cancel to rounding
     is singular; ``residual`` is that rule's floor over ``C``'s smallest
@@ -306,9 +307,7 @@ def _capacitance(
     :class:`~einalg.errors.SingularCapacitanceError` if the rule drops the
     rank, and :class:`~einalg.errors.NumericalError` naming ``stage`` if ``C``
     or ``r`` overflows."""
-    cap = np.matmul(v_ap, u)
-    if w is not None:
-        cap = np.matmul(w, cap)
+    cap = np.matmul(w, np.matmul(v_ap, u))
     scale = _frobenius(c0) + _frobenius(cap)
     cap += c0
     if not (math.isfinite(scale) and np.isfinite(cap).all()):
@@ -321,9 +320,7 @@ def _capacitance(
             rank=err.rank,
             sigma_min=err.sigma_min,
         ) from err
-    if w is not None:
-        cap_inv = np.matmul(cap_inv, w)
-    right = np.matmul(-cap_inv, v_ap)
+    right = np.matmul(-np.matmul(cap_inv, w), v_ap)
     if not np.isfinite(right).all():
         raise NumericalError(f"{stage} overflowed: the capacitance factor is not finite")
     return right, float(_rank_floor(scale, cap.shape, 1.0) / sigma[-1])
@@ -384,14 +381,6 @@ class _Split(NamedTuple):
     e1: np.ndarray
     e2: np.ndarray
     norms: dict[str, float]
-
-    @classmethod
-    def of(cls, parts: SplitParts) -> "_Split":
-        return cls(
-            parts.x1.matrix, parts.y1.matrix, _adjoint(parts.x2.matrix),
-            _adjoint(parts.y2.matrix), parts.e1.matrix, parts.e2.matrix,
-            norms={name: fro_norm(getattr(parts, name)) for name in _PART_NAMES},
-        )
 
     def wrapped(self, upd: LowRankUpdate) -> SplitParts:
         """The six parts as tensors, each around its matrix (the adjoint of
@@ -517,7 +506,11 @@ def check_conditions(
     finite, which from finite parts means the condition products overflowed.
     """
     _check_middle(parts, b, b_pinv)
-    split = _Split.of(parts)
+    split = _Split(
+        parts.x1.matrix, parts.y1.matrix, _adjoint(parts.x2.matrix),
+        _adjoint(parts.y2.matrix), parts.e1.matrix, parts.e2.matrix,
+        norms={name: fro_norm(getattr(parts, name)) for name in _PART_NAMES},
+    )
     residuals = _residuals(split, _adjoint(split.e1), b.matrix, b_pinv.matrix)
     return ConditionReport(residuals=residuals, tol=tol)
 

@@ -207,24 +207,19 @@ def record_work(monkeypatch):
     axes (1 for two matrices), and the rest are the sizes of each product, so
     K stacked N x N x 1 products read ``(K, N, N, 1)``."""
     sizes, built = [], []
-    matmul, init, adopt = np.matmul, EinsteinTensor.__init__, EinsteinTensor._adopt
+    matmul, hold = np.matmul, EinsteinTensor._hold
 
     def recorded_matmul(x, y, *args, **kwargs):
         batch = math.prod(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]))
         sizes.append((batch, x.shape[-2], x.shape[-1], y.shape[-1]))
         return matmul(x, y, *args, **kwargs)
 
-    def recorded_init(self, *args):
-        built.append(args[0])
-        init(self, *args)
-
-    def recorded_adopt(cls, shape, mat, *args):
+    def recorded_hold(self, shape, *args):
         built.append(shape)
-        return adopt(shape, mat, *args)
+        hold(self, shape, *args)
 
     monkeypatch.setattr(np, "matmul", recorded_matmul)
-    monkeypatch.setattr(EinsteinTensor, "__init__", recorded_init)
-    monkeypatch.setattr(EinsteinTensor, "_adopt", classmethod(recorded_adopt))
+    monkeypatch.setattr(EinsteinTensor, "_hold", recorded_hold)
     return sizes, built
 
 

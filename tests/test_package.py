@@ -1,6 +1,6 @@
 """The package's public surface: ``einalg.__all__`` names a fixed set of objects."""
 
-import sys
+import importlib.util
 
 import einalg
 
@@ -88,5 +88,9 @@ def test_every_public_name_resolves():
 
 
 def test_unfold_is_the_function():
-    # the function of the same name shadows the submodule on the package
-    assert einalg.unfold is sys.modules["einalg.unfold"].unfold
+    # the flattening functions live with the tensor storage they expose
+    assert einalg.unfold is einalg.tensor.unfold
+
+
+def test_no_unfold_submodule():
+    assert importlib.util.find_spec("einalg.unfold") is None

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from einalg import IndexOutOfRangeError, PairedShape, ShapeError, phi_index, phi_inverse
@@ -29,6 +29,19 @@ class TestPairedShape:
     def test_overflowing_shape_rejected(self):
         with pytest.raises(ShapeError):
             PairedShape((2**40, 2**40), (2**40,))
+
+
+_DIMS = st.lists(st.integers(min_value=1, max_value=5), max_size=4).map(tuple)
+
+
+class TestTransposed:
+    @given(st.tuples(_DIMS, _DIMS).filter(any))
+    @example(((2, 3), ()))
+    @example(((), (4,)))
+    def test_swaps_the_sides(self, dims):
+        s = PairedShape(*dims)
+        assert s.transposed == PairedShape(s.col_dims, s.row_dims)
+        assert s.transposed.transposed == s
 
 
 class TestPhi:

@@ -29,7 +29,7 @@ from einalg import (
     zeros,
 )
 
-from einalg.tensor import _frobenius
+from einalg.tensor import _frobenius, _returned
 
 from conftest import einsum_product, rand_tensor
 
@@ -304,6 +304,34 @@ class TestAlgebraOverflow:
             scale(_full(base), c)
 
 
+class TestDivide:
+    """``t / c`` is ``t * (1 / c)``: a zero or non-finite divisor is an input
+    error, and a quotient that overflows is a numerical failure."""
+
+    @pytest.mark.parametrize(
+        "c", [0, 0j, -0.0, math.inf, complex(0.0, math.nan)],
+        ids=["zero", "complex-zero", "negative-zero", "inf", "nan"],
+    )
+    def test_zero_or_non_finite_divisor_is_input_error(self, c):
+        with pytest.raises(DomainError, match="divisor must be finite and nonzero"):
+            identity([2]) / c
+
+    @pytest.mark.parametrize("t, c", [
+        (identity([2]), 1e-320),  # 1 / c is not finite
+        (_full(1e200), 1e-200),
+    ], ids=["reciprocal", "entries"])
+    def test_overflow_is_numerical(self, t, c):
+        with pytest.raises(NumericalError, match="^divide overflowed"):
+            t / c
+
+    @pytest.mark.parametrize("c", [3, -0.5, 2.5 - 1j, 1e-300, 1e300])
+    def test_quotient_is_product_with_reciprocal(self, rng, c):
+        t = rand_tensor(rng, (2, 3), (4,))
+        got = t / c
+        assert got.shape == t.shape
+        assert got.matrix.tobytes() == scale(t, 1.0 / complex(c)).matrix.tobytes()
+
+
 class TestTraceInnerNorm:
     def test_trace_identity(self):
         assert trace(identity([2, 2])) == 4.0
@@ -408,7 +436,7 @@ class TestKeptNorm:
         # construction keeps the norm its finiteness pass computed, bit for bit
         shape = PairedShape((mat.shape[0],), (mat.shape[1],))
         want = _frobenius(mat)
-        for t in (EinsteinTensor(shape, mat), EinsteinTensor._adopt(shape, mat.copy())):
+        for t in (EinsteinTensor(shape, mat), _returned("kept norm", shape, mat.copy())):
             assert fro_norm(t) == want == _frobenius(t.matrix)
 
     def test_norm_is_not_recomputed(self, rng, monkeypatch):
