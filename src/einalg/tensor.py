@@ -177,21 +177,17 @@ def scale(a: EinsteinTensor, c) -> EinsteinTensor:
 
 
 @_quiet_overflow
-def einstein_product(a: EinsteinTensor, b: EinsteinTensor, order: int | None = None) -> EinsteinTensor:
+def einstein_product(a: EinsteinTensor, b: EinsteinTensor) -> EinsteinTensor:
     """Einstein product contracting ``a``'s column modes against ``b``'s row modes.
 
-    The contraction order is fixed by the operands (all of ``a.col_dims``); an
-    explicit ``order`` is validated against it.  On the flattened matrices this
-    is exactly a matrix product.
+    The paired shapes fix the contraction: all of ``a.col_dims``, the paper's
+    ``*_N`` with ``N = len(a.col_dims)``.  On the flattened matrices this is
+    exactly a matrix product.
     """
     if a.col_dims != b.row_dims:
         raise ShapeError(
             f"cannot contract {a.shape} with {b.shape}: "
             f"column modes {a.col_dims} != row modes {b.row_dims}"
-        )
-    if order is not None and order != len(a.col_dims):
-        raise ShapeError(
-            f"contraction order {order} does not match the {len(a.col_dims)} shared modes"
         )
     shape = PairedShape(a.row_dims, b.col_dims)
     return _returned("einstein_product", shape, a.matrix @ b.matrix)

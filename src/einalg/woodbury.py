@@ -351,10 +351,12 @@ def _split(
     whole: np.ndarray, x: np.ndarray, pre: np.ndarray, floor: float, norm_whole: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
     """``(x, whole - x, pre, |x|, |y|)`` with one part within ``floor`` zeroed,
-    ``y`` first: both zeroed would make the conditions hold on zeros, and
-    ``y = 0`` falls back.  ``pre``, the ``a^+`` product ``x`` was made from, is
-    zeroed with ``x``.  The norms are the ``_frobenius`` of the returned
-    arrays (``|whole|`` is ``norm_whole``)."""
+    ``y`` first: both zeroed would make the conditions hold on zeros.  A split
+    with ``y1 = y2 = 0`` takes the capacitance step; one with a single zero
+    ``y`` falls back, as conditions 3.1 / 4.1 then fail.  ``pre``, the
+    ``a^+`` product ``x`` was made from, is zeroed with ``x``.  The norms are
+    the ``_frobenius`` of the returned arrays (``|whole|`` is
+    ``norm_whole``)."""
     y = whole - x
     norm_x, norm_y = _frobenius(x), _frobenius(y)
     if norm_y <= floor:
@@ -407,32 +409,26 @@ def _part_norm(mat: np.ndarray, norm: float | None = None) -> float:
 
 
 @_quiet_overflow
-def decompose_update(
-    a: EinsteinTensor,
-    a_pinv: EinsteinTensor,
-    upd: LowRankUpdate,
-    tol: float = 1.0,
-) -> SplitParts:
+def decompose_update(a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate) -> SplitParts:
     """Split the update factors against the base tensor's column spaces.
 
     ``x1 = a (a^+ u)`` and ``x2^H = (v a^+) a`` are the projections onto the
     left and right column spaces, associated so that every product has K
     columns or K rows (O(N^2 K), no N x N projector is formed); the remainders
     ``y_i`` are orthogonal to them by construction.  The kernel's rule
-    (:mod:`einalg.matkernel`) scaled by ``tol`` truncates the ``e_i``
-    pseudoinverses and zeroes a part within ``tol * max(m, n) * 2**-52 *
-    |a|_F |a^+|_F |u|_F`` (``|v^H|_F`` on the right), the rounding bound of
-    ``a (a^+ u)`` and at most ``rank(a)`` times the spectral one: residue
-    taken as structure gives a huge ``e_i`` and conditions that hold on noise.
-    Raises
+    (:mod:`einalg.matkernel`) truncates the ``e_i`` pseudoinverses and zeroes
+    a part within ``max(m, n) * 2**-52 * |a|_F |a^+|_F |u|_F`` (``|v^H|_F``
+    on the right), the rounding bound of ``a (a^+ u)`` and at most
+    ``rank(a)`` times the spectral one: residue taken as structure gives a
+    huge ``e_i`` and conditions that hold on noise.  Raises
     :class:`~einalg.errors.NumericalError` if a part or a K x K Gram
     intermediate overflows.
     """
-    return _decompose(a, a_pinv, upd, tol)[0].wrapped(upd)
+    return _decompose(a, a_pinv, upd)[0].wrapped(upd)
 
 
 def _decompose(
-    a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate, tol: float = 1.0
+    a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate
 ) -> tuple[_Split, np.ndarray, np.ndarray, np.ndarray | None, float]:
     """:func:`decompose_update` on matrices, plus what the identity and the
     capacitance step reuse: ``(split, a^+ u, v a^+, b^+, floor)``.  ``a^+ u``
@@ -440,7 +436,7 @@ def _decompose(
     ``x2^H a^+``, as ``a^+ a a^+ = a^+``), so the updated pseudoinverse is
     ``a^+`` plus one correction built from them and K-sized pieces.  The
     matrix ``b^+`` is taken in one LAPACK call on a (3, K, K) stack with the
-    two Gram pseudoinverses.  ``floor``, ``tol * max(m, n) * 2**-52 * |a|_F
+    two Gram pseudoinverses.  ``floor``, ``max(m, n) * 2**-52 * |a|_F
     |a^+|_F``, is the split's rounding bound relative to ``|u|`` and
     ``|v^H|``; those four norms are the ones the tensors kept when they were
     built.
@@ -457,7 +453,7 @@ def _decompose(
     upd._conform(a.shape)
     a_mat, ap, u, v, b = a.matrix, a_pinv.matrix, upd.u.matrix, upd.v.matrix, upd.b.matrix
     norm_u, norm_v = fro_norm(upd.u), fro_norm(upd.v)
-    floor = _rank_floor(fro_norm(a) * fro_norm(a_pinv), a_mat.shape, tol)
+    floor = _rank_floor(fro_norm(a) * fro_norm(a_pinv), a_mat.shape, 1.0)
     ap_u, v_ap = _mat_cols(ap, u), _rows_mat(v, ap)
     x1, y1, ap_u, norm_x1, norm_y1 = _split(u, _mat_cols(a_mat, ap_u), ap_u, floor * norm_u, norm_u)
     x2h, y2h, v_ap, norm_x2h, norm_y2h = _split(v, _rows_mat(v_ap, a_mat), v_ap, floor * norm_v, norm_v)
@@ -474,7 +470,7 @@ def _decompose(
             raise NumericalError(
                 f"decompose_update overflowed: the Gram tensor {name}^H {name} is not finite"
             )
-        gram1_pinv, gram2_pinv, b_pinv = _pinv_stack(stack, tol=tol)
+        gram1_pinv, gram2_pinv, b_pinv = _pinv_stack(stack)
         e1, e2 = np.matmul(y1, gram1_pinv), np.matmul(y2, gram2_pinv)
     # y2 needs no check: it is zero, or its Gram, whose diagonal holds its
     # squared column norms, is finite
@@ -607,7 +603,6 @@ def smw_pinv_orthogonal(
 def smw_pinv_hermitian(
     a_pinv: EinsteinTensor,
     x: EinsteinTensor,
-    y: EinsteinTensor,
     e: EinsteinTensor,
     b_pinv: EinsteinTensor,
 ) -> EinsteinTensor:
@@ -615,9 +610,10 @@ def smw_pinv_hermitian(
 
     ``a+ - e x^H a+ - a+ x e^H + e (b+ + x^H a+ x) e^H``, which is
     :func:`smw_pinv` with ``x2 = x1 = x`` and ``e2 = e1 = e``; the null-space
-    part ``y`` enters only through its scaled form ``e = y (y^H y)^+`` and is
-    taken here to pin the split down and validate conformity.
+    part ``y`` enters only through its scaled form ``e = y (y^H y)^+``, so the
+    split is built with zero ``y`` parts, which :func:`smw_pinv` never reads.
     """
+    y = zeros(x.shape)
     return smw_pinv(a_pinv, SplitParts(x, y, x, y, e, e), b_pinv)
 
 

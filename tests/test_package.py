@@ -1,6 +1,9 @@
 """The package's public surface: ``einalg.__all__`` names a fixed set of objects."""
 
 import importlib.util
+import inspect
+
+import pytest
 
 import einalg
 
@@ -94,3 +97,23 @@ def test_unfold_is_the_function():
 
 def test_no_unfold_submodule():
     assert importlib.util.find_spec("einalg.unfold") is None
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        # the paired shapes fix the contraction order
+        ("einstein_product", ["a", "b"]),
+        # y enters the Hermitian identity only through e = y (y^H y)^+
+        ("smw_pinv_hermitian", ["a_pinv", "x", "e", "b_pinv"]),
+        # update_pinv and measure_error always split at the kernel's rule
+        ("decompose_update", ["a", "a_pinv", "upd"]),
+    ],
+)
+def test_signature(name, params):
+    assert list(inspect.signature(getattr(einalg, name)).parameters) == params
+
+
+def test_low_rank_update_takes_order():
+    # the benchmark workloads build their updates with an explicit order
+    assert list(inspect.signature(einalg.LowRankUpdate).parameters) == ["u", "b", "v", "order"]

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from einalg import (
@@ -311,29 +311,40 @@ class TestMeasureError:
             measure_error(a, d, upd, delta_d)
 
 
-@st.composite
-def perturbed_system(draw, inside=None):
-    """Rank-deficient (2,2 | 2,2) system with a K-mode update that takes
-    either path, and a right-side perturbation of 1e-3 to 1 times ``|d|``.
-    ``inside`` puts ``u`` and ``v^H`` inside ``a``'s column spaces (True) or
-    not (False); None draws it.
-
-    The reference ``|y - x|`` subtracts two solutions; its own rounding is
-    about ``2**-52 |y| / |y - x|`` relative, so perturbations are kept well
-    above that."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def seeded_system(seed, k, rank, inside, delta_exponent=0.0):
+    """Rank-``rank`` (2,2 | 2,2) system from ``default_rng(seed)`` with a
+    ``k``-mode update, inside ``a``'s column spaces (``u = a u'``, ``v = v'
+    a``) when ``inside``, and a right-side perturbation of
+    ``10**delta_exponent`` times ``|d|``."""
+    rng = np.random.default_rng(seed)
     dims = (2, 2)
-    k = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
-    rank = draw(st.integers(1, 3))
     a = einstein_product(rand_tensor(rng, dims, (rank,)), rand_tensor(rng, (rank,), dims))
     u, v = rand_tensor(rng, dims, k), rand_tensor(rng, k, dims)
-    if draw(st.booleans()) if inside is None else inside:  # inside the column spaces
+    if inside:
         u, v = einstein_product(a, u), einstein_product(v, a)
     upd = LowRankUpdate(u=u, b=rand_tensor(rng, k, k), v=v, order=len(k))
     d = rand_tensor(rng, dims, (1,))
     delta = rand_tensor(rng, dims, (1,))
-    delta = scale(delta, 10 ** draw(st.floats(-3, 0)) * fro_norm(d) / fro_norm(delta))
+    delta = scale(delta, 10**delta_exponent * fro_norm(d) / fro_norm(delta))
     return a, d, upd, delta
+
+
+@st.composite
+def perturbed_system(draw, inside=None):
+    """:func:`seeded_system` with a drawn seed, K of 1 or 2 modes, rank 1 to 3
+    and a perturbation of 1e-3 to 1 times ``|d|``, on an update that takes
+    either path.  ``inside`` puts ``u`` and ``v^H`` inside ``a``'s column
+    spaces (True) or not (False); None draws it.
+
+    The reference ``|y - x|`` subtracts two solutions; its own rounding is
+    about ``2**-52 |y| / |y - x|`` relative, so perturbations are kept well
+    above that."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    k = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
+    rank = draw(st.integers(1, 3))
+    if inside is None:
+        inside = draw(st.booleans())
+    return seeded_system(seed, k, rank, inside, draw(st.floats(-3, 0)))
 
 
 class TestMeasureErrorThroughFactors:
@@ -403,6 +414,13 @@ class TestColumnSpaceUpdates:
 
     @settings(max_examples=100, deadline=None)
     @given(perturbed_system(inside=True), st.integers(-40, 0))
+    # draws whose error exceeds 64 C alone: the first two by the reference's
+    # own error (cond_r(s) 1.6e4 and 3.8e3), the last two, at cond_r(s) = 1,
+    # by under 1.25x
+    @example(seeded_system(9674, (1, 1), 3, True), 0)
+    @example(seeded_system(17222, (1, 1), 3, True), 0)
+    @example(seeded_system(4974, (1,), 1, True), 0)
+    @example(seeded_system(37050, (1,), 1, True), 0)
     def test_same_results_as_with_the_pseudoinverses(self, case, b_exponent):
         # down to b = 1e-40, where the six conditions held on e1 = e2 = 0 and
         # returned a^+ without the O(b) term.  The rounding of a u' may leave
@@ -417,16 +435,22 @@ class TestColumnSpaceUpdates:
         residual = result.report.residuals["C"]
         assert list(result.report.residuals) == ["C"]
         if result.path == "capacitance":
-            # C bounds the error: 3000 seeded draws of this kind stayed within
-            # 12.5 times it of LAPACK.  The reference keeps a's rank, which the
-            # corrected tensor has in exact arithmetic: a cut at a multiple of
-            # 2**-52 can keep one of its rounding singular values (1.1e-15
-            # relative to the largest at N = 4), whose inverse swamps the rest
+            # The reference keeps a's rank, which the corrected tensor has in
+            # exact arithmetic: a cut at a multiple of 2**-52 can keep one of
+            # its rounding singular values (1.1e-15 relative to the largest at
+            # N = 4), whose inverse swamps the rest.  The error allowed is C,
+            # which measures the capacitance step only, plus the reference's
+            # own n cond_r(s) 2**-52, cond_r(s) the ratio of s's largest
+            # singular value to the rank(a)-th.  Of 717,752 draws at
+            # b_exponent = 0 (seeds below 40,000, every K and rank), 68 exceed
+            # 64 C alone and none the sum
+            n = a.shape.row_size
             w, sv, vh = np.linalg.svd(apply_update(a, upd).matrix)
             rank = np.linalg.matrix_rank(a.matrix)
             want = (vh[:rank].conj().T / sv[:rank]) @ w[:, :rank].conj().T
+            reference = n * sv[0] / sv[rank - 1] * 2.0**-52
             got = result.s_pinv.matrix
-            assert np.linalg.norm(got - want) <= 64 * residual * np.linalg.norm(want)
+            assert np.linalg.norm(got - want) <= 64 * (residual + reference) * np.linalg.norm(want)
         else:
             assert residual > result.report.tol
             direct = pinv(apply_update(a, upd))

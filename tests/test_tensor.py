@@ -106,7 +106,7 @@ class TestZerosIdentity:
                 assert t.entry(i, j) == expected
 
     def test_identity_is_left_neutral(self, example_a):
-        assert einstein_product(identity([2, 2]), example_a, 2) == example_a
+        assert einstein_product(identity([2, 2]), example_a) == example_a
 
     def test_identity_needs_modes(self):
         with pytest.raises(ShapeError):
@@ -146,7 +146,7 @@ class TestEinsteinProduct:
     def test_matches_loop_oracle(self, rng):
         a = rand_tensor(rng, (2, 3), (2, 2))
         b = rand_tensor(rng, (2, 2), (3, 1))
-        got = einstein_product(a, b, 2)
+        got = einstein_product(a, b)
         want = loop_product(a, b)
         assert np.allclose(got.matrix, want.matrix, rtol=0, atol=1e-13)
         assert got.shape == PairedShape((2, 3), (3, 1))
@@ -169,16 +169,9 @@ class TestEinsteinProduct:
         with pytest.raises(ShapeError):
             einstein_product(a, b)
 
-    def test_explicit_order_validated(self, rng):
-        a = rand_tensor(rng, (2,), (3,))
-        b = rand_tensor(rng, (3,), (2,))
-        with pytest.raises(ShapeError):
-            einstein_product(a, b, 2)
-        assert einstein_product(a, b, 1).shape == PairedShape((2,), (2,))
-
     def test_pinv_product_reproduces_base(self, example_a, example_a_pinv):
         # a * a+ * a == a for the worked example pair
-        got = einstein_product(einstein_product(example_a, example_a_pinv, 2), example_a, 2)
+        got = einstein_product(einstein_product(example_a, example_a_pinv), example_a)
         assert np.allclose(got.matrix, example_a.matrix, atol=1e-12)
 
 
@@ -233,7 +226,7 @@ class TestKronecker:
         b_as_rows = fold(
             example_b.matrix.reshape(1, 1), PairedShape((1, 1, 1, 1), ())
         )
-        flat = einstein_product(big, b_as_rows, 4)
+        flat = einstein_product(big, b_as_rows)
         correction = fold(
             flat.matrix.reshape(4, 4, order="F"), PairedShape((2, 2), (2, 2))
         )
@@ -252,12 +245,12 @@ class TestKronecker:
             a = rand_tensor(rng, (2, 3), (2, 2))
             z = rand_tensor(rng, (2, 2), (3,))
             b = rand_tensor(rng, (3,), (4,), real=True)
-            lhs = einstein_product(einstein_product(a, z, 2), b, 1)
+            lhs = einstein_product(einstein_product(a, z), b)
             big = kronecker(a, b.H)
             z_rows = fold(
                 z.matrix.reshape(-1, 1, order="F"), PairedShape((2, 2, 3), ())
             )
-            rhs_flat = einstein_product(big, z_rows, 3)
+            rhs_flat = einstein_product(big, z_rows)
             rhs = fold(
                 rhs_flat.matrix.reshape(6, 4, order="F"), PairedShape((2, 3), (4,))
             )
@@ -351,7 +344,7 @@ class TestTraceInnerNorm:
     def test_inner_vs_trace_oracle(self, rng):
         a = rand_tensor(rng, (2, 2), (3,))
         b = rand_tensor(rng, (2, 2), (3,))
-        want = trace(einstein_product(a.H, b, 2))
+        want = trace(einstein_product(a.H, b))
         assert inner(a, b) == pytest.approx(want, rel=1e-12)
 
     def test_inner_squared_norm_worked_example(self, example_a):

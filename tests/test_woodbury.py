@@ -444,7 +444,7 @@ class TestSmwPinvHermitian:
             upd = LowRankUpdate(u=u, b=b, v=u.H, order=1)
             parts = decompose_update(a, a_pinv, upd)
             b_pinv = pinv(b)
-            got = smw_pinv_hermitian(a_pinv, parts.x1, parts.y1, parts.e1, b_pinv)
+            got = smw_pinv_hermitian(a_pinv, parts.x1, parts.e1, b_pinv)
             general = smw_pinv(a_pinv, parts, b_pinv)
             assert fro_norm(got - general) <= 1e-10
 
@@ -452,7 +452,7 @@ class TestSmwPinvHermitian:
         a, a_pinv, x, y, u, b = self._hermitian_case(rng)
         upd = LowRankUpdate(u=u, b=b, v=u.H, order=1)
         parts = decompose_update(a, a_pinv, upd)
-        got = smw_pinv_hermitian(a_pinv, parts.x1, parts.y1, parts.e1, pinv(b))
+        got = smw_pinv_hermitian(a_pinv, parts.x1, parts.e1, pinv(b))
         want = pinv(apply_update(a, upd))
         assert fro_norm(got - want) <= 1e-8 * max(1.0, fro_norm(want))
 
@@ -475,18 +475,18 @@ class TestSmwPinvHermitian:
         a_pinv = pinv(a)
         shape_u = PairedShape((2, 2), (1, 1))
         got = smw_pinv_hermitian(
-            a_pinv, zeros(shape_u), zeros(shape_u), zeros(shape_u), pinv(example_b)
+            a_pinv, zeros(shape_u), zeros(shape_u), pinv(example_b)
         )
         assert got == a_pinv
 
     def test_mismatched_split_rejected(self, example_b, rng):
+        # e carries two shared modes where x carries one
         a = identity([2, 2])
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="split part e1 "):
             smw_pinv_hermitian(
                 pinv(a),
                 rand_tensor(rng, (2, 2), (1,)),
                 rand_tensor(rng, (2, 2), (2,)),
-                rand_tensor(rng, (2, 2), (1,)),
                 pinv(example_b),
             )
 
@@ -564,7 +564,7 @@ class TestRankTwoKAssembly:
         a_pinv = pinv(a)
         parts = decompose_update(a, a_pinv, upd)
         b_pinv = pinv(upd.b)
-        got = smw_pinv_hermitian(a_pinv, parts.x1, parts.y1, parts.e1, b_pinv)
+        got = smw_pinv_hermitian(a_pinv, parts.x1, parts.e1, b_pinv)
         assert_close(got.matrix, smw_pinv(a_pinv, parts, b_pinv).matrix, 1e-10)
 
     def test_split_checks_its_shapes(self, example_a, ex2_update):
