@@ -91,7 +91,7 @@ def cmd_smw(args) -> int:
     upd = LowRankUpdate(u=u, b=b, v=v, order=len(u.col_dims))
 
     if args.mode == "invertible":
-        result, residual = woodbury._smw_invertible(inverse(a), upd, inverse(b))
+        result, residual = woodbury._smw_invertible(inverse(a), upd)
         report = woodbury.ConditionReport({"C": residual}, args.tol)
         path, applicable = "capacitance", report.applicable
     else:

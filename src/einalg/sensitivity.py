@@ -21,7 +21,7 @@ perturbation levels and norm scalings.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,17 +70,23 @@ class PerturbationSpec:
 class BoundReport:
     """One perturbation scenario: norms, eps levels, bound, measured error.
 
-    ``bound`` is always recomputable from the stored fields via
-    :func:`norm_bound`.  ``measured_error`` is None for bound-only rows
-    (e.g. sweep grids).
+    ``bound`` is computed from the stored norms and eps levels via
+    :func:`norm_bound`, so construction raises
+    :class:`~einalg.errors.DomainError` unless both eps levels are finite
+    and >= 0.  ``measured_error`` is None for bound-only rows (e.g. sweep
+    grids).
     """
 
     norm_a: float
     norm_a_pinv: float
     eps_a: float
     eps_d: float
-    bound: float
+    bound: float = field(init=False)
     measured_error: float | None = None
+
+    def __post_init__(self):
+        spec = PerturbationSpec(self.eps_a, self.eps_d)
+        object.__setattr__(self, "bound", norm_bound(self.norm_a, self.norm_a_pinv, spec))
 
 
 def _check_right_side(a: EinsteinTensor, d: EinsteinTensor) -> None:
@@ -180,14 +186,11 @@ def measure_error(
     norms = split.norms
     eps_a = max(norms["x1"], norms["x2"], norms["e1"], norms["e2"]) / norm_a
     eps_d = fro_norm(delta_d) / norm_d if norm_d > 0 else 0.0
-    spec = PerturbationSpec(eps_a=eps_a, eps_d=eps_d)
-    norm_a_pinv = fro_norm(a_pinv)
     return BoundReport(
         norm_a=norm_a,
-        norm_a_pinv=norm_a_pinv,
+        norm_a_pinv=fro_norm(a_pinv),
         eps_a=eps_a,
         eps_d=eps_d,
-        bound=norm_bound(norm_a, norm_a_pinv, spec),
         measured_error=measured_error,
     )
 
@@ -217,17 +220,13 @@ def sweep(
     norm_a_pinv = fro_norm(pinv(a))
     reports = []
     for eps_a in eps_a_list:
-        spec_template = PerturbationSpec(eps_a=eps_a, eps_d=float(eps_d))
         for alpha in alpha_grid:
-            scaled_norm = alpha * norm_a
-            scaled_pinv_norm = norm_a_pinv / alpha
             reports.append(
                 BoundReport(
-                    norm_a=scaled_norm,
-                    norm_a_pinv=scaled_pinv_norm,
+                    norm_a=alpha * norm_a,
+                    norm_a_pinv=norm_a_pinv / alpha,
                     eps_a=eps_a,
                     eps_d=float(eps_d),
-                    bound=norm_bound(scaled_norm, scaled_pinv_norm, spec_template),
                 )
             )
     return reports

@@ -109,8 +109,8 @@ def tensor_from_dict(data) -> EinsteinTensor:
 
 
 def save_tensor(path, t: EinsteinTensor) -> None:
-    # %r of a Python float is the shortest round-trip decimal, the number
-    # format json.dumps writes, so the file matches json.dumps(tensor_to_dict(t)).
+    # The layout is this function's own; each number is %r of a Python float,
+    # the shortest round-trip decimal, which is what json.dumps writes for it.
     parts = iter(t.matrix.view(np.float64).ravel().tolist())
     entries = ", ".join(["[%r, %r]" % pair for pair in zip(parts, parts)])
     text = '{\n  "row_dims": %s,\n  "col_dims": %s,\n  "entries": [%s]\n}\n' % (

@@ -51,7 +51,7 @@ from .errors import (
     SingularCapacitanceError,
     SingularMatrixError,
 )
-from .inverses import pinv
+from .inverses import inverse, pinv
 from .matkernel import _inverse, _pinv_stack, _rank_floor
 from .shapes import PairedShape
 from .tensor import (
@@ -251,34 +251,30 @@ def apply_update(a: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
     return _corrected("apply_update", a, np.matmul(upd.u.matrix, upd.b.matrix), upd.v.matrix)
 
 
-def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTensor) -> EinsteinTensor:
-    """Inverse of the corrected tensor from the inverses of its pieces.
+def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
+    """Inverse of the corrected tensor from ``a^-1`` and the update.
 
-    ``a_inv`` and ``b_inv`` must be the inverses of the base tensor and of the
-    middle factor (the caller owns that precondition; only shapes are checked
-    here).  This is the capacitance step of :func:`update_pinv`, given
+    ``a_inv`` must be the inverse of the base tensor (the caller owns that
+    precondition; only its shape is checked here), and ``b^-1`` is taken from
+    ``upd.b``.  This is the capacitance step of :func:`update_pinv`, given
     ``b^-1``: it inverts the K x K capacitance ``C = b^-1 + v a^-1 u`` under
     the kernel's rank rule and adds ``(a^-1 u)(-C^-1 v a^-1)`` to ``a^-1``.
-    Raises :class:`~einalg.errors.SingularCapacitanceError` if the rule drops
-    ``C``'s rank, and :class:`~einalg.errors.NumericalError` if ``C``, the
+    Raises :class:`~einalg.errors.SingularTensorError` if ``b`` is singular,
+    :class:`~einalg.errors.SingularCapacitanceError` if the rule drops ``C``'s
+    rank, and :class:`~einalg.errors.NumericalError` if ``b^-1``, ``C``, the
     factor or the result overflows.
     """
-    return _smw_invertible(a_inv, upd, b_inv)[0]
+    return _smw_invertible(a_inv, upd)[0]
 
 
 @_quiet_overflow
-def _smw_invertible(
-    a_inv: EinsteinTensor, upd: LowRankUpdate, b_inv: EinsteinTensor
-) -> tuple[EinsteinTensor, float]:
+def _smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate) -> tuple[EinsteinTensor, float]:
     """:func:`smw_invertible` and its capacitance residual (see
     :func:`_capacitance`), for the CLI's report."""
+    b_inv = inverse(upd.b)
     if not a_inv.shape.is_square:
         raise ShapeError(f"base inverse must be square, got {a_inv.shape}")
     upd._conform(a_inv.shape)
-    if b_inv.shape != upd.b.shape:
-        raise ShapeError(
-            f"middle-factor inverse shape {b_inv.shape} != {upd.b.shape}"
-        )
     a_inv_mat, u = a_inv.matrix, upd.u.matrix
     right, residual = _capacitance(
         "smw_invertible", _rows_mat(upd.v.matrix, a_inv_mat), u, b_inv.matrix,
@@ -336,15 +332,14 @@ def _corrected(
     return _returned(stage, base.shape, mat)
 
 
-def _check_middle(parts: SplitParts, *middle: EinsteinTensor) -> None:
-    """Raise :class:`~einalg.errors.ShapeError` unless each middle factor
+def _check_middle(parts: SplitParts, factor: EinsteinTensor) -> None:
+    """Raise :class:`~einalg.errors.ShapeError` unless the middle factor
     carries the K shared modes of the split on both sides."""
     k = parts.x1.col_dims
-    for factor in middle:
-        if factor.row_dims != k or factor.col_dims != k:
-            raise ShapeError(
-                f"middle factor of shape {factor.shape} does not match shared modes {k}"
-            )
+    if factor.row_dims != k or factor.col_dims != k:
+        raise ShapeError(
+            f"middle factor of shape {factor.shape} does not match shared modes {k}"
+        )
 
 
 def _split(
@@ -487,10 +482,7 @@ def _decompose(
 
 @_quiet_overflow
 def check_conditions(
-    parts: SplitParts,
-    b: EinsteinTensor,
-    b_pinv: EinsteinTensor,
-    tol: float = CONDITION_TOL,
+    parts: SplitParts, b: EinsteinTensor, tol: float = CONDITION_TOL
 ) -> ConditionReport:
     """Relative residuals of the six applicability equalities.
 
@@ -498,10 +490,12 @@ def check_conditions(
     3.2: x1 e1^H y1 b = x1 b        4.2: b y2^H e2 x2^H = b x2^H
     3.3: y1 e1^H y1 = y1            4.3: e2 y2^H e2 = e2
 
-    Raises :class:`~einalg.errors.NumericalError` if a residual is not
-    finite, which from finite parts means the condition products overflowed.
+    ``b+`` is taken from ``b``.  Raises
+    :class:`~einalg.errors.NumericalError` if ``b+`` or a residual is not
+    finite, which from finite parts means an overflow.
     """
-    _check_middle(parts, b, b_pinv)
+    b_pinv = pinv(b)
+    _check_middle(parts, b)
     split = _Split(
         parts.x1.matrix, parts.y1.matrix, _adjoint(parts.x2.matrix),
         _adjoint(parts.y2.matrix), parts.e1.matrix, parts.e2.matrix,

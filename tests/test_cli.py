@@ -434,6 +434,24 @@ class TestSmwCommand:
         )
         assert code == 3
 
+    def test_invertible_mode_singular_middle_factor_exits_3(self, tmp_path, capsys):
+        # b^-1 is taken from b, and b = 0 has none
+        e1 = np.array([[1.0], [0.0]])
+        save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.eye(2)))
+        save_tensor(tmp_path / "u.json", EinsteinTensor(((2,), (1,)), e1))
+        save_tensor(tmp_path / "b.json", EinsteinTensor(((1,), (1,)), [[0.0]]))
+        save_tensor(tmp_path / "v.json", EinsteinTensor(((1,), (2,)), e1.T))
+        code = run(
+            "smw", tmp_path / "a.json", tmp_path / "u.json", tmp_path / "b.json",
+            tmp_path / "v.json", "--mode", "invertible", "-o", tmp_path / "out.json",
+        )
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "einalg: numerical error: tensor of shape (1 | 1) is singular: "
+            "numerical rank 0 of 1\n"
+        )
+        assert not (tmp_path / "out.json").exists()
+
     def test_hermitian_mode_requires_hermitian_base(self, tmp_path):
         code = run(
             "smw", FIX / "a.json", FIX / "example1_u.json", FIX / "b.json",

@@ -108,6 +108,12 @@ def test_no_unfold_submodule():
         ("smw_pinv_hermitian", ["a_pinv", "x", "e", "b_pinv"]),
         # update_pinv and measure_error always split at the kernel's rule
         ("decompose_update", ["a", "a_pinv", "upd"]),
+        # b^-1 is taken from upd.b
+        ("smw_invertible", ["a_inv", "upd"]),
+        # b^+ is taken from b
+        ("check_conditions", ["parts", "b", "tol"]),
+        # bound is computed from the two norms and the two eps levels
+        ("BoundReport", ["norm_a", "norm_a_pinv", "eps_a", "eps_d", "measured_error"]),
     ],
 )
 def test_signature(name, params):

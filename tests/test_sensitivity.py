@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from einalg import (
+    BoundReport,
     DegenerateSolutionError,
     DomainError,
     EinsteinTensor,
@@ -132,6 +133,10 @@ class TestNormBound:
             PerturbationSpec(-0.1, 0.0)
         with pytest.raises(DomainError):
             PerturbationSpec(0.1, float("nan"))
+        # a report computes its bound, so it checks the eps levels too
+        with pytest.raises(DomainError, match="eps_d"):
+            BoundReport(1.0, 1.0, 0.1, -0.1)
+        assert BoundReport(1.7, 2.3, 0.1, 0.05).bound == norm_bound(1.7, 2.3, PerturbationSpec(0.1, 0.05))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -557,6 +562,10 @@ class TestSweep:
             sweep(example_a, example_d, [0.01], 0.01, [])
         with pytest.raises(DomainError):
             sweep(example_a, example_d, [0.01], 0.01, [0.0, 1.0])
+        with pytest.raises(DomainError, match="eps_a"):
+            sweep(example_a, example_d, [0.01, -0.01], 0.01, [1.0])
+        with pytest.raises(DomainError, match="eps_d"):
+            sweep(example_a, example_d, [0.01], math.nan, [1.0])
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_non_finite_alpha_rejected(self, example_a, example_d, alpha):

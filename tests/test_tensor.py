@@ -140,6 +140,9 @@ class TestAddScale:
         assert (example_a - example_a) == zeros(example_a.shape)
         assert (2 * example_a) == scale(example_a, 2)
         assert (-example_a) == scale(example_a, -1)
+        assert (example_a @ example_a.H) == einstein_product(example_a, example_a.H)
+        # a non-tensor operand falls back to identity comparison
+        assert (example_a == 3) is False
 
 
 class TestEinsteinProduct:
@@ -338,8 +341,11 @@ class TestTraceInnerNorm:
         assert trace(zeros(PairedShape((2, 2), (2, 2)))) == 0.0
 
     def test_trace_non_square(self, rng):
+        a = rand_tensor(rng, (2,), (3,))
         with pytest.raises(ShapeError):
-            trace(rand_tensor(rng, (2,), (3,)))
+            trace(a)
+        with pytest.raises(ShapeError, match="inner product needs equal shapes"):
+            inner(a, a.H)
 
     def test_inner_vs_trace_oracle(self, rng):
         a = rand_tensor(rng, (2, 2), (3,))

@@ -161,6 +161,9 @@ class TestValidation:
         data["row_dims"] = [2.0]
         with pytest.raises(ValueError):
             tensor_from_dict(data)
+        data["row_dims"] = 2
+        with pytest.raises(ValueError, match="row_dims must be a list of integers"):
+            tensor_from_dict(data)
 
     def test_non_finite_entry(self):
         data = self.base()
