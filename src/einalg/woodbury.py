@@ -4,11 +4,10 @@ Two identities are implemented for a base tensor perturbed by a correction
 ``u * b * v`` contracted over K shared modes:
 
 * the capacitance form, which inverts only the K x K capacitance
-  ``C = c0 + w (v a^+ u)`` for ``b = c0^-1 w``: ``b^-1 + v a^-1 u`` in the
-  invertible case, and ``I + b (v a^+ u)`` for a pseudoinverse when ``u`` and
-  ``v^H`` lie in the base's column spaces (every invertible base), where
-  ``(a + u b v)^+ = a^+ - (a^+ u) C^-1 b (v a^+)`` whenever ``C`` is
-  invertible (Meyer 1973; Deng 2011);
+  ``C = I + b (v a^+ u)``: for an inverse (``a^+ = a^-1``), and for a
+  pseudoinverse when ``u`` and ``v^H`` lie in the base's column spaces (every
+  invertible base), ``(a + u b v)^+ = a^+ - (a^+ u) C^-1 b (v a^+)`` whenever
+  ``C`` is invertible (Henderson and Searle 1981; Meyer 1973; Deng 2011);
 * the pseudoinverse case, which first splits the update factors against the
   column spaces of the base tensor (``u = x1 + y1`` with ``x1`` in the column
   space and ``y1`` orthogonal to it, and the mirrored split of ``v^H``),
@@ -18,8 +17,7 @@ Two identities are implemented for a base tensor perturbed by a correction
 :func:`update_pinv` takes the first when the split leaves no null-space part
 and the second otherwise, and falls back to a direct pseudoinverse when the
 check of either fails; its ``path`` is ``"capacitance"``, ``"identity"`` or
-``"fallback"``.  Conditions are checked separately from the identity
-evaluation so repeated structurally-identical updates can amortize the check.
+``"fallback"``.
 
 The public tensor functions are thin wrappers over one matrix pipeline: each
 validates the paired shapes of its operands at entry, computes on the
@@ -51,7 +49,7 @@ from .errors import (
     SingularCapacitanceError,
     SingularMatrixError,
 )
-from .inverses import inverse, pinv
+from .inverses import pinv
 from .matkernel import _inverse, _pinv_stack, _rank_floor
 from .shapes import PairedShape
 from .tensor import (
@@ -255,14 +253,20 @@ def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
     """Inverse of the corrected tensor from ``a^-1`` and the update.
 
     ``a_inv`` must be the inverse of the base tensor (the caller owns that
-    precondition; only its shape is checked here), and ``b^-1`` is taken from
-    ``upd.b``.  This is the capacitance step of :func:`update_pinv`, given
-    ``b^-1``: it inverts the K x K capacitance ``C = b^-1 + v a^-1 u`` under
-    the kernel's rank rule and adds ``(a^-1 u)(-C^-1 v a^-1)`` to ``a^-1``.
-    Raises :class:`~einalg.errors.SingularTensorError` if ``b`` is singular,
-    :class:`~einalg.errors.SingularCapacitanceError` if the rule drops ``C``'s
-    rank, and :class:`~einalg.errors.NumericalError` if ``b^-1``, ``C``, the
-    factor or the result overflows.
+    precondition; only its shape is checked here).  This is the capacitance
+    step of :func:`update_pinv` on ``a^-1``: it inverts the K x K capacitance
+    ``C = I + b (v a^-1 u)`` under the kernel's rank rule and adds
+    ``(a^-1 u)(-(C^-1 b)(v a^-1))`` to ``a^-1``, so ``b`` need not be
+    invertible (``b = 0`` gives ``a^-1``).  ``C``'s residual does not see
+    cancellation against ``a^-1``'s largest entries on an ill-conditioned
+    base, which :func:`update_pinv` catches with the split's rounding bound,
+    a bound that needs ``|a|``: for ``a = diag(1, 1e-8)``, ``u = v^H = e2``
+    and ``b = 1`` the residual is ``2**-52`` and the result is off by 7e-9
+    relative.  Raises
+    :class:`~einalg.errors.SingularCapacitanceError` if the rule drops
+    ``C``'s rank, which means the corrected tensor is numerically singular,
+    and :class:`~einalg.errors.NumericalError` if ``C``, the factor or the
+    result overflows.
     """
     return _smw_invertible(a_inv, upd)[0]
 
@@ -271,41 +275,39 @@ def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
 def _smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate) -> tuple[EinsteinTensor, float]:
     """:func:`smw_invertible` and its capacitance residual (see
     :func:`_capacitance`), for the CLI's report."""
-    b_inv = inverse(upd.b)
     if not a_inv.shape.is_square:
         raise ShapeError(f"base inverse must be square, got {a_inv.shape}")
     upd._conform(a_inv.shape)
     a_inv_mat, u = a_inv.matrix, upd.u.matrix
     right, residual = _capacitance(
-        "smw_invertible", _rows_mat(upd.v.matrix, a_inv_mat), u, b_inv.matrix,
-        np.eye(u.shape[1]),
+        "smw_invertible", _rows_mat(upd.v.matrix, a_inv_mat), u, upd.b.matrix
     )
     return _corrected("smw_invertible", a_inv, _mat_cols(a_inv_mat, u), right), residual
 
 
 def _capacitance(
-    stage: str, v_ap: np.ndarray, u: np.ndarray, c0: np.ndarray, w: np.ndarray
+    stage: str, v_ap: np.ndarray, u: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, float]:
-    """The capacitance step: ``(r, residual)`` with ``r = -(C^-1 w)(v a^+)``
-    (K x N) and ``C = c0 + w (v a^+ u)``, so that the updated inverse is
+    """The capacitance step: ``(r, residual)`` with ``r = -(C^-1 b)(v a^+)``
+    (K x N) and ``C = I + b (v a^+ u)``, so that the updated inverse is
     ``a^+ + (a^+ u) r``.
 
-    That is the corrected tensor ``a + u (c0^-1 w) v``: :func:`smw_invertible`
-    passes ``c0 = b^-1``, ``w = I``, and :func:`update_pinv` passes
-    ``c0 = I``, ``w = b``, the form that holds for a pseudoinverse when ``u``
-    and ``v^H`` lie in ``a``'s column spaces and ``C`` is invertible (Meyer
-    1973; Deng 2011), and needs no ``b^-1``.  ``C`` is inverted under the kernel's rank rule taken
-    relative to ``|c0|_F + |w (v a^+ u)|_F``, not to ``C``'s own largest
-    singular value, so that a ``C`` in which the two terms cancel to rounding
-    is singular; ``residual`` is that rule's floor over ``C``'s smallest
-    singular value, about ``K 2**-52 cond(C)`` when nothing cancels, and the
-    rule drops the rank when it reaches 1.  Raises
+    That holds for an inverse, and for a pseudoinverse when ``u`` and ``v^H``
+    lie in ``a``'s column spaces, whenever ``C`` is invertible (Meyer 1973;
+    Deng 2011); ``C^-1 b`` is ``(b^-1 + v a^-1 u)^-1`` when ``b`` is
+    invertible (Henderson and Searle 1981), but needs no ``b^-1``.  ``C`` is
+    inverted under the kernel's rank rule taken relative to
+    ``|I|_F + |b (v a^+ u)|_F``, not to ``C``'s own largest singular value, so
+    that a ``C`` in which the two terms cancel to rounding is singular;
+    ``residual`` is that rule's floor over ``C``'s smallest singular value,
+    about ``K 2**-52 cond(C)`` when nothing cancels, and the rule drops the
+    rank when it reaches 1.  Raises
     :class:`~einalg.errors.SingularCapacitanceError` if the rule drops the
     rank, and :class:`~einalg.errors.NumericalError` naming ``stage`` if ``C``
     or ``r`` overflows."""
-    cap = np.matmul(w, np.matmul(v_ap, u))
-    scale = _frobenius(c0) + _frobenius(cap)
-    cap += c0
+    cap = np.matmul(b, np.matmul(v_ap, u))
+    scale = math.sqrt(len(b)) + _frobenius(cap)
+    cap += np.eye(len(b))
     if not (math.isfinite(scale) and np.isfinite(cap).all()):
         raise NumericalError(f"{stage} overflowed: the capacitance tensor is not finite")
     try:
@@ -316,7 +318,7 @@ def _capacitance(
             rank=err.rank,
             sigma_min=err.sigma_min,
         ) from err
-    right = np.matmul(-np.matmul(cap_inv, w), v_ap)
+    right = np.matmul(-np.matmul(cap_inv, b), v_ap)
     if not np.isfinite(right).all():
         raise NumericalError(f"{stage} overflowed: the capacitance factor is not finite")
     return right, float(_rank_floor(scale, cap.shape, 1.0) / sigma[-1])
@@ -630,8 +632,8 @@ def update_pinv(
     conditions skip the shape checks of :func:`check_conditions`: the split
     was built here, to the update's shapes.  A split with none (every
     invertible base, and ``u`` and ``v^H`` inside the column spaces) runs no
-    condition but takes the capacitance step of :func:`smw_invertible` with
-    ``c0 = I`` and ``w = b``: ``s^+ = a^+ - (a^+ u) C^-1 b (v a^+)``,
+    condition but takes the capacitance step that :func:`smw_invertible`
+    takes on ``a^-1``: ``s^+ = a^+ - (a^+ u) C^-1 b (v a^+)``,
     ``C = I + b (v a^+ u)``.  Its report is the one residual ``C``
     (:class:`ConditionReport`), which also holds the split's rounding bound
     relative to ``|u|``, ``max(m, n) 2**-52 |a|_F |a^+|_F``: on an
@@ -672,9 +674,7 @@ def _updated(
         # tolerance
         if residual <= tol:
             try:
-                right, cap_residual = _capacitance(
-                    "update_pinv", x2h_ap, upd.u.matrix, np.eye(len(b)), b
-                )
+                right, cap_residual = _capacitance("update_pinv", x2h_ap, upd.u.matrix, b)
             except SingularCapacitanceError:
                 right, cap_residual = None, math.inf
             residual = max(residual, cap_residual)

@@ -19,6 +19,7 @@ from einalg import (
     EinsteinTensor,
     PairedShape,
     fro_norm,
+    inverse,
     load_tensor,
     save_tensor,
     verify_penrose,
@@ -353,7 +354,7 @@ class TestSmwCommand:
         # capacitance path; C = 1 + (0.5, 0.25) (0.5, 0.25)^T = 1.3125
         rep = tmp_path / "rep.json"
         assert run(*self.invertible_argv(tmp_path), "--report", rep) == 0
-        # C's residual is the rank floor 2**-52 (|c0| + |v a^-1 u|) =
+        # C's residual is the rank floor 2**-52 (|I| + |b v a^-1 u|) =
         # 2**-52 (1 + 0.3125) over C's one singular value, 1.3125
         assert json.loads(rep.read_text()) == {
             "residuals": {"C": 2.0**-52},
@@ -434,10 +435,12 @@ class TestSmwCommand:
         )
         assert code == 3
 
-    def test_invertible_mode_singular_middle_factor_exits_3(self, tmp_path, capsys):
-        # b^-1 is taken from b, and b = 0 has none
+    def test_invertible_mode_zero_middle_factor_gives_base_inverse(self, tmp_path):
+        # C = I + b (v a^-1 u) needs no b^-1: b = 0 makes C = I and the
+        # correction an exact zero
         e1 = np.array([[1.0], [0.0]])
-        save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.eye(2)))
+        a = EinsteinTensor(((2,), (2,)), [[2.0, 1.0], [0.5, 3.0]])
+        save_tensor(tmp_path / "a.json", a)
         save_tensor(tmp_path / "u.json", EinsteinTensor(((2,), (1,)), e1))
         save_tensor(tmp_path / "b.json", EinsteinTensor(((1,), (1,)), [[0.0]]))
         save_tensor(tmp_path / "v.json", EinsteinTensor(((1,), (2,)), e1.T))
@@ -445,12 +448,41 @@ class TestSmwCommand:
             "smw", tmp_path / "a.json", tmp_path / "u.json", tmp_path / "b.json",
             tmp_path / "v.json", "--mode", "invertible", "-o", tmp_path / "out.json",
         )
-        assert code == 3
-        assert capsys.readouterr().err == (
-            "einalg: numerical error: tensor of shape (1 | 1) is singular: "
-            "numerical rank 0 of 1\n"
+        assert code == 0
+        assert np.array_equal(load_tensor(tmp_path / "out.json").matrix, inverse(a).matrix)
+        report = json.loads((tmp_path / "out.json.report.json").read_text())
+        assert report["path"] == "capacitance"
+
+    @pytest.mark.parametrize(
+        "b, u",
+        [
+            # b^-1 = 2**1074 overflows; b = 0, which has none, is tested above
+            pytest.param([[5e-324]], [[1.0], [0.0]], id="subnormal"),
+            # b^-1 + v a^-1 u has cond 1e10, so its residual was above --tol
+            pytest.param([[1.0, 0.0], [0.0, 1e-10]], [[0.5, 0.25], [0.25, 0.5]], id="cond1e10"),
+        ],
+    )
+    def test_invertible_mode_takes_no_middle_inverse(self, tmp_path, b, u):
+        # regression: b was inverted first, which failed or lost digits on
+        # inputs the pseudoinverse modes handle; a = I_2, v = u^T
+        u = np.array(u)
+        k = u.shape[1]
+        save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.eye(2)))
+        save_tensor(tmp_path / "u.json", EinsteinTensor(((2,), (k,)), u))
+        save_tensor(tmp_path / "b.json", EinsteinTensor(((k,), (k,)), b))
+        save_tensor(tmp_path / "v.json", EinsteinTensor(((k,), (2,)), u.T))
+        code = run(
+            "smw", tmp_path / "a.json", tmp_path / "u.json", tmp_path / "b.json",
+            tmp_path / "v.json", "--mode", "invertible", "-o", tmp_path / "out.json",
         )
-        assert not (tmp_path / "out.json").exists()
+        assert code == 0
+        report = json.loads((tmp_path / "out.json.report.json").read_text())
+        assert report["path"] == "capacitance"
+        assert report["residuals"]["C"] <= report["tol"]
+        s = np.eye(2) + u @ np.array(b) @ u.T
+        want = np.linalg.inv(s)
+        got = load_tensor(tmp_path / "out.json").matrix
+        assert np.linalg.norm(got - want) <= 64 * np.linalg.cond(s) * 2.0**-52 * np.linalg.norm(want)
 
     def test_hermitian_mode_requires_hermitian_base(self, tmp_path):
         code = run(

@@ -86,8 +86,9 @@ class TestSvd:
         assert d.rank == 25
 
     def test_zero_row_rank_deficiency_converges(self, rng):
-        # regression: working columns that annihilate during the sweeps used
-        # to keep rotating on subnormal noise and hit the sweep cap
+        # two kinds of rank loss at once, a zero row and two equal columns:
+        # the rank rule keeps exactly the three nonzero singular values, and
+        # LAPACK's factors stay orthonormal and reconstruct the matrix
         mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         mat[3, :] = 0.0
         mat[:, 0] = mat[:, 1]  # coincident columns on top of a zero row

@@ -108,7 +108,7 @@ def test_no_unfold_submodule():
         ("smw_pinv_hermitian", ["a_pinv", "x", "e", "b_pinv"]),
         # update_pinv and measure_error always split at the kernel's rule
         ("decompose_update", ["a", "a_pinv", "upd"]),
-        # b^-1 is taken from upd.b
+        # the capacitance C = I + b (v a^-1 u) needs no b^-1
         ("smw_invertible", ["a_inv", "upd"]),
         # b^+ is taken from b
         ("check_conditions", ["parts", "b", "tol"]),

@@ -21,9 +21,6 @@ from conftest import rand_tensor
 
 
 class TestUnfoldFold:
-    def test_identity_unfolds_to_eye(self):
-        assert np.array_equal(unfold(identity([2, 2])), np.eye(4))
-
     def test_unfold_is_a_view(self, example_a):
         assert unfold(example_a) is example_a.matrix
 

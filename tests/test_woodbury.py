@@ -195,8 +195,9 @@ class TestSmwInvertible:
         assert np.allclose(got.matrix, want, atol=1e-12)
 
     def test_singular_capacitance_raises(self):
-        # b^-1 + v a^-1 u == 0 when the correction exactly cancels: use
-        # a = i, b = 1 (scalar), u = e, v = -e^T so capacitance = 1 - 1 = 0.
+        # C = I + b (v a^-1 u) == 0 when the correction exactly cancels: use
+        # a = i, b = 1 (scalar), u = e, v = -e^T so capacitance = 1 - 1 = 0,
+        # and a + u b v = diag(0, 1) is singular.
         a = identity([2])
         e = np.zeros((2, 1))
         e[0, 0] = 1.0
@@ -743,6 +744,19 @@ class TestIdentityPathCost:
             shapes.clear()
             measure_error(a, d, upd, delta)
             assert shapes == [(n, n), (size, size)]
+        # smw_invertible decomposes only C as well, and takes no b^-1
+        a_inv = inverse(conditioned_tensor(rng, dims, n, 10.0))
+        for k in ((1,), (2,), (2, 2)):
+            upd = LowRankUpdate(
+                u=rand_tensor(rng, dims, k),
+                b=rand_tensor(rng, k, k),
+                v=rand_tensor(rng, k, dims),
+                order=len(k),
+            )
+            size = int(np.prod(k))
+            shapes.clear()
+            smw_invertible(a_inv, upd)
+            assert shapes == [(size, size)]
 
     def test_result_is_not_copied(self, rng):
         # the N x N result is the one array the call allocates at that size:
@@ -912,6 +926,18 @@ class TestOverflow:
         with pytest.raises(NumericalError, match="smw_invertible"):
             smw_invertible(inverse(a), upd)
 
+    def test_split_part_overflow(self):
+        # the caller's a^+ is trusted, so a = a^+ = 1e200 I passes, and the
+        # projection x1 = a (a^+ u) = 1e400 e1 overflows
+        a = fold(1e200 * np.eye(2), PairedShape((2,), (2,)))
+        e1 = fold([[1.0], [0.0]], PairedShape((2,), (1,)))
+        upd = LowRankUpdate(e1, fold([[1.0]], PairedShape((1,), (1,))), e1.H, 1)
+        msg = "decompose_update overflowed: tensor entries must be finite"
+        with pytest.raises(NumericalError, match=msg):
+            decompose_update(a, a, upd)
+        with pytest.raises(NumericalError, match=msg):
+            update_pinv(a, a, upd)
+
     def test_assembly_overflow(self):
         a_pinv = fold(1e308 * np.eye(2), PairedShape((2,), (2,)))
         e = fold(1e154 * np.eye(2)[:, :1], PairedShape((2,), (1,)))
@@ -1026,7 +1052,8 @@ class TestCapacitancePath:
         assert np.array_equal(result.s_pinv.matrix, a_pinv.matrix)
 
     def test_smw_invertible_shares_the_step(self, rng, monkeypatch):
-        # smw_invertible is the same step with c0 = b^-1 and w = I
+        # smw_invertible is the same step on a^-1 (see
+        # test_smw_invertible_is_the_step_on_a_inverse for its bits)
         a = rand_invertible(rng, (2, 2))
         b = rand_invertible(rng, (2,), boost=2.0)
         upd = LowRankUpdate(rand_tensor(rng, (2, 2), (2,)), b, rand_tensor(rng, (2,), (2, 2)), 1)
@@ -1038,11 +1065,62 @@ class TestCapacitancePath:
             return step(stage, *args)
 
         monkeypatch.setattr(woodbury, "_capacitance", recorded)
-        got = smw_invertible(inverse(a), upd)
+        smw_invertible(inverse(a), upd)
         assert update_pinv(a, pinv(a), upd).path == "capacitance"
         assert calls == ["smw_invertible", "update_pinv"]
-        want = inverse(apply_update(a, upd))
-        assert fro_norm(got - want) <= 1e-8 * fro_norm(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(2,), (4,), (2, 2), (4, 4), (4, 4, 4)]),
+        st.integers(1, 4),
+        st.floats(0.0, 6.0),
+        st.booleans(),
+    )
+    def test_smw_invertible_is_the_step_on_a_inverse(self, seed, dims, k, log_cond, singular_b):
+        # on an invertible base, pinv(a) and inverse(a) are the same bits, and
+        # smw_invertible runs update_pinv's capacitance step on them
+        rng = np.random.default_rng(seed)
+        n = int(np.prod(dims))
+        a = conditioned_tensor(rng, dims, n, 10.0**log_cond)
+        b = rand_tensor(rng, (k,), (k,)).matrix.copy()
+        if singular_b:
+            b[:, 0] = 0.0
+        upd = LowRankUpdate(
+            rand_tensor(rng, dims, (k,)), EinsteinTensor(PairedShape((k,), (k,)), b),
+            rand_tensor(rng, (k,), dims), 1,
+        )
+        result = update_pinv(a, pinv(a), upd)
+        assume(result.path == "capacitance")
+        got = smw_invertible(inverse(a), upd)
+        assert np.array_equal(got.matrix, result.s_pinv.matrix)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(4,), (4, 4), (4, 4, 4)]),
+        st.integers(2, 3),
+        st.floats(6.0, 12.0),
+    )
+    def test_smw_invertible_ill_conditioned_middle_factor(self, seed, dims, k, log_cond_b):
+        # C = I + b (v a^-1 u) stays well conditioned however ill-conditioned
+        # b is, so the result is as good as cond(s) allows and C's residual
+        # passes; inverting b first lost up to 1e11 cond(s) 2**-52
+        rng = np.random.default_rng(seed)
+        n = int(np.prod(dims))
+        a = conditioned_tensor(rng, dims, n, 10.0)
+        u = rand_tensor(rng, dims, (k,)).matrix
+        v = rand_tensor(rng, (k,), dims).matrix
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        b = conditioned_tensor(rng, (k,), k, 10.0**log_cond_b).matrix
+        upd = LowRankUpdate(
+            EinsteinTensor(PairedShape(dims, (k,)), u), EinsteinTensor(PairedShape((k,), (k,)), b),
+            EinsteinTensor(PairedShape((k,), dims), v), 1,
+        )
+        got, residual = woodbury._smw_invertible(inverse(a), upd)
+        assert residual <= woodbury.CONDITION_TOL
+        s = apply_update(a, upd).matrix
+        assert_close(got.matrix, np.linalg.inv(s), 64 * np.linalg.cond(s) * 2.0**-52)
 
 
 class TestCapacitanceOverflow:
