@@ -11,7 +11,8 @@ Exit codes are exhaustive and disjoint:
     1  verification failed: ``verify``, or ``pinv``'s own Penrose check
        (the pseudoinverse is still written)
     2  input error (parse, shape, domain)
-    3  numerical error (non-convergence, singular operand or capacitance)
+    3  numerical error: an overflow, a failed LAPACK SVD, or a singular base
+       in ``smw --mode invertible``
     4  the mode's identity did not apply; the report's ``path`` says whether
        the six-condition identity, the capacitance step or the direct
        fallback wrote the result
@@ -89,26 +90,25 @@ def cmd_smw(args) -> int:
     b = _load(args.b)
     v = _load(args.v)
     upd = LowRankUpdate(u=u, b=b, v=v, order=len(u.col_dims))
-
-    if args.mode == "invertible":
-        result, residual = woodbury._smw_invertible(inverse(a), upd)
-        report = woodbury.ConditionReport({"C": residual}, args.tol)
-        path, applicable = "capacitance", report.applicable
-    else:
-        if args.mode == "hermitian":
-            u_vs_vh = _relative((u - v.H).matrix, fro_norm(u))
-            if not is_hermitian(a, tol=args.tol) or u_vs_vh > args.tol:
-                raise ShapeError(
-                    "hermitian mode needs a Hermitian base tensor and u == v^H"
-                )
-        updated = woodbury.update_pinv(a, pinv(a), upd, tol=args.tol)
-        result, report, path = updated.s_pinv, updated.report, updated.path
-        applicable = report.applicable
-        if args.mode == "orthogonal":
-            # The orthogonal identity also needs x1 = x2 = 0; the split has
-            # already made every part within its rounding bound an exact zero.
-            parts = updated.parts
-            applicable = applicable and not (parts.x1.matrix.any() or parts.x2.matrix.any())
+    if args.mode == "hermitian":
+        u_vs_vh = _relative((u - v.H).matrix, fro_norm(u))
+        if not is_hermitian(a, tol=args.tol) or u_vs_vh > args.tol:
+            raise ShapeError(
+                "hermitian mode needs a Hermitian base tensor and u == v^H"
+            )
+    # an invertible base's pseudoinverse is its inverse, bit for bit, and
+    # inverse raises on a singular base; the base's a^+ is not bound here, so
+    # it is not held through save_tensor
+    updated = woodbury.update_pinv(
+        a, (inverse if args.mode == "invertible" else pinv)(a), upd, tol=args.tol
+    )
+    result, report, path = updated.s_pinv, updated.report, updated.path
+    applicable = report.applicable
+    if args.mode == "orthogonal":
+        # The orthogonal identity also needs x1 = x2 = 0; the split has
+        # already made every part within its rounding bound an exact zero.
+        parts = updated.parts
+        applicable = applicable and not (parts.x1.matrix.any() or parts.x2.matrix.any())
     tensorio.save_tensor(args.output, result)
     report_path = args.report or (args.output + ".report.json")
     residuals = report.residuals

@@ -25,7 +25,7 @@ flattened ``.matrix`` arrays, and builds an
 :class:`~einalg.tensor.EinsteinTensor` only for what it returns, so every
 returned tensor is checked to be finite.  The split -> check -> identity |
 capacitance | fallback path is one private step on matrices, shared by
-:func:`update_pinv`, which the ``einalg smw`` pseudoinverse modes run too, and
+:func:`update_pinv`, which every ``einalg smw`` mode runs, and
 :func:`~einalg.sensitivity.measure_error`.
 Products are written as ``np.matmul`` calls so that each one can be
 recorded.
@@ -249,6 +249,7 @@ def apply_update(a: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
     return _corrected("apply_update", a, np.matmul(upd.u.matrix, upd.b.matrix), upd.v.matrix)
 
 
+@_quiet_overflow
 def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
     """Inverse of the corrected tensor from ``a^-1`` and the update.
 
@@ -257,32 +258,26 @@ def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
     step of :func:`update_pinv` on ``a^-1``: it inverts the K x K capacitance
     ``C = I + b (v a^-1 u)`` under the kernel's rank rule and adds
     ``(a^-1 u)(-(C^-1 b)(v a^-1))`` to ``a^-1``, so ``b`` need not be
-    invertible (``b = 0`` gives ``a^-1``).  ``C``'s residual does not see
-    cancellation against ``a^-1``'s largest entries on an ill-conditioned
-    base, which :func:`update_pinv` catches with the split's rounding bound,
-    a bound that needs ``|a|``: for ``a = diag(1, 1e-8)``, ``u = v^H = e2``
-    and ``b = 1`` the residual is ``2**-52`` and the result is off by 7e-9
-    relative.  Raises
-    :class:`~einalg.errors.SingularCapacitanceError` if the rule drops
-    ``C``'s rank, which means the corrected tensor is numerically singular,
-    and :class:`~einalg.errors.NumericalError` if ``C``, the factor or the
-    result overflows.
+    invertible (``b = 0`` gives ``a^-1``).  Nothing here sees cancellation
+    against ``a^-1``'s largest entries on an ill-conditioned base, which
+    :func:`update_pinv` catches with the split's rounding bound, a bound that
+    needs ``|a|``: for ``a = diag(1, 1e-8)``, ``u = v^H = e2`` and ``b = 1``
+    the result is off by 7e-9 relative.  ``update_pinv(a, inverse(a), upd)``
+    is the same step with the split's check, and falls back to a direct
+    pseudoinverse where it fails; it is what ``einalg smw --mode invertible``
+    runs.  Raises :class:`~einalg.errors.SingularCapacitanceError` if the rule
+    drops ``C``'s rank, which means the corrected tensor is numerically
+    singular, and :class:`~einalg.errors.NumericalError` if ``C``, the factor
+    or the result overflows.
     """
-    return _smw_invertible(a_inv, upd)[0]
-
-
-@_quiet_overflow
-def _smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate) -> tuple[EinsteinTensor, float]:
-    """:func:`smw_invertible` and its capacitance residual (see
-    :func:`_capacitance`), for the CLI's report."""
     if not a_inv.shape.is_square:
         raise ShapeError(f"base inverse must be square, got {a_inv.shape}")
     upd._conform(a_inv.shape)
     a_inv_mat, u = a_inv.matrix, upd.u.matrix
-    right, residual = _capacitance(
+    right = _capacitance(
         "smw_invertible", _rows_mat(upd.v.matrix, a_inv_mat), u, upd.b.matrix
-    )
-    return _corrected("smw_invertible", a_inv, _mat_cols(a_inv_mat, u), right), residual
+    )[0]
+    return _corrected("smw_invertible", a_inv, _mat_cols(a_inv_mat, u), right)
 
 
 def _capacitance(

@@ -9,10 +9,13 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import einalg
 from einalg import (
@@ -20,6 +23,7 @@ from einalg import (
     PairedShape,
     fro_norm,
     inverse,
+    is_invertible,
     load_tensor,
     save_tensor,
     verify_penrose,
@@ -34,6 +38,7 @@ from conftest import (
     FIXTURES_DIR,
     ILL_CONDITIONED_BASES,
     cond1e6_base,
+    conditioned_tensor,
     rand_tensor,
 )
 
@@ -282,14 +287,15 @@ class TestSmwCommand:
         save_tensor(tmp_path / "u.json", EinsteinTensor(((2,), (1,)), e1))
         save_tensor(tmp_path / "b.json", EinsteinTensor(((1,), (1,)), [[-1.0]]))
         save_tensor(tmp_path / "v.json", EinsteinTensor(((1,), (2,)), e1.T))
-        code = run(
-            "smw", tmp_path / "a.json", tmp_path / "u.json", tmp_path / "b.json",
-            tmp_path / "v.json", "--mode", "pinv", "-o", tmp_path / "out.json",
-        )
-        assert code == 4
-        report = strict_json((tmp_path / "out.json.report.json").read_text())
-        assert report["residuals"] == {"C": None}
-        assert report["path"] == "fallback" and report["applicable"] is False
+        for mode in ("pinv", "invertible"):
+            code = run(
+                "smw", tmp_path / "a.json", tmp_path / "u.json", tmp_path / "b.json",
+                tmp_path / "v.json", "--mode", mode, "-o", tmp_path / "out.json",
+            )
+            assert code == 4
+            report = strict_json((tmp_path / "out.json.report.json").read_text())
+            assert report["residuals"] == {"C": None}
+            assert report["path"] == "fallback" and report["applicable"] is False
 
     @pytest.mark.parametrize("u, b, v, what", CAPACITANCE_OVERFLOWS)
     def test_capacitance_overflow_exits_3(self, tmp_path, capsys, u, b, v, what):
@@ -354,10 +360,12 @@ class TestSmwCommand:
         # capacitance path; C = 1 + (0.5, 0.25) (0.5, 0.25)^T = 1.3125
         rep = tmp_path / "rep.json"
         assert run(*self.invertible_argv(tmp_path), "--report", rep) == 0
-        # C's residual is the rank floor 2**-52 (|I| + |b v a^-1 u|) =
-        # 2**-52 (1 + 0.3125) over C's one singular value, 1.3125
+        # C's residual is the larger of the split's rounding bound,
+        # max(m, n) 2**-52 |a|_F |a^-1|_F = 2 2**-52 sqrt(2) sqrt(2) (to the
+        # last bit of sqrt(2)), and the rank floor 2**-52 (|I| + |b v a^-1 u|)
+        # = 2**-52 (1 + 0.3125) over C's one singular value, 1.3125
         assert json.loads(rep.read_text()) == {
-            "residuals": {"C": 2.0**-52},
+            "residuals": {"C": pytest.approx(4 * 2.0**-52, rel=1e-15, abs=0.0)},
             "applicable": True,
             "path": "capacitance",
             "tol": woodbury.CONDITION_TOL,
@@ -366,13 +374,17 @@ class TestSmwCommand:
         assert np.allclose(load_tensor(tmp_path / "out.json").matrix, want, atol=1e-15)
 
     def test_invertible_mode_tol_gates_the_capacitance(self, tmp_path):
-        # C's residual is above --tol 0: the capacitance result is written
-        # and the command exits 4, as a pseudoinverse mode whose identity did
-        # not apply
+        # the split's rounding bound is above --tol 0, so C is not formed:
+        # the direct pseudoinverse is written and the command exits 4, as the
+        # pinv mode does on the same files
         assert run(*self.invertible_argv(tmp_path), "--tol", "0") == 4
         report = json.loads((tmp_path / "out.json.report.json").read_text())
-        assert report["applicable"] is False and report["path"] == "capacitance"
-        assert report["tol"] == 0.0
+        assert report == {
+            "residuals": {"C": pytest.approx(4 * 2.0**-52, rel=1e-15, abs=0.0)},
+            "applicable": False,
+            "path": "fallback",
+            "tol": 0.0,
+        }
         want = np.eye(2) - np.outer([0.5, 0.25], [0.5, 0.25]) / 1.3125
         assert np.allclose(load_tensor(tmp_path / "out.json").matrix, want, atol=1e-15)
 
@@ -393,15 +405,21 @@ class TestSmwCommand:
         paths = [tmp_path / f"{name}.json" for name in t]
         for path, tensor in zip(paths, t.values()):
             save_tensor(path, tensor)
-        out = tmp_path / "out.json"
-        code = run("smw", *paths, "--mode", "pinv", "-o", out)
-        assert code == 4
-        report = json.loads((tmp_path / "out.json.report.json").read_text())
-        assert report["path"] == "fallback"
         s = apply_update(t["a"], LowRankUpdate(u=t["u"], b=t["b"], v=t["v"], order=1))
         want = np.linalg.pinv(s.matrix)
-        got = load_tensor(out).matrix
-        assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
+        # the invertible mode is the pinv mode on inverse(a), which raises on
+        # the singular base
+        for mode in ("pinv", "invertible"):
+            out = tmp_path / f"{mode}.json"
+            code = run("smw", *paths, "--mode", mode, "-o", out)
+            if mode == "invertible" and not is_invertible(t["a"]):
+                assert code == 3
+                continue
+            assert code == 4
+            report = json.loads((tmp_path / f"{mode}.json.report.json").read_text())
+            assert report["path"] == "fallback"
+            got = load_tensor(out).matrix
+            assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
 
     def test_cond1e6_base_takes_capacitance(self, tmp_path, rng):
         # the split's rounding bound is below the tolerance at cond 1e6: the
@@ -426,6 +444,45 @@ class TestSmwCommand:
         want = np.linalg.pinv(s.matrix)
         got = load_tensor(out).matrix
         assert np.linalg.norm(got - want) <= COND1E6_REL * np.linalg.norm(want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(2,), (4,), (2, 2), (4, 4), (8, 8)]),
+        st.integers(1, 3),
+        st.floats(0.0, 12.0),
+        st.sampled_from(["generic", "singular", "cond1e10"]),
+    )
+    def test_invertible_mode_is_pinv_mode_on_invertible_base(self, seed, dims, k, log_cond, b_kind):
+        # inverse(a) and pinv(a) are the same bits on an invertible base, so
+        # the two modes run the same update_pinv call: the same exit code,
+        # file and report, whichever path ran
+        rng = np.random.default_rng(seed)
+        n = int(np.prod(dims))
+        if b_kind == "cond1e10":
+            b = conditioned_tensor(rng, (k,), k, 1e10)
+        else:
+            b = rand_tensor(rng, (k,), (k,)).matrix.copy()
+            if b_kind == "singular":
+                b[:, 0] = 0.0
+            b = EinsteinTensor(PairedShape((k,), (k,)), b)
+        t = {
+            "a": conditioned_tensor(rng, dims, n, 10.0**log_cond),
+            "u": rand_tensor(rng, dims, (k,)),
+            "b": b,
+            "v": rand_tensor(rng, (k,), dims),
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            paths = [tmp / f"{name}.json" for name in t]
+            for path, tensor in zip(paths, t.values()):
+                save_tensor(path, tensor)
+            got = {}
+            for mode in ("pinv", "invertible"):
+                out = tmp / f"{mode}.json"
+                code = run("smw", *paths, "--mode", mode, "-o", out, "--report", tmp / f"{mode}.rep")
+                got[mode] = code, out.read_bytes(), (tmp / f"{mode}.rep").read_bytes()
+        assert got["invertible"] == got["pinv"]
 
     def test_invertible_mode_singular_base_exits_3(self, tmp_path):
         out = tmp_path / "out.json"

@@ -1104,8 +1104,9 @@ class TestCapacitancePath:
     )
     def test_smw_invertible_ill_conditioned_middle_factor(self, seed, dims, k, log_cond_b):
         # C = I + b (v a^-1 u) stays well conditioned however ill-conditioned
-        # b is, so the result is as good as cond(s) allows and C's residual
-        # passes; inverting b first lost up to 1e11 cond(s) 2**-52
+        # b is, so the result is as good as cond(s) allows and C's residual,
+        # read from the checked form of the same step, passes; inverting b
+        # first lost up to 1e11 cond(s) 2**-52
         rng = np.random.default_rng(seed)
         n = int(np.prod(dims))
         a = conditioned_tensor(rng, dims, n, 10.0)
@@ -1117,8 +1118,9 @@ class TestCapacitancePath:
             EinsteinTensor(PairedShape(dims, (k,)), u), EinsteinTensor(PairedShape((k,), (k,)), b),
             EinsteinTensor(PairedShape((k,), dims), v), 1,
         )
-        got, residual = woodbury._smw_invertible(inverse(a), upd)
-        assert residual <= woodbury.CONDITION_TOL
+        a_inv = inverse(a)
+        assert update_pinv(a, a_inv, upd).report.residuals["C"] <= woodbury.CONDITION_TOL
+        got = smw_invertible(a_inv, upd)
         s = apply_update(a, upd).matrix
         assert_close(got.matrix, np.linalg.inv(s), 64 * np.linalg.cond(s) * 2.0**-52)
 
