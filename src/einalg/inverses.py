@@ -59,26 +59,26 @@ class PenroseReport:
         return all(r <= self.tol for r in self.residuals)
 
 
-def unfold_rank(a: EinsteinTensor, tol: float = 1.0) -> int:
+def unfold_rank(a: EinsteinTensor) -> int:
     """Numerical rank of the flattened matrix."""
-    return matkernel.numerical_rank(a.matrix, tol=tol)
+    return matkernel.numerical_rank(a.matrix)
 
 
-def full_row_rank(a: EinsteinTensor, tol: float = 1.0) -> bool:
+def full_row_rank(a: EinsteinTensor) -> bool:
     """Whether the flattened matrix has rank equal to the row size."""
-    return unfold_rank(a, tol=tol) == a.shape.row_size
+    return unfold_rank(a) == a.shape.row_size
 
 
-def full_column_rank(a: EinsteinTensor, tol: float = 1.0) -> bool:
+def full_column_rank(a: EinsteinTensor) -> bool:
     """Whether the flattened matrix has rank equal to the column size."""
-    return unfold_rank(a, tol=tol) == a.shape.col_size
+    return unfold_rank(a) == a.shape.col_size
 
 
-def is_invertible(a: EinsteinTensor, tol: float = 1.0) -> bool:
+def is_invertible(a: EinsteinTensor) -> bool:
     """Whether the square tensor ``a`` has a numerically full-rank flattening."""
     if not a.shape.is_square:
         raise ShapeError(f"invertibility is defined for square tensors, got {a.shape}")
-    return full_row_rank(a, tol=tol)
+    return full_row_rank(a)
 
 
 def inverse(a: EinsteinTensor) -> EinsteinTensor:

@@ -129,6 +129,6 @@ def _inverse(mat: np.ndarray, scale: float | None = None) -> tuple[np.ndarray, n
     return _inverted(u, s, vh), s
 
 
-def numerical_rank(mat, tol: float = 1.0) -> int:
+def numerical_rank(mat) -> int:
     """Number of singular values above the truncation threshold."""
-    return svd(mat, tol=tol).rank
+    return svd(mat).rank

@@ -135,15 +135,15 @@ def measure_error(
     d: EinsteinTensor,
     upd: LowRankUpdate,
     delta_d: EinsteinTensor,
-    tol: float = CONDITION_TOL,
 ) -> BoundReport:
     """Solve the base and the perturbed system and compare error to bound.
 
     The perturbed system goes through the low-rank update machinery (the
     split -> check -> identity | capacitance | fallback step of
-    :func:`~einalg.woodbury.update_pinv`), so identity-conforming
-    perturbations, and those inside ``a``'s column spaces, take a fast path,
-    and there the updated pseudoinverse ``s^+ = a^+ + l r`` is never formed:
+    :func:`~einalg.woodbury.update_pinv` at its default tolerance), so
+    identity-conforming perturbations, and those inside ``a``'s column
+    spaces, take a fast path, and there the updated pseudoinverse
+    ``s^+ = a^+ + l r`` is never formed:
     ``y - x = a^+ delta_d + l (r (d + delta_d))`` costs O(N^2) for
     ``a^+ delta_d`` plus O(NK).  The eps levels
     are inferred from the actual tensors (``eps_a`` as the largest of the
@@ -168,7 +168,7 @@ def measure_error(
     if norm_x == 0.0:
         raise DegenerateSolutionError("base solution is zero; E_n is undefined")
 
-    split, _, s_pinv, factors = _updated(a, a_pinv, upd, tol)
+    split, _, s_pinv, factors = _updated(a, a_pinv, upd, CONDITION_TOL)
     rhs = d.matrix + delta_d.matrix
     if factors is None:
         y_minus_x = np.matmul(s_pinv.matrix, rhs) - x

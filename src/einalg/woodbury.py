@@ -27,8 +27,6 @@ returned tensor is checked to be finite.  The split -> check -> identity |
 capacitance | fallback path is one private step on matrices, shared by
 :func:`update_pinv`, which every ``einalg smw`` mode runs, and
 :func:`~einalg.sensitivity.measure_error`.
-Products are written as ``np.matmul`` calls so that each one can be
-recorded.
 Because the inputs are finite tensors, a non-finite intermediate is an
 overflow and raises :class:`~einalg.errors.NumericalError` naming the
 function it occurred in; the public functions run with numpy's overflow
@@ -303,7 +301,8 @@ def _capacitance(
     cap = np.matmul(b, np.matmul(v_ap, u))
     scale = math.sqrt(len(b)) + _frobenius(cap)
     cap += np.eye(len(b))
-    if not (math.isfinite(scale) and np.isfinite(cap).all()):
+    # a finite norm means finite entries, to which adding I cannot overflow
+    if not math.isfinite(scale):
         raise NumericalError(f"{stage} overflowed: the capacitance tensor is not finite")
     try:
         cap_inv, sigma = _inverse(cap, scale)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einalg import (
     EinsteinTensor,
@@ -14,10 +16,15 @@ from einalg import (
     einstein_product,
     fold,
     fro_norm,
+    full_column_rank,
+    full_row_rank,
     identity,
     inverse,
+    is_invertible,
+    numerical_rank,
     pinv,
     scale,
+    unfold_rank,
     verify_penrose,
     zeros,
 )
@@ -66,6 +73,37 @@ class TestInverse:
         eye = identity([2, 2])
         assert fro_norm(einstein_product(t, inv) - eye) <= 1e-10
         assert fro_norm(einstein_product(inv, t) - eye) <= 1e-10
+
+
+@st.composite
+def near_rank_cut(draw):
+    """Square ``Q1 diag(s) Q2^H`` at N = 2-16 whose smallest singular value is
+    ``c max(m, n) 2**-52 s_max``, c in [0.25, 4]: the rounding of the product
+    puts it on either side of the kernel's rank cut."""
+    n = draw(st.integers(2, 16))
+    c = draw(st.floats(0.25, 4.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q1, q2 = (
+        np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        for _ in range(2)
+    )
+    s = np.sort(rng.uniform(0.5, 1.0, n))[::-1]
+    s[-1] = c * n * 2.0**-52 * s[0]
+    return fold((q1 * s) @ q2.conj().T, PairedShape((n,), (n,)))
+
+
+class TestRankRule:
+    @settings(max_examples=200, deadline=None)
+    @given(near_rank_cut())
+    def test_predicates_share_the_inverse_rule(self, t):
+        try:
+            inverse(t)
+            inverted = True
+        except SingularTensorError:
+            inverted = False
+        assert is_invertible(t) == inverted
+        assert full_row_rank(t) == full_column_rank(t) == inverted
+        assert unfold_rank(t) == numerical_rank(t.matrix)
 
 
 class TestOverflow:

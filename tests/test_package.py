@@ -114,6 +114,14 @@ def test_no_unfold_submodule():
         ("check_conditions", ["parts", "b", "tol"]),
         # bound is computed from the two norms and the two eps levels
         ("BoundReport", ["norm_a", "norm_a_pinv", "eps_a", "eps_d", "measured_error"]),
+        # the perturbed system is updated at update_pinv's default tolerance
+        ("measure_error", ["a", "d", "upd", "delta_d"]),
+        # rank is decided by the rule inverse and pinv apply by default
+        ("unfold_rank", ["a"]),
+        ("full_row_rank", ["a"]),
+        ("full_column_rank", ["a"]),
+        ("is_invertible", ["a"]),
+        ("numerical_rank", ["mat"]),
     ],
 )
 def test_signature(name, params):

@@ -388,10 +388,13 @@ class TestTraceInnerNorm:
         assert _frobenius(np.array([[np.inf]])) == np.inf
         assert math.isnan(_frobenius(np.array([[np.nan]])))
 
-    @pytest.mark.parametrize("entry", [5e-324, 1e-310 + 0j, -2.5e-320j, 3e-309 - 4e-309j])
+    @pytest.mark.parametrize(
+        "entry", [5e-324, 1e-310 + 0j, -2.5e-320j, 3e-309 - 4e-309j, 1e-170, -1e-170j, 0.0, -0.0j]
+    )
     def test_norm_of_subnormal_matrix(self, entry):
         # regression: dividing a complex matrix by a subnormal largest part
-        # overflowed (a warning, an error under this suite's filter) to nan
+        # overflowed (a warning, an error under this suite's filter) to nan;
+        # each entry's square is 0, and only the zero may skip the scaled pass
         assert _frobenius(np.array([[entry]])) == abs(entry)
         assert fro_norm(EinsteinTensor(PairedShape((1,), (1,)), [[entry]])) == abs(entry)
 
