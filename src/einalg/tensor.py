@@ -246,22 +246,18 @@ def _frobenius(mat: np.ndarray) -> float:
     underflows below about 1e-154; there the real and imaginary parts are
     first scaled by the exact power of two ``2**-e`` that brings their
     largest magnitude ``m`` into [0.5, 1), and the norm is ``2**e`` times
-    the norm of the scaled parts (``m`` itself when it is inf or nan).
-    Neither step rounds or overflows, also for a subnormal ``m``.  A sum of
-    squares of exactly 0 takes the scaled pass only when some entry is
-    nonzero: an all-zero matrix, common among residuals and split parts, is
-    0 at once.
+    the norm of the scaled parts (``m`` itself when it is inf or nan; when
+    it is zero, the sum of squares, which keeps a nan that ``max`` dropped).
+    Neither step rounds or overflows, also for a subnormal ``m``.
     ``np.vdot`` is a BLAS call, not a ufunc, so its overflow to ``inf`` raises
     no floating-point warning.
     """
     norm = math.sqrt(np.vdot(mat, mat).real)
     if math.isfinite(norm) and norm >= _SQRT_TINY:
         return norm
-    if norm == 0.0 and not mat.any():
-        return 0.0
     m = float(max(np.abs(mat.real).max(), np.abs(mat.imag).max()))
     if not 0.0 < m < math.inf:
-        return m
+        return m or norm
     e = math.frexp(m)[1]
     parts = np.ldexp(np.ascontiguousarray(mat, dtype=np.complex128).view(np.float64), -e)
     try:

@@ -579,26 +579,6 @@ class TestSmwCommand:
         got = load_tensor(out)
         assert verify_penrose(s, got, tol=1e-8).passed
 
-    @pytest.mark.parametrize(
-        "u, v_last",
-        [
-            (EinsteinTensor(PairedShape((4,), (1,)), [[0.0], [0.0], [0.0], [2.0]]), 2.0),
-            (EinsteinTensor(PairedShape((1,), (1,)), [[2.0]]), 2.0),
-            (EinsteinTensor(PairedShape((2, 2), (1,)), [[0.0], [0.0], [0.0], [-1.5e308]]), 1.5e308),
-        ],
-        ids=["other-modes", "one-row", "overflow"],
-    )
-    def test_hermitian_mode_rejects_u_not_v_adjoint(self, tmp_path, rng, capsys, u, v_last):
-        # v^H is the (2, 2 | 1) column v_last e4: a u with other modes, or one
-        # whose difference from v^H overflows, is not v^H, and no numpy
-        # warning comes first
-        _, paths = self.hermitian_files(tmp_path, rng)
-        save_tensor(paths[1], u)
-        save_tensor(paths[3], EinsteinTensor(PairedShape((1,), (2, 2)), [[0.0, 0.0, 0.0, v_last]]))
-        code = run("smw", *paths, "--mode", "hermitian", "-o", tmp_path / "out.json")
-        assert code == 2
-        assert "u == v^H" in capsys.readouterr().err
-
     def test_one_orchestrator_per_mode(self, tmp_path, rng, monkeypatch):
         # every pseudoinverse mode is one update_pinv call, which splits once
         _, paths = self.hermitian_files(tmp_path, rng)
