@@ -92,7 +92,7 @@ def cmd_smw(args) -> int:
     upd = LowRankUpdate(u=u, b=b, v=v, order=len(u.col_dims))
     if args.mode == "hermitian":
         u_vs_vh = _relative((u - v.H).matrix, fro_norm(u))
-        if not is_hermitian(a, tol=args.tol) or u_vs_vh > args.tol:
+        if not (is_hermitian(a, tol=args.tol) and u_vs_vh <= args.tol):
             raise ShapeError(
                 "hermitian mode needs a Hermitian base tensor and u == v^H"
             )

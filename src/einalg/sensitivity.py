@@ -117,16 +117,29 @@ def solve(a: EinsteinTensor, d: EinsteinTensor, tol: float = CONSISTENCY_TOL) ->
 
 
 def norm_bound(norm_a: float, norm_a_pinv: float, p: PerturbationSpec) -> float:
-    """Closed-form normalized-error bound at the given norms and eps levels."""
-    if norm_a < 0 or norm_a_pinv < 0:
-        raise DomainError("norms must be non-negative")
+    """Closed-form normalized-error bound at the given norms and eps levels.
+
+    Raises :class:`~einalg.errors.DomainError` unless both norms are finite
+    and >= 0, and :class:`~einalg.errors.NumericalError` if the bound is not
+    finite (``|a|^3`` overflows once ``|a|`` passes about 5.6e102).
+    """
+    if not (0.0 <= norm_a < math.inf and 0.0 <= norm_a_pinv < math.inf):
+        raise DomainError(f"norms must be finite and >= 0, got {norm_a} and {norm_a_pinv}")
     eps_a, eps_d = p.eps_a, p.eps_d
-    coefficient_terms = (
-        2.0 * eps_a**2 * norm_a_pinv
-        + eps_a**3 * norm_a
-        + eps_a**4 * norm_a**2 * norm_a_pinv
-    )
-    return (1.0 + eps_d) * norm_a**3 * coefficient_terms + eps_d * norm_a * norm_a_pinv
+    try:
+        coefficient_terms = (
+            2.0 * eps_a**2 * norm_a_pinv
+            + eps_a**3 * norm_a
+            + eps_a**4 * norm_a**2 * norm_a_pinv
+        )
+        bound = (1.0 + eps_d) * norm_a**3 * coefficient_terms + eps_d * norm_a * norm_a_pinv
+    except OverflowError:  # a float power beyond the float range
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise NumericalError(
+            f"norm_bound overflowed: the bound at |a| = {norm_a}, |a^+| = {norm_a_pinv} is {bound}"
+        )
+    return bound
 
 
 @_quiet_overflow
@@ -208,6 +221,8 @@ def sweep(
     pseudoinverse norm, so both are derived analytically from one decomposition
     of ``a``.  Rows come back ordered by ``(eps_a, alpha)``; the bound does not
     depend on ``d`` (kept for interface symmetry with the system under study).
+    Raises :class:`~einalg.errors.NumericalError` if a scaled norm or a bound
+    is not finite.
     """
     eps_a_list = sorted(float(e) for e in eps_a_list)
     alpha_grid = sorted(float(al) for al in alpha_grid)
@@ -218,15 +233,14 @@ def sweep(
     _check_right_side(a, d)
     norm_a = fro_norm(a)
     norm_a_pinv = fro_norm(pinv(a))
-    reports = []
-    for eps_a in eps_a_list:
-        for alpha in alpha_grid:
-            reports.append(
-                BoundReport(
-                    norm_a=alpha * norm_a,
-                    norm_a_pinv=norm_a_pinv / alpha,
-                    eps_a=eps_a,
-                    eps_d=float(eps_d),
-                )
+    scaled = [(alpha * norm_a, norm_a_pinv / alpha) for alpha in alpha_grid]
+    for alpha, norms in zip(alpha_grid, scaled):
+        if not all(map(math.isfinite, norms)):
+            raise NumericalError(
+                f"sweep overflowed: alpha = {alpha} scales |a| and |a^+| to {norms[0]} and {norms[1]}"
             )
-    return reports
+    return [
+        BoundReport(norm_a=scaled_a, norm_a_pinv=scaled_pinv, eps_a=eps_a, eps_d=float(eps_d))
+        for eps_a in eps_a_list
+        for scaled_a, scaled_pinv in scaled
+    ]

@@ -13,6 +13,7 @@ public surface are 1-based; internal array indexing is 0-based.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -70,12 +71,25 @@ class PairedShape:
         return f"({rows} | {cols})"
 
 
+def _as_index(i, what) -> int:
+    """``i`` as an ``int``: anything ``operator.index`` takes (numpy integers
+    too) except a bool."""
+    if not isinstance(i, bool):
+        try:
+            return operator.index(i)
+        except TypeError:
+            pass
+    raise IndexOutOfRangeError(f"{what} must be an integer, got {i!r}")
+
+
 def phi_index(idx, dims) -> int:
     """Flat 1-based offset of the 1-based multi-index ``idx`` within ``dims``.
 
-    The first component varies fastest; the empty index maps to 1.
+    The first component varies fastest; the empty index maps to 1.  A
+    component that is not an integer raises
+    :class:`~einalg.errors.IndexOutOfRangeError`.
     """
-    idx = tuple(idx)
+    idx = tuple(_as_index(i, "an index component") for i in idx)
     dims = tuple(dims)
     if len(idx) != len(dims):
         raise IndexOutOfRangeError(
@@ -96,6 +110,7 @@ def phi_index(idx, dims) -> int:
 
 def phi_inverse(flat: int, dims) -> tuple[int, ...]:
     """Inverse of :func:`phi_index`: the multi-index stored at 1-based ``flat``."""
+    flat = _as_index(flat, "a flat offset")
     dims = tuple(dims)
     size = math.prod(dims)
     if not 1 <= flat <= size:

@@ -268,8 +268,14 @@ def _frobenius(mat: np.ndarray) -> float:
 
 def _relative(diff: np.ndarray, ref_norm: float) -> float:
     """``|diff| / max(1, ref_norm)``, ``diff`` a flattened matrix and
-    ``ref_norm`` the Frobenius norm of the reference it deviates from."""
-    return _frobenius(diff) / max(1.0, ref_norm)
+    ``ref_norm`` the Frobenius norm of the reference it deviates from.
+
+    A reference whose norm overflowed measures no deviation: a nonzero
+    ``diff`` against it is ``nan``, which passes no check, not 0."""
+    norm = _frobenius(diff)
+    if norm and not math.isfinite(ref_norm):
+        return math.nan
+    return norm / max(1.0, ref_norm)
 
 
 def _returned(

@@ -7,6 +7,7 @@ packaging surface.
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -267,17 +268,24 @@ class TestSmwCommand:
 
     def test_full_rank_base_takes_capacitance(self, tmp_path):
         # an invertible base leaves no null-space part: the pseudoinverse mode
-        # inverts the K x K C = I + b v a^+ u, and exits 0 (it exited 4)
-        out = tmp_path / "out.json"
+        # inverts the K x K C = I + b v a^+ u, and exits 0 (it exited 4); the
+        # invertible mode runs the same step on inverse(a), the same bits, so
+        # both modes write the same files
         names = [FIX / "example1_s.json", FIX / "example1_u.json", FIX / "b.json",
                  FIX / "example1_v.json"]
-        assert run("smw", *names, "--mode", "pinv", "-o", out) == 0
-        report = json.loads((tmp_path / "out.json.report.json").read_text())
-        assert report["path"] == "capacitance" and report["applicable"] is True
-        assert set(report["residuals"]) == {"C"} and report["residuals"]["C"] <= report["tol"]
         a, u, b, v = (load_tensor(name).matrix for name in names)
         want = np.linalg.inv(a + u @ b @ v)
-        assert np.allclose(load_tensor(out).matrix, want, atol=1e-10)
+        written = {}
+        for mode in ("pinv", "invertible"):
+            out = tmp_path / f"{mode}.json"
+            assert run("smw", *names, "--mode", mode, "-o", out) == 0
+            report_file = tmp_path / f"{mode}.json.report.json"
+            report = strict_json(report_file.read_text())
+            assert report["path"] == "capacitance" and report["applicable"] is True
+            assert set(report["residuals"]) == {"C"} and report["residuals"]["C"] <= report["tol"]
+            assert np.allclose(load_tensor(out).matrix, want, atol=1e-10)
+            written[mode] = out.read_bytes(), report_file.read_bytes()
+        assert written["invertible"] == written["pinv"]
 
     def test_singular_capacitance_writes_null(self, tmp_path):
         # C = 1 + b v a^+ u = 0: the rank rule drops C's rank, the residual is
@@ -549,6 +557,20 @@ class TestSmwCommand:
         )
         assert code == 2
 
+    def test_hermitian_mode_rejects_u_beyond_the_float_range(self, tmp_path, capsys):
+        # regression: |u| and |u - v^H| both overflow to inf, and their nan
+        # ratio passed the u == v^H requirement, so the command exited 0
+        save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.eye(2)))
+        save_tensor(tmp_path / "u.json", EinsteinTensor(((2,), (1,)), [[1.5e308], [1.5e308]]))
+        save_tensor(tmp_path / "b.json", EinsteinTensor(((1,), (1,)), [[1.0]]))
+        save_tensor(tmp_path / "v.json", EinsteinTensor(((1,), (2,)), [[1e-300, 0.0]]))
+        code = run(
+            "smw", *(tmp_path / f"{name}.json" for name in "aubv"), "--mode", "hermitian",
+            "-o", tmp_path / "out.json",
+        )
+        assert code == 2
+        assert "hermitian mode needs a Hermitian base tensor and u == v^H" in capsys.readouterr().err
+
     @staticmethod
     def hermitian_files(tmp_path, rng):
         """Hermitian rank-3 base and ``u = v^H`` in its null space, saved as
@@ -745,6 +767,44 @@ class TestSweepCommand:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "base, alpha, message",
+        [
+            # |a|^3 raised an untyped OverflowError: a traceback, and exit 1
+            (
+                np.diag([1e103, 1.0]), "1",
+                "norm_bound overflowed: the bound at |a| = 1e+103, |a^+| = 1e-103 is inf",
+            ),
+            # alpha |a| or |a^+| / alpha overflowed, and the row was written
+            # with exit 0 and a nan bound
+            (
+                None, "1e308",
+                "sweep overflowed: alpha = 1e+308 scales |a| and |a^+| to inf and "
+                "1.870828693386971e-308",
+            ),
+            (
+                None, "1e-310",
+                "sweep overflowed: alpha = 1e-310 scales |a| and |a^+| to "
+                "2.2360679774998e-310 and inf",
+            ),
+        ],
+        ids=["norm-1e103", "alpha-1e308", "alpha-1e-310"],
+    )
+    def test_overflow_exits_3(self, tmp_path, capsys, base, alpha, message):
+        a, d = FIX / "a.json", FIX / "d.json"
+        if base is not None:
+            a, d = tmp_path / "a.json", tmp_path / "d.json"
+            save_tensor(a, EinsteinTensor(((2,), (2,)), base))
+            save_tensor(d, EinsteinTensor(((2,), (1,)), [[1.0], [1.0]]))
+        out = tmp_path / "sweep.csv"
+        code = run(
+            "sweep", a, d, "--eps-a", "0.01", "--eps-d", "0.01",
+            "--alpha-min", alpha, "--alpha-max", alpha, "--alpha-steps", "1", "-o", out,
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"einalg: numerical error: {message}\n"
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_valid_pair_exits_0(self, capsys):
@@ -776,6 +836,26 @@ class TestVerifyCommand:
         assert run("verify", p, p) == 1
         data = strict_json(capsys.readouterr().out)
         assert data["residuals"] == [None] * 4 and data["passed"] is False
+
+
+class TestReadmeCommands:
+    def test_command_block_exit_codes(self, tmp_path, monkeypatch):
+        # the README is the one statement of these commands: each line of the
+        # sh block under "## Command line" runs here, from a directory where
+        # its fixtures/ paths resolve, and exits with the code the README
+        # documents (solve's fixture system a x = d is inconsistent); the
+        # sweep CSV holds a header and 3 x 25 rows
+        text = (FIX.parent / "README.md").read_text(encoding="utf-8")
+        block = text.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fixtures").symlink_to(FIX, target_is_directory=True)
+        assert [argv[:2] for argv in commands] == [
+            ["einalg", name] for name in ("pinv", "smw", "smw", "solve", "sweep", "verify")
+        ]
+        for argv in commands:
+            assert main(argv[1:]) == (5 if argv[1] == "solve" else 0), argv
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 76
 
 
 class TestTolOption:

@@ -138,6 +138,21 @@ class TestNormBound:
             BoundReport(1.0, 1.0, 0.1, -0.1)
         assert BoundReport(1.7, 2.3, 0.1, 0.05).bound == norm_bound(1.7, 2.3, PerturbationSpec(0.1, 0.05))
 
+    @pytest.mark.parametrize("norms", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_norms_rejected(self, norms):
+        # regression: a nan norm passed the sign test and gave a nan bound
+        with pytest.raises(DomainError, match="norms must be finite"):
+            norm_bound(*norms, PerturbationSpec(0.1, 0.1))
+
+    @pytest.mark.parametrize(
+        "norm_a, norm_a_pinv",
+        # |a|^3 overflows as a float power; a product overflows to inf
+        [(1e103, 1e-103), (1e100, 1e300)],
+    )
+    def test_overflowing_bound_raises(self, norm_a, norm_a_pinv):
+        with pytest.raises(NumericalError, match="norm_bound overflowed"):
+            norm_bound(norm_a, norm_a_pinv, PerturbationSpec(0.1, 0.1))
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.floats(0.0, 10.0),
@@ -314,6 +329,14 @@ class TestMeasureError:
         assert update_pinv(a, pinv(a), upd).path == path
         with pytest.raises(NumericalError, match="measure_error overflowed: the perturbed solution y"):
             measure_error(a, d, upd, delta_d)
+
+    def test_overflowing_bound_is_numerical_error(self):
+        # regression: |a|^3 of a base with |a| = 1e103 raised an untyped
+        # OverflowError from the bound
+        a = fold(np.diag([1e103, 1.0]), PairedShape((2,), (2,)))
+        upd = rank_one_update((1.0, 0.0), 1.0, (1.0, 0.0))
+        with pytest.raises(NumericalError, match="norm_bound overflowed"):
+            measure_error(a, column(1.0, 1.0), upd, column(0.0, 1e-3))
 
 
 def seeded_system(seed, k, rank, inside, delta_exponent=0.0):

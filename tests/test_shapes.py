@@ -1,10 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from einalg import IndexOutOfRangeError, PairedShape, ShapeError, phi_index, phi_inverse
+from einalg import (
+    EinsteinTensor,
+    IndexOutOfRangeError,
+    PairedShape,
+    ShapeError,
+    phi_index,
+    phi_inverse,
+)
 
 
 class TestPairedShape:
@@ -84,6 +92,26 @@ class TestPhi:
             phi_inverse(0, (2, 2))
         with pytest.raises(IndexOutOfRangeError):
             phi_inverse(5, (2, 2))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: phi_index((1.5,), (2,)),
+            lambda: phi_index((True, 2), (2, 2)),
+            lambda: phi_inverse(2.0, (2, 2)),
+            lambda: EinsteinTensor(PairedShape((2,), (1,)), [[1.0], [2.0]]).entry((1.5,), (1,)),
+        ],
+        ids=["float-component", "bool-component", "float-offset", "entry"],
+    )
+    def test_non_integer_rejected(self, call):
+        # regression: a float or bool passed as an index (phi_index returned
+        # 1.5, and entry raised numpy's bare IndexError)
+        with pytest.raises(IndexOutOfRangeError, match="must be an integer"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert phi_index((np.int64(1), np.int32(2)), (2, 2)) == 3
+        assert phi_inverse(np.int64(3), (2, 2)) == (1, 2)
 
     @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5), st.data())
     def test_round_trip_property(self, dims, data):

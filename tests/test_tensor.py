@@ -221,6 +221,14 @@ class TestConjTranspose:
         a = EinsteinTensor(PairedShape((2,), (2,)), [[0.0, 1.5e308], [-1.5e308, 0.0]])
         assert not is_hermitian(a)
 
+    def test_overflowing_norm_measures_no_deviation(self):
+        # regression: |a| overflows to inf while a - a^H is finite, and
+        # |a - a^H| / inf = 0 passed any deviation; no deviation still passes
+        a = EinsteinTensor(PairedShape((2,), (2,)), [[1.2e308, 1.2e308], [0.0, 1.2e308]])
+        assert fro_norm(a) == math.inf
+        assert not is_hermitian(a)
+        assert is_hermitian(EinsteinTensor(PairedShape((3,), (3,)), np.diag([1.2e308] * 3)))
+
 
 class TestKronecker:
     def test_worked_example_correction(self, example_b, ex1):
