@@ -1,8 +1,8 @@
 """Dense complex matrix kernel: SVD, pseudoinverse, inverse.
 
 The decomposition is LAPACK's SVD as bundled with numpy, truncated at the
-standard numerical-rank threshold ``sigma_max * max(m, n) * 2**-52``: passing
-``tol`` scales that default, so ``tol=1.0`` is the default behavior.
+standard numerical-rank threshold ``sigma_max * max(m, n) * 2**-52``; only
+:func:`einalg.inverses.pinv` scales it, by its ``tol``.
 Inverses are assembled as ``(v / s) @ u^H`` without floating-point warnings:
 a retained singular value below about 1e-308 makes them overflow to a
 non-finite matrix, which the tensor layer reports as a numerical error.
@@ -48,9 +48,11 @@ def _as_matrix(mat) -> np.ndarray:
 
 
 def _rank_floor(scale: float, shape: tuple[int, ...], tol: float) -> float:
-    """``tol * scale * max(m, n) * 2**-52``, the rank rule of :func:`svd` and of
-    the split in :func:`einalg.woodbury.decompose_update`: at or below it is residue."""
-    return tol * scale * max(shape) * _EPS
+    """``scale * (max(m, n) * 2**-52) * tol``, the rank rule of :func:`svd` and
+    of the split in :func:`einalg.woodbury.decompose_update`: at or below it is
+    residue.  The bracket is exact and below 1, so a ``scale`` near the
+    largest float gives a finite floor."""
+    return scale * (max(shape) * _EPS) * tol
 
 
 def _lapack_svd(mat: np.ndarray):
@@ -80,17 +82,17 @@ def _inverted(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
         return vh.swapaxes(-1, -2) @ np.conj(u, out=u).swapaxes(-1, -2)
 
 
-def svd(mat, tol: float = 1.0) -> Svd:
-    """Thin SVD truncated at ``tol * sigma_max * max(m, n) * 2**-52``."""
+def svd(mat) -> Svd:
+    """Thin SVD truncated at ``sigma_max * max(m, n) * 2**-52``."""
     mat = _as_matrix(mat)
     u, s, vh = _lapack_svd(mat)
-    rank = int(np.count_nonzero(_kept(s, mat.shape, tol)))
+    rank = int(np.count_nonzero(_kept(s, mat.shape, 1.0)))
     return Svd(u=u[:, :rank], s=s[:rank], v=vh[:rank].conj().T)
 
 
-def pinv_matrix(mat, tol: float = 1.0) -> np.ndarray:
+def pinv_matrix(mat) -> np.ndarray:
     """Moore-Penrose pseudoinverse via the truncated SVD."""
-    return _pinv_stack(_as_matrix(mat), tol=tol)
+    return _pinv_stack(_as_matrix(mat))
 
 
 def _pinv_stack(stack: np.ndarray, tol: float = 1.0) -> np.ndarray:

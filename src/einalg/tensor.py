@@ -214,18 +214,28 @@ def kronecker(a: EinsteinTensor, b: EinsteinTensor) -> EinsteinTensor:
     return _returned("kronecker", shape, np.kron(b.matrix, a.matrix))
 
 
+@_quiet_overflow
 def trace(a: EinsteinTensor) -> complex:
     """Sum of the diagonal entries ``a_{i..., i...}`` of a square tensor."""
     if not a.shape.is_square:
         raise ShapeError(f"trace needs a square tensor, got {a.shape}")
-    return complex(np.trace(a.matrix))
+    return _scalar("trace", np.trace(a.matrix))
 
 
 def inner(a: EinsteinTensor, b: EinsteinTensor) -> complex:
     """Inner product ``Tr(a^H * b)``; conjugate-linear in the first argument."""
     if a.shape != b.shape:
         raise ShapeError(f"inner product needs equal shapes, got {a.shape}, {b.shape}")
-    return complex(np.vdot(a.matrix, b.matrix))
+    return _scalar("inner", np.vdot(a.matrix, b.matrix))
+
+
+def _scalar(stage: str, value) -> complex:
+    """``value`` as a complex number, computed in ``stage`` from finite
+    tensors: a non-finite one is an overflow there."""
+    value = complex(value)
+    if not cmath.isfinite(value):
+        raise NumericalError(f"{stage} overflowed: the result is {value}")
+    return value
 
 
 #: Below this the sum of squares behind a Frobenius norm is subnormal or zero.

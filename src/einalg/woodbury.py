@@ -477,28 +477,28 @@ def _decompose(
 
 
 @_quiet_overflow
-def check_conditions(
-    parts: SplitParts, b: EinsteinTensor, tol: float = CONDITION_TOL
-) -> ConditionReport:
+def check_conditions(parts: SplitParts, b: EinsteinTensor) -> ConditionReport:
     """Relative residuals of the six applicability equalities.
 
     3.1: e2 b+ e1^H y1 b = e2       4.1: b y2^H e2 b+ e1^H = e1^H
     3.2: x1 e1^H y1 b = x1 b        4.2: b y2^H e2 x2^H = b x2^H
     3.3: y1 e1^H y1 = y1            4.3: e2 y2^H e2 = e2
 
-    ``b+`` is taken from ``b``.  Raises
-    :class:`~einalg.errors.NumericalError` if ``b+`` or a residual is not
-    finite, which from finite parts means an overflow.
+    ``b+`` is taken from ``b``, and the report applies ``CONDITION_TOL``.
+    Raises :class:`~einalg.errors.ShapeError` if ``b`` does not carry the
+    split's K modes on both sides, and :class:`~einalg.errors.NumericalError`
+    if ``b+`` or a residual is not finite, which from finite parts means an
+    overflow.
     """
-    b_pinv = pinv(b)
     _check_middle(parts, b)
+    b_pinv = pinv(b)
     split = _Split(
         parts.x1.matrix, parts.y1.matrix, _adjoint(parts.x2.matrix),
         _adjoint(parts.y2.matrix), parts.e1.matrix, parts.e2.matrix,
         norms={name: fro_norm(getattr(parts, name)) for name in _PART_NAMES},
     )
     residuals = _residuals(split, _adjoint(split.e1), b.matrix, b_pinv.matrix)
-    return ConditionReport(residuals=residuals, tol=tol)
+    return ConditionReport(residuals=residuals, tol=CONDITION_TOL)
 
 
 def _residuals(

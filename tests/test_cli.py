@@ -396,6 +396,22 @@ class TestSmwCommand:
         want = np.eye(2) - np.outer([0.5, 0.25], [0.5, 0.25]) / 1.3125
         assert np.allclose(load_tensor(tmp_path / "out.json").matrix, want, atol=1e-15)
 
+    @pytest.mark.parametrize("mode", ["pinv", "invertible"])
+    def test_base_of_the_largest_floats_takes_the_capacitance(self, tmp_path, mode):
+        # regression: the rank floor of a = diag(1.2e308, 1.2e308) overflowed,
+        # so the pinv mode took a^+ = 0 and wrote diag(1e-306, 0) on the
+        # identity path, and the invertible mode exited 3
+        argv = self.invertible_argv(tmp_path)
+        argv[argv.index("--mode") + 1] = mode
+        save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.diag([1.2e308] * 2)))
+        save_tensor(tmp_path / "u.json", EinsteinTensor(((2,), (1,)), [[1e153], [0.0]]))
+        save_tensor(tmp_path / "v.json", EinsteinTensor(((1,), (2,)), [[1e153, 0.0]]))
+        assert run(*argv) == 0
+        report = json.loads((tmp_path / "out.json.report.json").read_text())
+        assert report["path"] == "capacitance" and report["applicable"] is True
+        want = np.diag([1 / 1.21e308, 1 / 1.2e308])
+        assert np.allclose(load_tensor(tmp_path / "out.json").matrix, want, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("base, rel", ILL_CONDITIONED_BASES)
     def test_ill_conditioned_base_falls_back(self, tmp_path, rng, base, rel):
         # neither projection residue nor a split floor above |u| may pass for

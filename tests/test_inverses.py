@@ -105,6 +105,16 @@ class TestRankRule:
         assert full_row_rank(t) == full_column_rank(t) == inverted
         assert unfold_rank(t) == numerical_rank(t.matrix)
 
+    def test_rank_floor_of_the_largest_floats_is_finite(self):
+        # regression: the floor tol * sigma_max * max(m, n) overflowed to inf
+        # before the 2**-52 scaled it, which made this tensor rank 0
+        t = EinsteinTensor(PairedShape((2,), (2,)), np.diag([1.2e308, 1.2e308]))
+        want = np.diag([1 / 1.2e308, 1 / 1.2e308])
+        assert np.allclose(pinv(t).matrix, want, rtol=1e-12, atol=0.0)
+        assert np.allclose(inverse(t).matrix, want, rtol=1e-12, atol=0.0)
+        assert is_invertible(t) and full_row_rank(t) and full_column_rank(t)
+        assert unfold_rank(t) == numerical_rank(t.matrix) == 2
+
 
 class TestOverflow:
     # regression: an inverse beyond the float range warned in the kernel and

@@ -6,10 +6,13 @@ import pytest
 from einalg import (
     DomainError,
     NumericalError,
+    PairedShape,
     ShapeError,
     SingularMatrixError,
+    fold,
     inv_matrix,
     numerical_rank,
+    pinv,
     pinv_matrix,
     svd,
 )
@@ -99,9 +102,12 @@ class TestSvd:
         assert orth_u <= 1e-10 and orth_v <= 1e-10
 
     def test_tol_scales_threshold(self, rng):
+        # the rank multiplier is set through pinv: at 1e9 the cut passes 1e-8
         mat = np.diag([1.0, 1e-8])
         assert svd(mat).rank == 2
-        assert svd(mat, tol=1e9).rank == 1
+        t = fold(mat, PairedShape((2,), (2,)))
+        assert np.linalg.matrix_rank(pinv(t).matrix) == 2
+        assert np.array_equal(pinv(t, tol=1e9).matrix, np.diag([1.0, 0.0]))
 
     def test_lapack_failure_is_numerical_error(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -158,11 +164,17 @@ class TestPinvStack:
             np.zeros((k, k)),
             gram.conj().T @ gram,
         ]
-        for tol in (1.0, 1e6):
-            got = _pinv_stack(np.stack(slices).astype(np.complex128), tol=tol)
-            assert len(got) == len(slices)
-            for mat, p in zip(slices, got):
-                assert np.array_equal(p, pinv_matrix(mat, tol=tol))
+        stack = np.stack(slices).astype(np.complex128)
+        got = _pinv_stack(stack)
+        assert len(got) == len(slices)
+        for mat, p in zip(slices, got):
+            assert np.array_equal(p, pinv_matrix(mat))
+        # a scaled cut is set through pinv
+        shape = PairedShape((k,), (k,))
+        got = _pinv_stack(stack, tol=1e6)
+        assert len(got) == len(slices)
+        for mat, p in zip(slices, got):
+            assert np.array_equal(p, pinv(fold(mat, shape), tol=1e6).matrix)
 
 
 class TestOverflow:

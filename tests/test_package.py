@@ -111,7 +111,7 @@ def test_no_unfold_submodule():
         # the capacitance C = I + b (v a^-1 u) needs no b^-1
         ("smw_invertible", ["a_inv", "upd"]),
         # b^+ is taken from b
-        ("check_conditions", ["parts", "b", "tol"]),
+        ("check_conditions", ["parts", "b"]),
         # bound is computed from the two norms and the two eps levels
         ("BoundReport", ["norm_a", "norm_a_pinv", "eps_a", "eps_d", "measured_error"]),
         # the perturbed system is updated at update_pinv's default tolerance
@@ -122,6 +122,9 @@ def test_no_unfold_submodule():
         ("full_column_rank", ["a"]),
         ("is_invertible", ["a"]),
         ("numerical_rank", ["mat"]),
+        # the rank multiplier is set only through pinv
+        ("svd", ["mat"]),
+        ("pinv_matrix", ["mat"]),
     ],
 )
 def test_signature(name, params):

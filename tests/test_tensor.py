@@ -296,7 +296,10 @@ class TestAlgebraOverflow:
         (scale, (_full(1e200), 1e200)),
         (einstein_product, (_full(1e200), _full(1e200))),
         (kronecker, (_full(1e200), _full(1e200))),
-    ], ids=["add", "scale", "einstein_product", "kronecker"])
+        # regression: trace returned inf with a RuntimeWarning, inner silently
+        (trace, (_full(1.5e308),)),
+        (inner, (_full(1e200), _full(1e200))),
+    ], ids=["add", "scale", "einstein_product", "kronecker", "trace", "inner"])
     def test_overflow_is_numerical(self, fn, args):
         with pytest.raises(NumericalError, match=f"^{fn.__name__} overflowed"):
             fn(*args)
