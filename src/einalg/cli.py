@@ -106,7 +106,7 @@ def cmd_smw(args) -> int:
     applicable = report.applicable
     if args.mode == "orthogonal":
         # The orthogonal identity also needs x1 = x2 = 0; the split has
-        # already made every part within its rounding bound an exact zero.
+        # already made every part within its floor an exact zero.
         parts = updated.parts
         applicable = applicable and not (parts.x1.matrix.any() or parts.x2.matrix.any())
     tensorio.save_tensor(args.output, result)

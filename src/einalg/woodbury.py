@@ -109,16 +109,13 @@ class LowRankUpdate:
                 f"factor v row modes {self.v.row_dims} do not match shared modes {k}"
             )
 
-    @property
-    def result_shape(self) -> PairedShape:
-        return PairedShape(self.u.row_dims, self.v.col_dims)
-
     def _conform(self, base: PairedShape) -> None:
         """Raise :class:`~einalg.errors.ShapeError` unless the correction has the
         base tensor's shape."""
-        if self.u.row_dims != base.row_dims or self.v.col_dims != base.col_dims:
+        rows, cols = self.u.row_dims, self.v.col_dims
+        if rows != base.row_dims or cols != base.col_dims:
             raise ShapeError(
-                f"update of shape {self.result_shape} does not conform to base {base}"
+                f"update of shape {PairedShape(rows, cols)} does not conform to base {base}"
             )
 
 
@@ -165,11 +162,10 @@ class ConditionReport:
     Labels 3.1-3.3 form the left family (updated pseudoinverse times update),
     4.1-4.3 the right family.  A split with no null-space part has the one
     label ``C`` instead, the verdict of the capacitance step: the larger of
-    the split's rounding bound relative to ``|u|``, ``max(m, n) 2**-52 |a|_F
-    |a^+|_F``, and the rank floor of the capacitance ``C`` over its smallest
-    singular value (about ``K 2**-52 cond(C)``; ``inf`` when the rank rule
-    drops ``C``'s rank).  ``applicable`` is true iff every residual is <=
-    ``tol``.
+    the split's floor relative to ``|u|`` (:func:`decompose_update`) and the
+    rank floor of the capacitance ``C`` over its smallest singular value
+    (about ``K 2**-52 cond(C)``; ``inf`` when the rank rule drops ``C``'s
+    rank).  ``applicable`` is true iff every residual is <= ``tol``.
     """
 
     residuals: dict[str, float]
@@ -258,8 +254,8 @@ def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
     ``(a^-1 u)(-(C^-1 b)(v a^-1))`` to ``a^-1``, so ``b`` need not be
     invertible (``b = 0`` gives ``a^-1``).  Nothing here sees cancellation
     against ``a^-1``'s largest entries on an ill-conditioned base, which
-    :func:`update_pinv` catches with the split's rounding bound, a bound that
-    needs ``|a|``: for ``a = diag(1, 1e-8)``, ``u = v^H = e2`` and ``b = 1``
+    :func:`update_pinv` catches with the split's floor, a bound that needs
+    ``|a|``: for ``a = diag(1, 1e-8)``, ``u = v^H = e2`` and ``b = 1``
     the result is off by 7e-9 relative.  ``update_pinv(a, inverse(a), upd)``
     is the same step with the split's check, and falls back to a direct
     pseudoinverse where it fails; it is what ``einalg smw --mode invertible``
@@ -407,12 +403,17 @@ def decompose_update(a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpda
     left and right column spaces, associated so that every product has K
     columns or K rows (O(N^2 K), no N x N projector is formed); the remainders
     ``y_i`` are orthogonal to them by construction.  The kernel's rule
-    (:mod:`einalg.matkernel`) truncates the ``e_i`` pseudoinverses and zeroes
-    a part within ``max(m, n) * 2**-52 * |a|_F |a^+|_F |u|_F`` (``|v^H|_F``
-    on the right), the rounding bound of ``a (a^+ u)`` and at most
-    ``rank(a)`` times the spectral one: residue taken as structure gives a
-    huge ``e_i`` and conditions that hold on noise.  Raises
-    :class:`~einalg.errors.NumericalError` if a part or a K x K Gram
+    (:mod:`einalg.matkernel`) truncates the ``e_i`` pseudoinverses, and the
+    split's floor zeroes a part within ``2 max(m, n) 2**-52 |a|_F |a^+|_F
+    |u|_F`` (``|v^H|_F`` on the right): residue taken as structure gives a
+    huge ``e_i`` and conditions that hold on noise.  Without the 2 this is
+    the first-order bound, at most ``rank(a)`` times the spectral one, for
+    the rounding in the two products ``a^+ u`` and ``a (a^+ u)``, of at
+    most ``max(m, n)`` terms each at unit roundoff ``2**-53``.  The 2 leaves
+    as much again for the rounding already in ``a^+``: on invertible cond-10
+    bases at N = 4 with random unit ``u`` and ``v``, the residue exceeded
+    the bound without it in 137 of 27000 seeded draws, by at most 1.71x.
+    Raises :class:`~einalg.errors.NumericalError` if a part or a K x K Gram
     intermediate overflows.
     """
     return _decompose(a, a_pinv, upd)[0].wrapped(upd)
@@ -427,10 +428,9 @@ def _decompose(
     ``x2^H a^+``, as ``a^+ a a^+ = a^+``), so the updated pseudoinverse is
     ``a^+`` plus one correction built from them and K-sized pieces.  The
     matrix ``b^+`` is taken in one LAPACK call on a (3, K, K) stack with the
-    two Gram pseudoinverses.  ``floor``, ``max(m, n) * 2**-52 * |a|_F
-    |a^+|_F``, is the split's rounding bound relative to ``|u|`` and
-    ``|v^H|``; those four norms are the ones the tensors kept when they were
-    built.
+    two Gram pseudoinverses.  ``floor`` is the split's floor relative to
+    ``|u|`` and ``|v^H|`` (:func:`decompose_update`); it and the zero tests
+    use the norms the tensors kept when they were built.
 
     When the split leaves both ``y1`` and ``y2`` exact zeros (no null-space
     part: the capacitance step's case), ``e1 = e2 = 0``, that call is skipped
@@ -444,7 +444,7 @@ def _decompose(
     upd._conform(a.shape)
     a_mat, ap, u, v, b = a.matrix, a_pinv.matrix, upd.u.matrix, upd.v.matrix, upd.b.matrix
     norm_u, norm_v = fro_norm(upd.u), fro_norm(upd.v)
-    floor = _rank_floor(fro_norm(a) * fro_norm(a_pinv), a_mat.shape, 1.0)
+    floor = _rank_floor(fro_norm(a) * fro_norm(a_pinv), a_mat.shape, 2.0)
     ap_u, v_ap = _mat_cols(ap, u), _rows_mat(v, ap)
     x1, y1, ap_u, norm_x1, norm_y1 = _split(u, _mat_cols(a_mat, ap_u), ap_u, floor * norm_u, norm_u)
     x2h, y2h, v_ap, norm_x2h, norm_y2h = _split(v, _rows_mat(v_ap, a_mat), v_ap, floor * norm_v, norm_v)
@@ -629,10 +629,9 @@ def update_pinv(
     condition but takes the capacitance step that :func:`smw_invertible`
     takes on ``a^-1``: ``s^+ = a^+ - (a^+ u) C^-1 b (v a^+)``,
     ``C = I + b (v a^+ u)``.  Its report is the one residual ``C``
-    (:class:`ConditionReport`), which also holds the split's rounding bound
-    relative to ``|u|``, ``max(m, n) 2**-52 |a|_F |a^+|_F``: on an
-    ill-conditioned base, or one with a kept singular value at the cutoff,
-    the formula cancels against ``a^+``'s largest entries, and the update
+    (:class:`ConditionReport`), which also holds the split's floor relative
+    to ``|u|`` (:func:`decompose_update`): on an ill-conditioned base, or
+    one with a kept singular value at the cutoff, the formula cancels against ``a^+``'s largest entries, and the update
     falls back.  An identity-path call costs O(N^2 K) and builds seven
     tensors, the six split parts and ``s^+``, each around the array just
     computed.  Raises :class:`~einalg.errors.NumericalError` if a split
@@ -664,8 +663,7 @@ def _updated(
     b = upd.b.matrix
     factors = None
     if b_pinv is None:
-        # C is not formed when the split's rounding bound alone is above the
-        # tolerance
+        # C is not formed when the split's floor alone is above the tolerance
         if residual <= tol:
             try:
                 right, cap_residual = _capacitance("update_pinv", x2h_ap, upd.u.matrix, b)

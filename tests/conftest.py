@@ -169,9 +169,9 @@ def near_cutoff_tensor(dims, rank):
 
 #: (4,4 | 4,4) bases on which ``update_pinv`` must fall back, each with the
 #: relative accuracy LAPACK's pseudoinverse of the corrected tensor has there.
-#: At cond 1e8 the split's rounding bound relative to ``|u|``, ``16 * 2**-52 *
+#: At cond 1e8 the split's floor relative to ``|u|``, ``2 * 16 * 2**-52 *
 #: |a|_F |a^+|_F``, is above ``CONDITION_TOL``, and near the cutoff it is
-#: about 1; the capacitance step would cancel against ``a^+``'s largest
+#: about 3; the capacitance step would cancel against ``a^+``'s largest
 #: entries there.
 ILL_CONDITIONED_BASES = [
     pytest.param(lambda rng: conditioned_tensor(rng, (4, 4), 16, 1e8), 1e-2, id="cond1e8"),
@@ -181,10 +181,10 @@ ILL_CONDITIONED_BASES = [
 
 
 def cond1e6_base(rng):
-    """Invertible (4,4 | 4,4) base at cond 1e6: the split's rounding bound is
-    below ``CONDITION_TOL``, so ``update_pinv`` takes the capacitance step.
-    LAPACK's pseudoinverse of a corrected tensor is good to ``COND1E6_REL``
-    there."""
+    """Invertible (4,4 | 4,4) base at cond 1e6: the split's floor, ``2 * 16 *
+    2**-52 |a|_F |a^+|_F`` = 8.4e-9, is 16% below ``CONDITION_TOL`` (1e-8),
+    so ``update_pinv`` takes the capacitance step.  LAPACK's pseudoinverse of
+    a corrected tensor is good to ``COND1E6_REL`` there."""
     return conditioned_tensor(rng, (4, 4), 16, 1e6)
 
 

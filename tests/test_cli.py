@@ -368,12 +368,12 @@ class TestSmwCommand:
         # capacitance path; C = 1 + (0.5, 0.25) (0.5, 0.25)^T = 1.3125
         rep = tmp_path / "rep.json"
         assert run(*self.invertible_argv(tmp_path), "--report", rep) == 0
-        # C's residual is the larger of the split's rounding bound,
-        # max(m, n) 2**-52 |a|_F |a^-1|_F = 2 2**-52 sqrt(2) sqrt(2) (to the
-        # last bit of sqrt(2)), and the rank floor 2**-52 (|I| + |b v a^-1 u|)
-        # = 2**-52 (1 + 0.3125) over C's one singular value, 1.3125
+        # C's residual is the larger of the split's floor, 2 max(m, n) 2**-52
+        # |a|_F |a^-1|_F = 2 * 2 2**-52 sqrt(2) sqrt(2) (to the last bit of
+        # sqrt(2)), and the rank floor 2**-52 (|I| + |b v a^-1 u|) = 2**-52
+        # (1 + 0.3125) over C's one singular value, 1.3125
         assert json.loads(rep.read_text()) == {
-            "residuals": {"C": pytest.approx(4 * 2.0**-52, rel=1e-15, abs=0.0)},
+            "residuals": {"C": pytest.approx(8 * 2.0**-52, rel=1e-15, abs=0.0)},
             "applicable": True,
             "path": "capacitance",
             "tol": woodbury.CONDITION_TOL,
@@ -382,13 +382,13 @@ class TestSmwCommand:
         assert np.allclose(load_tensor(tmp_path / "out.json").matrix, want, atol=1e-15)
 
     def test_invertible_mode_tol_gates_the_capacitance(self, tmp_path):
-        # the split's rounding bound is above --tol 0, so C is not formed:
+        # the split's floor is above --tol 0, so C is not formed:
         # the direct pseudoinverse is written and the command exits 4, as the
         # pinv mode does on the same files
         assert run(*self.invertible_argv(tmp_path), "--tol", "0") == 4
         report = json.loads((tmp_path / "out.json.report.json").read_text())
         assert report == {
-            "residuals": {"C": pytest.approx(4 * 2.0**-52, rel=1e-15, abs=0.0)},
+            "residuals": {"C": pytest.approx(8 * 2.0**-52, rel=1e-15, abs=0.0)},
             "applicable": False,
             "path": "fallback",
             "tol": 0.0,
@@ -446,7 +446,7 @@ class TestSmwCommand:
             assert np.linalg.norm(got - want) <= rel * np.linalg.norm(want)
 
     def test_cond1e6_base_takes_capacitance(self, tmp_path, rng):
-        # the split's rounding bound is below the tolerance at cond 1e6: the
+        # the split's floor is below the tolerance at cond 1e6: the
         # file holds the capacitance result, and the command exits 0
         from einalg import LowRankUpdate, apply_update
 

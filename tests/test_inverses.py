@@ -1,4 +1,5 @@
-"""Tensor inverse / pseudoinverse behavior, including the Tikhonov-limit oracle."""
+"""Tensor inverse / pseudoinverse behavior, including the Tikhonov-limit oracle,
+and the rank and invertibility predicates."""
 
 import math
 
@@ -219,3 +220,41 @@ class TestVerifyPenrose:
         report = verify_penrose(a, a)
         assert all(math.isnan(r) for r in report.residuals)
         assert not report.passed
+
+
+class TestRank:
+    def test_worked_example_rank(self, example_a):
+        assert unfold_rank(example_a) == 3
+
+    def test_identity_full_rank(self):
+        assert unfold_rank(identity([2, 2])) == 4
+
+    def test_zeros_rank_zero(self):
+        assert unfold_rank(zeros(PairedShape((2, 2), (2,)))) == 0
+
+    def test_full_rank_flags(self, rng):
+        wide = rand_tensor(rng, (2,), (3,))
+        assert full_row_rank(wide)
+        assert not full_column_rank(wide)
+        tall = wide.H
+        assert full_column_rank(tall)
+        assert not full_row_rank(tall)
+
+
+class TestInvertible:
+    def test_worked_example_not_invertible(self, example_a):
+        assert not is_invertible(example_a)
+
+    def test_identity_invertible(self):
+        assert is_invertible(identity([3]))
+
+    def test_injected_zero_singular_value(self, rng):
+        q1, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        q2, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        mat = q1 @ np.diag([1.5, 1.0, 0.7, 0.0]) @ q2.conj().T
+        t = fold(mat, PairedShape((2, 2), (2, 2)))
+        assert not is_invertible(t)
+
+    def test_non_square_rejected(self, rng):
+        with pytest.raises(ShapeError):
+            is_invertible(rand_tensor(rng, (2,), (3,)))

@@ -1,4 +1,5 @@
-"""Core tensor algebra, checked against independent contraction oracles."""
+"""Core tensor algebra, checked against independent contraction oracles, and
+the flattening round-trips and product homomorphism."""
 
 import itertools
 import math
@@ -483,3 +484,46 @@ class TestNormInequalities:
         rng = np.random.default_rng(1234)
         b = rand_tensor(rng, a.row_dims, a.col_dims)
         assert fro_norm(a + b) <= fro_norm(a) + fro_norm(b) + 1e-12
+
+
+class TestUnfoldFold:
+    def test_unfold_is_a_view(self, example_a):
+        assert unfold(example_a) is example_a.matrix
+
+    def test_worked_example_structure(self, example_a):
+        mat = unfold(example_a)
+        nz = np.abs(mat) > 0
+        assert nz.sum() == 5
+        assert np.all(np.abs(mat[nz]) == 1.0)
+        assert np.linalg.matrix_rank(mat) == 3
+
+    def test_fold_identity_matrix(self):
+        assert fold(np.eye(4), PairedShape((2, 2), (2, 2))) == identity([2, 2])
+
+    def test_round_trip_bit_exact(self, rng):
+        t = rand_tensor(rng, (2, 3), (2, 2))
+        assert fold(unfold(t), t.shape) == t
+
+    def test_fold_size_mismatch(self):
+        with pytest.raises(ShapeError):
+            fold(np.zeros((2, 3)), PairedShape((2,), (2,)))
+
+    def test_fold_of_matrix_product_is_einstein_product(self, rng):
+        a = rand_tensor(rng, (2, 2), (3,))
+        b = rand_tensor(rng, (3,), (2, 2))
+        want = einstein_product(a, b)
+        got = fold(unfold(a) @ unfold(b), PairedShape((2, 2), (2, 2)))
+        assert np.allclose(got.matrix, want.matrix, atol=1e-13)
+
+    def test_homomorphism_fuzz(self, rng):
+        for _ in range(50):
+            m, n, l = (int(rng.integers(1, 4)) for _ in range(3))
+            rd = tuple(int(rng.integers(1, 4)) for _ in range(m))
+            cd = tuple(int(rng.integers(1, 4)) for _ in range(n))
+            bd = tuple(int(rng.integers(1, 4)) for _ in range(l))
+            a = rand_tensor(rng, rd, cd)
+            b = rand_tensor(rng, cd, bd)
+            lhs = unfold(einstein_product(a, b))
+            rhs = unfold(a) @ unfold(b)
+            denom = max(1.0, np.linalg.norm(rhs))
+            assert np.linalg.norm(lhs - rhs) / denom <= 1e-12

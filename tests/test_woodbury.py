@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from einalg import (
@@ -622,8 +622,8 @@ class TestIllConditionedBase:
         # many orders of magnitude.  With a kept singular value near the
         # kernel's cutoff the split floor exceeds |u|; zeroing both parts of a
         # split makes every condition hold on zeros and returns a^+ unchanged.
-        # The split leaves no null-space part, and its rounding bound, which
-        # the capacitance step reports as C, is above the tolerance.
+        # The split leaves no null-space part, and its floor, which the
+        # capacitance step reports as C, is above the tolerance.
         dims = (4, 4)
         a = base(rng)
         a_pinv = pinv(a)
@@ -644,8 +644,9 @@ class TestIllConditionedBase:
             assert_close(result.s_pinv.matrix, want, rel)
 
     def test_cond1e6_base_takes_capacitance(self, rng):
-        # the split's rounding bound, 16 * 2**-52 |a|_F |a^+|_F, is below the
-        # tolerance at cond 1e6, so the update goes through C = I + b v a^+ u
+        # the split's floor, 2 * 16 * 2**-52 |a|_F |a^+|_F = 8.4e-9, is below
+        # the tolerance at cond 1e6, so the update goes through
+        # C = I + b v a^+ u
         dims = (4, 4)
         a = cond1e6_base(rng)
         a_pinv = pinv(a)
@@ -1005,7 +1006,7 @@ def capacitance_case(draw):
 class TestCapacitancePath:
     """With no null-space part in the split, ``(a + u b v)^+ = a^+ - (a^+ u)
     C^-1 b (v a^+)`` with ``C = I + b (v a^+ u)``, whenever ``C`` is
-    invertible and the split's rounding bound is within the tolerance."""
+    invertible and the split's floor is within the tolerance."""
 
     @settings(max_examples=80, deadline=None)
     @given(capacitance_case())
@@ -1017,7 +1018,7 @@ class TestCapacitancePath:
         # the split's floor; those draws are skipped
         assume(not (result.parts.y1.matrix.any() or result.parts.y2.matrix.any()))
         n = a.matrix.shape[0]
-        bound = n * 2.0**-52 * fro_norm(a) * fro_norm(a_pinv)
+        bound = 2 * n * 2.0**-52 * fro_norm(a) * fro_norm(a_pinv)
         assert result.path == ("capacitance" if bound <= woodbury.CONDITION_TOL else "fallback")
         # the kernel's cut n 2**-52, not numpy's default 1e-15: below it a
         # rounding singular value of a rank-deficient corrected tensor survives
@@ -1110,6 +1111,7 @@ class TestCapacitancePath:
         st.integers(2, 3),
         st.floats(6.0, 12.0),
     )
+    @example(seed=4846, dims=(4,), k=2, log_cond_b=6.0)
     def test_smw_invertible_ill_conditioned_middle_factor(self, seed, dims, k, log_cond_b):
         # C = I + b (v a^-1 u) stays well conditioned however ill-conditioned
         # b is, so the result is as good as cond(s) allows and C's residual,
