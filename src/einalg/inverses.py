@@ -14,10 +14,11 @@ raises :class:`~einalg.errors.NumericalError`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import matkernel
-from .errors import ShapeError, SingularMatrixError, SingularTensorError
+from .errors import DomainError, ShapeError, SingularTensorError
 from .tensor import (
     EinsteinTensor,
     _adjoint,
@@ -85,20 +86,20 @@ def inverse(a: EinsteinTensor) -> EinsteinTensor:
     """Inverse of a square, invertible tensor."""
     if not a.shape.is_square:
         raise ShapeError(f"inverse needs a square tensor, got {a.shape}")
-    try:
-        inv = matkernel._inverse(a.matrix)[0]
-    except SingularMatrixError as err:
-        raise SingularTensorError(
-            f"tensor of shape {a.shape} is singular: numerical rank "
-            f"{err.rank} of {a.shape.row_size}",
-            rank=err.rank,
-            sigma_min=err.sigma_min,
-        ) from err
+    inv = matkernel._inverse(
+        a.matrix, error=SingularTensorError, subject=f"tensor of shape {a.shape}"
+    )[0]
     return _returned("inverse", a.shape, inv)
 
 
 def pinv(a: EinsteinTensor, tol: float = 1.0) -> EinsteinTensor:
-    """Moore-Penrose pseudoinverse; result has the transposed paired shape."""
+    """Moore-Penrose pseudoinverse; result has the transposed paired shape.
+
+    ``tol`` multiplies the kernel's rank floor and must be finite and >= 0,
+    the rule ``einalg pinv --tol`` applies: a ``nan`` or ``inf`` would cut
+    every singular value, and a negative one would act as 0."""
+    if not 0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and >= 0, got {tol}")
     return _returned("pinv", a.shape.transposed, matkernel._pinv_stack(a.matrix, tol=tol))
 
 

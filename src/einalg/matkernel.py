@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ShapeError, SingularMatrixError
+from .errors import DomainError, NumericalError, ShapeError, SingularError, SingularMatrixError
 
 __all__ = ["Svd", "svd", "pinv_matrix", "inv_matrix", "numerical_rank"]
 
@@ -115,16 +115,27 @@ def inv_matrix(mat) -> np.ndarray:
     return _inverse(mat)[0]
 
 
-def _inverse(mat: np.ndarray, scale: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _inverse(
+    mat: np.ndarray,
+    scale: float | None = None,
+    error: type[SingularError] = SingularMatrixError,
+    subject: str = "matrix",
+) -> tuple[np.ndarray, np.ndarray]:
     """:func:`inv_matrix` of a finite square matrix, with no check of the
     entries, and the matrix's singular values, largest first.  ``scale``, at
     least ``sigma_max``, replaces it in the rank rule: for a matrix summed from
-    terms of that size, whose rounding it has to stand above."""
+    terms of that size, whose rounding it has to stand above.
+
+    Every inverse of the package is taken here, so this owns the verdict that
+    an operand is singular: when the rule drops the rank, it raises the
+    caller's ``error`` as "<subject> is singular: numerical rank r of n",
+    with that ``rank`` and, as ``sigma_min``, the smallest singular value
+    the rule keeps (0.0 at rank 0)."""
     u, s, vh = _lapack_svd(mat)
     rank = int(np.count_nonzero(_kept(s, mat.shape, 1.0, scale)))
     if rank < len(s):
-        raise SingularMatrixError(
-            f"matrix is singular: numerical rank {rank} of {len(s)}",
+        raise error(
+            f"{subject} is singular: numerical rank {rank} of {len(s)}",
             rank=rank,
             sigma_min=float(s[rank - 1]) if rank else 0.0,
         )

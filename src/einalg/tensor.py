@@ -63,18 +63,25 @@ class EinsteinTensor:
             shape = PairedShape(*shape)
         self._hold(shape, np.array(matrix, dtype=np.complex128, order="C"))
 
-    def _hold(self, shape: PairedShape, mat: np.ndarray, norm: float | None = None) -> None:
+    def _hold(
+        self,
+        shape: PairedShape,
+        mat: np.ndarray,
+        norm: float | None = None,
+        stage: str | None = None,
+    ) -> None:
+        """Keep ``mat`` itself, read-only, as the matrix of ``shape``, and its
+        norm (``norm`` when already computed).  The entries must be finite
+        (:func:`_finite_norm`): a non-finite one raises
+        :class:`~einalg.errors.DomainError`, or, when ``stage`` names the
+        function that computed ``mat`` from finite tensors, the
+        :class:`~einalg.errors.NumericalError` of an overflow there."""
         if mat.shape != (shape.row_size, shape.col_size):
             raise ShapeError(
                 f"matrix of shape {mat.shape} does not fill {shape} "
                 f"({shape.row_size} x {shape.col_size})"
             )
-        # A finite norm proves every entry finite; a non-finite one may come
-        # from finite entries beyond the squared range, so the scan decides.
-        if norm is None:
-            norm = _frobenius(mat)
-        if not math.isfinite(norm) and not np.isfinite(mat).all():
-            raise DomainError("tensor entries must be finite")
+        norm = _finite_norm(mat, norm, stage)
         mat.flags.writeable = False
         self._shape = shape
         self._mat = mat
@@ -276,6 +283,23 @@ def _frobenius(mat: np.ndarray) -> float:
         return math.inf
 
 
+def _finite_norm(mat: np.ndarray, norm: float | None = None, stage: str | None = None) -> float:
+    """``_frobenius(mat)`` (``norm`` when already computed) of a matrix whose
+    entries must be finite, the rule of every tensor the package holds.  A
+    finite norm proves every entry finite; a non-finite one may come from
+    finite entries beyond the squared range, so the scan decides.  A
+    non-finite entry raises ``DomainError("tensor entries must be finite")``,
+    or with a ``stage``, ``NumericalError("<stage> overflowed: tensor entries
+    must be finite")``."""
+    if norm is None:
+        norm = _frobenius(mat)
+    if not math.isfinite(norm) and not np.isfinite(mat).all():
+        if stage is None:
+            raise DomainError("tensor entries must be finite")
+        raise NumericalError(f"{stage} overflowed: tensor entries must be finite")
+    return norm
+
+
 def _relative(diff: np.ndarray, ref_norm: float) -> float:
     """``|diff| / max(1, ref_norm)``, ``diff`` a flattened matrix and
     ``ref_norm`` the Frobenius norm of the reference it deviates from.
@@ -296,10 +320,7 @@ def _returned(
     nothing else writes, so a non-finite entry is an overflow in ``stage``.
     ``norm``, when given, is ``_frobenius(mat)``, already computed."""
     tensor = EinsteinTensor.__new__(EinsteinTensor)
-    try:
-        tensor._hold(shape, np.ascontiguousarray(mat, dtype=np.complex128), norm)
-    except DomainError as err:
-        raise NumericalError(f"{stage} overflowed: {err}") from err
+    tensor._hold(shape, np.ascontiguousarray(mat, dtype=np.complex128), norm, stage)
     return tensor
 
 

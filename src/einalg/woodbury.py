@@ -41,18 +41,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    NumericalError,
-    ShapeError,
-    SingularCapacitanceError,
-    SingularMatrixError,
-)
+from .errors import NumericalError, ShapeError, SingularCapacitanceError
 from .inverses import pinv
 from .matkernel import _inverse, _pinv_stack, _rank_floor
 from .shapes import PairedShape
 from .tensor import (
     EinsteinTensor,
     _adjoint,
+    _finite_norm,
     _frobenius,
     _quiet_overflow,
     _relative,
@@ -300,14 +296,7 @@ def _capacitance(
     # a finite norm means finite entries, to which adding I cannot overflow
     if not math.isfinite(scale):
         raise NumericalError(f"{stage} overflowed: the capacitance tensor is not finite")
-    try:
-        cap_inv, sigma = _inverse(cap, scale)
-    except SingularMatrixError as err:
-        raise SingularCapacitanceError(
-            f"capacitance tensor is singular: numerical rank {err.rank} of {len(cap)}",
-            rank=err.rank,
-            sigma_min=err.sigma_min,
-        ) from err
+    cap_inv, sigma = _inverse(cap, scale, SingularCapacitanceError, "capacitance tensor")
     right = np.matmul(-np.matmul(cap_inv, b), v_ap)
     if not np.isfinite(right).all():
         raise NumericalError(f"{stage} overflowed: the capacitance factor is not finite")
@@ -385,16 +374,6 @@ class _Split(NamedTuple):
         ))
 
 
-def _part_norm(mat: np.ndarray, norm: float | None = None) -> float:
-    """``|mat|`` (``norm`` when already computed), with the check a wrap of
-    ``mat`` makes: a non-finite part is an overflow."""
-    if norm is None:
-        norm = _frobenius(mat)
-    if not math.isfinite(norm) and not np.isfinite(mat).all():
-        raise NumericalError("decompose_update overflowed: tensor entries must be finite")
-    return norm
-
-
 @_quiet_overflow
 def decompose_update(a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate) -> SplitParts:
     """Split the update factors against the base tensor's column spaces.
@@ -464,14 +443,16 @@ def _decompose(
         gram1_pinv, gram2_pinv, b_pinv = _pinv_stack(stack)
         e1, e2 = np.matmul(y1, gram1_pinv), np.matmul(y2, gram2_pinv)
     # y2 needs no check: it is zero, or its Gram, whose diagonal holds its
-    # squared column norms, is finite
+    # squared column norms, is finite; each other part gets the check that
+    # wrapping it makes
+    stage = "decompose_update"
     norms = {
-        "x1": _part_norm(x1, norm_x1),
-        "y1": _part_norm(y1, norm_y1),
-        "x2": _part_norm(x2h, norm_x2h),
+        "x1": _finite_norm(x1, norm_x1, stage),
+        "y1": _finite_norm(y1, norm_y1, stage),
+        "x2": _finite_norm(x2h, norm_x2h, stage),
         "y2": norm_y2h,
-        "e1": _part_norm(e1),
-        "e2": _part_norm(e2),
+        "e1": _finite_norm(e1, stage=stage),
+        "e2": _finite_norm(e2, stage=stage),
     }
     return _Split(x1, y1, x2h, y2h, e1, e2, norms), ap_u, v_ap, b_pinv, floor
 
@@ -546,6 +527,14 @@ def smw_pinv(a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor) 
     Nothing is recomputed or validated beyond shapes, so callers pair this
     with :func:`check_conditions`.
     """
+    return _assembled("smw_pinv", a_pinv, parts, b_pinv)
+
+
+def _assembled(
+    stage: str, a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor
+) -> EinsteinTensor:
+    """:func:`smw_pinv`'s assembly for the public form ``stage``, which an
+    overflow names."""
     _check_middle(parts, b_pinv)
     if a_pinv.row_dims != parts.x2.row_dims or a_pinv.col_dims != parts.x1.row_dims:
         raise ShapeError(
@@ -556,7 +545,7 @@ def smw_pinv(a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor) 
     ap_x1 = _mat_cols(ap, parts.x1.matrix)
     x2h_ap = _rows_mat(x2h, ap)
     factors = _factors(parts.e2.matrix, x2h, _adjoint(parts.e1.matrix), b_pinv.matrix, ap_x1, x2h_ap)
-    return _corrected("smw_pinv", a_pinv, *factors)
+    return _corrected(stage, a_pinv, *factors)
 
 
 def _factors(
@@ -574,6 +563,7 @@ def _factors(
     return np.concatenate((e2, ap_x1), axis=1), np.concatenate((r_top, -e1h))
 
 
+@_quiet_overflow
 def smw_pinv_orthogonal(
     a_pinv: EinsteinTensor,
     e1: EinsteinTensor,
@@ -584,12 +574,10 @@ def smw_pinv_orthogonal(
     orthogonal to the base column spaces): ``a+ + e2 b+ e1^H``, at full cost.
     """
     x1, x2 = zeros(e1.shape), zeros(e2.shape)
-    try:
-        return smw_pinv(a_pinv, SplitParts(x1, x1, x2, x2, e1, e2), b_pinv)
-    except NumericalError as err:
-        raise NumericalError(f"smw_pinv_orthogonal: {err}") from err
+    return _assembled("smw_pinv_orthogonal", a_pinv, SplitParts(x1, x1, x2, x2, e1, e2), b_pinv)
 
 
+@_quiet_overflow
 def smw_pinv_hermitian(
     a_pinv: EinsteinTensor,
     x: EinsteinTensor,
@@ -604,7 +592,7 @@ def smw_pinv_hermitian(
     split is built with zero ``y`` parts, which :func:`smw_pinv` never reads.
     """
     y = zeros(x.shape)
-    return smw_pinv(a_pinv, SplitParts(x, y, x, y, e, e), b_pinv)
+    return _assembled("smw_pinv_hermitian", a_pinv, SplitParts(x, y, x, y, e, e), b_pinv)
 
 
 @_quiet_overflow

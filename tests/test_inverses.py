@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from einalg import (
+    DomainError,
     EinsteinTensor,
     NumericalError,
     PairedShape,
@@ -63,6 +64,11 @@ class TestInverse:
         with pytest.raises(SingularTensorError) as exc:
             inverse(example_a)
         assert exc.value.rank == 3
+        assert type(exc.value) is SingularTensorError
+        assert str(exc.value) == "tensor of shape (2x2 | 2x2) is singular: numerical rank 3 of 4"
+        # the smallest kept singular value, (sqrt(5) - 1) / 2
+        assert exc.value.sigma_min == np.linalg.svd(example_a.matrix, full_matrices=False)[1][2]
+        assert exc.value.sigma_min == pytest.approx((math.sqrt(5) - 1) / 2, rel=1e-15)
 
     def test_non_square_rejected(self, rng):
         with pytest.raises(ShapeError):
@@ -140,6 +146,14 @@ class TestPinv:
     def test_zero_tensor(self):
         shape = PairedShape((2, 3), (2,))
         assert pinv(zeros(shape)) == zeros(shape.transposed)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_tol_outside_its_domain_rejected(self, example_a, tol):
+        # regression: nan and inf cut every singular value, and returned the
+        # zero tensor (inf with a warning on a zero tensor); -1 acted as 0
+        for a in (example_a, zeros(example_a.shape)):
+            with pytest.raises(DomainError, match=f"tol must be finite and >= 0, got {tol}"):
+                pinv(a, tol)
 
     def test_huge_dynamic_range(self):
         # regression: the Frobenius norm of this tensor overflows, which once

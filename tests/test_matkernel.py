@@ -216,6 +216,9 @@ class TestInvMatrix:
             inv_matrix(mat)
         assert exc.value.rank == 3
         assert exc.value.sigma_min > 0
+        assert type(exc.value) is SingularMatrixError
+        assert str(exc.value) == "matrix is singular: numerical rank 3 of 4"
+        assert exc.value.sigma_min == np.linalg.svd(mat, full_matrices=False)[1][2]
 
 
 class TestNumericalRank:

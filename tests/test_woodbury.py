@@ -216,6 +216,9 @@ class TestSmwInvertible:
         with pytest.raises(SingularCapacitanceError) as exc:
             smw_invertible(inverse(a), upd)
         assert exc.value.rank == 0
+        assert type(exc.value) is SingularCapacitanceError
+        assert str(exc.value) == "capacitance tensor is singular: numerical rank 0 of 1"
+        assert exc.value.sigma_min == 0.0
 
 
 class TestDecomposeUpdate:
@@ -953,6 +956,14 @@ class TestOverflow:
         b_pinv = fold([[1.0]], PairedShape((1,), (1,)))
         with pytest.raises(NumericalError, match="smw_pinv_orthogonal"):
             smw_pinv_orthogonal(a_pinv, e, e, b_pinv)
+
+    def test_hermitian_assembly_overflow(self):
+        # regression: the overflow named smw_pinv, the form the variant calls
+        a_pinv = fold(1e200 * np.eye(2), PairedShape((2,), (2,)))
+        x = fold(1e200 * np.eye(2)[:, :1], PairedShape((2,), (1,)))
+        b_pinv = fold([[1.0]], PairedShape((1,), (1,)))
+        with pytest.raises(NumericalError, match="smw_pinv_hermitian overflowed"):
+            smw_pinv_hermitian(a_pinv, x, x, b_pinv)
 
 
 class TestMiddleFactorOverflow:
