@@ -257,9 +257,6 @@ def main(argv=None) -> int:
     # Looked up per call, so a replaced module attribute (tracing, tests) runs.
     handler = globals()[f"cmd_{args.command}"]
     try:
-        tol = getattr(args, "tol", None)
-        if tol is not None and not 0 <= tol < math.inf:
-            raise DomainError(f"--tol must be finite and >= 0, got {tol}")
         return handler(args)
     except (ShapeError, IndexOutOfRangeError, DomainError, OSError) as err:
         print(f"einalg: error: {err}", file=sys.stderr)

@@ -14,15 +14,15 @@ raises :class:`~einalg.errors.NumericalError`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import matkernel
-from .errors import DomainError, ShapeError, SingularTensorError
+from .errors import ShapeError, SingularTensorError
 from .tensor import (
     EinsteinTensor,
     _adjoint,
     _frobenius,
+    _nonnegative,
     _quiet_overflow,
     _relative,
     _returned,
@@ -95,11 +95,11 @@ def inverse(a: EinsteinTensor) -> EinsteinTensor:
 def pinv(a: EinsteinTensor, tol: float = 1.0) -> EinsteinTensor:
     """Moore-Penrose pseudoinverse; result has the transposed paired shape.
 
-    ``tol`` multiplies the kernel's rank floor and must be finite and >= 0,
-    the rule ``einalg pinv --tol`` applies: a ``nan`` or ``inf`` would cut
-    every singular value, and a negative one would act as 0."""
-    if not 0 <= tol < math.inf:
-        raise DomainError(f"tol must be finite and >= 0, got {tol}")
+    ``tol`` multiplies the kernel's rank floor.  Raises
+    :class:`~einalg.errors.DomainError` unless it is finite and >= 0: a
+    ``nan`` or ``inf`` would cut every singular value, and a negative one
+    would act as 0."""
+    _nonnegative("tol", tol)
     return _returned("pinv", a.shape.transposed, matkernel._pinv_stack(a.matrix, tol=tol))
 
 
@@ -108,7 +108,10 @@ def verify_penrose(a: EinsteinTensor, x: EinsteinTensor, tol: float = PENROSE_TO
     """Check the four pseudoinverse rules for the candidate ``x``.
 
     Residual k is ``|lhs_k - rhs_k| / max(1, |rhs_k|)`` in Frobenius norm.
+    Raises :class:`~einalg.errors.DomainError` unless ``tol`` is finite and
+    >= 0.
     """
+    _nonnegative("tol", tol)
     if x.shape != a.shape.transposed:
         raise ShapeError(
             f"candidate shape {x.shape} is not the transpose of {a.shape}"

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateSolutionError, DomainError, NumericalError, ShapeError
 from .inverses import pinv
 from .shapes import PairedShape
-from .tensor import EinsteinTensor, _frobenius, _quiet_overflow, _relative, _returned, fro_norm
+from .tensor import EinsteinTensor, _frobenius, _nonnegative, _quiet_overflow, _relative, _returned, fro_norm
 from .woodbury import CONDITION_TOL, LowRankUpdate, _updated
 
 __all__ = [
@@ -61,9 +61,8 @@ class PerturbationSpec:
     eps_d: float
 
     def __post_init__(self):
-        for name, value in (("eps_a", self.eps_a), ("eps_d", self.eps_d)):
-            if not (math.isfinite(value) and value >= 0.0):
-                raise DomainError(f"{name} must be finite and >= 0, got {value}")
+        _nonnegative("eps_a", self.eps_a)
+        _nonnegative("eps_d", self.eps_d)
 
 
 @dataclass(frozen=True)
@@ -104,9 +103,11 @@ def solve(a: EinsteinTensor, d: EinsteinTensor, tol: float = CONSISTENCY_TOL) ->
     solution, otherwise it is the least-squares-style candidate and
     ``consistent`` records whether it solves the system exactly (residual
     ``|a a+ d - d| / max(1, |d|)`` at most ``tol``).  Raises
-    :class:`~einalg.errors.NumericalError` if ``x`` or that residual
+    :class:`~einalg.errors.DomainError` unless ``tol`` is finite and >= 0,
+    and :class:`~einalg.errors.NumericalError` if ``x`` or that residual
     overflows.
     """
+    _nonnegative("tol", tol)
     _check_right_side(a, d)
     shape = PairedShape(a.col_dims, d.col_dims)
     x = _returned("solve (x = a^+ d)", shape, np.matmul(pinv(a).matrix, d.matrix))

@@ -312,6 +312,14 @@ def _relative(diff: np.ndarray, ref_norm: float) -> float:
     return norm / max(1.0, ref_norm)
 
 
+def _nonnegative(name: str, value: float) -> None:
+    """The rule of every public tolerance and perturbation level: ``value``
+    must be finite and >= 0 (a ``nan`` fails), else
+    :class:`~einalg.errors.DomainError` naming ``name``."""
+    if not 0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and >= 0, got {value}")
+
+
 def _returned(
     stage: str, shape: PairedShape, mat: np.ndarray, norm: float | None = None
 ) -> EinsteinTensor:
@@ -326,7 +334,11 @@ def _returned(
 
 @_quiet_overflow
 def is_hermitian(a: EinsteinTensor, tol: float = 1e-10) -> bool:
-    """Whether ``a`` equals its Hermitian transpose up to ``tol`` (relative)."""
+    """Whether ``a`` equals its Hermitian transpose up to ``tol`` (relative).
+
+    Raises :class:`~einalg.errors.DomainError` unless ``tol`` is finite and
+    >= 0."""
+    _nonnegative("tol", tol)
     if not a.shape.is_square:
         raise ShapeError(f"hermiticity is defined for square tensors, got {a.shape}")
     return _relative(a.matrix - _adjoint(a.matrix), fro_norm(a)) <= tol

@@ -50,6 +50,7 @@ from .tensor import (
     _adjoint,
     _finite_norm,
     _frobenius,
+    _nonnegative,
     _quiet_overflow,
     _relative,
     _returned,
@@ -622,9 +623,11 @@ def update_pinv(
     one with a kept singular value at the cutoff, the formula cancels against ``a^+``'s largest entries, and the update
     falls back.  An identity-path call costs O(N^2 K) and builds seven
     tensors, the six split parts and ``s^+``, each around the array just
-    computed.  Raises :class:`~einalg.errors.NumericalError` if a split
+    computed.  Raises :class:`~einalg.errors.DomainError` unless ``tol`` is
+    finite and >= 0, and :class:`~einalg.errors.NumericalError` if a split
     part, a K x K intermediate, a factor or the result overflows.
     """
+    _nonnegative("tol", tol)
     split, report, s_pinv, factors = _updated(a, a_pinv, upd, tol)
     if factors is not None:
         s_pinv = _corrected("update_pinv", a_pinv, *factors)

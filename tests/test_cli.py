@@ -892,7 +892,7 @@ class TestTolOption:
         if command != "verify":
             argv += ["-o", out]
         assert run(*argv) == 2
-        assert "--tol" in capsys.readouterr().err
+        assert "tol must be finite and >= 0" in capsys.readouterr().err
         assert not out.exists()
 
 

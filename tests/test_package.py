@@ -134,3 +134,47 @@ def test_signature(name, params):
 def test_low_rank_update_takes_order():
     # the benchmark workloads build their updates with an explicit order
     assert list(inspect.signature(einalg.LowRankUpdate).parameters) == ["u", "b", "v", "order"]
+
+
+def _tol_calls():
+    # a = I_2, u = e1, b = 1, v = -e1^T: a is its own pseudoinverse, the
+    # split has no null-space part, and C = 1 + b v a^+ u = 0 is singular, so
+    # at a valid tol update_pinv falls back to pinv(diag(0, 1))
+    a = einalg.identity((2,))
+    upd = einalg.LowRankUpdate(
+        u=einalg.EinsteinTensor(((2,), (1,)), [[1], [0]]),
+        b=einalg.EinsteinTensor(((1,), (1,)), [[1]]),
+        v=einalg.EinsteinTensor(((1,), (2,)), [[-1, 0]]),
+        order=1,
+    )
+    return {
+        "pinv": lambda tol: einalg.pinv(a, tol),
+        "update_pinv": lambda tol: einalg.update_pinv(a, a, upd, tol),
+        "solve": lambda tol: einalg.solve(a, a, tol),
+        "verify_penrose": lambda tol: einalg.verify_penrose(a, a, tol),
+        "is_hermitian": lambda tol: einalg.is_hermitian(a, tol),
+    }
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("name", list(_tol_calls()))
+def test_tol_outside_its_domain_rejected(name, tol):
+    # regression: update_pinv let inf escape as numpy's ValueError and fell
+    # back for nan and -1; solve, verify_penrose and is_hermitian returned a
+    # verdict for all three
+    with pytest.raises(einalg.DomainError, match=f"tol must be finite and >= 0, got {tol}"):
+        _tol_calls()[name](tol)
+
+
+def test_every_public_tol_is_checked():
+    # the two reports record a tol that their producer has already checked;
+    # a new public tol joins the table above.  The errors take no tol, and
+    # inspect finds no signature for them.
+    takes_tol = {
+        name
+        for name in einalg.__all__
+        if callable(obj := getattr(einalg, name))
+        and not (isinstance(obj, type) and issubclass(obj, Exception))
+        and "tol" in inspect.signature(obj).parameters
+    }
+    assert takes_tol == set(_tol_calls()) | {"PenroseReport", "ConditionReport"}
