@@ -3,9 +3,13 @@
 The decomposition is LAPACK's SVD as bundled with numpy, truncated at the
 standard numerical-rank threshold ``sigma_max * max(m, n) * 2**-52``; only
 :func:`einalg.inverses.pinv` scales it, by its ``tol``.
-Inverses are assembled as ``(v / s) @ u^H`` without floating-point warnings:
-a retained singular value below about 1e-308 makes them overflow to a
-non-finite matrix, which the tensor layer reports as a numerical error.
+Inverses are assembled as ``(v / s) @ u^H`` without floating-point warnings.
+The entries of every input must be finite, the rule of every tensor
+(:func:`einalg.tensor._finite_norm`): a non-finite one is a
+:class:`~einalg.errors.DomainError`.  A largest singular value beyond the
+float range, or an inverse that overflows (a kept singular value below
+about 1e-308), is a :class:`~einalg.errors.NumericalError`, not a rank the
+overflow cut to 0 or a non-finite result.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ShapeError, SingularError, SingularMatrixError
+from .errors import NumericalError, ShapeError, SingularError, SingularMatrixError
+from .tensor import _finite_norm
 
 __all__ = ["Svd", "svd", "pinv_matrix", "inv_matrix", "numerical_rank"]
 
@@ -42,8 +47,7 @@ def _as_matrix(mat) -> np.ndarray:
     mat = np.asarray(mat, dtype=np.complex128)
     if mat.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={mat.ndim}")
-    if not np.isfinite(mat).all():
-        raise DomainError("matrix entries must be finite")
+    _finite_norm(mat)
     return mat
 
 
@@ -56,12 +60,17 @@ def _rank_floor(scale: float, shape: tuple[int, ...], tol: float) -> float:
 
 
 def _lapack_svd(mat: np.ndarray):
-    """LAPACK's thin SVD of a matrix or of a stack of them."""
+    """LAPACK's thin SVD of a matrix or of a stack of them.  A finite matrix
+    whose largest singular value is beyond the float range overflows: its
+    rank rule would cut every value."""
+    m, n = mat.shape[-2:]
     try:
-        return np.linalg.svd(mat, full_matrices=False)
+        u, s, vh = np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError as err:
-        m, n = mat.shape[-2:]
         raise NumericalError(f"SVD of a {m} x {n} matrix failed: {err}") from err
+    if not np.isfinite(s[..., :1]).all():
+        raise NumericalError(f"SVD of a {m} x {n} matrix overflowed: sigma_max is not finite")
+    return u, s, vh
 
 
 def _kept(s: np.ndarray, shape: tuple[int, ...], tol: float, scale: float | None = None) -> np.ndarray:
@@ -92,7 +101,9 @@ def svd(mat) -> Svd:
 
 def pinv_matrix(mat) -> np.ndarray:
     """Moore-Penrose pseudoinverse via the truncated SVD."""
-    return _pinv_stack(_as_matrix(mat))
+    result = _pinv_stack(_as_matrix(mat))
+    _finite_norm(result, stage="pinv_matrix")
+    return result
 
 
 def _pinv_stack(stack: np.ndarray, tol: float = 1.0) -> np.ndarray:
@@ -112,7 +123,9 @@ def inv_matrix(mat) -> np.ndarray:
     m, n = mat.shape
     if m != n:
         raise ShapeError(f"inverse needs a square matrix, got {m} x {n}")
-    return _inverse(mat)[0]
+    result = _inverse(mat)[0]
+    _finite_norm(result, stage="inv_matrix")
+    return result
 
 
 def _inverse(

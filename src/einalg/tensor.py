@@ -264,7 +264,8 @@ def _frobenius(mat: np.ndarray) -> float:
     first scaled by the exact power of two ``2**-e`` that brings their
     largest magnitude ``m`` into [0.5, 1), and the norm is ``2**e`` times
     the norm of the scaled parts (``m`` itself when it is inf or nan; when
-    it is zero, the sum of squares, which keeps a nan that ``max`` dropped).
+    it is zero, as for a matrix with no entries, the sum of squares, which
+    keeps a nan that ``max`` dropped).
     Neither step rounds or overflows, also for a subnormal ``m``.
     ``np.vdot`` is a BLAS call, not a ufunc, so its overflow to ``inf`` raises
     no floating-point warning.
@@ -272,7 +273,7 @@ def _frobenius(mat: np.ndarray) -> float:
     norm = math.sqrt(np.vdot(mat, mat).real)
     if math.isfinite(norm) and norm >= _SQRT_TINY:
         return norm
-    m = float(max(np.abs(mat.real).max(), np.abs(mat.imag).max()))
+    m = float(max(np.abs(mat.real).max(initial=0.0), np.abs(mat.imag).max(initial=0.0)))
     if not 0.0 < m < math.inf:
         return m or norm
     e = math.frexp(m)[1]
@@ -285,18 +286,18 @@ def _frobenius(mat: np.ndarray) -> float:
 
 def _finite_norm(mat: np.ndarray, norm: float | None = None, stage: str | None = None) -> float:
     """``_frobenius(mat)`` (``norm`` when already computed) of a matrix whose
-    entries must be finite, the rule of every tensor the package holds.  A
-    finite norm proves every entry finite; a non-finite one may come from
-    finite entries beyond the squared range, so the scan decides.  A
-    non-finite entry raises ``DomainError("tensor entries must be finite")``,
-    or with a ``stage``, ``NumericalError("<stage> overflowed: tensor entries
-    must be finite")``."""
+    entries must be finite, the rule of every tensor the package holds and
+    of every matrix the kernel takes or returns.  A finite norm proves every
+    entry finite; a non-finite one may come from finite entries beyond the
+    squared range, so the scan decides.  A non-finite entry raises
+    ``DomainError("entries must be finite")``, or with a ``stage``,
+    ``NumericalError("<stage> overflowed: entries must be finite")``."""
     if norm is None:
         norm = _frobenius(mat)
     if not math.isfinite(norm) and not np.isfinite(mat).all():
         if stage is None:
-            raise DomainError("tensor entries must be finite")
-        raise NumericalError(f"{stage} overflowed: tensor entries must be finite")
+            raise DomainError("entries must be finite")
+        raise NumericalError(f"{stage} overflowed: entries must be finite")
     return norm
 
 

@@ -78,6 +78,15 @@ __all__ = [
 CONDITION_TOL = 1e-8
 
 
+def _check_middle(k: tuple[int, ...], factor: EinsteinTensor) -> None:
+    """Raise :class:`~einalg.errors.ShapeError` unless the middle factor
+    (``b`` or ``b^+``) carries the K shared modes ``k`` on both sides."""
+    if factor.row_dims != k or factor.col_dims != k:
+        raise ShapeError(
+            f"middle factor of shape {factor.shape} does not match shared modes {k}"
+        )
+
+
 @dataclass(frozen=True)
 class LowRankUpdate:
     """Correction ``u * b * v`` contracted over ``order`` shared modes.
@@ -97,10 +106,7 @@ class LowRankUpdate:
             raise ShapeError(
                 f"update factor u has {len(k)} shared modes, expected {self.order}"
             )
-        if self.b.row_dims != k or self.b.col_dims != k:
-            raise ShapeError(
-                f"middle factor must be ({k} | {k}), got {self.b.shape}"
-            )
+        _check_middle(k, self.b)
         if self.v.row_dims != k:
             raise ShapeError(
                 f"factor v row modes {self.v.row_dims} do not match shared modes {k}"
@@ -314,16 +320,6 @@ def _corrected(
     return _returned(stage, base.shape, mat)
 
 
-def _check_middle(parts: SplitParts, factor: EinsteinTensor) -> None:
-    """Raise :class:`~einalg.errors.ShapeError` unless the middle factor
-    carries the K shared modes of the split on both sides."""
-    k = parts.x1.col_dims
-    if factor.row_dims != k or factor.col_dims != k:
-        raise ShapeError(
-            f"middle factor of shape {factor.shape} does not match shared modes {k}"
-        )
-
-
 def _split(
     whole: np.ndarray, x: np.ndarray, pre: np.ndarray, floor: float, norm_whole: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
@@ -472,7 +468,7 @@ def check_conditions(parts: SplitParts, b: EinsteinTensor) -> ConditionReport:
     if ``b+`` or a residual is not finite, which from finite parts means an
     overflow.
     """
-    _check_middle(parts, b)
+    _check_middle(parts.x1.col_dims, b)
     b_pinv = pinv(b)
     split = _Split(
         parts.x1.matrix, parts.y1.matrix, _adjoint(parts.x2.matrix),
@@ -536,7 +532,7 @@ def _assembled(
 ) -> EinsteinTensor:
     """:func:`smw_pinv`'s assembly for the public form ``stage``, which an
     overflow names."""
-    _check_middle(parts, b_pinv)
+    _check_middle(parts.x1.col_dims, b_pinv)
     if a_pinv.row_dims != parts.x2.row_dims or a_pinv.col_dims != parts.x1.row_dims:
         raise ShapeError(
             f"base pseudoinverse of shape {a_pinv.shape} does not conform to the split "

@@ -223,6 +223,18 @@ def record_work(monkeypatch):
     return sizes, built
 
 
+def rand_matrix(rng, m, n, rank=None, smin=0.5, smax=2.0):
+    """Random complex m x n matrix of rank ``rank`` (full by default) whose
+    nonzero singular values are drawn from U(smin, smax)."""
+    r = min(m, n) if rank is None else rank
+    q1, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    s = np.zeros((m, n))
+    if r:
+        s[np.arange(r), np.arange(r)] = rng.uniform(smin, smax, size=r)
+    return q1 @ s @ q2.conj().T
+
+
 def rand_tensor(rng, row_dims, col_dims, real=False):
     shape = PairedShape(tuple(row_dims), tuple(col_dims))
     size = (shape.row_size, shape.col_size)

@@ -37,7 +37,7 @@ from einalg import (
 )
 from einalg.cli import main as cli_main
 
-from conftest import FIXTURES_DIR, einsum_product, rand_tensor, scalar1111
+from conftest import FIXTURES_DIR, einsum_product, rand_matrix, rand_tensor, scalar1111
 
 
 @contextmanager
@@ -54,15 +54,9 @@ def entrywise_close(a, b, tol):
     return bool(np.max(np.abs(a.matrix - b.matrix)) <= tol)
 
 
-def synth_tensor(rng, shape, rank, smin=0.5, smax=2.0):
+def synth_tensor(rng, shape, rank):
     """Random tensor of prescribed flattened rank with singular values in range."""
-    m, n = shape.row_size, shape.col_size
-    q1, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-    q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    s = np.zeros((m, n))
-    if rank:
-        s[np.arange(rank), np.arange(rank)] = rng.uniform(smin, smax, size=rank)
-    return fold(q1 @ s @ q2.conj().T, shape)
+    return fold(rand_matrix(rng, shape.row_size, shape.col_size, rank), shape)
 
 
 def projected_part(rng, projector, row_dims, k_dims, keep=True):

@@ -125,6 +125,15 @@ class TestPinvCommand:
         assert "numerical error: pinv overflowed" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
+    def test_singular_value_beyond_float_range_exits_3(self, tmp_path, capsys):
+        # regression: sigma_max of this finite rank-1 tensor is inf, the rank
+        # rule cut every value, and the zero tensor was written (exit 1)
+        src = tmp_path / "a.json"
+        save_tensor(src, EinsteinTensor(((2,), (2,)), np.full((2, 2), 1e308)))
+        assert run("pinv", src, "-o", tmp_path / "out.json") == 3
+        assert "numerical error: SVD of a 2 x 2 matrix overflowed" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     def test_integer_beyond_float_range_exits_2(self, tmp_path, capsys):
         # regression: the float conversion's OverflowError escaped as a traceback
         src = tmp_path / "a.json"

@@ -136,6 +136,16 @@ class TestOverflow:
         with pytest.raises(NumericalError, match="inverse overflowed"):
             inverse(EinsteinTensor(PairedShape((1,), (1,)), [[entry]]))
 
+    @pytest.mark.parametrize("fn", [pinv, unfold_rank, is_invertible, inverse])
+    def test_singular_value_beyond_float_range(self, fn):
+        # regression: the largest singular value of this finite rank-1 tensor
+        # is inf, and the rank rule cut every value: rank 0, a zero pinv, and
+        # a SingularTensorError "numerical rank 0 of 2" from inverse
+        t = EinsteinTensor(PairedShape((2,), (2,)), np.full((2, 2), 1e308))
+        with pytest.raises(NumericalError, match="^SVD of a 2 x 2 matrix overflowed") as exc:
+            fn(t)
+        assert type(exc.value) is NumericalError
+
 
 class TestPinv:
     def test_worked_example_entries(self, example_a, example_a_pinv):

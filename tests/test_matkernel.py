@@ -18,16 +18,7 @@ from einalg import (
 )
 from einalg.matkernel import _pinv_stack
 
-
-def rand_matrix(rng, m, n, rank=None, smin=0.5, smax=2.0):
-    """Random complex matrix with controlled singular values."""
-    r = min(m, n) if rank is None else rank
-    q1, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
-    q2, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    s = np.zeros((m, n))
-    if r:
-        s[np.arange(r), np.arange(r)] = rng.uniform(smin, smax, size=r)
-    return q1 @ s @ q2.conj().T
+from conftest import rand_matrix
 
 
 def svd_residuals(mat, d):
@@ -178,18 +169,51 @@ class TestPinvStack:
 
 
 class TestOverflow:
-    # a retained singular value below 1/DBL_MAX: the inverse is not finite,
-    # and the kernel says so by its entries, without a warning
+    # a retained singular value below 1/DBL_MAX: the inverse is not finite.
+    # The public functions raise, without a warning (regression: they
+    # returned the non-finite matrix); the private stack leaves the entries
+    # to its checked callers
     def test_pinv_of_subnormal_is_not_finite(self):
-        assert not np.isfinite(pinv_matrix(np.array([[5e-324]]))).any()
+        with pytest.raises(NumericalError, match="^pinv_matrix overflowed"):
+            pinv_matrix(np.array([[5e-324]]))
 
     def test_inverse_of_subnormal_is_not_finite(self):
-        assert not np.isfinite(inv_matrix(np.array([[1e-310, 0.0], [0.0, 1e-310]]))).all()
+        with pytest.raises(NumericalError, match="^inv_matrix overflowed"):
+            inv_matrix(np.array([[1e-310, 0.0], [0.0, 1e-310]]))
 
     def test_stack_of_subnormal_is_not_finite(self):
         got = _pinv_stack(np.array([[[5e-324 + 0j]], [[2.0]]]))
         assert not np.isfinite(got[0]).any()
         assert got[1] == 0.5
+
+    @pytest.mark.parametrize("fn", [svd, numerical_rank, pinv_matrix, inv_matrix])
+    def test_singular_value_beyond_float_range(self, fn):
+        # regression: LAPACK gives s = (inf, 3.4e291) for this finite rank-1
+        # matrix, and the rank rule cut both, so svd and numerical_rank
+        # reported rank 0 and pinv_matrix returned the zero matrix
+        with pytest.raises(NumericalError, match="^SVD of a 2 x 2 matrix overflowed"):
+            fn(np.full((2, 2), 1e308))
+
+    def test_stack_with_sigma_max_beyond_float_range(self):
+        with pytest.raises(NumericalError, match="^SVD of a 2 x 2 matrix overflowed"):
+            _pinv_stack(np.stack([np.eye(2), np.full((2, 2), 1e308)]).astype(np.complex128))
+
+
+class TestEmpty:
+    # no entries: nothing to decide, and the results are empty of the
+    # transposed shape
+    @pytest.mark.parametrize("m,n", [(0, 0), (0, 3), (3, 0)])
+    def test_svd_rank_and_pinv(self, m, n):
+        mat = np.zeros((m, n))
+        d = svd(mat)
+        assert d.rank == numerical_rank(mat) == 0
+        assert d.u.shape == (m, 0) and d.s.shape == (0,) and d.v.shape == (n, 0)
+        assert pinv_matrix(mat).shape == (n, m)
+
+    def test_inverse(self):
+        assert inv_matrix(np.zeros((0, 0))).shape == (0, 0)
+        with pytest.raises(ShapeError):
+            inv_matrix(np.zeros((0, 3)))
 
 
 class TestInvMatrix:
