@@ -59,17 +59,22 @@ def _rank_floor(scale: float, shape: tuple[int, ...], tol: float) -> float:
     return scale * (max(shape) * _EPS) * tol
 
 
-def _lapack_svd(mat: np.ndarray):
+def _lapack_svd(mat: np.ndarray, stage: str | None = None):
     """LAPACK's thin SVD of a matrix or of a stack of them.  A finite matrix
     whose largest singular value is beyond the float range overflows: its
-    rank rule would cut every value."""
+    rank rule would cut every value.  The error names ``stage``, when given,
+    as the function the overflow occurred in."""
     m, n = mat.shape[-2:]
     try:
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"SVD of a {m} x {n} matrix failed: {err}") from err
     if not np.isfinite(s[..., :1]).all():
-        raise NumericalError(f"SVD of a {m} x {n} matrix overflowed: sigma_max is not finite")
+        if stage is None:
+            raise NumericalError(f"SVD of a {m} x {n} matrix overflowed: sigma_max is not finite")
+        raise NumericalError(
+            f"{stage} overflowed: the SVD of a {m} x {n} matrix has a sigma_max that is not finite"
+        )
     return u, s, vh
 
 
@@ -106,14 +111,15 @@ def pinv_matrix(mat) -> np.ndarray:
     return result
 
 
-def _pinv_stack(stack: np.ndarray, tol: float = 1.0) -> np.ndarray:
+def _pinv_stack(stack: np.ndarray, tol: float = 1.0, stage: str | None = None) -> np.ndarray:
     """:func:`pinv_matrix` of a finite matrix, or of each finite matrix of a
-    stack from one LAPACK call, with no check of the entries.
+    stack from one LAPACK call, with no check of the entries; an overflowed
+    SVD names ``stage`` when given (:func:`_lapack_svd`).
 
     Every pseudoinverse of the kernel is cut and assembled here, so a slice
     of a stack gets the bits it gets alone: LAPACK factors each slice as it
     would alone, and the cut and the assembly act on each slice alike."""
-    u, s, vh = _lapack_svd(stack)
+    u, s, vh = _lapack_svd(stack, stage)
     return _inverted(u, np.where(_kept(s, stack.shape[-2:], tol), s, np.inf), vh)
 
 

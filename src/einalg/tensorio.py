@@ -123,8 +123,14 @@ def save_tensor(path, t: EinsteinTensor) -> None:
 
 
 def load_tensor(path) -> EinsteinTensor:
+    """The tensor in the file at ``path``.  A malformed file raises
+    ``ValueError``, also one nested beyond the JSON decoder's recursion limit,
+    which a tensor file (three levels deep) never is."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("the JSON nests too deeply for a tensor file") from None
     return tensor_from_dict(data)
 
 

@@ -36,7 +36,8 @@ warnings off, so none comes first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -182,11 +183,24 @@ class ConditionReport:
 @dataclass(frozen=True)
 class UpdatedPinv:
     """Result of :func:`update_pinv`: the pseudoinverse, the condition report
-    and the split the report was computed from."""
+    and the split the report was computed from.
+
+    The split is kept as the matrices the call computed, with their kept
+    norms, and ``parts`` wraps them as tensors on its first read and returns
+    that same :class:`SplitParts` on every later one; the wrap checks nothing
+    that the call has not already checked, so it cannot raise.  Equality and
+    ``repr`` cover ``s_pinv`` and ``report`` only."""
 
     s_pinv: EinsteinTensor
     report: ConditionReport
-    parts: SplitParts
+    _split: _Split = field(compare=False, repr=False)
+    #: the paired shapes of ``u`` and ``v^H``, which the split parts carry
+    _shapes: tuple[PairedShape, PairedShape] = field(compare=False, repr=False)
+
+    @cached_property
+    def parts(self) -> SplitParts:
+        """The six split parts as tensors, wrapped on first read."""
+        return self._split.wrapped(*self._shapes)
 
     @property
     def path(self) -> str:
@@ -357,12 +371,12 @@ class _Split(NamedTuple):
     e2: np.ndarray
     norms: dict[str, float]
 
-    def wrapped(self, upd: LowRankUpdate) -> SplitParts:
-        """The six parts as tensors, each around its matrix (the adjoint of
-        ``x2^H`` and ``y2^H``), with its kept norm: for ``x2`` and ``y2`` that
-        is the norm of the adjoint, which may differ from a fresh one in the
-        last bit."""
-        left, right = upd.u.shape, upd.v.shape.transposed
+    def wrapped(self, left: PairedShape, right: PairedShape) -> SplitParts:
+        """The six parts as tensors of the paired shapes ``left`` of ``u`` and
+        ``right`` of ``v^H``, each around its matrix (the adjoint of ``x2^H``
+        and ``y2^H``), with its kept norm: for ``x2`` and ``y2`` that is the
+        norm of the adjoint, which may differ from a fresh one in the last
+        bit.  Every norm is finite, so no wrap raises."""
         shapes = (left, left, right, right, left, right)
         mats = (self.x1, self.y1, _adjoint(self.x2h), _adjoint(self.y2h), self.e1, self.e2)
         return SplitParts(*(
@@ -392,7 +406,12 @@ def decompose_update(a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpda
     Raises :class:`~einalg.errors.NumericalError` if a part or a K x K Gram
     intermediate overflows.
     """
-    return _decompose(a, a_pinv, upd)[0].wrapped(upd)
+    return _decompose(a, a_pinv, upd)[0].wrapped(*_part_shapes(upd))
+
+
+def _part_shapes(upd: LowRankUpdate) -> tuple[PairedShape, PairedShape]:
+    """The paired shapes of ``u`` and ``v^H``, those of the split parts."""
+    return upd.u.shape, upd.v.shape.transposed
 
 
 def _decompose(
@@ -437,7 +456,7 @@ def _decompose(
             raise NumericalError(
                 f"decompose_update overflowed: the Gram tensor {name}^H {name} is not finite"
             )
-        gram1_pinv, gram2_pinv, b_pinv = _pinv_stack(stack)
+        gram1_pinv, gram2_pinv, b_pinv = _pinv_stack(stack, stage="decompose_update")
         e1, e2 = np.matmul(y1, gram1_pinv), np.matmul(y2, gram2_pinv)
     # y2 needs no check: it is zero, or its Gram, whose diagonal holds its
     # squared column norms, is finite; each other part gets the check that
@@ -617,18 +636,21 @@ def update_pinv(
     (:class:`ConditionReport`), which also holds the split's floor relative
     to ``|u|`` (:func:`decompose_update`): on an ill-conditioned base, or
     one with a kept singular value at the cutoff, the formula cancels against ``a^+``'s largest entries, and the update
-    falls back.  An identity-path call costs O(N^2 K) and builds seven
-    tensors, the six split parts and ``s^+``, each around the array just
-    computed.  Raises :class:`~einalg.errors.DomainError` unless ``tol`` is
-    finite and >= 0, and :class:`~einalg.errors.NumericalError` if a split
-    part, a K x K intermediate, a factor or the result overflows.
+    falls back.  An identity-path or capacitance call costs O(N^2 K) and
+    builds one tensor, ``s^+``, around the array just computed; a fallback
+    builds two, the corrected tensor and its pseudoinverse.  The six split
+    parts are kept as matrices and wrapped as tensors only when the
+    result's ``parts`` is first read.  Raises
+    :class:`~einalg.errors.DomainError` unless ``tol`` is finite and >= 0,
+    and :class:`~einalg.errors.NumericalError` if a split part, a K x K
+    intermediate, a factor or the result overflows; the read of ``parts``
+    raises nothing.
     """
     _nonnegative("tol", tol)
     split, report, s_pinv, factors = _updated(a, a_pinv, upd, tol)
     if factors is not None:
         s_pinv = _corrected("update_pinv", a_pinv, *factors)
-        del factors  # not held while the wrap takes the adjoints of x2^H and y2^H
-    return UpdatedPinv(s_pinv=s_pinv, report=report, parts=split.wrapped(upd))
+    return UpdatedPinv(s_pinv, report, split, _part_shapes(upd))
 
 
 def _updated(

@@ -148,6 +148,15 @@ class TestPinvCommand:
         bad.write_text("{not json")
         assert run("pinv", bad, "-o", tmp_path / "out.json") == 2
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, capsys):
+        # regression: the decoder's RecursionError escaped as a traceback with
+        # exit 1, the status of a failed verification
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"row_dims": [1], "col_dims": [1], "entries": %s}' % ("[" * 5000))
+        assert run("pinv", bad, "-o", tmp_path / "out.json") == 2
+        assert f"einalg: error: {bad}: the JSON nests too deeply" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
     def test_schema_violation_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"row_dims": [2], "col_dims": [2], "entries": []}')

@@ -175,6 +175,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             tensor_from_dict([1, 2, 3])
 
+    def test_deeply_nested_file(self, tmp_path):
+        # regression: the JSON decoder's RecursionError escaped load_tensor
+        path = tmp_path / "deep.json"
+        path.write_text('{"row_dims": [1], "col_dims": [1], "entries": %s}' % ("[" * 5000))
+        with pytest.raises(ValueError, match="nests too deeply"):
+            load_tensor(path)
+
 
 class TestBlockDisplay:
     def test_diagonal_entries_agree_with_flat_layout(self):

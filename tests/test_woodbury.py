@@ -707,9 +707,15 @@ class TestIdentityPathCost:
         # K matrix-vector products in one call
         col, row = (k, n, n, 1), (k, 1, n, n)
         assert [s for s in sizes if s[2] == n and n in (s[1], s[3])] == [col, row, col, row]
-        # only what update_pinv returns: the six split parts and s^+ (b^+
-        # stays a matrix)
-        assert len(built) == 7
+        # only what update_pinv returns, s^+ (b^+ stays a matrix); the six
+        # split parts are wrapped on the first read of parts, and only then
+        assert built == [a.shape]
+        sizes, built = record_work(monkeypatch)
+        parts = result.parts
+        assert len(built) == 6
+        assert result.parts is parts
+        monkeypatch.undo()
+        assert len(built) == 6 and not sizes
         want = pinv(apply_update(a, upd))
         assert fro_norm(result.s_pinv - want) <= 1e-8 * fro_norm(want)
 
@@ -950,6 +956,39 @@ class TestOverflow:
         with pytest.raises(NumericalError, match=msg):
             update_pinv(a, a, upd)
 
+    def test_scaled_part_overflow_raises_from_the_call(self):
+        # on a = diag(1, 0), y1 = 1e-160 e2 has the Gram 1e-320, whose
+        # pseudoinverse, and so e1 = y1 (y1^H y1)^+, is beyond the float
+        # range; the parts are wrapped when parts is first read, but every
+        # check of them runs in the call
+        a = fold(np.diag([1.0, 0.0]), PairedShape((2,), (2,)))
+        upd = LowRankUpdate(
+            fold([[0.0], [1e-160]], PairedShape((2,), (1,))),
+            fold([[1.0]], PairedShape((1,), (1,))),
+            fold([[1.0, 0.0]], PairedShape((1,), (2,))),
+            1,
+        )
+        with pytest.raises(NumericalError, match="^decompose_update overflowed: entries must be finite"):
+            update_pinv(a, pinv(a), upd)
+
+    def test_k_square_svd_overflow_names_decompose_update(self):
+        # regression: sigma_max of b = 1e308 (1 1; 1 1), taken in the split's
+        # one LAPACK call, is beyond the float range, and the error named only
+        # the SVD, where every other overflow in the split names
+        # decompose_update
+        a = fold(np.diag([1.0, 0.0]), PairedShape((2,), (2,)))
+        i2 = identity((2,))
+        upd = LowRankUpdate(i2, fold(np.full((2, 2), 1e308), PairedShape((2,), (2,))), i2, 1)
+        d = fold([[1.0], [0.0]], PairedShape((2,), (1,)))
+        calls = [
+            lambda: update_pinv(a, pinv(a), upd),
+            lambda: decompose_update(a, pinv(a), upd),
+            lambda: measure_error(a, d, upd, zeros(d.shape)),
+        ]
+        for call in calls:
+            with pytest.raises(NumericalError, match="^decompose_update overflowed"):
+                call()
+
     def test_assembly_overflow(self):
         a_pinv = fold(1e308 * np.eye(2), PairedShape((2,), (2,)))
         e = fold(1e154 * np.eye(2)[:, :1], PairedShape((2,), (1,)))
@@ -1161,3 +1200,33 @@ class TestCapacitanceOverflow:
             update_pinv(a, pinv(a), upd)
         with pytest.raises(NumericalError, match=f"update_pinv overflowed: the {what}"):
             measure_error(a, d, upd, zeros(d.shape))
+
+
+class TestDeferredParts:
+    """``update_pinv`` keeps the split as matrices and wraps its six parts on
+    the first read of ``parts``, to the tensors :func:`decompose_update`
+    returns."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            identity_case(),
+            capacitance_case().map(lambda case: case[:2]),
+            rank_deficient_update(),
+        )
+    )
+    def test_parts_equal_decompose_update(self, case):
+        a, upd = case
+        a_pinv = pinv(a)
+        got = update_pinv(a, a_pinv, upd).parts
+        want = decompose_update(a, a_pinv, upd)
+        for name in ("x1", "y1", "x2", "y2", "e1", "e2"):
+            assert getattr(got, name) == getattr(want, name), name
+            assert fro_norm(getattr(got, name)) == fro_norm(getattr(want, name)), name
+
+    def test_equality_and_repr_leave_out_the_split(self, example_a, ex2_update):
+        a_pinv = pinv(example_a)
+        first, second = (update_pinv(example_a, a_pinv, ex2_update) for _ in range(2))
+        assert first == second
+        assert first.parts is not second.parts
+        assert "_split" not in repr(first) and "parts" not in repr(first)
