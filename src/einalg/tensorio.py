@@ -122,13 +122,25 @@ def save_tensor(path, t: EinsteinTensor) -> None:
         fh.write(text)
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict.  A repeated key
+    raises ``ValueError`` naming it, where ``json`` would keep its last value
+    without a word."""
+    last = {key: i for i, (key, _) in enumerate(pairs)}
+    if len(last) < len(pairs):
+        key = next(key for i, (key, _) in enumerate(pairs) if last[key] != i)
+        raise ValueError(f"the field {key!r} appears more than once")
+    return dict(pairs)
+
+
 def load_tensor(path) -> EinsteinTensor:
     """The tensor in the file at ``path``.  A malformed file raises
-    ``ValueError``, also one nested beyond the JSON decoder's recursion limit,
-    which a tensor file (three levels deep) never is."""
+    ``ValueError``, also one that repeats a field, or one nested beyond the
+    JSON decoder's recursion limit, which a tensor file (three levels deep)
+    never is."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_fields)
         except RecursionError:
             raise ValueError("the JSON nests too deeply for a tensor file") from None
     return tensor_from_dict(data)

@@ -194,13 +194,11 @@ class UpdatedPinv:
     s_pinv: EinsteinTensor
     report: ConditionReport
     _split: _Split = field(compare=False, repr=False)
-    #: the paired shapes of ``u`` and ``v^H``, which the split parts carry
-    _shapes: tuple[PairedShape, PairedShape] = field(compare=False, repr=False)
 
     @cached_property
     def parts(self) -> SplitParts:
         """The six split parts as tensors, wrapped on first read."""
-        return self._split.wrapped(*self._shapes)
+        return self._split.wrapped()
 
     @property
     def path(self) -> str:
@@ -360,8 +358,9 @@ _PART_NAMES = ("x1", "y1", "x2", "y2", "e1", "e2")
 class _Split(NamedTuple):
     """A split as matrices: ``x1``, ``y1``, ``e1`` and ``e2`` in
     :class:`SplitParts`' layout, the right parts as the split makes them, the
-    K x N ``x2^H`` and ``y2^H``, and the norms of all six parts by name
-    (``|x2|`` is ``|x2^H|``)."""
+    K x N ``x2^H`` and ``y2^H``, the norms of all six parts by name
+    (``|x2|`` is ``|x2^H|``), and the paired shapes ``left`` of ``u`` and
+    ``right`` of ``v^H``, which the parts carry as tensors."""
 
     x1: np.ndarray
     y1: np.ndarray
@@ -370,18 +369,19 @@ class _Split(NamedTuple):
     e1: np.ndarray
     e2: np.ndarray
     norms: dict[str, float]
+    left: PairedShape
+    right: PairedShape
 
-    def wrapped(self, left: PairedShape, right: PairedShape) -> SplitParts:
-        """The six parts as tensors of the paired shapes ``left`` of ``u`` and
-        ``right`` of ``v^H``, each around its matrix (the adjoint of ``x2^H``
-        and ``y2^H``), with its kept norm: for ``x2`` and ``y2`` that is the
-        norm of the adjoint, which may differ from a fresh one in the last
-        bit.  Every norm is finite, so no wrap raises."""
-        shapes = (left, left, right, right, left, right)
+    def wrapped(self) -> SplitParts:
+        """The six parts as tensors, each around its matrix (the adjoint of
+        ``x2^H`` and ``y2^H``), with its kept norm: for ``x2`` and ``y2`` that
+        is the norm of the adjoint, which may differ from a fresh one in the
+        last bit.  Every norm is finite, so no wrap raises."""
         mats = (self.x1, self.y1, _adjoint(self.x2h), _adjoint(self.y2h), self.e1, self.e2)
+        # the parts named ...1 carry the shape of u, those named ...2 that of v^H
         return SplitParts(*(
-            _returned("decompose_update", shape, mat, self.norms[name])
-            for name, mat, shape in zip(_PART_NAMES, mats, shapes)
+            _returned("decompose_update", self.left if name[-1] == "1" else self.right, mat, self.norms[name])
+            for name, mat in zip(_PART_NAMES, mats)
         ))
 
 
@@ -406,12 +406,7 @@ def decompose_update(a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpda
     Raises :class:`~einalg.errors.NumericalError` if a part or a K x K Gram
     intermediate overflows.
     """
-    return _decompose(a, a_pinv, upd)[0].wrapped(*_part_shapes(upd))
-
-
-def _part_shapes(upd: LowRankUpdate) -> tuple[PairedShape, PairedShape]:
-    """The paired shapes of ``u`` and ``v^H``, those of the split parts."""
-    return upd.u.shape, upd.v.shape.transposed
+    return _decompose(a, a_pinv, upd)[0].wrapped()
 
 
 def _decompose(
@@ -470,7 +465,7 @@ def _decompose(
         "e1": _finite_norm(e1, stage=stage),
         "e2": _finite_norm(e2, stage=stage),
     }
-    return _Split(x1, y1, x2h, y2h, e1, e2, norms), ap_u, v_ap, b_pinv, floor
+    return _Split(x1, y1, x2h, y2h, e1, e2, norms, upd.u.shape, upd.v.shape.transposed), ap_u, v_ap, b_pinv, floor
 
 
 @_quiet_overflow
@@ -490,9 +485,9 @@ def check_conditions(parts: SplitParts, b: EinsteinTensor) -> ConditionReport:
     _check_middle(parts.x1.col_dims, b)
     b_pinv = pinv(b)
     split = _Split(
-        parts.x1.matrix, parts.y1.matrix, _adjoint(parts.x2.matrix),
-        _adjoint(parts.y2.matrix), parts.e1.matrix, parts.e2.matrix,
-        norms={name: fro_norm(getattr(parts, name)) for name in _PART_NAMES},
+        parts.x1.matrix, parts.y1.matrix, _adjoint(parts.x2.matrix), _adjoint(parts.y2.matrix),
+        parts.e1.matrix, parts.e2.matrix, {name: fro_norm(getattr(parts, name)) for name in _PART_NAMES},
+        parts.x1.shape, parts.x2.shape,
     )
     residuals = _residuals(split, _adjoint(split.e1), b.matrix, b_pinv.matrix)
     return ConditionReport(residuals=residuals, tol=CONDITION_TOL)
@@ -650,7 +645,7 @@ def update_pinv(
     split, report, s_pinv, factors = _updated(a, a_pinv, upd, tol)
     if factors is not None:
         s_pinv = _corrected("update_pinv", a_pinv, *factors)
-    return UpdatedPinv(s_pinv, report, split, _part_shapes(upd))
+    return UpdatedPinv(s_pinv, report, split)
 
 
 def _updated(

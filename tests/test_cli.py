@@ -157,6 +157,19 @@ class TestPinvCommand:
         assert f"einalg: error: {bad}: the JSON nests too deeply" in capsys.readouterr().err
         assert not (tmp_path / "out.json").exists()
 
+    def test_repeated_field_exits_2(self, tmp_path, capsys):
+        # regression: json kept the later row_dims, and the error named the
+        # entry count instead
+        bad = tmp_path / "twice.json"
+        bad.write_text(
+            '{"row_dims": [2], "row_dims": [3], "col_dims": [2], "entries": %s}'
+            % ([[1.0, 0.0]] * 4)
+        )
+        assert run("pinv", bad, "-o", tmp_path / "out.json") == 2
+        err = capsys.readouterr().err
+        assert f"einalg: error: {bad}: the field 'row_dims' appears more than once" in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_schema_violation_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"row_dims": [2], "col_dims": [2], "entries": []}')

@@ -182,6 +182,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="nests too deeply"):
             load_tensor(path)
 
+    def test_repeated_field(self, tmp_path):
+        # regression: json keeps the later value, so this file read as a
+        # (3 | 2) tensor, or failed on its entry count, without naming the field
+        path = tmp_path / "twice.json"
+        path.write_text(
+            '{"row_dims": [2], "row_dims": [3], "col_dims": [2], "entries": %s}'
+            % ([[1.0, 0.0]] * 6)
+        )
+        with pytest.raises(ValueError, match="^the field 'row_dims' appears more than once$"):
+            load_tensor(path)
+
 
 class TestBlockDisplay:
     def test_diagonal_entries_agree_with_flat_layout(self):

@@ -957,9 +957,11 @@ class TestOverflow:
             update_pinv(a, a, upd)
 
     def test_scaled_part_overflow_raises_from_the_call(self):
-        # on a = diag(1, 0), y1 = 1e-160 e2 has the Gram 1e-320, whose
-        # pseudoinverse, and so e1 = y1 (y1^H y1)^+, is beyond the float
-        # range; the parts are wrapped when parts is first read, but every
+        # on a = diag(1, 0), y1 = 1e-160 e2 has the subnormal Gram 1e-320,
+        # whose pseudoinverse overflows, so e1 = y1 (y1^H y1)^+ comes out
+        # non-finite although e1 = 1e160 e2 is representable (forming e1
+        # without the Gram, ROADMAP item 3, moves where this overflow comes
+        # from); the parts are wrapped when parts is first read, but every
         # check of them runs in the call
         a = fold(np.diag([1.0, 0.0]), PairedShape((2,), (2,)))
         upd = LowRankUpdate(
@@ -1003,6 +1005,43 @@ class TestOverflow:
         b_pinv = fold([[1.0]], PairedShape((1,), (1,)))
         with pytest.raises(NumericalError, match="smw_pinv_hermitian overflowed"):
             smw_pinv_hermitian(a_pinv, x, x, b_pinv)
+
+
+#: the split defects that ROADMAP item 3 mends
+ITEM_3 = pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+
+
+class TestSplitAgreesWithDirectPinv:
+    """``update_pinv`` against ``pinv(apply_update(...))`` on ``a = diag(1, 0)``,
+    ``b = [[1]]`` and ``u = (0, s)^T``, where ``y1 = u`` is all null space.
+    The split's zero test is relative to ``|u|`` and the kernel's rank rule to
+    ``sigma_max`` of the corrected tensor, and the Gram ``y1^H y1 = s^2``
+    squares a small part; the xfail cases are those two defects."""
+
+    @pytest.mark.parametrize("v, s", [
+        ("s", 1e-6),
+        # the direct rule calls diag(1, s^2) rank 1; the identity returns 1/s^2
+        pytest.param("s", 1e-8, marks=ITEM_3),
+        pytest.param("s", 1e-12, marks=ITEM_3),
+        # the identity returns 1/s; the direct rule calls diag(1, s) rank 1
+        pytest.param("1", 1e-150, marks=ITEM_3),
+        # the subnormal Gram s^2 has a pseudoinverse beyond the float range
+        pytest.param("1", 1e-155, marks=ITEM_3),
+        pytest.param("1", 1e-160, marks=ITEM_3),
+        # the Gram underflows to 0, e1 = 0, and the update falls back; forming
+        # e1 at unit scale alone would take the identity and return 1/s here
+        ("1", 1e-162),
+    ])
+    def test_same_pseudoinverse(self, v, s):
+        a = fold(np.diag([1.0, 0.0]), PairedShape((2,), (2,)))
+        upd = LowRankUpdate(
+            fold([[0.0], [s]], PairedShape((2,), (1,))),
+            fold([[1.0]], PairedShape((1,), (1,))),
+            fold([[0.0, s if v == "s" else 1.0]], PairedShape((1,), (2,))),
+            1,
+        )
+        got = update_pinv(a, pinv(a), upd).s_pinv.matrix
+        np.testing.assert_allclose(got, pinv(apply_update(a, upd)).matrix, rtol=1e-12, atol=0)
 
 
 class TestMiddleFactorOverflow:
