@@ -148,7 +148,10 @@ def cmd_sweep(args) -> int:
     for flag, value in (("--alpha-min", args.alpha_min), ("--alpha-max", args.alpha_max)):
         if not math.isfinite(value):
             raise DomainError(f"{flag} must be finite, got {value}")
-    alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
+    try:
+        alphas = list(np.linspace(args.alpha_min, args.alpha_max, args.alpha_steps))
+    except (ValueError, MemoryError) as err:  # numpy cannot index or allocate the grid
+        raise DomainError(f"--alpha-steps is too large: {err}") from None
     rows = sensitivity.sweep(a, d, args.eps_a, args.eps_d, alphas)
     # Rows come back ordered by (eps_a, alpha); pair them with the exact grid
     # values instead of re-deriving alpha from the stored norms.

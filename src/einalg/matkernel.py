@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError, SingularError, SingularMatrixError
-from .tensor import _finite_norm
+from .tensor import _entries, _finite_norm
 
 __all__ = ["Svd", "svd", "pinv_matrix", "inv_matrix", "numerical_rank"]
 
@@ -44,7 +44,7 @@ class Svd:
 
 
 def _as_matrix(mat) -> np.ndarray:
-    mat = np.asarray(mat, dtype=np.complex128)
+    mat = _entries(mat)
     if mat.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got ndim={mat.ndim}")
     _finite_norm(mat)

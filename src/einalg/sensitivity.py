@@ -28,7 +28,9 @@ import numpy as np
 from .errors import DegenerateSolutionError, DomainError, NumericalError, ShapeError
 from .inverses import pinv
 from .shapes import PairedShape
-from .tensor import EinsteinTensor, _frobenius, _nonnegative, _quiet_overflow, _relative, _returned, fro_norm
+from .tensor import (
+    EinsteinTensor, _frobenius, _nonnegative, _number, _quiet_overflow, _relative, _returned, fro_norm
+)
 from .woodbury import CONDITION_TOL, LowRankUpdate, _updated
 
 __all__ = [
@@ -124,6 +126,7 @@ def norm_bound(norm_a: float, norm_a_pinv: float, p: PerturbationSpec) -> float:
     and >= 0, and :class:`~einalg.errors.NumericalError` if the bound is not
     finite (``|a|^3`` overflows once ``|a|`` passes about 5.6e102).
     """
+    norm_a, norm_a_pinv = _number(norm_a), _number(norm_a_pinv)
     if not (0.0 <= norm_a < math.inf and 0.0 <= norm_a_pinv < math.inf):
         raise DomainError(f"norms must be finite and >= 0, got {norm_a} and {norm_a_pinv}")
     eps_a, eps_d = p.eps_a, p.eps_d
@@ -225,8 +228,8 @@ def sweep(
     Raises :class:`~einalg.errors.NumericalError` if a scaled norm or a bound
     is not finite.
     """
-    eps_a_list = sorted(float(e) for e in eps_a_list)
-    alpha_grid = sorted(float(al) for al in alpha_grid)
+    eps_a_list = sorted(map(_number, eps_a_list))
+    alpha_grid = sorted(map(_number, alpha_grid))
     if not eps_a_list or not alpha_grid:
         raise DomainError("eps and alpha grids must be nonempty")
     if not all(0 < al < math.inf for al in alpha_grid):
@@ -241,7 +244,7 @@ def sweep(
                 f"sweep overflowed: alpha = {alpha} scales |a| and |a^+| to {norms[0]} and {norms[1]}"
             )
     return [
-        BoundReport(norm_a=scaled_a, norm_a_pinv=scaled_pinv, eps_a=eps_a, eps_d=float(eps_d))
+        BoundReport(norm_a=scaled_a, norm_a_pinv=scaled_pinv, eps_a=eps_a, eps_d=_number(eps_d))
         for eps_a in eps_a_list
         for scaled_a, scaled_pinv in scaled
     ]

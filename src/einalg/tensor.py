@@ -13,9 +13,11 @@ Values are immutable after construction and all operations are pure functions,
 so tensors can be shared freely between threads.  Construction checks that
 every entry is finite with one pass over the entries, the sum of squares
 behind the Frobenius norm, and keeps that norm: :func:`fro_norm` reads it and
-never recomputes it, and the read-only matrix cannot make it stale.  The
-algebra keeps each array it computes without a copy, and a non-finite entry
-from finite operands is an overflow: it raises
+never recomputes it, and the read-only matrix cannot make it stale.  A number
+beyond the float range, such as the Python int ``10**400``, is not finite:
+:func:`_entries` and :func:`_number` read the arrays and scalars of public
+calls.  The algebra keeps each array it computes without a copy, and a
+non-finite entry from finite operands is an overflow: it raises
 :class:`~einalg.errors.NumericalError` naming the function.
 """
 
@@ -61,7 +63,7 @@ class EinsteinTensor:
     def __init__(self, shape: PairedShape, matrix):
         if not isinstance(shape, PairedShape):
             shape = PairedShape(*shape)
-        self._hold(shape, np.array(matrix, dtype=np.complex128, order="C"))
+        self._hold(shape, _entries(matrix, copy=True))
 
     def _hold(
         self,
@@ -131,7 +133,7 @@ class EinsteinTensor:
     @_quiet_overflow
     def __truediv__(self, c):
         """``self * (1 / c)`` for a finite nonzero scalar ``c``."""
-        c = complex(c)
+        c = _number(c, complex)
         if c == 0 or not cmath.isfinite(c):
             raise DomainError(f"divisor must be finite and nonzero, got {c}")
         return _returned("divide", self._shape, self._mat * (1.0 / c))
@@ -177,7 +179,7 @@ def add(a: EinsteinTensor, b: EinsteinTensor) -> EinsteinTensor:
 @_quiet_overflow
 def scale(a: EinsteinTensor, c) -> EinsteinTensor:
     """Entrywise multiplication by the scalar ``c``, which must be finite."""
-    c = complex(c)
+    c = _number(c, complex)
     if not cmath.isfinite(c):
         raise DomainError(f"scale factor must be finite, got {c}")
     return _returned("scale", a.shape, a.matrix * c)
@@ -313,10 +315,36 @@ def _relative(diff: np.ndarray, ref_norm: float) -> float:
     return norm / max(1.0, ref_norm)
 
 
+def _number(value, kind: type = float):
+    """``kind(value)``, ``kind`` being ``float`` or ``complex``: the one
+    reading of a public scalar.  A number beyond the float range, such as the
+    Python int ``10**400``, is not finite: it reads as ``inf`` (``-inf`` when
+    negative), which the caller's own check rejects, and a message shows it
+    so, never as the int, whose decimal form may pass Python's digit limit."""
+    try:
+        return kind(value)
+    except OverflowError:
+        return kind(-math.inf if value < 0 else math.inf)
+
+
+def _entries(values, copy: bool = False) -> np.ndarray:
+    """``values`` as a C-ordered complex128 array, a new one when ``copy``,
+    else without a copy where none is needed: the one reading of public
+    entries.  An entry beyond the float range, which numpy refuses with
+    ``OverflowError``, is not finite: it raises :func:`_finite_norm`'s
+    ``DomainError("entries must be finite")``."""
+    try:
+        return (np.array if copy else np.asarray)(values, dtype=np.complex128, order="C")
+    except OverflowError:
+        raise DomainError("entries must be finite") from None
+
+
 def _nonnegative(name: str, value: float) -> None:
     """The rule of every public tolerance and perturbation level: ``value``
     must be finite and >= 0 (a ``nan`` fails), else
-    :class:`~einalg.errors.DomainError` naming ``name``."""
+    :class:`~einalg.errors.DomainError` naming ``name``.  The value is read
+    by :func:`_number`, so one beyond the float range fails as ``inf``."""
+    value = _number(value)
     if not 0 <= value < math.inf:
         raise DomainError(f"{name} must be finite and >= 0, got {value}")
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .shapes import PairedShape
-from .tensor import EinsteinTensor
+from .tensor import EinsteinTensor, _entries, _number
 
 __all__ = [
     "tensor_to_dict",
@@ -67,12 +67,9 @@ def _pair_array(entries):
 
 
 def _beyond_float(x) -> bool:
-    """Whether the number ``x`` (an int, say) rounds past the float range."""
-    try:
-        float(x)
-    except OverflowError:
-        return True
-    return False
+    """Whether the file's number ``x``, an int or a float, is beyond the
+    float range: an int that :func:`~einalg.tensor._number` reads as ``inf``."""
+    return isinstance(x, int) and np.isinf(_number(x))
 
 
 def tensor_from_dict(data) -> EinsteinTensor:
@@ -159,7 +156,7 @@ def tensor_from_block_display(display, row_dims, col_dims) -> EinsteinTensor:
         raise ShapeError("block display transcription is defined for 2+2 mode tensors")
     i1n, i2n = row_dims
     j1n, j2n = col_dims
-    display = np.asarray(display, dtype=np.complex128)
+    display = _entries(display)
     if display.shape != (i1n * j1n, i2n * j2n):
         raise ShapeError(
             f"display must be {i1n * j1n} x {i2n * j2n}, got {display.shape}"

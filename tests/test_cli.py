@@ -795,6 +795,25 @@ class TestSweepCommand:
         assert "--alpha-steps" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize(
+        "steps, error", [(str(10**20), None), ("3", MemoryError)], ids=["index", "memory"]
+    )
+    def test_grid_numpy_cannot_build_exits_2(self, tmp_path, capsys, monkeypatch, steps, error):
+        # regression: np.linspace's ValueError for a count past numpy's index
+        # range left a traceback and exit 1; a count numpy would try to
+        # allocate (1e9 alphas is 8 GB) is only simulated
+        args = self.sweep_args(tmp_path / "out.csv")
+        args[args.index("--alpha-steps") + 1] = steps
+        if error is not None:
+
+            def linspace(*_):
+                raise error("cannot allocate the grid")
+
+            monkeypatch.setattr(np, "linspace", linspace)
+        assert run(*args) == 2
+        assert capsys.readouterr().err.startswith("einalg: error: --alpha-steps is too large: ")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_bad_alpha_exits_2(self, tmp_path):
         code = run(
             "sweep", FIX / "a.json", FIX / "d.json",

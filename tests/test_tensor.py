@@ -340,6 +340,61 @@ class TestDivide:
         assert got.matrix.tobytes() == scale(t, 1.0 / complex(c)).matrix.tobytes()
 
 
+def _beyond_float_cases():
+    """The public entry points, other than those with a ``tol``, that read a
+    number the caller gives, each as a call on that number and the message
+    of the rejection when it is beyond the float range: ``inf``, or ``-inf``
+    for a negative one."""
+    t = identity([2])
+    spec = ea.PerturbationSpec(0.1, 0.1)
+    shape = PairedShape((2,), (2,))
+
+    def matrix(h):
+        return [[h, 0], [0, 1]]
+
+    entries = "^entries must be finite$"
+    return {
+        "EinsteinTensor": (lambda h: EinsteinTensor(shape, matrix(h)), entries),
+        "fold": (lambda h: fold(matrix(h), shape), entries),
+        "tensor_from_block_display": (
+            lambda h: ea.tensor_from_block_display([[h, 0, 0, 0]] * 4, (2, 2), (2, 2)), entries
+        ),
+        "svd": (lambda h: ea.svd(matrix(h)), entries),
+        "pinv_matrix": (lambda h: ea.pinv_matrix(matrix(h)), entries),
+        "inv_matrix": (lambda h: ea.inv_matrix(matrix(h)), entries),
+        "numerical_rank": (lambda h: ea.numerical_rank(matrix(h)), entries),
+        "scale": (lambda h: scale(t, h), r"scale factor must be finite, got \(-?inf\+0j\)"),
+        "multiply": (lambda h: t * h, r"scale factor must be finite, got \(-?inf\+0j\)"),
+        "divide": (lambda h: t / h, r"divisor must be finite and nonzero, got \(-?inf\+0j\)"),
+        "sweep-eps_a": (lambda h: ea.sweep(t, t, [h], 0.1, [1.0]), "eps_a must be finite and >= 0, got -?inf"),
+        "sweep-alpha": (lambda h: ea.sweep(t, t, [0.1], 0.1, [h]), "alpha scalings must be finite"),
+        "sweep-eps_d": (lambda h: ea.sweep(t, t, [0.1], h, [1.0]), "eps_d must be finite and >= 0, got -?inf"),
+        "PerturbationSpec": (lambda h: ea.PerturbationSpec(h, 0), "eps_a must be finite and >= 0, got -?inf"),
+        "norm_bound": (lambda h: ea.norm_bound(h, 1, spec), "norms must be finite and >= 0, got -?inf and 1.0"),
+        "BoundReport": (lambda h: ea.BoundReport(1, 1, h, 0), "eps_a must be finite and >= 0, got -?inf"),
+    }
+
+
+class TestBeyondFloatRange:
+    """A number beyond the float range, such as the Python int ``10**400``, is
+    not finite: every public entry point rejects it as an input error, with a
+    message that shows it as ``inf``, never the int's digits."""
+
+    @pytest.mark.parametrize("h", [10**400, 10**5000], ids=["10**400", "10**5000"])
+    @pytest.mark.parametrize("name", list(_beyond_float_cases()))
+    def test_rejected_as_input_error(self, name, h):
+        # regression: the arrays, scale, * and / and sweep leaked numpy's or
+        # Python's OverflowError, PerturbationSpec accepted the int, and
+        # norm_bound and BoundReport called it an overflow (NumericalError);
+        # a message that printed 10**5000 would raise ValueError, since it
+        # passes Python's 4300-digit limit for int to str
+        call, message = _beyond_float_cases()[name]
+        with pytest.raises(DomainError, match=message):
+            call(h)
+        with pytest.raises(DomainError, match=message):
+            call(-h)
+
+
 class TestTraceInnerNorm:
     def test_trace_identity(self):
         assert trace(identity([2, 2])) == 4.0
