@@ -18,7 +18,9 @@ Exit codes are exhaustive and disjoint:
        fallback wrote the result
     5  system inconsistent; least-squares candidate was written
 
-No command mutates its input files.
+No command writes over its inputs: an output path (``-o``, ``--report``,
+or the default ``OUTPUT.report.json``) that names an input file or the other
+output is an input error (exit 2), and a command that exits 2 writes no file.
 
 ``einalg --version`` prints ``einalg.__version__``.  :func:`main` parses with
 one parser per process, built by :func:`build_parser` on the first call, so
@@ -32,6 +34,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -62,6 +65,30 @@ def _load(path):
         raise DomainError(f"{path}: {err}") from err
 
 
+def _distinct_outputs(inputs, outputs) -> None:
+    """Raise :class:`~einalg.errors.DomainError` when one of ``outputs``, a
+    list of ``(flag, path)``, names the same file as one of ``inputs`` or an
+    earlier output, before anything is read or written.  An output that
+    exists is known by its device and inode, which a symlink or hard link
+    shares; one that does not is no input, and is known by its absolute
+    path, so a command whose outputs do not exist yet makes one ``stat``
+    call per output."""
+    seen = {}
+    for flag, path in outputs:
+        try:
+            st = os.stat(path)
+        except OSError:
+            key = os.path.abspath(path)
+        else:
+            key = st.st_dev, st.st_ino
+            for other in inputs:
+                if os.path.samefile(other, path):
+                    raise DomainError(f"{flag} {path} names the same file as the input {other}")
+        if key in seen:
+            raise DomainError(f"{flag} {path} names the same file as {seen[key]}")
+        seen[key] = f"the {flag} output {path}"
+
+
 def _format_float(x) -> str:
     return "%.17g" % x
 
@@ -73,6 +100,7 @@ def _json_residual(r: float) -> float | None:
 
 
 def cmd_pinv(args) -> int:
+    _distinct_outputs([args.input], [("-o", args.output)])
     a = _load(args.input)
     result = pinv(a, tol=args.tol)
     report = verify_penrose(a, result)
@@ -85,6 +113,10 @@ def cmd_pinv(args) -> int:
 
 
 def cmd_smw(args) -> int:
+    report_path = args.report or (args.output + ".report.json")
+    _distinct_outputs(
+        [args.base, args.u, args.b, args.v], [("-o", args.output), ("--report", report_path)]
+    )
     a = _load(args.base)
     u = _load(args.u)
     b = _load(args.b)
@@ -110,9 +142,13 @@ def cmd_smw(args) -> int:
         parts = updated.parts
         applicable = applicable and not (parts.x1.matrix.any() or parts.x2.matrix.any())
     tensorio.save_tensor(args.output, result)
-    report_path = args.report or (args.output + ".report.json")
     residuals = report.residuals
-    with open(report_path, "w", encoding="utf-8") as fh:
+    try:
+        fh = open(report_path, "w", encoding="utf-8")
+    except OSError:
+        os.remove(args.output)  # both files or neither
+        raise
+    with fh:
         json.dump(
             {
                 "residuals": {k: _json_residual(residuals[k]) for k in sorted(residuals)},
@@ -129,6 +165,7 @@ def cmd_smw(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    _distinct_outputs([args.a, args.d], [("-o", args.output)])
     a = _load(args.a)
     d = _load(args.d)
     result = sensitivity.solve(a, d, tol=args.tol)
@@ -141,6 +178,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _distinct_outputs([args.a, args.d], [("-o", args.output)])
     a = _load(args.a)
     d = _load(args.d)
     if args.alpha_steps < 1:

@@ -4,6 +4,28 @@ Every error raised by einalg derives from :class:`EinalgError`, so callers can
 catch the package's failures with a single except clause while still being able
 to distinguish shape problems (bad operand structure) from numerical problems
 (singular operands, non-convergent iterations).
+
+Bad input is one of these too, never an error of Python or numpy, because
+each kind of public input has one reader:
+
+* a number, each scalar and each entry of an array, is what ``float()``
+  (``complex()`` where a complex is read) converts: a Python or numpy
+  scalar, or an object such as a ``Fraction``; a str or bytes is never a
+  number, even one that spells one.  Anything else, or a ragged array, is a
+  :class:`DomainError`, as is a number beyond the float range, which is not
+  finite;
+* an integer, a dim, an index component, a flat offset or an update's
+  ``order``, is what ``operator.index`` takes, numpy integers included, kept
+  as a Python int.  A bad dim or ``order`` is a :class:`ShapeError`, a bad
+  index or offset an :class:`IndexOutOfRangeError`;
+* a shape is a :class:`~einalg.shapes.PairedShape` or a
+  ``(row_dims, col_dims)`` pair of sequences of integers >= 1, else a
+  :class:`ShapeError`.
+
+A bool is a number as a scalar or an entry, but not an integer, and the
+tensor-file reader rejects it as an entry.  The file reader keeps
+``ValueError`` for a malformed file, which :class:`ShapeError` and
+:class:`DomainError` also are.
 """
 
 __all__ = [

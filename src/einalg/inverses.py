@@ -99,7 +99,7 @@ def pinv(a: EinsteinTensor, tol: float = 1.0) -> EinsteinTensor:
     :class:`~einalg.errors.DomainError` unless it is finite and >= 0: a
     ``nan`` or ``inf`` would cut every singular value, and a negative one
     would act as 0."""
-    _nonnegative("tol", tol)
+    tol = _nonnegative("tol", tol)
     return _returned("pinv", a.shape.transposed, matkernel._pinv_stack(a.matrix, tol=tol))
 
 
@@ -111,7 +111,7 @@ def verify_penrose(a: EinsteinTensor, x: EinsteinTensor, tol: float = PENROSE_TO
     Raises :class:`~einalg.errors.DomainError` unless ``tol`` is finite and
     >= 0.
     """
-    _nonnegative("tol", tol)
+    tol = _nonnegative("tol", tol)
     if x.shape != a.shape.transposed:
         raise ShapeError(
             f"candidate shape {x.shape} is not the transpose of {a.shape}"

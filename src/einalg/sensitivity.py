@@ -57,14 +57,16 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Relative perturbation levels of the coefficient tensor and right side."""
+    """Relative perturbation levels of the coefficient tensor and right side,
+    stored as the floats :func:`~einalg.tensor._nonnegative` reads: each
+    must be finite and >= 0, else :class:`~einalg.errors.DomainError`."""
 
     eps_a: float
     eps_d: float
 
     def __post_init__(self):
-        _nonnegative("eps_a", self.eps_a)
-        _nonnegative("eps_d", self.eps_d)
+        object.__setattr__(self, "eps_a", _nonnegative("eps_a", self.eps_a))
+        object.__setattr__(self, "eps_d", _nonnegative("eps_d", self.eps_d))
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,8 @@ class BoundReport:
     ``bound`` is computed from the stored norms and eps levels via
     :func:`norm_bound`, so construction raises
     :class:`~einalg.errors.DomainError` unless both eps levels are finite
-    and >= 0.  ``measured_error`` is None for bound-only rows (e.g. sweep
+    and >= 0; the eps levels are stored as :class:`PerturbationSpec` reads
+    them.  ``measured_error`` is None for bound-only rows (e.g. sweep
     grids).
     """
 
@@ -87,6 +90,8 @@ class BoundReport:
 
     def __post_init__(self):
         spec = PerturbationSpec(self.eps_a, self.eps_d)
+        object.__setattr__(self, "eps_a", spec.eps_a)
+        object.__setattr__(self, "eps_d", spec.eps_d)
         object.__setattr__(self, "bound", norm_bound(self.norm_a, self.norm_a_pinv, spec))
 
 
@@ -109,7 +114,7 @@ def solve(a: EinsteinTensor, d: EinsteinTensor, tol: float = CONSISTENCY_TOL) ->
     and :class:`~einalg.errors.NumericalError` if ``x`` or that residual
     overflows.
     """
-    _nonnegative("tol", tol)
+    tol = _nonnegative("tol", tol)
     _check_right_side(a, d)
     shape = PairedShape(a.col_dims, d.col_dims)
     x = _returned("solve (x = a^+ d)", shape, np.matmul(pinv(a).matrix, d.matrix))
@@ -126,7 +131,7 @@ def norm_bound(norm_a: float, norm_a_pinv: float, p: PerturbationSpec) -> float:
     and >= 0, and :class:`~einalg.errors.NumericalError` if the bound is not
     finite (``|a|^3`` overflows once ``|a|`` passes about 5.6e102).
     """
-    norm_a, norm_a_pinv = _number(norm_a), _number(norm_a_pinv)
+    norm_a, norm_a_pinv = _number("norm_a", norm_a), _number("norm_a_pinv", norm_a_pinv)
     if not (0.0 <= norm_a < math.inf and 0.0 <= norm_a_pinv < math.inf):
         raise DomainError(f"norms must be finite and >= 0, got {norm_a} and {norm_a_pinv}")
     eps_a, eps_d = p.eps_a, p.eps_d
@@ -228,8 +233,8 @@ def sweep(
     Raises :class:`~einalg.errors.NumericalError` if a scaled norm or a bound
     is not finite.
     """
-    eps_a_list = sorted(map(_number, eps_a_list))
-    alpha_grid = sorted(map(_number, alpha_grid))
+    eps_a_list = sorted(_number("eps_a", eps_a) for eps_a in eps_a_list)
+    alpha_grid = sorted(_number("alpha", alpha) for alpha in alpha_grid)
     if not eps_a_list or not alpha_grid:
         raise DomainError("eps and alpha grids must be nonempty")
     if not all(0 < al < math.inf for al in alpha_grid):
@@ -244,7 +249,7 @@ def sweep(
                 f"sweep overflowed: alpha = {alpha} scales |a| and |a^+| to {norms[0]} and {norms[1]}"
             )
     return [
-        BoundReport(norm_a=scaled_a, norm_a_pinv=scaled_pinv, eps_a=eps_a, eps_d=_number(eps_d))
+        BoundReport(norm_a=scaled_a, norm_a_pinv=scaled_pinv, eps_a=eps_a, eps_d=eps_d)
         for eps_a in eps_a_list
         for scaled_a, scaled_pinv in scaled
     ]

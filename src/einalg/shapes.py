@@ -22,14 +22,75 @@ from .errors import IndexOutOfRangeError, ShapeError
 __all__ = ["PairedShape", "phi_index", "phi_inverse"]
 
 
-def _check_dims(dims, what):
-    dims = tuple(dims)
+def _shown(value) -> str:
+    """``repr(value)`` for a message.  An int whose decimal form passes
+    Python's digit limit (``sys.get_int_max_str_digits()``), which ``repr``
+    refuses with ``ValueError``, shows as ``<int of more than N digits>``,
+    and a list or other object holding one as
+    ``<list holding an int of more than N digits>``."""
+    try:
+        return repr(value)
+    except ValueError:
+        held = "" if isinstance(value, int) else f"{type(value).__name__} holding an "
+        return f"<{held}int of more than {sys.get_int_max_str_digits()} digits>"
+
+
+def _as_int(value, what, error) -> int:
+    """``value`` as an ``int``: anything ``operator.index`` takes (numpy
+    integers too) except a bool, the one integer rule of indices, offsets
+    and dims; anything else raises ``error``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {_shown(value)}")
+
+
+def _as_ints(values, what, each, error) -> tuple[int, ...]:
+    """``values``, a sequence other than text, as a tuple of ints by
+    :func:`_as_int` (``each`` names one of them in a message); anything else
+    raises ``error`` naming ``what``.  Bytes are text here, not the ints
+    they iterate as."""
+    if not isinstance(values, (str, bytes, bytearray)):
+        try:
+            values = tuple(values)
+        except TypeError:
+            pass
+        else:
+            # a tuple of Python ints, what every shape the package builds
+            # holds, is kept as it is, with no new object
+            for v in values:
+                if type(v) is not int:
+                    return tuple([_as_int(v, each, error) for v in values])
+            return values
+    raise error(f"{what} must be a sequence of integers, got {_shown(values)}")
+
+
+def _check_dims(dims, what: str, each: str) -> tuple[int, ...]:
+    """``dims`` as a tuple of Python ints, each >= 1, else
+    :class:`~einalg.errors.ShapeError` naming them ``what`` and one of them
+    ``each``."""
+    dims = _as_ints(dims, what, each, ShapeError)
     for d in dims:
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise ShapeError(f"{what} must be integers, got {d!r}")
         if d < 1:
-            raise ShapeError(f"{what} must be >= 1, got {d}")
+            raise ShapeError(f"{each} must be >= 1, got {_shown(d)}")
     return dims
+
+
+def _paired(shape) -> "PairedShape":
+    """``shape`` as a :class:`PairedShape`: one already, or a
+    ``(row_dims, col_dims)`` pair; anything else raises
+    :class:`~einalg.errors.ShapeError`."""
+    if isinstance(shape, PairedShape):
+        return shape
+    try:
+        row_dims, col_dims = shape
+    except (TypeError, ValueError):
+        raise ShapeError(
+            f"a shape is a PairedShape or a (row_dims, col_dims) pair, got {_shown(shape)}"
+        ) from None
+    return PairedShape(row_dims, col_dims)
 
 
 @dataclass(frozen=True)
@@ -40,14 +101,12 @@ class PairedShape:
     col_dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "row_dims", _check_dims(self.row_dims, "row dims"))
-        object.__setattr__(self, "col_dims", _check_dims(self.col_dims, "col dims"))
+        object.__setattr__(self, "row_dims", _check_dims(self.row_dims, "row dims", "a row dim"))
+        object.__setattr__(self, "col_dims", _check_dims(self.col_dims, "col dims", "a col dim"))
         if not self.row_dims and not self.col_dims:
             raise ShapeError("a paired shape needs at least one mode on some side")
         if self.row_size * self.col_size > sys.maxsize:
-            raise ShapeError(
-                f"shape ({self.row_dims} | {self.col_dims}) exceeds addressable size"
-            )
+            raise ShapeError(f"shape {self} exceeds addressable size")
 
     @property
     def row_size(self) -> int:
@@ -66,20 +125,9 @@ class PairedShape:
         return self.row_dims == self.col_dims
 
     def __str__(self):
-        rows = "x".join(map(str, self.row_dims)) or "-"
-        cols = "x".join(map(str, self.col_dims)) or "-"
+        rows = "x".join(map(_shown, self.row_dims)) or "-"
+        cols = "x".join(map(_shown, self.col_dims)) or "-"
         return f"({rows} | {cols})"
-
-
-def _as_index(i, what) -> int:
-    """``i`` as an ``int``: anything ``operator.index`` takes (numpy integers
-    too) except a bool."""
-    if not isinstance(i, bool):
-        try:
-            return operator.index(i)
-        except TypeError:
-            pass
-    raise IndexOutOfRangeError(f"{what} must be an integer, got {i!r}")
 
 
 def phi_index(idx, dims) -> int:
@@ -87,10 +135,11 @@ def phi_index(idx, dims) -> int:
 
     The first component varies fastest; the empty index maps to 1.  A
     component that is not an integer raises
-    :class:`~einalg.errors.IndexOutOfRangeError`.
+    :class:`~einalg.errors.IndexOutOfRangeError`, and ``dims`` that are not
+    integers >= 1 a :class:`~einalg.errors.ShapeError`.
     """
-    idx = tuple(_as_index(i, "an index component") for i in idx)
-    dims = tuple(dims)
+    idx = _as_ints(idx, "a multi-index", "an index component", IndexOutOfRangeError)
+    dims = _check_dims(dims, "mode dims", "a mode dim")
     if len(idx) != len(dims):
         raise IndexOutOfRangeError(
             f"multi-index has {len(idx)} components for {len(dims)} modes"
@@ -98,7 +147,7 @@ def phi_index(idx, dims) -> int:
     for k, (i, d) in enumerate(zip(idx, dims)):
         if not 1 <= i <= d:
             raise IndexOutOfRangeError(
-                f"index component {k + 1} is {i}, valid range is 1..{d}"
+                f"index component {k + 1} is {_shown(i)}, valid range is 1..{_shown(d)}"
             )
     flat = 1
     stride = 1
@@ -110,11 +159,11 @@ def phi_index(idx, dims) -> int:
 
 def phi_inverse(flat: int, dims) -> tuple[int, ...]:
     """Inverse of :func:`phi_index`: the multi-index stored at 1-based ``flat``."""
-    flat = _as_index(flat, "a flat offset")
-    dims = tuple(dims)
+    flat = _as_int(flat, "a flat offset", IndexOutOfRangeError)
+    dims = _check_dims(dims, "mode dims", "a mode dim")
     size = math.prod(dims)
     if not 1 <= flat <= size:
-        raise IndexOutOfRangeError(f"flat offset {flat} outside 1..{size}")
+        raise IndexOutOfRangeError(f"flat offset {_shown(flat)} outside 1..{_shown(size)}")
     rem = flat - 1
     idx = []
     for d in dims:

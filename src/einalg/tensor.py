@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError
-from .shapes import PairedShape, phi_index
+from .shapes import PairedShape, _check_dims, _paired, _shown, phi_index
 
 __all__ = [
     "EinsteinTensor",
@@ -61,9 +61,7 @@ class EinsteinTensor:
     __slots__ = ("_shape", "_mat", "_norm")
 
     def __init__(self, shape: PairedShape, matrix):
-        if not isinstance(shape, PairedShape):
-            shape = PairedShape(*shape)
-        self._hold(shape, _entries(matrix, copy=True))
+        self._hold(_paired(shape), _entries(matrix, copy=True))
 
     def _hold(
         self,
@@ -133,7 +131,7 @@ class EinsteinTensor:
     @_quiet_overflow
     def __truediv__(self, c):
         """``self * (1 / c)`` for a finite nonzero scalar ``c``."""
-        c = _number(c, complex)
+        c = _number("divisor", c, complex)
         if c == 0 or not cmath.isfinite(c):
             raise DomainError(f"divisor must be finite and nonzero, got {c}")
         return _returned("divide", self._shape, self._mat * (1.0 / c))
@@ -154,14 +152,13 @@ class EinsteinTensor:
 
 def zeros(shape) -> EinsteinTensor:
     """All-zero tensor of the given paired shape."""
-    if not isinstance(shape, PairedShape):
-        shape = PairedShape(*shape)
+    shape = _paired(shape)
     return EinsteinTensor(shape, np.zeros((shape.row_size, shape.col_size)))
 
 
 def identity(row_dims) -> EinsteinTensor:
     """Identity tensor on ``(row_dims | row_dims)``: a Kronecker delta per mode."""
-    row_dims = tuple(row_dims)
+    row_dims = _check_dims(row_dims, "row dims", "a row dim")
     if not row_dims:
         raise ShapeError("identity needs at least one mode")
     shape = PairedShape(row_dims, row_dims)
@@ -179,7 +176,7 @@ def add(a: EinsteinTensor, b: EinsteinTensor) -> EinsteinTensor:
 @_quiet_overflow
 def scale(a: EinsteinTensor, c) -> EinsteinTensor:
     """Entrywise multiplication by the scalar ``c``, which must be finite."""
-    c = _number(c, complex)
+    c = _number("scale factor", c, complex)
     if not cmath.isfinite(c):
         raise DomainError(f"scale factor must be finite, got {c}")
     return _returned("scale", a.shape, a.matrix * c)
@@ -315,38 +312,61 @@ def _relative(diff: np.ndarray, ref_norm: float) -> float:
     return norm / max(1.0, ref_norm)
 
 
-def _number(value, kind: type = float):
+def _number(name: str, value, kind: type = float):
     """``kind(value)``, ``kind`` being ``float`` or ``complex``: the one
-    reading of a public scalar.  A number beyond the float range, such as the
-    Python int ``10**400``, is not finite: it reads as ``inf`` (``-inf`` when
-    negative), which the caller's own check rejects, and a message shows it
-    so, never as the int, whose decimal form may pass Python's digit limit."""
-    try:
-        return kind(value)
-    except OverflowError:
-        return kind(-math.inf if value < 0 else math.inf)
+    reading of a public scalar, ``name`` in a message.  A number is what
+    ``kind`` converts, a Python or numpy scalar or any object with
+    ``__float__`` (``__complex__`` for ``complex``) or ``__index__``, but
+    never a str or bytes, even one that spells a number; anything else
+    raises :class:`~einalg.errors.DomainError`.  A number beyond the float
+    range, such as the Python int ``10**400``, is not finite: it reads as
+    ``inf`` (``-inf`` when negative), which the caller's own check rejects,
+    and a message shows it so, never as the int."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            return kind(value)
+        except OverflowError:
+            return kind(-math.inf if value < 0 else math.inf)
+        except (TypeError, ValueError):
+            pass
+    real = "a real" if kind is float else "a"
+    raise DomainError(f"{name} must be {real} number, got {_shown(value)}")
 
 
 def _entries(values, copy: bool = False) -> np.ndarray:
     """``values`` as a C-ordered complex128 array, a new one when ``copy``,
     else without a copy where none is needed: the one reading of public
-    entries.  An entry beyond the float range, which numpy refuses with
+    entries.  Entries are numbers, as :func:`_number` reads them, in a
+    rectangular array; text, ``None`` (which numpy reads as ``nan``),
+    another object, or a ragged nesting raises
+    ``DomainError("entries must be numbers in a rectangular array")``, and
+    an entry beyond the float range, which numpy refuses with
     ``OverflowError``, is not finite: it raises :func:`_finite_norm`'s
     ``DomainError("entries must be finite")``."""
     try:
-        return (np.array if copy else np.asarray)(values, dtype=np.complex128, order="C")
+        array = np.asarray(values)
+        kind = array.dtype.kind
+        if kind == "O" and not any(x is None or isinstance(x, (str, bytes)) for x in array.flat):
+            kind = "c"  # numbers numpy did not type, each converted on its own
+        if kind in "biufc":
+            return (np.array if copy else np.asarray)(array, dtype=np.complex128, order="C")
     except OverflowError:
         raise DomainError("entries must be finite") from None
+    except (TypeError, ValueError):
+        pass
+    raise DomainError("entries must be numbers in a rectangular array")
 
 
-def _nonnegative(name: str, value: float) -> None:
-    """The rule of every public tolerance and perturbation level: ``value``
-    must be finite and >= 0 (a ``nan`` fails), else
-    :class:`~einalg.errors.DomainError` naming ``name``.  The value is read
-    by :func:`_number`, so one beyond the float range fails as ``inf``."""
-    value = _number(value)
+def _nonnegative(name: str, value) -> float:
+    """``value`` read by :func:`_number`, which the caller uses in its place:
+    the rule of every public tolerance and perturbation level.  It must be
+    finite and >= 0 (a ``nan`` fails), else
+    :class:`~einalg.errors.DomainError` naming ``name``; one beyond the
+    float range fails as ``inf``."""
+    value = _number(name, value)
     if not 0 <= value < math.inf:
         raise DomainError(f"{name} must be finite and >= 0, got {value}")
+    return value
 
 
 def _returned(
@@ -367,7 +387,7 @@ def is_hermitian(a: EinsteinTensor, tol: float = 1e-10) -> bool:
 
     Raises :class:`~einalg.errors.DomainError` unless ``tol`` is finite and
     >= 0."""
-    _nonnegative("tol", tol)
+    tol = _nonnegative("tol", tol)
     if not a.shape.is_square:
         raise ShapeError(f"hermiticity is defined for square tensors, got {a.shape}")
     return _relative(a.matrix - _adjoint(a.matrix), fro_norm(a)) <= tol

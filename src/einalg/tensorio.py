@@ -27,7 +27,7 @@ import json
 import numpy as np
 
 from .errors import ShapeError
-from .shapes import PairedShape
+from .shapes import PairedShape, _shown
 from .tensor import EinsteinTensor, _entries, _number
 
 __all__ = [
@@ -69,7 +69,7 @@ def _pair_array(entries):
 def _beyond_float(x) -> bool:
     """Whether the file's number ``x``, an int or a float, is beyond the
     float range: an int that :func:`~einalg.tensor._number` reads as ``inf``."""
-    return isinstance(x, int) and np.isinf(_number(x))
+    return isinstance(x, int) and np.isinf(_number("an entry", x))
 
 
 def tensor_from_dict(data) -> EinsteinTensor:
@@ -96,12 +96,12 @@ def tensor_from_dict(data) -> EinsteinTensor:
     pairs = _pair_array(entries)
     if pairs is None:
         k = next(k for k, pair in enumerate(entries) if _pair_array([pair]) is None)
-        raise ValueError(f"entry {k} is not an [re, im] pair: {entries[k]!r}")
+        raise ValueError(f"entry {k} is not an [re, im] pair: {_shown(entries[k])}")
     try:
         values = pairs.astype(np.float64).view(np.complex128)
     except OverflowError:
         k = next(k for k, pair in enumerate(entries) if any(map(_beyond_float, pair)))
-        raise ValueError(f"entry {k} is beyond the float range: {entries[k]!r}") from None
+        raise ValueError(f"entry {k} is beyond the float range: {_shown(entries[k])}") from None
     return EinsteinTensor(shape, values.reshape(shape.row_size, shape.col_size))
 
 
@@ -150,18 +150,15 @@ def tensor_from_block_display(display, row_dims, col_dims) -> EinsteinTensor:
     fourth-order tensor with ``row_dims = (I1, I2)`` and
     ``col_dims = (J1, J2)``, laid out as described in the module docstring.
     """
-    row_dims = tuple(row_dims)
-    col_dims = tuple(col_dims)
-    if len(row_dims) != 2 or len(col_dims) != 2:
+    shape = PairedShape(row_dims, col_dims)
+    if len(shape.row_dims) != 2 or len(shape.col_dims) != 2:
         raise ShapeError("block display transcription is defined for 2+2 mode tensors")
-    i1n, i2n = row_dims
-    j1n, j2n = col_dims
+    (i1n, i2n), (j1n, j2n) = shape.row_dims, shape.col_dims
     display = _entries(display)
     if display.shape != (i1n * j1n, i2n * j2n):
         raise ShapeError(
             f"display must be {i1n * j1n} x {i2n * j2n}, got {display.shape}"
         )
-    shape = PairedShape(row_dims, col_dims)
     # display[i1 + I1*j1, i2 + I2*j2] (0-based) is a_{(i1,i2),(j1,j2)}, and the
     # index map runs fastest over the leading mode: matrix[i1 + I1*i2, j1 + J1*j2].
     mat = display.reshape(j1n, i1n, j2n, i2n).transpose(3, 1, 2, 0)

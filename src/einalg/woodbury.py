@@ -45,7 +45,7 @@ import numpy as np
 from .errors import NumericalError, ShapeError, SingularCapacitanceError
 from .inverses import pinv
 from .matkernel import _inverse, _pinv_stack, _rank_floor
-from .shapes import PairedShape
+from .shapes import PairedShape, _as_int, _shown
 from .tensor import (
     EinsteinTensor,
     _adjoint,
@@ -102,10 +102,11 @@ class LowRankUpdate:
     order: int
 
     def __post_init__(self):
+        object.__setattr__(self, "order", _as_int(self.order, "order", ShapeError))
         k = self.u.col_dims
         if len(k) != self.order:
             raise ShapeError(
-                f"update factor u has {len(k)} shared modes, expected {self.order}"
+                f"update factor u has {len(k)} shared modes, expected {_shown(self.order)}"
             )
         _check_middle(k, self.b)
         if self.v.row_dims != k:
@@ -641,7 +642,7 @@ def update_pinv(
     intermediate, a factor or the result overflows; the read of ``parts``
     raises nothing.
     """
-    _nonnegative("tol", tol)
+    tol = _nonnegative("tol", tol)
     split, report, s_pinv, factors = _updated(a, a_pinv, upd, tol)
     if factors is not None:
         s_pinv = _corrected("update_pinv", a_pinv, *factors)

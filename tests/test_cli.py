@@ -677,6 +677,22 @@ class TestSmwCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "report, output",
+        [("missing/r.json", "out.json"), ("r.json", "missing/out.json")],
+        ids=["report", "output"],
+    )
+    def test_unwritable_path_writes_neither_file(self, tmp_path, capsys, report, output):
+        # regression: an unwritable --report exited 2 with the -o tensor
+        # already written
+        code = run(
+            "smw", FIX / "a.json", FIX / "example1_u.json", FIX / "b.json",
+            FIX / "example1_v.json", "-o", tmp_path / output, "--report", tmp_path / report,
+        )
+        assert code == 2
+        assert "einalg: error:" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == []
+
 
 class TestSolveCommand:
     def test_identity_coefficient(self, tmp_path, rng, capsys):
@@ -970,6 +986,50 @@ class TestParser:
         assert run(*self.VERIFY) == 0
         monkeypatch.setattr(cli, "cmd_verify", lambda args: 42)
         assert run(*self.VERIFY) == 42
+
+
+class TestOutputsNeverNameInputs:
+    """An output path that names an input file, or the other output, exits 2
+    and writes nothing; the inputs keep their bytes."""
+
+    SWEEP = ["--eps-a", "0.1", "--eps-d", "0.1", "--alpha-min", "1", "--alpha-max", "2",
+             "--alpha-steps", "2"]
+    # each command's inputs (copies of fixtures), its other arguments, and the
+    # output arguments that clash, written with "{x}" for a named input copy
+    CASES = {
+        "pinv": (["a"], [], ["-o", "{a}"]),
+        "pinv-symlink": (["a"], [], ["-o", "link.json"]),
+        "solve": (["a", "d"], [], ["-o", "./{d}"]),
+        "sweep": (["a", "d"], SWEEP, ["-o", "{a}"]),
+        "smw-output": (["a", "example1_u", "b", "example1_v"], [], ["-o", "{example1_u}"]),
+        "smw-report": (["a", "example1_u", "b", "example1_v"], [], ["-o", "out.json", "--report", "{b}"]),
+        "smw-default-report": (["a", "example1_u", "b", "example1_v"], [], ["-o", "a"]),
+        "smw-both-outputs": (
+            ["a", "example1_u", "b", "example1_v"], [], ["-o", "out.json", "--report", "out.json"]
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_clash_exits_2(self, tmp_path, monkeypatch, capsys, case):
+        # regression: pinv x.json -o x.json exited 0 and replaced x.json with
+        # its pseudoinverse; solve, sweep and smw did the same with -o, and
+        # smw --report set to the -o path wrote the report over the tensor
+        names, extra, outputs = self.CASES[case]
+        monkeypatch.chdir(tmp_path)
+        files = {name: f"{name}.json" for name in names}
+        if case == "smw-default-report":
+            # -o a writes its report to a.report.json, the name of the base
+            files["a"] = "a.report.json"
+        for name, file in files.items():
+            (tmp_path / file).write_bytes((FIX / f"{name}.json").read_bytes())
+        if case == "pinv-symlink":
+            (tmp_path / "link.json").symlink_to(tmp_path / "a.json")
+        before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+        command = case.split("-")[0]
+        argv = [command, *files.values(), *extra, *(o.format(**files) for o in outputs)]
+        assert run(*argv) == 2
+        assert "names the same file as" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
 class TestEntryPoint:

@@ -2,6 +2,7 @@
 and the rank and invertibility predicates."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,6 +165,14 @@ class TestPinv:
         for a in (example_a, zeros(example_a.shape)):
             with pytest.raises(DomainError, match=f"tol must be finite and >= 0, got {tol}"):
                 pinv(a, tol)
+
+    def test_tol_used_as_read(self, example_a):
+        # the float that the tol rule reads is the tol used and reported:
+        # a Fraction gave the rank floor an object array, and PenroseReport
+        # stored the Fraction itself
+        assert pinv(example_a, Fraction(1, 2)).matrix.tobytes() == pinv(example_a, 0.5).matrix.tobytes()
+        report = verify_penrose(example_a, pinv(example_a), Fraction(1, 10**10))
+        assert type(report.tol) is float and report.tol == 1e-10
 
     def test_huge_dynamic_range(self):
         # regression: the Frobenius norm of this tensor overflows, which once

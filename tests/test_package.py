@@ -3,9 +3,12 @@
 import ast
 import importlib.util
 import inspect
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import einalg
 
@@ -169,16 +172,32 @@ def _tol_calls():
 
 
 @pytest.mark.parametrize(
-    "tol", [float("nan"), float("inf"), -1.0, pytest.param(10**400, id="10**400")]
+    "tol",
+    [
+        float("nan"),
+        float("inf"),
+        -1.0,
+        pytest.param(10**400, id="10**400"),
+        pytest.param("x", id="'x'"),
+        pytest.param("0.5", id="'0.5'"),
+        pytest.param(None, id="None"),
+        pytest.param(object(), id="object()"),
+        pytest.param(1j, id="1j"),
+    ],
 )
 @pytest.mark.parametrize("name", list(_tol_calls()))
 def test_tol_outside_its_domain_rejected(name, tol):
     # regression: update_pinv let inf escape as numpy's ValueError and fell
     # back for nan and -1; solve, verify_penrose and is_hermitian returned a
     # verdict for all three.  An int beyond the float range is not finite:
-    # pinv leaked numpy's OverflowError for it, and the other four accepted it
-    shown = "inf" if tol == 10**400 else tol
-    with pytest.raises(einalg.DomainError, match=f"tol must be finite and >= 0, got {shown}"):
+    # pinv leaked numpy's OverflowError for it, and the other four accepted it.
+    # What is not a real number leaked Python's or numpy's TypeError or
+    # ValueError, and verify_penrose returned a report holding the str "0.5"
+    if type(tol) in (int, float):
+        message = f"tol must be finite and >= 0, got {'inf' if tol == 10**400 else tol}"
+    else:
+        message = f"^tol must be a real number, got {re.escape(repr(tol))}$"
+    with pytest.raises(einalg.DomainError, match=message):
         _tol_calls()[name](tol)
 
 
@@ -194,3 +213,54 @@ def test_every_public_tol_is_checked():
         and "tol" in inspect.signature(obj).parameters
     }
     assert takes_tol == set(_tol_calls()) | {"PenroseReport", "ConditionReport"}
+
+
+#: Ints small enough to stay cheap as dims, and ints far past any size (up to
+#: 5001 digits, beyond Python's 4300-digit limit for int to str)
+_INTS = st.integers(-4, 4) | st.builds(
+    lambda sign, exponent: sign * 10**exponent, st.sampled_from([-1, 1]), st.integers(19, 5000)
+)
+#: What a caller might pass where a number, an array or a shape is read:
+#: text, None, numbers, other objects, and ragged nestings of them
+_JUNK = st.recursive(
+    st.text(max_size=3) | st.binary(max_size=3) | st.none() | st.booleans() | _INTS
+    | st.floats() | st.complex_numbers() | st.builds(object),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner),
+    max_leaves=8,
+)
+
+
+def _readers():
+    """Public calls on one caller-given value, one per scalar, entry or shape
+    reader."""
+    t = einalg.identity((2,))
+    spec = einalg.PerturbationSpec(0.1, 0.1)
+    return [
+        lambda x: einalg.scale(t, x),
+        lambda x: t / x,
+        lambda x: einalg.pinv(t, x),
+        lambda x: einalg.PerturbationSpec(x, 0.0),
+        lambda x: einalg.norm_bound(x, 1.0, spec),
+        lambda x: einalg.sweep(t, t, [x], 0.1, [1.0]),
+        lambda x: einalg.EinsteinTensor(((2,), (2,)), x),
+        lambda x: einalg.svd(x),
+        lambda x: einalg.tensor_from_block_display(x, (2, 2), (1, 1)),
+        lambda x: einalg.PairedShape(x, (1,)),
+        lambda x: einalg.zeros(x),
+        lambda x: einalg.identity(x),
+        lambda x: einalg.phi_index(x, (2, 2)),
+        lambda x: einalg.phi_inverse(x, (2, 2)),
+        lambda x: t.entry(x, (1,)),
+    ]
+
+
+@given(_JUNK)
+def test_junk_gives_a_value_or_an_einalg_error(x):
+    # regression: text, None, objects and ragged lists leaked Python's or
+    # numpy's TypeError or ValueError from the readers of scalars, entries
+    # and shapes, and a 5000-digit int raised ValueError from a message
+    for call in _readers():
+        try:
+            call(x)
+        except einalg.EinalgError:
+            pass

@@ -1,6 +1,7 @@
 """Solver, closed-form bound, measured-error pipeline, and the sweep grid."""
 
 import math
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -110,6 +111,16 @@ class TestSolve:
 
 
 class TestNormBound:
+    def test_levels_stored_as_read(self):
+        # regression: PerturbationSpec and BoundReport stored the objects they
+        # were given (a numpy float32, a Fraction), not the floats they checked
+        spec = PerturbationSpec(np.float32(0.1), Fraction(1, 100))
+        report = BoundReport(1.0, 2.0, np.float32(0.1), Fraction(1, 100))
+        for got in (spec, report):
+            assert type(got.eps_a) is float and got.eps_a == float(np.float32(0.1))
+            assert type(got.eps_d) is float and got.eps_d == 0.01
+        assert report.bound == norm_bound(1.0, 2.0, spec)
+
     def test_zero_perturbation_gives_zero(self):
         assert norm_bound(2.0, 3.0, PerturbationSpec(0.0, 0.0)) == 0.0
 

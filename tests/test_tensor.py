@@ -342,9 +342,11 @@ class TestDivide:
 
 def _beyond_float_cases():
     """The public entry points, other than those with a ``tol``, that read a
-    number the caller gives, each as a call on that number and the message
-    of the rejection when it is beyond the float range: ``inf``, or ``-inf``
-    for a negative one."""
+    number the caller gives, each as a call on that number, the message of
+    the rejection when it is beyond the float range (``inf``, or ``-inf``
+    for a negative one), and the message of the rejection when it is not a
+    number: text, ``None``, another object, and a complex number where a
+    real is read."""
     t = identity([2])
     spec = ea.PerturbationSpec(0.1, 0.1)
     shape = PairedShape((2,), (2,))
@@ -353,32 +355,80 @@ def _beyond_float_cases():
         return [[h, 0], [0, 1]]
 
     entries = "^entries must be finite$"
+    not_entries = "^entries must be numbers in a rectangular array$"
+
+    def not_real(name):
+        return f"^{name} must be a real number, got "
+
     return {
-        "EinsteinTensor": (lambda h: EinsteinTensor(shape, matrix(h)), entries),
-        "fold": (lambda h: fold(matrix(h), shape), entries),
+        "EinsteinTensor": (lambda h: EinsteinTensor(shape, matrix(h)), entries, not_entries),
+        "fold": (lambda h: fold(matrix(h), shape), entries, not_entries),
         "tensor_from_block_display": (
-            lambda h: ea.tensor_from_block_display([[h, 0, 0, 0]] * 4, (2, 2), (2, 2)), entries
+            lambda h: ea.tensor_from_block_display([[h, 0, 0, 0]] * 4, (2, 2), (2, 2)),
+            entries,
+            not_entries,
         ),
-        "svd": (lambda h: ea.svd(matrix(h)), entries),
-        "pinv_matrix": (lambda h: ea.pinv_matrix(matrix(h)), entries),
-        "inv_matrix": (lambda h: ea.inv_matrix(matrix(h)), entries),
-        "numerical_rank": (lambda h: ea.numerical_rank(matrix(h)), entries),
-        "scale": (lambda h: scale(t, h), r"scale factor must be finite, got \(-?inf\+0j\)"),
-        "multiply": (lambda h: t * h, r"scale factor must be finite, got \(-?inf\+0j\)"),
-        "divide": (lambda h: t / h, r"divisor must be finite and nonzero, got \(-?inf\+0j\)"),
-        "sweep-eps_a": (lambda h: ea.sweep(t, t, [h], 0.1, [1.0]), "eps_a must be finite and >= 0, got -?inf"),
-        "sweep-alpha": (lambda h: ea.sweep(t, t, [0.1], 0.1, [h]), "alpha scalings must be finite"),
-        "sweep-eps_d": (lambda h: ea.sweep(t, t, [0.1], h, [1.0]), "eps_d must be finite and >= 0, got -?inf"),
-        "PerturbationSpec": (lambda h: ea.PerturbationSpec(h, 0), "eps_a must be finite and >= 0, got -?inf"),
-        "norm_bound": (lambda h: ea.norm_bound(h, 1, spec), "norms must be finite and >= 0, got -?inf and 1.0"),
-        "BoundReport": (lambda h: ea.BoundReport(1, 1, h, 0), "eps_a must be finite and >= 0, got -?inf"),
+        "svd": (lambda h: ea.svd(matrix(h)), entries, not_entries),
+        "pinv_matrix": (lambda h: ea.pinv_matrix(matrix(h)), entries, not_entries),
+        "inv_matrix": (lambda h: ea.inv_matrix(matrix(h)), entries, not_entries),
+        "numerical_rank": (lambda h: ea.numerical_rank(matrix(h)), entries, not_entries),
+        "scale": (
+            lambda h: scale(t, h),
+            r"scale factor must be finite, got \(-?inf\+0j\)",
+            "^scale factor must be a number, got ",
+        ),
+        "multiply": (
+            lambda h: t * h,
+            r"scale factor must be finite, got \(-?inf\+0j\)",
+            "^scale factor must be a number, got ",
+        ),
+        "divide": (
+            lambda h: t / h,
+            r"divisor must be finite and nonzero, got \(-?inf\+0j\)",
+            "^divisor must be a number, got ",
+        ),
+        "sweep-eps_a": (
+            lambda h: ea.sweep(t, t, [h], 0.1, [1.0]),
+            "eps_a must be finite and >= 0, got -?inf",
+            not_real("eps_a"),
+        ),
+        "sweep-alpha": (
+            lambda h: ea.sweep(t, t, [0.1], 0.1, [h]),
+            "alpha scalings must be finite",
+            not_real("alpha"),
+        ),
+        "sweep-eps_d": (
+            lambda h: ea.sweep(t, t, [0.1], h, [1.0]),
+            "eps_d must be finite and >= 0, got -?inf",
+            not_real("eps_d"),
+        ),
+        "PerturbationSpec": (
+            lambda h: ea.PerturbationSpec(h, 0),
+            "eps_a must be finite and >= 0, got -?inf",
+            not_real("eps_a"),
+        ),
+        "norm_bound": (
+            lambda h: ea.norm_bound(h, 1, spec),
+            "norms must be finite and >= 0, got -?inf and 1.0",
+            not_real("norm_a"),
+        ),
+        "BoundReport": (
+            lambda h: ea.BoundReport(1, 1, h, 0),
+            "eps_a must be finite and >= 0, got -?inf",
+            not_real("eps_a"),
+        ),
     }
+
+
+#: Inputs that are not numbers; ``1j`` is one only where a complex is read.
+_NOT_NUMBERS = {"'x'": "x", "'0.5'": "0.5", "None": None, "object()": object(), "1j": 1j}
 
 
 class TestBeyondFloatRange:
     """A number beyond the float range, such as the Python int ``10**400``, is
     not finite: every public entry point rejects it as an input error, with a
-    message that shows it as ``inf``, never the int's digits."""
+    message that shows it as ``inf``, never the int's digits.  What is not a
+    number at all is an input error too."""
 
     @pytest.mark.parametrize("h", [10**400, 10**5000], ids=["10**400", "10**5000"])
     @pytest.mark.parametrize("name", list(_beyond_float_cases()))
@@ -388,11 +438,28 @@ class TestBeyondFloatRange:
         # norm_bound and BoundReport called it an overflow (NumericalError);
         # a message that printed 10**5000 would raise ValueError, since it
         # passes Python's 4300-digit limit for int to str
-        call, message = _beyond_float_cases()[name]
+        call, message, _ = _beyond_float_cases()[name]
         with pytest.raises(DomainError, match=message):
             call(h)
         with pytest.raises(DomainError, match=message):
             call(-h)
+
+    @pytest.mark.parametrize(
+        "name, junk",
+        [
+            (name, junk)
+            for name, (_, _, message) in _beyond_float_cases().items()
+            for junk in _NOT_NUMBERS
+            if junk != "1j" or "real" in message
+        ],
+    )
+    def test_non_number_rejected_as_input_error(self, name, junk):
+        # regression: text, None and other objects leaked numpy's or Python's
+        # ValueError or TypeError, and a str that spells a number ("0.5") was
+        # read as one by the arrays and scale, and stored by PerturbationSpec
+        call, _, message = _beyond_float_cases()[name]
+        with pytest.raises(DomainError, match=message):
+            call(_NOT_NUMBERS[junk])
 
 
 class TestTraceInnerNorm:
