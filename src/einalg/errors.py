@@ -18,6 +18,9 @@ each kind of public input has one reader:
   ``order``, is what ``operator.index`` takes, numpy integers included, kept
   as a Python int.  A bad dim or ``order`` is a :class:`ShapeError`, a bad
   index or offset an :class:`IndexOutOfRangeError`;
+* a sequence, the dims of a shape, a multi-index or a grid of ``sweep``,
+  is any iterable but a str or bytes (:func:`einalg.shapes._sequence`); a
+  bad grid is a :class:`DomainError`;
 * a shape is a :class:`~einalg.shapes.PairedShape` or a
   ``(row_dims, col_dims)`` pair of sequences of integers >= 1, else a
   :class:`ShapeError`.
@@ -26,6 +29,14 @@ A bool is a number as a scalar or an entry, but not an integer, and the
 tensor-file reader rejects it as an entry.  The file reader keeps
 ``ValueError`` for a malformed file, which :class:`ShapeError` and
 :class:`DomainError` also are.
+
+A value computed from finite operands that comes out not finite is an
+overflow, never bad input: a :class:`NumericalError` whose message starts
+``"<stage> overflowed: "``, ``<stage>`` naming the function it occurred in.
+One rule decides it and writes the rest: :func:`einalg.tensor._finite_norm`
+for the entries of a tensor result (``"entries must be finite"``), and
+:func:`einalg.tensor._finite` for any other number or array (``"<what> is
+<value>"``, with ``not finite`` in place of an array).
 """
 
 __all__ = [

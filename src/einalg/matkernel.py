@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError, SingularError, SingularMatrixError
-from .tensor import _entries, _finite_norm
+from .tensor import _entries, _finite, _finite_norm
 
 __all__ = ["Svd", "svd", "pinv_matrix", "inv_matrix", "numerical_rank"]
 
@@ -63,18 +63,13 @@ def _lapack_svd(mat: np.ndarray, stage: str | None = None):
     """LAPACK's thin SVD of a matrix or of a stack of them.  A finite matrix
     whose largest singular value is beyond the float range overflows: its
     rank rule would cut every value.  The error names ``stage``, when given,
-    as the function the overflow occurred in."""
+    as the function the overflow occurred in, else the SVD itself."""
     m, n = mat.shape[-2:]
     try:
         u, s, vh = np.linalg.svd(mat, full_matrices=False)
     except np.linalg.LinAlgError as err:
         raise NumericalError(f"SVD of a {m} x {n} matrix failed: {err}") from err
-    if not np.isfinite(s[..., :1]).all():
-        if stage is None:
-            raise NumericalError(f"SVD of a {m} x {n} matrix overflowed: sigma_max is not finite")
-        raise NumericalError(
-            f"{stage} overflowed: the SVD of a {m} x {n} matrix has a sigma_max that is not finite"
-        )
+    _finite(stage or f"SVD of a {m} x {n} matrix", "sigma_max", s[..., :1])
     return u, s, vh
 
 

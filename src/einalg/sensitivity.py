@@ -25,11 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSolutionError, DomainError, NumericalError, ShapeError
+from .errors import DegenerateSolutionError, DomainError, ShapeError
 from .inverses import pinv
-from .shapes import PairedShape
+from .shapes import PairedShape, _sequence
 from .tensor import (
-    EinsteinTensor, _frobenius, _nonnegative, _number, _quiet_overflow, _relative, _returned, fro_norm
+    EinsteinTensor, _finite, _frobenius, _nonnegative, _number, _quiet_overflow, _relative, _returned,
+    fro_norm,
 )
 from .woodbury import CONDITION_TOL, LowRankUpdate, _updated
 
@@ -119,8 +120,7 @@ def solve(a: EinsteinTensor, d: EinsteinTensor, tol: float = CONSISTENCY_TOL) ->
     shape = PairedShape(a.col_dims, d.col_dims)
     x = _returned("solve (x = a^+ d)", shape, np.matmul(pinv(a).matrix, d.matrix))
     residual = _relative(np.matmul(a.matrix, x.matrix) - d.matrix, fro_norm(d))
-    if not math.isfinite(residual):
-        raise NumericalError(f"solve overflowed: the residual a x - d has norm {residual}")
+    _finite("solve", "the residual a x - d relative to max(1, |d|)", residual)
     return SolveResult(x=x, consistent=residual <= tol, consistency_residual=residual)
 
 
@@ -128,12 +128,13 @@ def norm_bound(norm_a: float, norm_a_pinv: float, p: PerturbationSpec) -> float:
     """Closed-form normalized-error bound at the given norms and eps levels.
 
     Raises :class:`~einalg.errors.DomainError` unless both norms are finite
-    and >= 0, and :class:`~einalg.errors.NumericalError` if the bound is not
-    finite (``|a|^3`` overflows once ``|a|`` passes about 5.6e102).
+    and >= 0 and ``p`` is a :class:`PerturbationSpec`, and
+    :class:`~einalg.errors.NumericalError` if the bound is not finite
+    (``|a|^3`` overflows once ``|a|`` passes about 5.6e102).
     """
-    norm_a, norm_a_pinv = _number("norm_a", norm_a), _number("norm_a_pinv", norm_a_pinv)
-    if not (0.0 <= norm_a < math.inf and 0.0 <= norm_a_pinv < math.inf):
-        raise DomainError(f"norms must be finite and >= 0, got {norm_a} and {norm_a_pinv}")
+    norm_a, norm_a_pinv = _nonnegative("norm_a", norm_a), _nonnegative("norm_a_pinv", norm_a_pinv)
+    if not isinstance(p, PerturbationSpec):
+        raise DomainError(f"p must be a PerturbationSpec, got {type(p).__name__}")
     eps_a, eps_d = p.eps_a, p.eps_d
     try:
         coefficient_terms = (
@@ -144,11 +145,7 @@ def norm_bound(norm_a: float, norm_a_pinv: float, p: PerturbationSpec) -> float:
         bound = (1.0 + eps_d) * norm_a**3 * coefficient_terms + eps_d * norm_a * norm_a_pinv
     except OverflowError:  # a float power beyond the float range
         bound = math.inf
-    if not math.isfinite(bound):
-        raise NumericalError(
-            f"norm_bound overflowed: the bound at |a| = {norm_a}, |a^+| = {norm_a_pinv} is {bound}"
-        )
-    return bound
+    return _finite("norm_bound", f"the bound at |a| = {norm_a}, |a^+| = {norm_a_pinv}", bound)
 
 
 @_quiet_overflow
@@ -184,9 +181,7 @@ def measure_error(
     a_pinv = pinv(a)
     ap = a_pinv.matrix
     x = np.matmul(ap, d.matrix)
-    norm_x = _frobenius(x)
-    if not math.isfinite(norm_x):
-        raise NumericalError("measure_error overflowed: the solution x = a^+ d is not finite")
+    norm_x = _finite("measure_error", "the norm of the solution x = a^+ d", _frobenius(x))
     if norm_x == 0.0:
         raise DegenerateSolutionError("base solution is zero; E_n is undefined")
 
@@ -198,10 +193,7 @@ def measure_error(
         left, right = factors
         y_minus_x = np.matmul(ap, delta_d.matrix) + np.matmul(left, np.matmul(right, rhs))
     measured_error = _frobenius(y_minus_x) / norm_x
-    if not math.isfinite(measured_error):
-        raise NumericalError(
-            "measure_error overflowed: the perturbed solution y = s^+ (d + delta_d) is not finite"
-        )
+    _finite("measure_error", "the measured error |y - x| / |x|", measured_error)
 
     norm_a = fro_norm(a)
     norm_d = fro_norm(d)
@@ -230,9 +222,13 @@ def sweep(
     pseudoinverse norm, so both are derived analytically from one decomposition
     of ``a``.  Rows come back ordered by ``(eps_a, alpha)``; the bound does not
     depend on ``d`` (kept for interface symmetry with the system under study).
-    Raises :class:`~einalg.errors.NumericalError` if a scaled norm or a bound
-    is not finite.
+    Each grid is a sequence of numbers other than text (a ``str`` or
+    ``bytes`` is not one), else :class:`~einalg.errors.DomainError` naming
+    it.  Raises :class:`~einalg.errors.NumericalError` if a scaled norm or a
+    bound is not finite.
     """
+    eps_a_list = _sequence(eps_a_list, "eps_a_list", "numbers", DomainError)
+    alpha_grid = _sequence(alpha_grid, "alpha_grid", "numbers", DomainError)
     eps_a_list = sorted(_number("eps_a", eps_a) for eps_a in eps_a_list)
     alpha_grid = sorted(_number("alpha", alpha) for alpha in alpha_grid)
     if not eps_a_list or not alpha_grid:
@@ -242,12 +238,11 @@ def sweep(
     _check_right_side(a, d)
     norm_a = fro_norm(a)
     norm_a_pinv = fro_norm(pinv(a))
-    scaled = [(alpha * norm_a, norm_a_pinv / alpha) for alpha in alpha_grid]
-    for alpha, norms in zip(alpha_grid, scaled):
-        if not all(map(math.isfinite, norms)):
-            raise NumericalError(
-                f"sweep overflowed: alpha = {alpha} scales |a| and |a^+| to {norms[0]} and {norms[1]}"
-            )
+    scaled = [
+        (_finite("sweep", f"alpha |a| at alpha = {alpha}", alpha * norm_a),
+         _finite("sweep", f"|a^+| / alpha at alpha = {alpha}", norm_a_pinv / alpha))
+        for alpha in alpha_grid
+    ]
     return [
         BoundReport(norm_a=scaled_a, norm_a_pinv=scaled_pinv, eps_a=eps_a, eps_d=eps_d)
         for eps_a in eps_a_list

@@ -47,24 +47,31 @@ def _as_int(value, what, error) -> int:
     raise error(f"{what} must be an integer, got {_shown(value)}")
 
 
-def _as_ints(values, what, each, error) -> tuple[int, ...]:
-    """``values``, a sequence other than text, as a tuple of ints by
-    :func:`_as_int` (``each`` names one of them in a message); anything else
-    raises ``error`` naming ``what``.  Bytes are text here, not the ints
-    they iterate as."""
+def _sequence(values, what, of, error) -> tuple:
+    """``values``, a sequence other than text, as a tuple (a tuple itself,
+    with no new object): the one rule of dims, multi-indices and ``sweep``'s
+    grids.  Anything else raises
+    ``error("<what> must be a sequence of <of>, got ...")``; bytes are text
+    here, not the ints they iterate as."""
     if not isinstance(values, (str, bytes, bytearray)):
         try:
-            values = tuple(values)
+            return tuple(values)
         except TypeError:
             pass
-        else:
-            # a tuple of Python ints, what every shape the package builds
-            # holds, is kept as it is, with no new object
-            for v in values:
-                if type(v) is not int:
-                    return tuple([_as_int(v, each, error) for v in values])
-            return values
-    raise error(f"{what} must be a sequence of integers, got {_shown(values)}")
+    raise error(f"{what} must be a sequence of {of}, got {_shown(values)}")
+
+
+def _as_ints(values, what, each, error) -> tuple[int, ...]:
+    """``values``, a :func:`_sequence` named ``what``, as a tuple of ints by
+    :func:`_as_int` (``each`` names one of them in a message); anything else
+    raises ``error``."""
+    values = _sequence(values, what, "integers", error)
+    # a tuple of Python ints, what every shape the package builds holds, is
+    # kept as it is, with no new object
+    for v in values:
+        if type(v) is not int:
+            return tuple([_as_int(v, each, error) for v in values])
+    return values
 
 
 def _check_dims(dims, what: str, each: str) -> tuple[int, ...]:

@@ -17,8 +17,9 @@ never recomputes it, and the read-only matrix cannot make it stale.  A number
 beyond the float range, such as the Python int ``10**400``, is not finite:
 :func:`_entries` and :func:`_number` read the arrays and scalars of public
 calls.  The algebra keeps each array it computes without a copy, and a
-non-finite entry from finite operands is an overflow: it raises
-:class:`~einalg.errors.NumericalError` naming the function.
+non-finite entry or scalar from finite operands is an overflow: it raises
+:class:`~einalg.errors.NumericalError` naming the function
+(:func:`_finite_norm` for entries, :func:`_finite` for any other value).
 """
 
 from __future__ import annotations
@@ -225,23 +226,14 @@ def trace(a: EinsteinTensor) -> complex:
     """Sum of the diagonal entries ``a_{i..., i...}`` of a square tensor."""
     if not a.shape.is_square:
         raise ShapeError(f"trace needs a square tensor, got {a.shape}")
-    return _scalar("trace", np.trace(a.matrix))
+    return _finite("trace", "the result", complex(np.trace(a.matrix)))
 
 
 def inner(a: EinsteinTensor, b: EinsteinTensor) -> complex:
     """Inner product ``Tr(a^H * b)``; conjugate-linear in the first argument."""
     if a.shape != b.shape:
         raise ShapeError(f"inner product needs equal shapes, got {a.shape}, {b.shape}")
-    return _scalar("inner", np.vdot(a.matrix, b.matrix))
-
-
-def _scalar(stage: str, value) -> complex:
-    """``value`` as a complex number, computed in ``stage`` from finite
-    tensors: a non-finite one is an overflow there."""
-    value = complex(value)
-    if not cmath.isfinite(value):
-        raise NumericalError(f"{stage} overflowed: the result is {value}")
-    return value
+    return _finite("inner", "the result", complex(np.vdot(a.matrix, b.matrix)))
 
 
 #: Below this the sum of squares behind a Frobenius norm is subnormal or zero.
@@ -298,6 +290,23 @@ def _finite_norm(mat: np.ndarray, norm: float | None = None, stage: str | None =
             raise DomainError("entries must be finite")
         raise NumericalError(f"{stage} overflowed: entries must be finite")
     return norm
+
+
+def _finite(stage: str, what: str, value):
+    """``value``, a number or an array that ``stage`` computed from finite
+    operands and ``what`` names: the one overflow rule of a computed value
+    other than a tensor's entries (:func:`_finite_norm`).  A number is
+    checked by ``cmath.isfinite``, an array by one ``np.isfinite`` pass; a
+    non-finite one raises :class:`~einalg.errors.NumericalError`
+    ``"<stage> overflowed: <what> is <value>"``, with ``not finite`` in
+    place of an array."""
+    if isinstance(value, np.ndarray):
+        if np.isfinite(value).all():
+            return value
+        value = "not finite"
+    elif cmath.isfinite(value):
+        return value
+    raise NumericalError(f"{stage} overflowed: {what} is {value}")
 
 
 def _relative(diff: np.ndarray, ref_norm: float) -> float:

@@ -42,13 +42,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError, SingularCapacitanceError
+from .errors import ShapeError, SingularCapacitanceError
 from .inverses import pinv
 from .matkernel import _inverse, _pinv_stack, _rank_floor
 from .shapes import PairedShape, _as_int, _shown
 from .tensor import (
     EinsteinTensor,
     _adjoint,
+    _finite,
     _finite_norm,
     _frobenius,
     _nonnegative,
@@ -94,6 +95,8 @@ class LowRankUpdate:
 
     ``u`` carries the base tensor's row modes by the shared K modes, ``b`` is
     K-square, and ``v`` carries the K modes by the base tensor's column modes.
+    A factor that is not an :class:`~einalg.tensor.EinsteinTensor` raises
+    :class:`~einalg.errors.ShapeError` naming it.
     """
 
     u: EinsteinTensor
@@ -102,6 +105,10 @@ class LowRankUpdate:
     order: int
 
     def __post_init__(self):
+        for name, factor in zip("ubv", (self.u, self.b, self.v)):
+            if not isinstance(factor, EinsteinTensor):
+                kind = type(factor).__name__
+                raise ShapeError(f"update factor {name} must be an EinsteinTensor, got {kind}")
         object.__setattr__(self, "order", _as_int(self.order, "order", ShapeError))
         k = self.u.col_dims
         if len(k) != self.order:
@@ -311,15 +318,11 @@ def _capacitance(
     rank, and :class:`~einalg.errors.NumericalError` naming ``stage`` if ``C``
     or ``r`` overflows."""
     cap = np.matmul(b, np.matmul(v_ap, u))
-    scale = math.sqrt(len(b)) + _frobenius(cap)
-    cap += np.eye(len(b))
     # a finite norm means finite entries, to which adding I cannot overflow
-    if not math.isfinite(scale):
-        raise NumericalError(f"{stage} overflowed: the capacitance tensor is not finite")
+    scale = math.sqrt(len(b)) + _finite(stage, "the capacitance tensor's norm", _frobenius(cap))
+    cap += np.eye(len(b))
     cap_inv, sigma = _inverse(cap, scale, SingularCapacitanceError, "capacitance tensor")
-    right = np.matmul(-np.matmul(cap_inv, b), v_ap)
-    if not np.isfinite(right).all():
-        raise NumericalError(f"{stage} overflowed: the capacitance factor is not finite")
+    right = _finite(stage, "the capacitance factor", np.matmul(-np.matmul(cap_inv, b), v_ap))
     return right, float(_rank_floor(scale, cap.shape, 1.0) / sigma[-1])
 
 
@@ -444,14 +447,9 @@ def _decompose(
     else:
         y2 = _adjoint(y2h)
         stack = np.empty((3, *b.shape), dtype=np.complex128)
-        np.matmul(_adjoint(y1), y1, out=stack[0])
-        np.matmul(y2h, y2, out=stack[1])
-        stack[2] = b
-        if not np.isfinite(stack).all():
-            name = "y1" if not np.isfinite(stack[0]).all() else "y2"
-            raise NumericalError(
-                f"decompose_update overflowed: the Gram tensor {name}^H {name} is not finite"
-            )
+        _finite("decompose_update", "the Gram tensor y1^H y1", np.matmul(_adjoint(y1), y1, out=stack[0]))
+        _finite("decompose_update", "the Gram tensor y2^H y2", np.matmul(y2h, y2, out=stack[1]))
+        stack[2] = b  # a tensor's entries, finite
         gram1_pinv, gram2_pinv, b_pinv = _pinv_stack(stack, stage="decompose_update")
         e1, e2 = np.matmul(y1, gram1_pinv), np.matmul(y2, gram2_pinv)
     # y2 needs no check: it is zero, or its Gram, whose diagonal holds its
@@ -515,10 +513,7 @@ def _residuals(
         "4.3": _relative(np.matmul(e2, np.matmul(y2h, e2)) - e2, norms["e2"]),
     }
     for label, residual in residuals.items():
-        if not math.isfinite(residual):
-            raise NumericalError(
-                f"check_conditions overflowed: condition {label} residual is {residual}"
-            )
+        _finite("check_conditions", f"condition {label} residual", residual)
     return residuals
 
 
@@ -679,8 +674,7 @@ def _updated(
         if report.applicable:
             factors = ap_x1, right
     else:
-        if not np.isfinite(b_pinv).all():
-            raise NumericalError("update_pinv overflowed: the pseudoinverse of b is not finite")
+        _finite("update_pinv", "the pseudoinverse of b", b_pinv)
         e1h = _adjoint(split.e1)
         report = ConditionReport(_residuals(split, e1h, b, b_pinv), tol)
         if report.applicable:

@@ -6,6 +6,7 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,6 +104,164 @@ def test_init_holds_no_code_of_its_own():
     assert ast.get_docstring(tree)
     for node in tree.body[1:]:
         assert isinstance(node, (ast.Import, ast.ImportFrom, ast.Assign)), ast.dump(node)
+
+
+def _overflow_raisers(node, where=None):
+    """The enclosing function of each ``NumericalError(...)`` in ``node`` whose
+    message holds the word "overflowed"."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _overflow_raisers(child, child.name)
+            continue
+        if (
+            isinstance(child, ast.Call)
+            and getattr(child.func, "id", getattr(child.func, "attr", None)) == "NumericalError"
+            and any(
+                isinstance(part, ast.Constant) and "overflowed" in str(part.value)
+                for arg in child.args for part in ast.walk(arg)
+            )
+        ):
+            yield where
+        yield from _overflow_raisers(child, where)
+
+
+def test_overflow_rule_has_one_owner():
+    # a non-finite value computed from finite operands is an overflow, and
+    # only tensor._finite (any value) and tensor._finite_norm (a tensor's
+    # entries) build its NumericalError, so every message has one shape
+    raisers = [
+        (path.stem, where)
+        for path in sorted(Path(einalg.__file__).parent.glob("*.py"))
+        for where in _overflow_raisers(ast.parse(path.read_text()))
+    ]
+    assert sorted(raisers) == [("tensor", "_finite"), ("tensor", "_finite_norm")]
+
+
+def _tensor(rows, cols, entries):
+    return einalg.EinsteinTensor((rows, cols), entries)
+
+
+def _column(*entries):
+    return _tensor((len(entries),), (1,), np.array(entries)[:, None])
+
+
+def _rank_one(u, b, v):
+    """The update ``u b v`` of the 2-vectors ``u``, ``v`` and the scalar ``b``."""
+    return einalg.LowRankUpdate(_column(*u), _tensor((1,), (1,), [[b]]), _column(*v).H, 1)
+
+
+#: ``I_2``, its own inverse: a split against it has no null-space part, so
+#: the capacitance step runs
+_I2 = einalg.identity((2,))
+#: ``diag(1, 0)``, its own pseudoinverse: a part along ``e2`` is null space
+_D = _tensor((2,), (2,), np.diag([1.0, 0.0]))
+
+
+def _swept(alpha):
+    a = _tensor((2,), (2,), np.diag([2.0, 1.0]))
+    return lambda: einalg.sweep(a, _column(1.0, 1.0), [0.1], 0.1, [alpha])
+
+
+#: One call per overflow check, from finite inputs, and the start of its
+#: message, "<stage> overflowed: <what> is <value>" (tensor._finite)
+OVERFLOWS = {
+    "trace": (
+        lambda: einalg.trace(_tensor((2,), (2,), np.diag([1e308, 1e308]))),
+        "trace overflowed: the result is (inf+0j)",
+    ),
+    "inner": (
+        lambda: einalg.inner(_column(1e200), _column(1e200)),
+        "inner overflowed: the result is (inf+0j)",
+    ),
+    # sigma_max of 1e308 (1 1; 1 1) is 2e308: alone the SVD names itself,
+    # and in the split's stack of the two Grams and b the split
+    "sigma_max": (
+        lambda: einalg.pinv(_tensor((2,), (2,), np.full((2, 2), 1e308))),
+        "SVD of a 2 x 2 matrix overflowed: sigma_max is not finite",
+    ),
+    "sigma_max-split": (
+        lambda: einalg.decompose_update(
+            _D, _D, einalg.LowRankUpdate(_I2, _tensor((2,), (2,), np.full((2, 2), 1e308)), _I2, 1)
+        ),
+        "decompose_update overflowed: sigma_max is not finite",
+    ),
+    # v a^+ u = 1e400
+    "capacitance": (
+        lambda: einalg.update_pinv(_I2, _I2, _rank_one((1e200, 0.0), 1.0, (1e200, 0.0))),
+        "update_pinv overflowed: the capacitance tensor's norm is inf",
+    ),
+    "capacitance-smw_invertible": (
+        lambda: einalg.smw_invertible(_I2, _rank_one((1e200, 0.0), 1.0, (1e200, 0.0))),
+        "smw_invertible overflowed: the capacitance tensor's norm is inf",
+    ),
+    # C = 2, and C^-1 b (v a^+) = 5e299 (1e-300, 1e300)
+    "capacitance-factor": (
+        lambda: einalg.update_pinv(_I2, _I2, _rank_one((1.0, 0.0), 1e300, (1e-300, 1e300))),
+        "update_pinv overflowed: the capacitance factor is not finite",
+    ),
+    # y1 = u = 1e200 e2
+    "gram-y1": (
+        lambda: einalg.update_pinv(_D, _D, _rank_one((0.0, 1e200), 1.0, (0.0, 1.0))),
+        "decompose_update overflowed: the Gram tensor y1^H y1 is not finite",
+    ),
+    # y1 = e2 has a unit Gram, and y2 = v^H = 1e200 e2
+    "gram-y2": (
+        lambda: einalg.update_pinv(_D, _D, _rank_one((0.0, 1.0), 1.0, (0.0, 1e200))),
+        "decompose_update overflowed: the Gram tensor y2^H y2 is not finite",
+    ),
+    # e2 = 0 and e1^H y1 = 4e400: condition 3.1 reads 0 * inf
+    "condition": (
+        lambda: einalg.check_conditions(
+            einalg.SplitParts(*[
+                _tensor((4,), (1,), np.full((4, 1), 1e200 if name in ("y1", "e1") else 0.0))
+                for name in ("x1", "y1", "x2", "y2", "e1", "e2")
+            ]),
+            _tensor((1,), (1,), [[1.0]]),
+        ),
+        "check_conditions overflowed: condition 3.1 residual is nan",
+    ),
+    # b^+ = 1 / 5e-324
+    "b-pinv": (
+        lambda: einalg.update_pinv(_D, _D, _rank_one((0.0, 1.0), 5e-324, (0.0, 1.0))),
+        "update_pinv overflowed: the pseudoinverse of b is not finite",
+    ),
+    # x = a^+ d is about 1e12, but a x passes the float range before it
+    # cancels (to inf or nan, as the order of BLAS's sums falls)
+    "solve-residual": (
+        lambda: einalg.solve(
+            _tensor((2,), (2,), 1e300 * np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-40]])), _column(1e300, 0.0)
+        ),
+        "solve overflowed: the residual a x - d relative to max(1, |d|) is ",
+    ),
+    "norm_bound": (
+        lambda: einalg.norm_bound(1e103, 1e-103, einalg.PerturbationSpec(0.1, 0.1)),
+        "norm_bound overflowed: the bound at |a| = 1e+103, |a^+| = 1e-103 is inf",
+    ),
+    # x = a^+ d = (1e310, 1e300)
+    "measure_error-x": (
+        lambda: einalg.measure_error(
+            1e-300 * _I2, _column(1e10, 1.0), _rank_one((0.0, 0.0), 1.0, (0.0, 0.0)), _column(0.0, 0.0)
+        ),
+        "measure_error overflowed: the norm of the solution x = a^+ d is inf",
+    ),
+    # y - x = a^+ delta_d = 1e309 e1
+    "measure_error-y": (
+        lambda: einalg.measure_error(
+            _tensor((2,), (2,), np.diag([1e-300, 0.0])), _column(1.0, 1.0),
+            _rank_one((0.0, 1.0), 1.0, (0.0, 1.0)), _column(1e9, 0.0),
+        ),
+        "measure_error overflowed: the measured error |y - x| / |x| is inf",
+    ),
+    "sweep-alpha-a": (_swept(1e308), "sweep overflowed: alpha |a| at alpha = 1e+308 is inf"),
+    "sweep-a-pinv": (_swept(1e-310), "sweep overflowed: |a^+| / alpha at alpha = 1e-310 is inf"),
+}
+
+
+@pytest.mark.parametrize("call, message", OVERFLOWS.values(), ids=OVERFLOWS)
+def test_overflow_names_its_stage(call, message):
+    with pytest.raises(einalg.NumericalError) as exc:
+        call()
+    assert str(exc.value).startswith(message)
 
 
 def test_unfold_is_the_function():
@@ -231,8 +390,8 @@ _JUNK = st.recursive(
 
 
 def _readers():
-    """Public calls on one caller-given value, one per scalar, entry or shape
-    reader."""
+    """Public calls on one caller-given value, one per scalar, entry, shape,
+    grid or operand reader."""
     t = einalg.identity((2,))
     spec = einalg.PerturbationSpec(0.1, 0.1)
     return [
@@ -242,6 +401,10 @@ def _readers():
         lambda x: einalg.PerturbationSpec(x, 0.0),
         lambda x: einalg.norm_bound(x, 1.0, spec),
         lambda x: einalg.sweep(t, t, [x], 0.1, [1.0]),
+        lambda x: einalg.sweep(t, t, x, 0.1, [1.0]),
+        lambda x: einalg.sweep(t, t, [0.1], 0.1, x),
+        lambda x: einalg.norm_bound(1.0, 1.0, x),
+        lambda x: einalg.LowRankUpdate(x, t, t, 1),
         lambda x: einalg.EinsteinTensor(((2,), (2,)), x),
         lambda x: einalg.svd(x),
         lambda x: einalg.tensor_from_block_display(x, (2, 2), (1, 1)),

@@ -152,8 +152,14 @@ class TestNormBound:
     @pytest.mark.parametrize("norms", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
     def test_non_finite_norms_rejected(self, norms):
         # regression: a nan norm passed the sign test and gave a nan bound
-        with pytest.raises(DomainError, match="norms must be finite"):
+        with pytest.raises(DomainError, match="^norm_a(_pinv)? must be finite and >= 0, got "):
             norm_bound(*norms, PerturbationSpec(0.1, 0.1))
+
+    @pytest.mark.parametrize("p", [(0.1, 0.1), None, 0.1], ids=["tuple", "None", "scalar"])
+    def test_levels_not_a_spec_rejected(self, p):
+        # regression: reading p.eps_a leaked AttributeError
+        with pytest.raises(DomainError, match="^p must be a PerturbationSpec, got "):
+            norm_bound(1.0, 1.0, p)
 
     @pytest.mark.parametrize(
         "norm_a, norm_a_pinv",
@@ -296,7 +302,8 @@ class TestMeasureError:
         a = fold(1e-300 * np.eye(2), PairedShape((2,), (2,)))
         d = column(1e10, 1.0)
         upd = rank_one_update((0.0, 0.0), 1.0, (0.0, 0.0))
-        with pytest.raises(NumericalError, match=r"measure_error overflowed: the solution x = a\^\+ d"):
+        msg = r"measure_error overflowed: the norm of the solution x = a\^\+ d"
+        with pytest.raises(NumericalError, match=msg):
             measure_error(a, d, upd, zeros(d.shape))
 
     @pytest.mark.parametrize(
@@ -338,7 +345,8 @@ class TestMeasureError:
         # regression: y of finite operands overflowed with a warning and was
         # reported as non-finite input
         assert update_pinv(a, pinv(a), upd).path == path
-        with pytest.raises(NumericalError, match="measure_error overflowed: the perturbed solution y"):
+        msg = r"measure_error overflowed: the measured error \|y - x\| / \|x\|"
+        with pytest.raises(NumericalError, match=msg):
             measure_error(a, d, upd, delta_d)
 
     def test_overflowing_bound_is_numerical_error(self):
@@ -600,6 +608,15 @@ class TestSweep:
             sweep(example_a, example_d, [0.01, -0.01], 0.01, [1.0])
         with pytest.raises(DomainError, match="eps_d"):
             sweep(example_a, example_d, [0.01], math.nan, [1.0])
+
+    @pytest.mark.parametrize("grid", ["eps_a_list", "alpha_grid"])
+    @pytest.mark.parametrize("value", [0.1, "0.1", b"0.1", None], ids=["scalar", "str", "bytes", "None"])
+    def test_grid_not_a_sequence_rejected(self, example_a, example_d, grid, value):
+        # regression: a scalar grid leaked TypeError, and a str was read
+        # character by character
+        grids = {"eps_a_list": [0.01], "alpha_grid": [1.0], grid: value}
+        with pytest.raises(DomainError, match=f"^{grid} must be a sequence of numbers, got "):
+            sweep(example_a, example_d, grids["eps_a_list"], 0.01, grids["alpha_grid"])
 
     @pytest.mark.parametrize("alpha", [math.nan, math.inf])
     def test_non_finite_alpha_rejected(self, example_a, example_d, alpha):

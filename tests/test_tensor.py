@@ -409,7 +409,7 @@ def _beyond_float_cases():
         ),
         "norm_bound": (
             lambda h: ea.norm_bound(h, 1, spec),
-            "norms must be finite and >= 0, got -?inf and 1.0",
+            "norm_a must be finite and >= 0, got -?inf",
             not_real("norm_a"),
         ),
         "BoundReport": (

@@ -95,6 +95,15 @@ class TestLowRankUpdateType:
         with pytest.raises(ShapeError):
             LowRankUpdate(u=ex1["u"], b=example_b, v=rand_tensor(rng, (2,), (2,)), order=2)
 
+    @pytest.mark.parametrize("factor", ["u", "b", "v"])
+    @pytest.mark.parametrize("value", ["u", None, np.eye(2)], ids=["str", "None", "ndarray"])
+    def test_factor_not_a_tensor_rejected(self, factor, value):
+        # regression: reading u.col_dims leaked AttributeError
+        t = identity([2])
+        factors = {"u": t, "b": t, "v": t, factor: value}
+        with pytest.raises(ShapeError, match=f"^update factor {factor} must be an EinsteinTensor, got "):
+            LowRankUpdate(**factors, order=1)
+
 
 class TestApplyUpdate:
     def test_example1_corrected_tensor(self, example_a, ex1, ex1_update):
