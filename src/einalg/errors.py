@@ -23,7 +23,13 @@ each kind of public input has one reader:
   bad grid is a :class:`DomainError`;
 * a shape is a :class:`~einalg.shapes.PairedShape` or a
   ``(row_dims, col_dims)`` pair of sequences of integers >= 1, else a
-  :class:`ShapeError`.
+  :class:`ShapeError`;
+* operands conform when their paired modes are what the operation needs
+  (``b`` shaped as ``a`` in ``add``, a square ``a`` in ``trace``, ``d``
+  with ``a``'s row modes in ``solve``, ...).  One rule,
+  :func:`einalg.shapes._conform`, decides every such verdict, and a
+  mismatch is a :class:`ShapeError` ``"<stage>: <what> must be <want>, got
+  <got>"``, ``<stage>`` naming the public function or constructor.
 
 A bool is a number as a scalar or an entry, but not an integer, and the
 tensor-file reader rejects it as an entry.  The file reader keeps

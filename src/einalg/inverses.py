@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import matkernel
-from .errors import ShapeError, SingularTensorError
+from .errors import SingularTensorError
+from .shapes import _conform
 from .tensor import (
     EinsteinTensor,
     _adjoint,
@@ -77,15 +78,13 @@ def full_column_rank(a: EinsteinTensor) -> bool:
 
 def is_invertible(a: EinsteinTensor) -> bool:
     """Whether the square tensor ``a`` has a numerically full-rank flattening."""
-    if not a.shape.is_square:
-        raise ShapeError(f"invertibility is defined for square tensors, got {a.shape}")
+    _conform("is_invertible", "the column modes", a.col_dims, a.row_dims)
     return full_row_rank(a)
 
 
 def inverse(a: EinsteinTensor) -> EinsteinTensor:
     """Inverse of a square, invertible tensor."""
-    if not a.shape.is_square:
-        raise ShapeError(f"inverse needs a square tensor, got {a.shape}")
+    _conform("inverse", "the column modes", a.col_dims, a.row_dims)
     inv = matkernel._inverse(
         a.matrix, error=SingularTensorError, subject=f"tensor of shape {a.shape}"
     )[0]
@@ -112,10 +111,7 @@ def verify_penrose(a: EinsteinTensor, x: EinsteinTensor, tol: float = PENROSE_TO
     >= 0.
     """
     tol = _nonnegative("tol", tol)
-    if x.shape != a.shape.transposed:
-        raise ShapeError(
-            f"candidate shape {x.shape} is not the transpose of {a.shape}"
-        )
+    _conform("verify_penrose", "the shape of x", (x.row_dims, x.col_dims), (a.col_dims, a.row_dims))
     norm_a, norm_x = fro_norm(a), fro_norm(x)
     a, x = a.matrix, x.matrix
     ax = a @ x

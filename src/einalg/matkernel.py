@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError, SingularError, SingularMatrixError
+from .shapes import _conform
 from .tensor import _entries, _finite, _finite_norm
 
 __all__ = ["Svd", "svd", "pinv_matrix", "inv_matrix", "numerical_rank"]
@@ -121,9 +122,7 @@ def _pinv_stack(stack: np.ndarray, tol: float = 1.0, stage: str | None = None) -
 def inv_matrix(mat) -> np.ndarray:
     """Inverse of a square, numerically full-rank matrix."""
     mat = _as_matrix(mat)
-    m, n = mat.shape
-    if m != n:
-        raise ShapeError(f"inverse needs a square matrix, got {m} x {n}")
+    _conform("inv_matrix", "the number of columns", mat.shape[1], mat.shape[0])
     result = _inverse(mat)[0]
     _finite_norm(result, stage="inv_matrix")
     return result

@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSolutionError, DomainError, ShapeError
+from .errors import DegenerateSolutionError, DomainError
 from .inverses import pinv
-from .shapes import PairedShape, _sequence
+from .shapes import PairedShape, _conform, _sequence
 from .tensor import (
     EinsteinTensor, _finite, _frobenius, _nonnegative, _number, _quiet_overflow, _relative, _returned,
     fro_norm,
@@ -96,13 +96,6 @@ class BoundReport:
         object.__setattr__(self, "bound", norm_bound(self.norm_a, self.norm_a_pinv, spec))
 
 
-def _check_right_side(a: EinsteinTensor, d: EinsteinTensor) -> None:
-    if a.row_dims != d.row_dims:
-        raise ShapeError(
-            f"coefficient row modes {a.row_dims} do not match right side {d.row_dims}"
-        )
-
-
 @_quiet_overflow
 def solve(a: EinsteinTensor, d: EinsteinTensor, tol: float = CONSISTENCY_TOL) -> SolveResult:
     """Solve ``a * x = d`` by the pseudoinverse and flag consistency.
@@ -116,7 +109,7 @@ def solve(a: EinsteinTensor, d: EinsteinTensor, tol: float = CONSISTENCY_TOL) ->
     overflows.
     """
     tol = _nonnegative("tol", tol)
-    _check_right_side(a, d)
+    _conform("solve", "the row modes of d", d.row_dims, a.row_dims)
     shape = PairedShape(a.col_dims, d.col_dims)
     x = _returned("solve (x = a^+ d)", shape, np.matmul(pinv(a).matrix, d.matrix))
     residual = _relative(np.matmul(a.matrix, x.matrix) - d.matrix, fro_norm(d))
@@ -145,7 +138,7 @@ def norm_bound(norm_a: float, norm_a_pinv: float, p: PerturbationSpec) -> float:
         bound = (1.0 + eps_d) * norm_a**3 * coefficient_terms + eps_d * norm_a * norm_a_pinv
     except OverflowError:  # a float power beyond the float range
         bound = math.inf
-    return _finite("norm_bound", f"the bound at |a| = {norm_a}, |a^+| = {norm_a_pinv}", bound)
+    return _finite("norm_bound", "the bound", bound)
 
 
 @_quiet_overflow
@@ -173,11 +166,8 @@ def measure_error(
     built is ``a^+``.  Raises :class:`~einalg.errors.NumericalError` if
     ``x``, the update or ``y`` overflows.
     """
-    if delta_d.shape != d.shape:
-        raise ShapeError(
-            f"right-side perturbation shape {delta_d.shape} != {d.shape}"
-        )
-    _check_right_side(a, d)
+    _conform("measure_error", "the shape of delta_d", delta_d.shape, d.shape)
+    _conform("measure_error", "the row modes of d", d.row_dims, a.row_dims)
     a_pinv = pinv(a)
     ap = a_pinv.matrix
     x = np.matmul(ap, d.matrix)
@@ -185,7 +175,7 @@ def measure_error(
     if norm_x == 0.0:
         raise DegenerateSolutionError("base solution is zero; E_n is undefined")
 
-    split, _, s_pinv, factors = _updated(a, a_pinv, upd, CONDITION_TOL)
+    split, _, s_pinv, factors = _updated("measure_error", a, a_pinv, upd, CONDITION_TOL)
     rhs = d.matrix + delta_d.matrix
     if factors is None:
         y_minus_x = np.matmul(s_pinv.matrix, rhs) - x
@@ -235,16 +225,16 @@ def sweep(
         raise DomainError("eps and alpha grids must be nonempty")
     if not all(0 < al < math.inf for al in alpha_grid):
         raise DomainError("alpha scalings must be finite and positive")
-    _check_right_side(a, d)
+    _conform("sweep", "the row modes of d", d.row_dims, a.row_dims)
     norm_a = fro_norm(a)
     norm_a_pinv = fro_norm(pinv(a))
-    scaled = [
-        (_finite("sweep", f"alpha |a| at alpha = {alpha}", alpha * norm_a),
-         _finite("sweep", f"|a^+| / alpha at alpha = {alpha}", norm_a_pinv / alpha))
-        for alpha in alpha_grid
-    ]
+    # the grid is sorted and positive, so |a^+| / alpha is largest at its
+    # first alpha and alpha |a| at its last
+    first, last = alpha_grid[0], alpha_grid[-1]
+    _finite("sweep", f"|a^+| / alpha at alpha = {first}", norm_a_pinv / first)
+    _finite("sweep", f"alpha |a| at alpha = {last}", last * norm_a)
     return [
-        BoundReport(norm_a=scaled_a, norm_a_pinv=scaled_pinv, eps_a=eps_a, eps_d=eps_d)
+        BoundReport(norm_a=alpha * norm_a, norm_a_pinv=norm_a_pinv / alpha, eps_a=eps_a, eps_d=eps_d)
         for eps_a in eps_a_list
-        for scaled_a, scaled_pinv in scaled
+        for alpha in alpha_grid
     ]

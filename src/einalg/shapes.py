@@ -35,6 +35,28 @@ def _shown(value) -> str:
         return f"<{held}int of more than {sys.get_int_max_str_digits()} digits>"
 
 
+def _form(value) -> str:
+    """``value`` for a conformance message: a :class:`PairedShape`, or a
+    ``(row_dims, col_dims)`` pair of tuples, as ``(2x2 | 1)``; modes, a
+    tuple of ints, and a count by :func:`_shown`."""
+    if isinstance(value, PairedShape):
+        value = value.row_dims, value.col_dims
+    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[0], tuple):
+        rows, cols = value
+        return f"({'x'.join(map(_shown, rows)) or '-'} | {'x'.join(map(_shown, cols)) or '-'})"
+    return _shown(value)
+
+
+def _conform(stage: str, what: str, got, want) -> None:
+    """The one rule of operand conformance: ``got``, the shape, modes or
+    count of what ``what`` names, must equal ``want``, else
+    :class:`~einalg.errors.ShapeError`
+    ``"<stage>: <what> must be <want>, got <got>"``, ``stage`` naming the
+    public function or constructor and each side shown by :func:`_form`."""
+    if got != want:
+        raise ShapeError(f"{stage}: {what} must be {_form(want)}, got {_form(got)}")
+
+
 def _as_int(value, what, error) -> int:
     """``value`` as an ``int``: anything ``operator.index`` takes (numpy
     integers too) except a bool, the one integer rule of indices, offsets
@@ -132,9 +154,7 @@ class PairedShape:
         return self.row_dims == self.col_dims
 
     def __str__(self):
-        rows = "x".join(map(_shown, self.row_dims)) or "-"
-        cols = "x".join(map(_shown, self.col_dims)) or "-"
-        return f"({rows} | {cols})"
+        return _form(self)
 
 
 def phi_index(idx, dims) -> int:

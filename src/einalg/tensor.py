@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, NumericalError, ShapeError
-from .shapes import PairedShape, _check_dims, _paired, _shown, phi_index
+from .shapes import PairedShape, _check_dims, _conform, _paired, _shown, phi_index
 
 __all__ = [
     "EinsteinTensor",
@@ -169,8 +169,7 @@ def identity(row_dims) -> EinsteinTensor:
 @_quiet_overflow
 def add(a: EinsteinTensor, b: EinsteinTensor) -> EinsteinTensor:
     """Entrywise sum; operands must share one shape."""
-    if a.shape != b.shape:
-        raise ShapeError(f"cannot add {a.shape} and {b.shape}")
+    _conform("add", "the shape of b", b.shape, a.shape)
     return _returned("add", a.shape, a.matrix + b.matrix)
 
 
@@ -191,11 +190,7 @@ def einstein_product(a: EinsteinTensor, b: EinsteinTensor) -> EinsteinTensor:
     ``*_N`` with ``N = len(a.col_dims)``.  On the flattened matrices this is
     exactly a matrix product.
     """
-    if a.col_dims != b.row_dims:
-        raise ShapeError(
-            f"cannot contract {a.shape} with {b.shape}: "
-            f"column modes {a.col_dims} != row modes {b.row_dims}"
-        )
+    _conform("einstein_product", "the row modes of b", b.row_dims, a.col_dims)
     shape = PairedShape(a.row_dims, b.col_dims)
     return _returned("einstein_product", shape, a.matrix @ b.matrix)
 
@@ -224,15 +219,13 @@ def kronecker(a: EinsteinTensor, b: EinsteinTensor) -> EinsteinTensor:
 @_quiet_overflow
 def trace(a: EinsteinTensor) -> complex:
     """Sum of the diagonal entries ``a_{i..., i...}`` of a square tensor."""
-    if not a.shape.is_square:
-        raise ShapeError(f"trace needs a square tensor, got {a.shape}")
+    _conform("trace", "the column modes", a.col_dims, a.row_dims)
     return _finite("trace", "the result", complex(np.trace(a.matrix)))
 
 
 def inner(a: EinsteinTensor, b: EinsteinTensor) -> complex:
     """Inner product ``Tr(a^H * b)``; conjugate-linear in the first argument."""
-    if a.shape != b.shape:
-        raise ShapeError(f"inner product needs equal shapes, got {a.shape}, {b.shape}")
+    _conform("inner", "the shape of b", b.shape, a.shape)
     return _finite("inner", "the result", complex(np.vdot(a.matrix, b.matrix)))
 
 
@@ -397,8 +390,7 @@ def is_hermitian(a: EinsteinTensor, tol: float = 1e-10) -> bool:
     Raises :class:`~einalg.errors.DomainError` unless ``tol`` is finite and
     >= 0."""
     tol = _nonnegative("tol", tol)
-    if not a.shape.is_square:
-        raise ShapeError(f"hermiticity is defined for square tensors, got {a.shape}")
+    _conform("is_hermitian", "the column modes", a.col_dims, a.row_dims)
     return _relative(a.matrix - _adjoint(a.matrix), fro_norm(a)) <= tol
 
 

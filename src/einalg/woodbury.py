@@ -45,7 +45,7 @@ import numpy as np
 from .errors import ShapeError, SingularCapacitanceError
 from .inverses import pinv
 from .matkernel import _inverse, _pinv_stack, _rank_floor
-from .shapes import PairedShape, _as_int, _shown
+from .shapes import PairedShape, _as_int, _conform
 from .tensor import (
     EinsteinTensor,
     _adjoint,
@@ -80,15 +80,6 @@ __all__ = [
 CONDITION_TOL = 1e-8
 
 
-def _check_middle(k: tuple[int, ...], factor: EinsteinTensor) -> None:
-    """Raise :class:`~einalg.errors.ShapeError` unless the middle factor
-    (``b`` or ``b^+``) carries the K shared modes ``k`` on both sides."""
-    if factor.row_dims != k or factor.col_dims != k:
-        raise ShapeError(
-            f"middle factor of shape {factor.shape} does not match shared modes {k}"
-        )
-
-
 @dataclass(frozen=True)
 class LowRankUpdate:
     """Correction ``u * b * v`` contracted over ``order`` shared modes.
@@ -111,24 +102,15 @@ class LowRankUpdate:
                 raise ShapeError(f"update factor {name} must be an EinsteinTensor, got {kind}")
         object.__setattr__(self, "order", _as_int(self.order, "order", ShapeError))
         k = self.u.col_dims
-        if len(k) != self.order:
-            raise ShapeError(
-                f"update factor u has {len(k)} shared modes, expected {_shown(self.order)}"
-            )
-        _check_middle(k, self.b)
-        if self.v.row_dims != k:
-            raise ShapeError(
-                f"factor v row modes {self.v.row_dims} do not match shared modes {k}"
-            )
+        _conform("LowRankUpdate", "the number of column modes of u", len(k), self.order)
+        _conform("LowRankUpdate", "the shape of b", (self.b.row_dims, self.b.col_dims), (k, k))
+        _conform("LowRankUpdate", "the row modes of v", self.v.row_dims, k)
 
-    def _conform(self, base: PairedShape) -> None:
-        """Raise :class:`~einalg.errors.ShapeError` unless the correction has the
-        base tensor's shape."""
-        rows, cols = self.u.row_dims, self.v.col_dims
-        if rows != base.row_dims or cols != base.col_dims:
-            raise ShapeError(
-                f"update of shape {PairedShape(rows, cols)} does not conform to base {base}"
-            )
+    def _conform(self, stage: str, base: PairedShape) -> None:
+        """:func:`~einalg.shapes._conform` of the correction's shape to the
+        base tensor's, in ``stage``."""
+        got = self.u.row_dims, self.v.col_dims
+        _conform(stage, "the shape of u b v", got, (base.row_dims, base.col_dims))
 
 
 @dataclass(frozen=True)
@@ -141,8 +123,8 @@ class SplitParts:
     ``y_i * (y_i^H * y_i)^+``.
 
     ``x1``, ``y1`` and ``e1`` carry the row modes of ``u``, ``x2``, ``y2`` and
-    ``e2`` those of ``v^H``, and all six carry the K shared modes of ``x1`` as
-    columns; construction raises :class:`~einalg.errors.ShapeError` otherwise.
+    ``e2`` those of ``v^H``, and all six the K shared modes of ``x1`` as
+    columns (:func:`~einalg.shapes._conform`).
     """
 
     x1: EinsteinTensor
@@ -154,17 +136,10 @@ class SplitParts:
 
     def __post_init__(self):
         k = self.x1.col_dims
-        for rows, names in (
-            (self.x1.row_dims, ("x1", "y1", "e1")),
-            (self.x2.row_dims, ("x2", "y2", "e2")),
-        ):
-            for name in names:
-                part = getattr(self, name)
-                if part.row_dims != rows or part.col_dims != k:
-                    raise ShapeError(
-                        f"split part {name} of shape {part.shape} does not match "
-                        f"modes {rows} by shared modes {k}"
-                    )
+        for name in _PART_NAMES[1:]:
+            # the parts named ...1 carry the row modes of x1, those named ...2 those of x2
+            part, rows = getattr(self, name), (self.x1 if name[-1] == "1" else self.x2).row_dims
+            _conform("SplitParts", f"the shape of {name}", (part.row_dims, part.col_dims), (rows, k))
 
 
 @dataclass(frozen=True)
@@ -262,7 +237,7 @@ def _rows_mat(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
 @_quiet_overflow
 def apply_update(a: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
     """The corrected tensor ``a + u * b * v``."""
-    upd._conform(a.shape)
+    upd._conform("apply_update", a.shape)
     return _corrected("apply_update", a, np.matmul(upd.u.matrix, upd.b.matrix), upd.v.matrix)
 
 
@@ -287,9 +262,8 @@ def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
     singular, and :class:`~einalg.errors.NumericalError` if ``C``, the factor
     or the result overflows.
     """
-    if not a_inv.shape.is_square:
-        raise ShapeError(f"base inverse must be square, got {a_inv.shape}")
-    upd._conform(a_inv.shape)
+    _conform("smw_invertible", "the column modes of a_inv", a_inv.col_dims, a_inv.row_dims)
+    upd._conform("smw_invertible", a_inv.shape)
     a_inv_mat, u = a_inv.matrix, upd.u.matrix
     right = _capacitance(
         "smw_invertible", _rows_mat(upd.v.matrix, a_inv_mat), u, upd.b.matrix
@@ -410,11 +384,11 @@ def decompose_update(a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpda
     Raises :class:`~einalg.errors.NumericalError` if a part or a K x K Gram
     intermediate overflows.
     """
-    return _decompose(a, a_pinv, upd)[0].wrapped()
+    return _decompose("decompose_update", a, a_pinv, upd)[0].wrapped()
 
 
 def _decompose(
-    a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate
+    stage: str, a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate
 ) -> tuple[_Split, np.ndarray, np.ndarray, np.ndarray | None, float]:
     """:func:`decompose_update` on matrices, plus what the identity and the
     capacitance step reuse: ``(split, a^+ u, v a^+, b^+, floor)``.  ``a^+ u``
@@ -424,18 +398,17 @@ def _decompose(
     matrix ``b^+`` is taken in one LAPACK call on a (3, K, K) stack with the
     two Gram pseudoinverses.  ``floor`` is the split's floor relative to
     ``|u|`` and ``|v^H|`` (:func:`decompose_update`); it and the zero tests
-    use the norms the tensors kept when they were built.
+    use the norms the tensors kept when they were built.  A shape that does
+    not conform names ``stage``, the public caller.
 
     When the split leaves both ``y1`` and ``y2`` exact zeros (no null-space
     part: the capacitance step's case), ``e1 = e2 = 0``, that call is skipped
     and ``b^+`` is None: the conditions and the identity, which that split
     does not take, meet the three K x K pseudoinverses only in products with
     ``e1^H`` or ``e2``."""
-    if a_pinv.row_dims != a.col_dims or a_pinv.col_dims != a.row_dims:
-        raise ShapeError(
-            f"pseudoinverse shape {a_pinv.shape} is not the transpose of {a.shape}"
-        )
-    upd._conform(a.shape)
+    want = a.col_dims, a.row_dims
+    _conform(stage, "the shape of a_pinv", (a_pinv.row_dims, a_pinv.col_dims), want)
+    upd._conform(stage, a.shape)
     a_mat, ap, u, v, b = a.matrix, a_pinv.matrix, upd.u.matrix, upd.v.matrix, upd.b.matrix
     norm_u, norm_v = fro_norm(upd.u), fro_norm(upd.v)
     floor = _rank_floor(fro_norm(a) * fro_norm(a_pinv), a_mat.shape, 2.0)
@@ -475,13 +448,14 @@ def check_conditions(parts: SplitParts, b: EinsteinTensor) -> ConditionReport:
     3.2: x1 e1^H y1 b = x1 b        4.2: b y2^H e2 x2^H = b x2^H
     3.3: y1 e1^H y1 = y1            4.3: e2 y2^H e2 = e2
 
-    ``b+`` is taken from ``b``, and the report applies ``CONDITION_TOL``.
-    Raises :class:`~einalg.errors.ShapeError` if ``b`` does not carry the
-    split's K modes on both sides, and :class:`~einalg.errors.NumericalError`
-    if ``b+`` or a residual is not finite, which from finite parts means an
+    ``b+`` is taken from ``b``, which must be K-square
+    (:func:`~einalg.shapes._conform`), and the report applies
+    ``CONDITION_TOL``.  Raises :class:`~einalg.errors.NumericalError` if
+    ``b+`` or a residual is not finite, which from finite parts means an
     overflow.
     """
-    _check_middle(parts.x1.col_dims, b)
+    k = parts.x1.col_dims
+    _conform("check_conditions", "the shape of b", (b.row_dims, b.col_dims), (k, k))
     b_pinv = pinv(b)
     split = _Split(
         parts.x1.matrix, parts.y1.matrix, _adjoint(parts.x2.matrix), _adjoint(parts.y2.matrix),
@@ -542,12 +516,10 @@ def _assembled(
 ) -> EinsteinTensor:
     """:func:`smw_pinv`'s assembly for the public form ``stage``, which an
     overflow names."""
-    _check_middle(parts.x1.col_dims, b_pinv)
-    if a_pinv.row_dims != parts.x2.row_dims or a_pinv.col_dims != parts.x1.row_dims:
-        raise ShapeError(
-            f"base pseudoinverse of shape {a_pinv.shape} does not conform to the split "
-            f"({parts.x2.row_dims} | {parts.x1.row_dims})"
-        )
+    k = parts.x1.col_dims
+    _conform(stage, "the shape of b_pinv", (b_pinv.row_dims, b_pinv.col_dims), (k, k))
+    want = parts.x2.row_dims, parts.x1.row_dims
+    _conform(stage, "the shape of a_pinv", (a_pinv.row_dims, a_pinv.col_dims), want)
     ap, x2h = a_pinv.matrix, _adjoint(parts.x2.matrix)
     ap_x1 = _mat_cols(ap, parts.x1.matrix)
     x2h_ap = _rows_mat(x2h, ap)
@@ -638,14 +610,14 @@ def update_pinv(
     raises nothing.
     """
     tol = _nonnegative("tol", tol)
-    split, report, s_pinv, factors = _updated(a, a_pinv, upd, tol)
+    split, report, s_pinv, factors = _updated("update_pinv", a, a_pinv, upd, tol)
     if factors is not None:
         s_pinv = _corrected("update_pinv", a_pinv, *factors)
     return UpdatedPinv(s_pinv, report, split)
 
 
 def _updated(
-    a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate, tol: float
+    stage: str, a: EinsteinTensor, a_pinv: EinsteinTensor, upd: LowRankUpdate, tol: float
 ) -> tuple[_Split, ConditionReport, EinsteinTensor | None, tuple[np.ndarray, np.ndarray] | None]:
     """The one split -> check -> identity | capacitance | fallback step of
     :func:`update_pinv` and :func:`~einalg.sensitivity.measure_error`, on
@@ -657,9 +629,10 @@ def _updated(
     K x N), and ``s_pinv`` is None, so a caller that only applies ``s^+``
     never forms it; on the fallback ``s_pinv`` is the direct pseudoinverse
     and ``factors`` is None.  Only that pseudoinverse is a tensor: the
-    callers wrap what they return.
+    callers wrap what they return.  A shape that does not conform names
+    ``stage``, the public caller.
     """
-    split, ap_x1, x2h_ap, b_pinv, residual = _decompose(a, a_pinv, upd)
+    split, ap_x1, x2h_ap, b_pinv, residual = _decompose(stage, a, a_pinv, upd)
     b = upd.b.matrix
     factors = None
     if b_pinv is None:

@@ -137,6 +137,51 @@ def test_overflow_rule_has_one_owner():
     assert sorted(raisers) == [("tensor", "_finite"), ("tensor", "_finite_norm")]
 
 
+#: What an operand-shape verdict reads
+_SHAPE_READS = {"shape", "row_dims", "col_dims", "is_square"}
+
+
+def _shape_raisers(node, where=None):
+    """The enclosing function of each ``raise ShapeError(...)`` in ``node``
+    under an ``if`` whose test reads ``.shape``, ``.row_dims``, ``.col_dims``
+    or ``.is_square``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _shape_raisers(child, child.name)
+            continue
+        if isinstance(child, ast.If) and any(
+            isinstance(read, ast.Attribute) and read.attr in _SHAPE_READS for read in ast.walk(child.test)
+        ):
+            for raised in ast.walk(child):
+                if (
+                    isinstance(raised, ast.Raise)
+                    and isinstance(raised.exc, ast.Call)
+                    and getattr(raised.exc.func, "id", None) == "ShapeError"
+                ):
+                    yield where
+        yield from _shape_raisers(child, where)
+
+
+def test_conformance_rule_has_one_owner():
+    # operands whose paired modes do not conform are refused by
+    # shapes._conform alone, so every message reads "<stage>: <what> must be
+    # <want>, got <got>".  What remains are readers of one value's own
+    # structure: a shape with no mode, a matrix that does not fill its
+    # shape, and a block display that is not 2+2 modes or does not fill them
+    raisers = [
+        (path.stem, where)
+        for path in sorted(Path(einalg.__file__).parent.glob("*.py"))
+        for where in _shape_raisers(ast.parse(path.read_text()))
+        if (path.stem, where) != ("shapes", "_conform")
+    ]
+    assert sorted(raisers) == [
+        ("shapes", "__post_init__"),
+        ("tensor", "_hold"),
+        ("tensorio", "tensor_from_block_display"),
+        ("tensorio", "tensor_from_block_display"),
+    ]
+
+
 def _tensor(rows, cols, entries):
     return einalg.EinsteinTensor((rows, cols), entries)
 
@@ -235,7 +280,7 @@ OVERFLOWS = {
     ),
     "norm_bound": (
         lambda: einalg.norm_bound(1e103, 1e-103, einalg.PerturbationSpec(0.1, 0.1)),
-        "norm_bound overflowed: the bound at |a| = 1e+103, |a^+| = 1e-103 is inf",
+        "norm_bound overflowed: the bound is inf",
     ),
     # x = a^+ d = (1e310, 1e300)
     "measure_error-x": (
@@ -254,6 +299,12 @@ OVERFLOWS = {
     ),
     "sweep-alpha-a": (_swept(1e308), "sweep overflowed: alpha |a| at alpha = 1e+308 is inf"),
     "sweep-a-pinv": (_swept(1e-310), "sweep overflowed: |a^+| / alpha at alpha = 1e-310 is inf"),
+    # each check runs once, at the alpha where its value is largest: here
+    # both alphas overflow, and the message names the larger
+    "sweep-alpha-a-largest": (
+        lambda: einalg.sweep(_I2, _column(1.0, 1.0), [0.1], 0.1, [1.5e308, 1.3e308]),
+        "sweep overflowed: alpha |a| at alpha = 1.5e+308 is inf",
+    ),
 }
 
 
@@ -262,6 +313,109 @@ def test_overflow_names_its_stage(call, message):
     with pytest.raises(einalg.NumericalError) as exc:
         call()
     assert str(exc.value).startswith(message)
+
+
+def _mismatches():
+    """One call per shapes._conform call site, with operands whose modes do
+    not conform, and the start of its message, "<stage>: <what> must be "."""
+    wide = _tensor((2,), (3,), np.ones((2, 3)))
+    col, col3 = _column(1.0, 0.0), _column(1.0, 0.0, 0.0)
+    upd = _rank_one((1.0, 0.0), 1.0, (0.0, 1.0))
+    parts = einalg.decompose_update(_D, _D, upd)
+    one = _tensor((1,), (1,), [[1.0]])
+    return {
+        "add": (lambda: einalg.add(_I2, wide), "add: the shape of b must be "),
+        "einstein_product": (
+            lambda: einalg.einstein_product(wide, wide), "einstein_product: the row modes of b must be "
+        ),
+        "trace": (lambda: einalg.trace(wide), "trace: the column modes must be "),
+        "inner": (lambda: einalg.inner(_I2, wide), "inner: the shape of b must be "),
+        "is_hermitian": (lambda: einalg.is_hermitian(wide), "is_hermitian: the column modes must be "),
+        "is_invertible": (lambda: einalg.is_invertible(wide), "is_invertible: the column modes must be "),
+        "inverse": (lambda: einalg.inverse(wide), "inverse: the column modes must be "),
+        "verify_penrose": (lambda: einalg.verify_penrose(wide, wide), "verify_penrose: the shape of x must be "),
+        "inv_matrix": (lambda: einalg.inv_matrix(np.ones((2, 3))), "inv_matrix: the number of columns must be "),
+        "LowRankUpdate-order": (
+            lambda: einalg.LowRankUpdate(col, one, col.H, 2),
+            "LowRankUpdate: the number of column modes of u must be ",
+        ),
+        "LowRankUpdate-b": (
+            lambda: einalg.LowRankUpdate(col, _I2, col.H, 1), "LowRankUpdate: the shape of b must be "
+        ),
+        "LowRankUpdate-v": (
+            lambda: einalg.LowRankUpdate(col, one, _I2, 1), "LowRankUpdate: the row modes of v must be "
+        ),
+        "SplitParts": (
+            lambda: einalg.SplitParts(parts.x1, parts.y1, parts.x2, parts.y2, parts.e1, col3),
+            "SplitParts: the shape of e2 must be ",
+        ),
+        "apply_update": (lambda: einalg.apply_update(wide, upd), "apply_update: the shape of u b v must be "),
+        "smw_invertible-square": (
+            lambda: einalg.smw_invertible(wide, upd), "smw_invertible: the column modes of a_inv must be "
+        ),
+        "smw_invertible-update": (
+            lambda: einalg.smw_invertible(einalg.identity((3,)), upd), "smw_invertible: the shape of u b v must be "
+        ),
+        "decompose_update-a_pinv": (
+            lambda: einalg.decompose_update(_I2, wide, upd), "decompose_update: the shape of a_pinv must be "
+        ),
+        "decompose_update-update": (
+            lambda: einalg.decompose_update(wide, wide.H, upd), "decompose_update: the shape of u b v must be "
+        ),
+        "update_pinv-a_pinv": (
+            lambda: einalg.update_pinv(_I2, wide, upd), "update_pinv: the shape of a_pinv must be "
+        ),
+        "update_pinv-update": (
+            lambda: einalg.update_pinv(wide, wide.H, upd), "update_pinv: the shape of u b v must be "
+        ),
+        "check_conditions": (
+            lambda: einalg.check_conditions(parts, _I2), "check_conditions: the shape of b must be "
+        ),
+        "smw_pinv-b_pinv": (lambda: einalg.smw_pinv(_D, parts, _I2), "smw_pinv: the shape of b_pinv must be "),
+        "smw_pinv-a_pinv": (lambda: einalg.smw_pinv(wide, parts, one), "smw_pinv: the shape of a_pinv must be "),
+        "smw_pinv_orthogonal": (
+            lambda: einalg.smw_pinv_orthogonal(wide, parts.e1, parts.e2, one),
+            "smw_pinv_orthogonal: the shape of a_pinv must be ",
+        ),
+        "smw_pinv_hermitian": (
+            lambda: einalg.smw_pinv_hermitian(_D, parts.x1, parts.e1, _I2),
+            "smw_pinv_hermitian: the shape of b_pinv must be ",
+        ),
+        "solve": (lambda: einalg.solve(_I2, col3), "solve: the row modes of d must be "),
+        "measure_error-delta_d": (
+            lambda: einalg.measure_error(_I2, col, upd, col.H), "measure_error: the shape of delta_d must be "
+        ),
+        "measure_error-d": (
+            lambda: einalg.measure_error(_I2, col3, upd, col3), "measure_error: the row modes of d must be "
+        ),
+        "measure_error-update": (
+            lambda: einalg.measure_error(_tensor((3,), (3,), np.eye(3)), col3, upd, col3),
+            "measure_error: the shape of u b v must be ",
+        ),
+        "sweep": (lambda: einalg.sweep(_I2, col3, [0.1], 0.1, [1.0]), "sweep: the row modes of d must be "),
+    }
+
+
+@pytest.mark.parametrize("name", list(_mismatches()))
+def test_mismatch_names_its_stage(name):
+    # every operand-shape verdict is shapes._conform's, and names the public
+    # function or constructor that refused the operands
+    call, message = _mismatches()[name]
+    with pytest.raises(einalg.ShapeError) as exc:
+        call()
+    assert str(exc.value).startswith(message)
+
+
+def test_mismatch_shows_shapes_modes_and_counts():
+    # a shape as (rows | cols), modes as a tuple and a count as a number
+    wide = _tensor((2,), (3,), np.ones((2, 3)))
+    for call, message in [
+        (lambda: einalg.add(_I2, wide), "add: the shape of b must be (2 | 2), got (2 | 3)"),
+        (lambda: einalg.trace(wide), "trace: the column modes must be (2,), got (3,)"),
+        (lambda: einalg.inv_matrix(np.ones((2, 3))), "inv_matrix: the number of columns must be 2, got 3"),
+    ]:
+        with pytest.raises(einalg.ShapeError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_unfold_is_the_function():

@@ -295,7 +295,7 @@ class TestMeasureError:
         upd = LowRankUpdate(
             u=zeros(shape_u), b=scalar1111(1.0), v=zeros(shape_u.transposed), order=2
         )
-        with pytest.raises(ShapeError, match="right-side perturbation"):
+        with pytest.raises(ShapeError, match="^measure_error: the shape of delta_d must be "):
             measure_error(example_a, example_d, upd, zeros(example_d.shape.transposed))
 
     def test_overflowing_base_solution_is_numerical_error(self):

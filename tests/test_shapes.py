@@ -31,6 +31,12 @@ class TestPairedShape:
         assert s.col_size == 4
         assert s.transposed == PairedShape((4,), (2, 3))
 
+    def test_is_square(self):
+        # the same modes on both sides, in order: equal sizes are not enough
+        assert PairedShape((2, 3), (2, 3)).is_square
+        assert not PairedShape((2, 3), (3, 2)).is_square
+        assert not PairedShape((6,), (2, 3)).is_square
+
     def test_one_sided_shapes_allowed(self):
         assert PairedShape((2, 2), ()).col_size == 1
         assert PairedShape((), (3,)).row_size == 1
@@ -102,7 +108,7 @@ _SHAPE_AND_INDEX_CASES = {
     "entry-huge": (lambda: identity((2,)).entry((_HUGE,), (1,)), IndexOutOfRangeError, f"index component 1 is {_SHOWN}"),
     "LowRankUpdate-float-order": (lambda: _update(1.0), ShapeError, "order must be an integer, got 1.0"),
     "LowRankUpdate-huge-order": (
-        lambda: _update(_HUGE), ShapeError, f"update factor u has 1 shared modes, expected {_SHOWN}"
+        lambda: _update(_HUGE), ShapeError, f"LowRankUpdate: the number of column modes of u must be {_SHOWN}, got 1"
     ),
     "file-dims": (lambda: _file(row_dims=[_HUGE]), ValueError, f"shape ({_SHOWN} | 1) exceeds addressable size"),
     "file-entry": (

@@ -138,24 +138,24 @@ class TestNonConformingOperands:
 
     def test_smw_invertible_non_square_base_inverse(self, rng):
         upd = rank_one_update(rng, (2,), (3,))
-        with pytest.raises(ShapeError, match="must be square"):
+        with pytest.raises(ShapeError, match="^smw_invertible: the column modes of a_inv must be "):
             smw_invertible(rand_tensor(rng, (3,), (2,)), upd)
 
     def test_smw_invertible_update_not_conforming(self, rng):
         upd = rank_one_update(rng, (2,), (2,))
-        with pytest.raises(ShapeError, match="does not conform"):
+        with pytest.raises(ShapeError, match="^smw_invertible: the shape of u b v must be "):
             smw_invertible(rand_invertible(rng, (3,)), upd)
 
     def test_decompose_update_pinv_not_transposed(self, rng):
         a = rand_tensor(rng, (2,), (3,))
-        with pytest.raises(ShapeError, match="not the transpose"):
+        with pytest.raises(ShapeError, match="^decompose_update: the shape of a_pinv must be "):
             decompose_update(a, a, rank_one_update(rng, (2,), (3,)))
 
     def test_smw_pinv_base_pinv_not_conforming(self, rng):
         a = rand_tensor(rng, (2,), (3,))
         upd = rank_one_update(rng, (2,), (3,))
         parts = decompose_update(a, pinv(a), upd)
-        with pytest.raises(ShapeError, match="does not conform to the split"):
+        with pytest.raises(ShapeError, match="^smw_pinv: the shape of a_pinv must be "):
             smw_pinv(pinv(rand_tensor(rng, (2,), (2,))), parts, pinv(upd.b))
 
     def test_check_conditions_middle_factor_modes(self, rng):
@@ -163,7 +163,7 @@ class TestNonConformingOperands:
         upd = rank_one_update(rng, (2,), (3,))
         parts = decompose_update(a, pinv(a), upd)
         b = identity([2])
-        with pytest.raises(ShapeError, match="middle factor"):
+        with pytest.raises(ShapeError, match="^check_conditions: the shape of b must be "):
             check_conditions(parts, b)
 
     def test_check_conditions_checks_modes_before_pinv(self, rng):
@@ -171,7 +171,7 @@ class TestNonConformingOperands:
         a = rand_tensor(rng, (2,), (3,))
         parts = decompose_update(a, pinv(a), rank_one_update(rng, (2,), (3,)))
         b = EinsteinTensor(PairedShape((1,), (2,)), [[1e-310, 0.0]])
-        with pytest.raises(ShapeError, match="middle factor"):
+        with pytest.raises(ShapeError, match="^check_conditions: the shape of b must be "):
             check_conditions(parts, b)
 
 
@@ -498,7 +498,7 @@ class TestSmwPinvHermitian:
     def test_mismatched_split_rejected(self, example_b, rng):
         # e carries two shared modes where x carries one
         a = identity([2, 2])
-        with pytest.raises(ShapeError, match="split part e1 "):
+        with pytest.raises(ShapeError, match="^SplitParts: the shape of e1 must be "):
             smw_pinv_hermitian(
                 pinv(a),
                 rand_tensor(rng, (2, 2), (1,)),
@@ -585,7 +585,7 @@ class TestRankTwoKAssembly:
 
     def test_split_checks_its_shapes(self, example_a, ex2_update):
         parts = decompose_update(example_a, pinv(example_a), ex2_update)
-        message = "split part e2 of shape (4 | 1x1) does not match modes (2, 2) by shared modes (1, 1)"
+        message = "SplitParts: the shape of e2 must be (2x2 | 1x1), got (4 | 1x1)"
         with pytest.raises(ShapeError, match=re.escape(message)):
             SplitParts(
                 parts.x1, parts.y1, parts.x2, parts.y2, parts.e1,
