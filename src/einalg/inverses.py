@@ -85,9 +85,7 @@ def is_invertible(a: EinsteinTensor) -> bool:
 def inverse(a: EinsteinTensor) -> EinsteinTensor:
     """Inverse of a square, invertible tensor."""
     _conform("inverse", "the column modes", a.col_dims, a.row_dims)
-    inv = matkernel._inverse(
-        a.matrix, error=SingularTensorError, subject=f"tensor of shape {a.shape}"
-    )[0]
+    inv = matkernel._inverse(a.matrix, error=SingularTensorError, subject="tensor", shape=a.shape)[0]
     return _returned("inverse", a.shape, inv)
 
 

@@ -4,6 +4,10 @@ The decomposition is LAPACK's SVD as bundled with numpy, truncated at the
 standard numerical-rank threshold ``sigma_max * max(m, n) * 2**-52``; only
 :func:`einalg.inverses.pinv` scales it, by its ``tol``.
 Inverses are assembled as ``(v / s) @ u^H`` without floating-point warnings.
+A 1 x 1 matrix ``x``, or a stack of them, makes no LAPACK call in the
+pseudoinverse and the inverse: its one singular value is ``|x|``, cut by the
+same rule, and its inverse is ``1 / x`` (the rank-one case of the update
+identities, Sherman and Morrison 1950).
 The entries of every input must be finite, the rule of every tensor
 (:func:`einalg.tensor._finite_norm`): a non-finite one is a
 :class:`~einalg.errors.DomainError`.  A largest singular value beyond the
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError, SingularError, SingularMatrixError
-from .shapes import _conform
+from .shapes import PairedShape, _conform
 from .tensor import _entries, _finite, _finite_norm
 
 __all__ = ["Svd", "svd", "pinv_matrix", "inv_matrix", "numerical_rank"]
@@ -81,6 +85,28 @@ def _kept(s: np.ndarray, shape: tuple[int, ...], tol: float, scale: float | None
     return s > _rank_floor(s[..., :1] if scale is None else scale, shape, tol)
 
 
+def _pinv_1x1(
+    stack: np.ndarray, tol: float = 1.0, scale: float | None = None, stage: str | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(p, s, kept)`` for a stack of 1 x 1 matrices ``x``, with no LAPACK
+    call: ``s = |x|`` is each one singular value, shaped as LAPACK's, under
+    :func:`_lapack_svd`'s overflow rule; ``kept`` is the rank rule's verdict
+    on it (:func:`_kept`), and ``p`` is ``1 / x`` where it holds, else 0.
+
+    The quotient is taken as ``f / (f x)``, ``f = 2**-e`` being the power of
+    two that brings ``s`` into [0.5, 1): numpy's own complex division of 1
+    by an ``x`` near the largest float returns 0, as its denominator
+    overflows.  ``f`` is beyond the float range where ``1 / s`` is, bar
+    ``s = 2**-1024`` itself, and the result is then not finite, as in
+    :func:`_inverted`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.abs(stack[..., 0])
+        _finite(stage or "SVD of a 1 x 1 matrix", "sigma_max", s)
+        kept = _kept(s, (1, 1), tol, scale)
+        f = np.ldexp(1.0, -np.frexp(s)[1])[..., None]
+        return np.divide(f, stack * f, out=np.zeros_like(stack), where=kept[..., None]), s, kept
+
+
 def _inverted(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
     """``(v / s) @ u^H`` of a thin SVD or of a stack of them, with ``s = inf``
     where a value is cut, which makes its column an exact zero; an overflow
@@ -110,11 +136,15 @@ def pinv_matrix(mat) -> np.ndarray:
 def _pinv_stack(stack: np.ndarray, tol: float = 1.0, stage: str | None = None) -> np.ndarray:
     """:func:`pinv_matrix` of a finite matrix, or of each finite matrix of a
     stack from one LAPACK call, with no check of the entries; an overflowed
-    SVD names ``stage`` when given (:func:`_lapack_svd`).
+    SVD names ``stage`` when given (:func:`_lapack_svd`).  A stack of 1 x 1
+    matrices makes no LAPACK call: each gets ``1 / x`` where the rule keeps
+    ``|x|``, else 0 (:func:`_pinv_1x1`).
 
     Every pseudoinverse of the kernel is cut and assembled here, so a slice
     of a stack gets the bits it gets alone: LAPACK factors each slice as it
     would alone, and the cut and the assembly act on each slice alike."""
+    if stack.shape[-2:] == (1, 1):
+        return _pinv_1x1(stack, tol, stage=stage)[0]
     u, s, vh = _lapack_svd(stack, stage)
     return _inverted(u, np.where(_kept(s, stack.shape[-2:], tol), s, np.inf), vh)
 
@@ -133,26 +163,36 @@ def _inverse(
     scale: float | None = None,
     error: type[SingularError] = SingularMatrixError,
     subject: str = "matrix",
+    shape: PairedShape | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`inv_matrix` of a finite square matrix, with no check of the
     entries, and the matrix's singular values, largest first.  ``scale``, at
     least ``sigma_max``, replaces it in the rank rule: for a matrix summed from
-    terms of that size, whose rounding it has to stand above.
+    terms of that size, whose rounding it has to stand above.  A 1 x 1 matrix
+    makes no LAPACK call: its inverse is ``1 / x`` (:func:`_pinv_1x1`).
 
     Every inverse of the package is taken here, so this owns the verdict that
     an operand is singular: when the rule drops the rank, it raises the
     caller's ``error`` as "<subject> is singular: numerical rank r of n",
-    with that ``rank`` and, as ``sigma_min``, the smallest singular value
-    the rule keeps (0.0 at rank 0)."""
-    u, s, vh = _lapack_svd(mat)
-    rank = int(np.count_nonzero(_kept(s, mat.shape, 1.0, scale)))
+    or "<subject> of shape <shape> is singular: ..." when ``shape`` is
+    given, with that ``rank`` and, as ``sigma_min``, the smallest singular
+    value the rule keeps (0.0 at rank 0)."""
+    scalar = mat.shape == (1, 1)
+    if scalar:
+        inv, s, kept = _pinv_1x1(mat, scale=scale)
+    else:
+        u, s, vh = _lapack_svd(mat)
+        kept = _kept(s, mat.shape, 1.0, scale)
+    rank = int(np.count_nonzero(kept))
     if rank < len(s):
+        if shape is not None:
+            subject = f"{subject} of shape {shape}"
         raise error(
             f"{subject} is singular: numerical rank {rank} of {len(s)}",
             rank=rank,
             sigma_min=float(s[rank - 1]) if rank else 0.0,
         )
-    return _inverted(u, s, vh), s
+    return (inv if scalar else _inverted(u, s, vh)), s
 
 
 def numerical_rank(mat) -> int:

@@ -396,10 +396,13 @@ def _decompose(
     ``x2^H a^+``, as ``a^+ a a^+ = a^+``), so the updated pseudoinverse is
     ``a^+`` plus one correction built from them and K-sized pieces.  The
     matrix ``b^+`` is taken in one LAPACK call on a (3, K, K) stack with the
-    two Gram pseudoinverses.  ``floor`` is the split's floor relative to
-    ``|u|`` and ``|v^H|`` (:func:`decompose_update`); it and the zero tests
-    use the norms the tensors kept when they were built.  A shape that does
-    not conform names ``stage``, the public caller.
+    two Gram pseudoinverses.  At K = 1 that stack makes no LAPACK call
+    (:func:`~einalg.matkernel._pinv_stack`), and its two Grams are the
+    squared norms ``|y_i|^2`` the split kept, with no product formed; they
+    are checked finite as the products would be.  ``floor`` is the split's
+    floor relative to ``|u|`` and ``|v^H|`` (:func:`decompose_update`); it
+    and the zero tests use the norms the tensors kept when they were built.
+    A shape that does not conform names ``stage``, the public caller.
 
     When the split leaves both ``y1`` and ``y2`` exact zeros (no null-space
     part: the capacitance step's case), ``e1 = e2 = 0``, that call is skipped
@@ -420,8 +423,14 @@ def _decompose(
     else:
         y2 = _adjoint(y2h)
         stack = np.empty((3, *b.shape), dtype=np.complex128)
-        _finite("decompose_update", "the Gram tensor y1^H y1", np.matmul(_adjoint(y1), y1, out=stack[0]))
-        _finite("decompose_update", "the Gram tensor y2^H y2", np.matmul(y2h, y2, out=stack[1]))
+        if len(b) == 1:
+            # K = 1: each Gram is its part's squared norm, which the split kept
+            stack[0], stack[1] = norm_y1 * norm_y1, norm_y2h * norm_y2h
+        else:
+            np.matmul(_adjoint(y1), y1, out=stack[0])
+            np.matmul(y2h, y2, out=stack[1])
+        _finite("decompose_update", "the Gram tensor y1^H y1", stack[0])
+        _finite("decompose_update", "the Gram tensor y2^H y2", stack[1])
         stack[2] = b  # a tensor's entries, finite
         gram1_pinv, gram2_pinv, b_pinv = _pinv_stack(stack, stage="decompose_update")
         e1, e2 = np.matmul(y1, gram1_pinv), np.matmul(y2, gram2_pinv)
@@ -589,13 +598,15 @@ def update_pinv(
     which ran).  A split with a null-space part checks the six conditions,
     and the identity result is :func:`smw_pinv`'s assembly with the split's
     ``a^+ u`` and ``v a^+`` standing in for ``a^+ x1`` and ``x2^H a^+``.
-    ``b^+`` is taken in the split's LAPACK call and kept as a matrix, and the
-    conditions skip the shape checks of :func:`check_conditions`: the split
-    was built here, to the update's shapes.  A split with none (every
-    invertible base, and ``u`` and ``v^H`` inside the column spaces) runs no
-    condition but takes the capacitance step that :func:`smw_invertible`
-    takes on ``a^-1``: ``s^+ = a^+ - (a^+ u) C^-1 b (v a^+)``,
-    ``C = I + b (v a^+ u)``.  Its report is the one residual ``C``
+    ``b^+`` is taken in the split's LAPACK call (none at K = 1, where it is
+    ``1 / b``) and kept as a matrix, and the conditions skip the shape
+    checks of :func:`check_conditions`: the split was built here, to the
+    update's shapes.  A split with none (every invertible base, and ``u``
+    and ``v^H`` inside the column spaces) runs no condition but takes the
+    capacitance step that :func:`smw_invertible` takes on ``a^-1``:
+    ``s^+ = a^+ - (a^+ u) C^-1 b (v a^+)``, ``C = I + b (v a^+ u)``, whose
+    inverse at K = 1 is ``1 / C``, with no LAPACK call.  Its report is the
+    one residual ``C``
     (:class:`ConditionReport`), which also holds the split's floor relative
     to ``|u|`` (:func:`decompose_update`): on an ill-conditioned base, or
     one with a kept singular value at the cutoff, the formula cancels against ``a^+``'s largest entries, and the update

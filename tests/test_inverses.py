@@ -71,6 +71,14 @@ class TestInverse:
         assert exc.value.sigma_min == np.linalg.svd(example_a.matrix, full_matrices=False)[1][2]
         assert exc.value.sigma_min == pytest.approx((math.sqrt(5) - 1) / 2, rel=1e-15)
 
+    def test_shape_formatted_only_when_singular(self, monkeypatch):
+        # the message names the shape, but an invertible tensor never builds it
+        def unformatted(shape):
+            raise AssertionError(f"formatted {shape.row_dims}")
+
+        monkeypatch.setattr(PairedShape, "__str__", unformatted)
+        assert inverse(identity([2, 2])) == identity([2, 2])
+
     def test_non_square_rejected(self, rng):
         with pytest.raises(ShapeError):
             inverse(rand_tensor(rng, (2,), (3,)))

@@ -2,21 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from einalg import (
     DomainError,
+    EinsteinTensor,
     NumericalError,
     PairedShape,
     ShapeError,
     SingularMatrixError,
+    SingularTensorError,
     fold,
     inv_matrix,
+    inverse,
     numerical_rank,
     pinv,
     pinv_matrix,
     svd,
 )
-from einalg.matkernel import _pinv_stack
+from einalg.matkernel import _lapack_svd, _pinv_stack
+from einalg.tensor import _returned
 
 from conftest import rand_matrix
 
@@ -197,6 +203,108 @@ class TestOverflow:
     def test_stack_with_sigma_max_beyond_float_range(self):
         with pytest.raises(NumericalError, match="^SVD of a 2 x 2 matrix overflowed"):
             _pinv_stack(np.stack([np.eye(2), np.full((2, 2), 1e308)]).astype(np.complex128))
+
+
+#: Complex numbers whose parts span the float range, 0 and subnormals included
+_COMPLEX = st.builds(
+    complex,
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_SCALAR = PairedShape((1,), (1,))
+
+
+def _outcome(call):
+    """``(value, None)``, or ``(None, (type, message))`` when ``call``
+    raises a :class:`NumericalError`."""
+    try:
+        return call(), None
+    except NumericalError as err:
+        return None, (type(err), str(err))
+
+
+def _lapack_pinv(x):
+    """The pseudoinverse of ``[[x]]`` from LAPACK's SVD (``np.linalg.pinv``),
+    refused as the kernel refuses it for any larger matrix: a largest
+    singular value beyond the float range, or a result that is not finite."""
+    mat = np.array([[x]], dtype=np.complex128)
+    _lapack_svd(mat)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _returned("pinv", _SCALAR, np.linalg.pinv(mat)).matrix[0, 0]
+
+
+class TestOneByOne:
+    # a 1 x 1 matrix x is inverted as 1 / x, with no LAPACK call, under the
+    # same rank rule and overflow verdicts as a matrix LAPACK decomposes;
+    # near the largest float it also answers where LAPACK's SVD fails
+    @settings(max_examples=300, deadline=None)
+    @given(_COMPLEX)
+    def test_pinv_agrees_with_lapack(self, x):
+        got, refused = _outcome(lambda: pinv(EinsteinTensor(_SCALAR, [[x]])).matrix[0, 0])
+        want, lapack_refused = _outcome(lambda: _lapack_pinv(x))
+        if lapack_refused and not refused and np.isfinite(np.abs(x)):
+            # LAPACK's SVD can fail on a finite |x| at the top of the range
+            # (test_result_near_the_largest_float), where 1 / x is
+            # representable; LAPACK gives it from x / 4
+            want, lapack_refused = _lapack_pinv(x / 4) / 4, None
+        assert refused == lapack_refused
+        if refused is None:
+            # 4 ulp of |want|, or of the smallest subnormal below the normal range
+            assert abs(got - want) <= 4 * max(abs(want) * 2.0**-52, 2.0**-1074)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_COMPLEX, min_size=1, max_size=6), st.sampled_from([1.0, 1e6, 2.0**60]))
+    def test_stack_slice_gets_its_bits_alone(self, xs, tol):
+        stack = np.array(xs, dtype=np.complex128).reshape(-1, 1, 1)
+        alone = [_outcome(lambda: _pinv_stack(mat, tol))[0] for mat in stack]
+        if any(p is None for p in alone):
+            with pytest.raises(NumericalError):
+                _pinv_stack(stack, tol)
+            return
+        got = _pinv_stack(stack, tol)
+        assert got.shape == stack.shape
+        for p, q in zip(got, alone):
+            assert np.array_equal(p, q, equal_nan=True)
+
+    def test_cut_by_tol(self):
+        # |x| * 2**-52 * tol at or above |x| cuts it, as for any matrix
+        stack = np.array([[[3.0 + 4.0j]], [[0.0]]])
+        assert np.array_equal(_pinv_stack(stack, tol=2.0**52), np.zeros((2, 1, 1)))
+        assert _pinv_stack(stack, tol=2.0**52 - 1)[0, 0, 0] == pytest.approx(0.12 - 0.16j, rel=1e-15)
+
+    def test_zero_has_rank_0(self):
+        zero = EinsteinTensor(_SCALAR, [[0.0]])
+        assert pinv(zero).matrix[0, 0] == 0
+        assert pinv_matrix(np.zeros((1, 1)))[0, 0] == 0
+        with pytest.raises(SingularTensorError) as exc:
+            inverse(zero)
+        assert str(exc.value) == "tensor of shape (1 | 1) is singular: numerical rank 0 of 1"
+        assert exc.value.rank == 0 and exc.value.sigma_min == 0.0
+        with pytest.raises(SingularMatrixError) as exc:
+            inv_matrix(np.zeros((1, 1)))
+        assert str(exc.value) == "matrix is singular: numerical rank 0 of 1"
+        assert exc.value.rank == 0 and exc.value.sigma_min == 0.0
+
+    @pytest.mark.parametrize("fn", [pinv_matrix, inv_matrix])
+    def test_singular_value_beyond_float_range(self, fn):
+        with pytest.raises(NumericalError, match=r"^SVD of a 1 x 1 matrix overflowed: sigma_max is not finite$"):
+            fn(np.array([[1.5e308 + 1.5e308j]]))
+
+    def test_stack_overflow_names_the_stage(self):
+        stack = np.array([[[1.0]], [[1.5e308 - 1.5e308j]]])
+        with pytest.raises(NumericalError, match=r"^decompose_update overflowed: sigma_max is not finite$"):
+            _pinv_stack(stack, stage="decompose_update")
+
+    def test_result_near_the_largest_float(self):
+        # |x| is finite, but numpy's own complex division gives 1 / x = 0
+        # here: its denominator, about |x|^2 / 1e308, overflows
+        got = _pinv_stack(np.array([[[1e308 + 1e308j]]]))[0, 0, 0]
+        assert np.isclose(got, 5e-309 - 5e-309j, rtol=1e-14, atol=0.0)
+        # LAPACK's own SVD of this x gives sigma_max = nan, though |x| is the
+        # largest float, so the LAPACK route refused it
+        x = 1.8941775056029057e300 + 1.7976931348623157e308j
+        got = pinv(EinsteinTensor(_SCALAR, [[x]])).matrix[0, 0]
+        assert got == pytest.approx(_lapack_pinv(x / 4) / 4, rel=1e-14)
 
 
 class TestEmpty:

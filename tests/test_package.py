@@ -141,17 +141,39 @@ def test_overflow_rule_has_one_owner():
 _SHAPE_READS = {"shape", "row_dims", "col_dims", "is_square"}
 
 
-def _shape_raisers(node, where=None):
+def _reads_shape(expr, names):
+    """Whether ``expr`` reads ``.shape``, ``.row_dims``, ``.col_dims`` or
+    ``.is_square``, or one of the local ``names`` bound from such a read."""
+    return any(
+        isinstance(read, ast.Attribute) and read.attr in _SHAPE_READS
+        or isinstance(read, ast.Name) and read.id in names
+        for read in ast.walk(expr)
+    )
+
+
+def _shape_names(func):
+    """The names ``func`` binds from a shape read: ``m, n = mat.shape`` binds
+    ``m`` and ``n``."""
+    return {
+        name.id
+        for node in ast.walk(func)
+        if isinstance(node, ast.Assign) and _reads_shape(node.value, ())
+        for target in node.targets
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name)
+    }
+
+
+def _shape_raisers(node, where=None, names=frozenset()):
     """The enclosing function of each ``raise ShapeError(...)`` in ``node``
     under an ``if`` whose test reads ``.shape``, ``.row_dims``, ``.col_dims``
-    or ``.is_square``."""
+    or ``.is_square``, directly or through a name the same function bound
+    from one (:func:`_shape_names`)."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from _shape_raisers(child, child.name)
+            yield from _shape_raisers(child, child.name, _shape_names(child))
             continue
-        if isinstance(child, ast.If) and any(
-            isinstance(read, ast.Attribute) and read.attr in _SHAPE_READS for read in ast.walk(child.test)
-        ):
+        if isinstance(child, ast.If) and _reads_shape(child.test, names):
             for raised in ast.walk(child):
                 if (
                     isinstance(raised, ast.Raise)
@@ -159,7 +181,7 @@ def _shape_raisers(node, where=None):
                     and getattr(raised.exc.func, "id", None) == "ShapeError"
                 ):
                     yield where
-        yield from _shape_raisers(child, where)
+        yield from _shape_raisers(child, where, names)
 
 
 def test_conformance_rule_has_one_owner():
@@ -180,6 +202,27 @@ def test_conformance_rule_has_one_owner():
         ("tensorio", "tensor_from_block_display"),
         ("tensorio", "tensor_from_block_display"),
     ]
+
+
+def test_conformance_scan_follows_local_names():
+    # a hand-written check through a name bound from a shape read is seen
+    source = """
+def inv_matrix(mat):
+    m, n = mat.shape
+    if m != n:
+        raise ShapeError("not square")
+
+class LowRankUpdate:
+    def __post_init__(self):
+        k = self.u.col_dims
+        if len(k) != self.order:
+            raise ShapeError("order")
+
+def unrelated(mat, k):
+    if len(k) != 2:
+        raise ShapeError("k")
+"""
+    assert sorted(_shape_raisers(ast.parse(source))) == ["__post_init__", "inv_matrix"]
 
 
 def _tensor(rows, cols, entries):
