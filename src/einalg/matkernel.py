@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError, SingularError, SingularMatrixError
 from .shapes import PairedShape, _conform
-from .tensor import _entries, _finite, _finite_norm
+from .tensor import _entries, _finite, _finite_norm, _reciprocal
 
 __all__ = ["Svd", "svd", "pinv_matrix", "inv_matrix", "numerical_rank"]
 
@@ -93,18 +93,14 @@ def _pinv_1x1(
     :func:`_lapack_svd`'s overflow rule; ``kept`` is the rank rule's verdict
     on it (:func:`_kept`), and ``p`` is ``1 / x`` where it holds, else 0.
 
-    The quotient is taken as ``f / (f x)``, ``f = 2**-e`` being the power of
-    two that brings ``s`` into [0.5, 1): numpy's own complex division of 1
-    by an ``x`` near the largest float returns 0, as its denominator
-    overflows.  ``f`` is beyond the float range where ``1 / s`` is, bar
-    ``s = 2**-1024`` itself, and the result is then not finite, as in
-    :func:`_inverted`."""
+    The quotient is :func:`~einalg.tensor._reciprocal`'s at ``s``, which
+    returns 1 / x also for an ``x`` near the largest float, and is not
+    finite where ``1 / s`` overflows, as in :func:`_inverted`."""
     with np.errstate(over="ignore", invalid="ignore"):
         s = np.abs(stack[..., 0])
         _finite(stage or "SVD of a 1 x 1 matrix", "sigma_max", s)
         kept = _kept(s, (1, 1), tol, scale)
-        f = np.ldexp(1.0, -np.frexp(s)[1])[..., None]
-        return np.divide(f, stack * f, out=np.zeros_like(stack), where=kept[..., None]), s, kept
+        return _reciprocal(stack, s[..., None], kept[..., None]), s, kept
 
 
 def _inverted(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:

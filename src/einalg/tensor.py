@@ -131,11 +131,15 @@ class EinsteinTensor:
 
     @_quiet_overflow
     def __truediv__(self, c):
-        """``self * (1 / c)`` for a finite nonzero scalar ``c``."""
+        """``self * (1 / c)`` for a finite nonzero scalar ``c``, with ``1 / c``
+        taken by :func:`_reciprocal` at the larger of ``|Re c|`` and
+        ``|Im c|``: within a factor of two of ``|c|``, and finite where
+        ``|c|`` itself is beyond the float range."""
         c = _number("divisor", c, complex)
         if c == 0 or not cmath.isfinite(c):
             raise DomainError(f"divisor must be finite and nonzero, got {c}")
-        return _returned("divide", self._shape, self._mat * (1.0 / c))
+        inverse = _reciprocal(c, max(abs(c.real), abs(c.imag)))
+        return _returned("divide", self._shape, self._mat * inverse)
 
     def __matmul__(self, other):
         return einstein_product(self, other)
@@ -268,6 +272,25 @@ def _frobenius(mat: np.ndarray) -> float:
         return math.inf
 
 
+def _reciprocal(x, s, where=True):
+    """``1 / x`` for an array of complex ``x``, 0 where ``where`` is false,
+    or for one Python complex, taken as ``f / (f x)`` with ``f = 2**-e`` the
+    power of two that brings ``s`` into [0.5, 1); ``s`` is ``|x|``, or a
+    value within a factor of two of it.  Scaling by ``f`` is exact, and
+    ``f x`` is of unit size, so no step of the division overflows: numpy's
+    own complex ``1 / x``, and CPython's, return 0 for a finite ``x`` such
+    as ``1e308 + 1e308j``, as their denominators overflow.  An array is
+    divided by numpy, a Python complex by CPython, which gives it the bits
+    of ``1 / x`` wherever that and its parts stay normal.  ``f`` is beyond
+    the float range where ``1 / s`` is, bar ``s = 2**-1024`` itself, and the
+    result is then not finite, for the caller's overflow check."""
+    f = np.ldexp(1.0, -np.frexp(s)[1])
+    if isinstance(x, np.ndarray):
+        return np.divide(f, x * f, out=np.zeros_like(x), where=where)
+    f = float(f)
+    return f / (x * f)
+
+
 def _finite_norm(mat: np.ndarray, norm: float | None = None, stage: str | None = None) -> float:
     """``_frobenius(mat)`` (``norm`` when already computed) of a matrix whose
     entries must be finite, the rule of every tensor the package holds and
@@ -302,13 +325,14 @@ def _finite(stage: str, what: str, value):
     raise NumericalError(f"{stage} overflowed: {what} is {value}")
 
 
-def _relative(diff: np.ndarray, ref_norm: float) -> float:
-    """``|diff| / max(1, ref_norm)``, ``diff`` a flattened matrix and
-    ``ref_norm`` the Frobenius norm of the reference it deviates from.
+def _relative(diff: np.ndarray | float, ref_norm: float) -> float:
+    """``|diff| / max(1, ref_norm)``, ``diff`` a flattened matrix or its
+    Frobenius norm, already computed, and ``ref_norm`` the Frobenius norm of
+    the reference it deviates from: the one rule of every relative residual.
 
     A reference whose norm overflowed measures no deviation: a nonzero
     ``diff`` against it is ``nan``, which passes no check, not 0."""
-    norm = _frobenius(diff)
+    norm = diff if isinstance(diff, float) else _frobenius(diff)
     if norm and not math.isfinite(ref_norm):
         return math.nan
     return norm / max(1.0, ref_norm)

@@ -14,6 +14,11 @@ Two identities are implemented for a base tensor perturbed by a correction
   forms ``e_i = y_i * (y_i^H * y_i)^+``, checks six applicability conditions,
   and then assembles the updated pseudoinverse from those parts.
 
+At K = 1, the Sherman-Morrison case, every K x K factor is a scalar: the six
+conditions are scalar statements on two inner products and the split's kept
+norms, and the capacitance is one inner product, so neither forms an N-sized
+product.
+
 :func:`update_pinv` takes the first when the split leaves no null-space part
 and the second otherwise, and falls back to a direct pseudoinverse when the
 check of either fails; its ``path`` is ``"capacitance"``, ``"identity"`` or
@@ -152,7 +157,10 @@ class ConditionReport:
     the split's floor relative to ``|u|`` (:func:`decompose_update`) and the
     rank floor of the capacitance ``C`` over its smallest singular value
     (about ``K 2**-52 cond(C)``; ``inf`` when the rank rule drops ``C``'s
-    rank).  ``applicable`` is true iff every residual is <= ``tol``.
+    rank).  At K = 1 each condition residual is a part's kept norm times the
+    modulus of a scalar (:func:`check_conditions`), equal to the N x K
+    form's up to rounding.  ``applicable`` is true iff every residual is <=
+    ``tol``.
     """
 
     residuals: dict[str, float]
@@ -287,16 +295,28 @@ def _capacitance(
     that a ``C`` in which the two terms cancel to rounding is singular;
     ``residual`` is that rule's floor over ``C``'s smallest singular value,
     about ``K 2**-52 cond(C)`` when nothing cancels, and the rule drops the
-    rank when it reaches 1.  Raises
+    rank when it reaches 1.  At K = 1 (a 1 x 1 ``b``) ``v a^+ u`` is one
+    inner product and ``r`` is ``v a^+`` times a scalar; ``C`` has the bits
+    of the K x K products, and ``r`` agrees with them to rounding.  Raises
     :class:`~einalg.errors.SingularCapacitanceError` if the rule drops the
     rank, and :class:`~einalg.errors.NumericalError` naming ``stage`` if ``C``
     or ``r`` overflows."""
-    cap = np.matmul(b, np.matmul(v_ap, u))
+    scalar = len(b) == 1
+    if scalar:
+        # K = 1: v a^+ u is one inner product, and C and C^-1 b are scalars
+        # taken with CPython's complex product, which gives matmul's bits
+        cap = np.array([[complex(b[0, 0]) * complex(np.dot(v_ap[0], u[:, 0]))]])
+    else:
+        cap = np.matmul(b, np.matmul(v_ap, u))
     # a finite norm means finite entries, to which adding I cannot overflow
     scale = math.sqrt(len(b)) + _finite(stage, "the capacitance tensor's norm", _frobenius(cap))
     cap += np.eye(len(b))
     cap_inv, sigma = _inverse(cap, scale, SingularCapacitanceError, "capacitance tensor")
-    right = _finite(stage, "the capacitance factor", np.matmul(-np.matmul(cap_inv, b), v_ap))
+    if scalar:
+        right = v_ap * -(complex(cap_inv[0, 0]) * complex(b[0, 0]))
+    else:
+        right = np.matmul(-np.matmul(cap_inv, b), v_ap)
+    _finite(stage, "the capacitance factor", right)
     return right, float(_rank_floor(scale, cap.shape, 1.0) / sigma[-1])
 
 
@@ -443,8 +463,10 @@ def _decompose(
         "y1": _finite_norm(y1, norm_y1, stage),
         "x2": _finite_norm(x2h, norm_x2h, stage),
         "y2": norm_y2h,
-        "e1": _finite_norm(e1, stage=stage),
-        "e2": _finite_norm(e2, stage=stage),
+        # e_i is y_i times a finite K x K factor, so a zero y_i gives zeros,
+        # which _frobenius would scan in its underflow branch
+        "e1": _finite_norm(e1, 0.0 if norm_y1 == 0.0 else None, stage),
+        "e2": _finite_norm(e2, 0.0 if norm_y2h == 0.0 else None, stage),
     }
     return _Split(x1, y1, x2h, y2h, e1, e2, norms, upd.u.shape, upd.v.shape.transposed), ap_u, v_ap, b_pinv, floor
 
@@ -459,9 +481,14 @@ def check_conditions(parts: SplitParts, b: EinsteinTensor) -> ConditionReport:
 
     ``b+`` is taken from ``b``, which must be K-square
     (:func:`~einalg.shapes._conform`), and the report applies
-    ``CONDITION_TOL``.  Raises :class:`~einalg.errors.NumericalError` if
-    ``b+`` or a residual is not finite, which from finite parts means an
-    overflow.
+    ``CONDITION_TOL``.  At K = 1 every factor but the parts is a scalar, and
+    each deviation is one part times a scalar: with ``p = e1^H y1``,
+    ``t = y2^H e2`` and ``q = b t``, the residuals are ``|e2| |b+ p b - 1|``,
+    ``|x1| |b| |p - 1|``, ``|y1| |p - 1|``, ``|e1| |q b+ - 1|``,
+    ``|x2| |q - b|`` and ``|e2| |t - 1|``, each over ``max(1, reference)``,
+    from the parts' kept norms and no N x K product.  Raises
+    :class:`~einalg.errors.NumericalError` if ``b+`` or a residual is not
+    finite, which from finite parts means an overflow.
     """
     k = parts.x1.col_dims
     _conform("check_conditions", "the shape of b", (b.row_dims, b.col_dims), (k, k))
@@ -480,24 +507,62 @@ def _residuals(
 ) -> dict[str, float]:
     """:func:`check_conditions`' residuals of a split known to conform, given
     the K x N ``e1^H`` and the middle factors as matrices; the split's norms
-    are the references the residuals need."""
-    x1, y1, x2h, y2h, e2, norms = split.x1, split.y1, split.x2h, split.y2h, split.e2, split.norms
-    e1h_y1 = np.matmul(e1h, y1)
-    e1h_y1_b = np.matmul(e1h_y1, b)
-    by2h_e2 = np.matmul(np.matmul(b, y2h), e2)
-    x1_b = np.matmul(x1, b)
-    b_x2h = np.matmul(b, x2h)
-    residuals = {
-        "3.1": _relative(np.matmul(np.matmul(e2, b_pinv), e1h_y1_b) - e2, norms["e2"]),
-        "3.2": _relative(np.matmul(x1, e1h_y1_b) - x1_b, _frobenius(x1_b)),
-        "3.3": _relative(np.matmul(y1, e1h_y1) - y1, norms["y1"]),
-        "4.1": _relative(np.matmul(by2h_e2, np.matmul(b_pinv, e1h)) - e1h, norms["e1"]),
-        "4.2": _relative(np.matmul(by2h_e2, x2h) - b_x2h, _frobenius(b_x2h)),
-        "4.3": _relative(np.matmul(e2, np.matmul(y2h, e2)) - e2, norms["e2"]),
-    }
+    are the references the residuals need.
+
+    At K = 1 (a 1 x 1 ``b``, the shape test of
+    :func:`~einalg.matkernel._pinv_stack`) no N-sized product is formed and
+    ``e1h`` is not read: each deviation is one part times a scalar, whose
+    Frobenius norm is the part's kept norm times the scalar's modulus
+    (:func:`_scalar_residuals`)."""
+    if len(b) == 1:
+        residuals = _scalar_residuals(split, complex(b[0, 0]), complex(b_pinv[0, 0]))
+    else:
+        x1, y1, x2h, y2h, e2, norms = split.x1, split.y1, split.x2h, split.y2h, split.e2, split.norms
+        e1h_y1 = np.matmul(e1h, y1)
+        e1h_y1_b = np.matmul(e1h_y1, b)
+        by2h_e2 = np.matmul(np.matmul(b, y2h), e2)
+        x1_b = np.matmul(x1, b)
+        b_x2h = np.matmul(b, x2h)
+        residuals = {
+            "3.1": _relative(np.matmul(np.matmul(e2, b_pinv), e1h_y1_b) - e2, norms["e2"]),
+            "3.2": _relative(np.matmul(x1, e1h_y1_b) - x1_b, _frobenius(x1_b)),
+            "3.3": _relative(np.matmul(y1, e1h_y1) - y1, norms["y1"]),
+            "4.1": _relative(np.matmul(by2h_e2, np.matmul(b_pinv, e1h)) - e1h, norms["e1"]),
+            "4.2": _relative(np.matmul(by2h_e2, x2h) - b_x2h, _frobenius(b_x2h)),
+            "4.3": _relative(np.matmul(e2, np.matmul(y2h, e2)) - e2, norms["e2"]),
+        }
     for label, residual in residuals.items():
         _finite("check_conditions", f"condition {label} residual", residual)
     return residuals
+
+
+def _scalar_residuals(split: _Split, b: complex, b_pinv: complex) -> dict[str, float]:
+    """:func:`_residuals` of a K = 1 split, from the two inner products
+    ``p = e1^H y1`` and ``t = y2^H e2`` and the split's kept norms: with
+    ``q = b t``, the deviations of 3.1-3.3 are ``e2 (b+ p b - 1)``,
+    ``x1 b (p - 1)`` and ``y1 (p - 1)``, those of 4.1-4.3
+    ``(q b+ - 1) e1^H``, ``(q - b) x2^H`` and ``e2 (t - 1)``, and a vector
+    times a scalar has the Frobenius norm ``|z| |c|``.  A modulus beyond the
+    float range is ``inf``, not the ``OverflowError`` of ``abs``."""
+    norms = split.norms
+    p = complex(np.vdot(split.e1, split.y1))
+    t = complex(np.dot(split.y2h[0], split.e2[:, 0]))
+    q = b * t
+    modulus_b = _modulus(b)
+    x1_b, b_x2h = norms["x1"] * modulus_b, modulus_b * norms["x2"]
+    return {
+        "3.1": _relative(norms["e2"] * _modulus(b_pinv * (p * b) - 1), norms["e2"]),
+        "3.2": _relative(x1_b * _modulus(p - 1), x1_b),
+        "3.3": _relative(norms["y1"] * _modulus(p - 1), norms["y1"]),
+        "4.1": _relative(norms["e1"] * _modulus(q * b_pinv - 1), norms["e1"]),
+        "4.2": _relative(norms["x2"] * _modulus(q - b), b_x2h),
+        "4.3": _relative(norms["e2"] * _modulus(t - 1), norms["e2"]),
+    }
+
+
+def _modulus(z: complex) -> float:
+    """``|z|``, ``inf`` where it is beyond the float range."""
+    return math.hypot(z.real, z.imag)
 
 
 @_quiet_overflow
@@ -605,7 +670,10 @@ def update_pinv(
     and ``v^H`` inside the column spaces) runs no condition but takes the
     capacitance step that :func:`smw_invertible` takes on ``a^-1``:
     ``s^+ = a^+ - (a^+ u) C^-1 b (v a^+)``, ``C = I + b (v a^+ u)``, whose
-    inverse at K = 1 is ``1 / C``, with no LAPACK call.  Its report is the
+    inverse at K = 1 is ``1 / C``, with no LAPACK call.  At K = 1 neither
+    the six conditions nor ``C`` and its factor form an N-sized product:
+    the conditions take two inner products and the split's kept norms, and
+    ``C`` one inner product (:func:`check_conditions`).  Its report is the
     one residual ``C``
     (:class:`ConditionReport`), which also holds the split's floor relative
     to ``|u|`` (:func:`decompose_update`): on an ill-conditioned base, or

@@ -339,6 +339,33 @@ class TestDivide:
         assert got.shape == t.shape
         assert got.matrix.tobytes() == scale(t, 1.0 / complex(c)).matrix.tobytes()
 
+    @pytest.mark.parametrize("c", [1e308 + 1e308j, -1.7e308 + 1.7e308j, 1.7e308j])
+    def test_divisor_near_the_largest_float(self, c):
+        # CPython's 1 / c is 0 for the first two, whose denominators overflow
+        # (|c| itself is beyond the float range for the second); the quotient
+        # at unit scale is 1e10 / c, here (1e10 / (c 2**-20)) 2**-20
+        want = 1e10 / (c * 2.0**-20) * 2.0**-20
+        got = ea.EinsteinTensor(((1,), (1,)), [[1e10]]) / c
+        assert want != 0
+        assert abs(got.entry((1,), (1,)) - want) <= 4 * 2.0**-52 * abs(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(-1.0, 1.0).filter(lambda x: abs(x) >= 2.0**-20),
+        st.floats(-1.0, 1.0),
+        st.integers(-400, 400),
+        st.integers(-30, 30),
+    )
+    def test_ordinary_divisor_agrees_with_the_reciprocal(self, seed, re, im, e, spread):
+        # a divisor whose parts and quotient stay far from the ends of the
+        # float range: t / c is t * (1 / c) to 2 ulp of each entry
+        c = complex(math.ldexp(re, e), math.ldexp(im, e + spread))
+        t = rand_tensor(np.random.default_rng(seed), (3,), (2,))
+        want = t.matrix * (1.0 / c)
+        got = (t / c).matrix
+        assert np.all(np.abs(got - want) <= 2 * 2.0**-52 * np.abs(want))
+
 
 def _beyond_float_cases():
     """The public entry points, other than those with a ``tol``, that read a

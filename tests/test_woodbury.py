@@ -38,6 +38,8 @@ from einalg import (
     zeros,
 )
 from einalg import woodbury
+from einalg.matkernel import _inverse, _rank_floor
+from einalg.tensor import _frobenius, _relative
 
 from conftest import (
     CAPACITANCE_OVERFLOWS,
@@ -45,6 +47,7 @@ from conftest import (
     ILL_CONDITIONED_BASES,
     cond1e6_base,
     conditioned_tensor,
+    rand_matrix,
     rand_tensor,
     record_work,
     scalar1111,
@@ -790,6 +793,48 @@ class TestIdentityPathCost:
             smw_invertible(a_inv, upd)
             assert shapes == k_square(size, size)
 
+    def test_k1_conditions_and_capacitance_form_no_product(self, rng, monkeypatch):
+        # at K = 1 the six conditions are scalar statements on two inner
+        # products and the split's kept norms, and C is one inner product:
+        # neither makes a matmul call, so update_pinv's products are the four
+        # projections, the two scaled parts e_i, the two of the factors and
+        # a^+ + l r on the identity path, and the projections and a^+ + l r
+        # on the capacitance path
+        n, dims = 64, (4, 4, 4)
+        a = low_rank_tensor(rng, dims, dims, n - 3)
+        a_pinv = pinv(a)
+        col, row = (1, n, n, 1), (1, 1, n, n)
+        for k in ((1,), (1, 1)):
+            upd = LowRankUpdate(
+                u=rand_tensor(rng, dims, k),
+                b=rand_tensor(rng, k, k),
+                v=rand_tensor(rng, k, dims),
+                order=len(k),
+            )
+            split, _, _, b_pinv, _ = woodbury._decompose("update_pinv", a, a_pinv, upd)
+            sizes, _ = record_work(monkeypatch)
+            woodbury._residuals(split, split.e1.conj().T, upd.b.matrix, b_pinv)
+            result = update_pinv(a, a_pinv, upd)
+            monkeypatch.undo()
+            assert result.path == "identity"
+            scaled, factors = [(1, n, 1, 1)] * 2, [(1, 1, n, 1), (1, 1, 1, n)]
+            assert sizes == [col, row, col, row, *scaled, *factors, (1, n, 2, n)]
+            want = pinv(apply_update(a, upd))
+            assert fro_norm(result.s_pinv - want) <= 1e-8 * fro_norm(want)
+        upd = LowRankUpdate(
+            u=einstein_product(a, rand_tensor(rng, dims, (1,))),
+            b=rand_tensor(rng, (1,), (1,)),
+            v=einstein_product(rand_tensor(rng, (1,), dims), a),
+            order=1,
+        )
+        _, _, v_ap, _, _ = woodbury._decompose("update_pinv", a, a_pinv, upd)
+        sizes, _ = record_work(monkeypatch)
+        woodbury._capacitance("update_pinv", v_ap, upd.u.matrix, upd.b.matrix)
+        result = update_pinv(a, a_pinv, upd)
+        monkeypatch.undo()
+        assert result.path == "capacitance"
+        assert sizes == [col, row, col, row, (1, n, 1, n)]
+
     def test_result_is_not_copied(self, rng):
         # the N x N result is the one array the call allocates at that size:
         # wrapping it in the returned tensor must not copy it (a whole N^2 x 16
@@ -839,6 +884,139 @@ def rank_deficient_update(draw):
         order=1,
     )
     return a, upd
+
+
+def general_residuals(split, b, b_pinv):
+    """The six residuals in their N x K form, ``_residuals``' route above
+    K = 1, written out here as the reference for the K = 1 route."""
+    x1, y1, x2h, y2h, e2, norms = split.x1, split.y1, split.x2h, split.y2h, split.e2, split.norms
+    e1h = split.e1.conj().T
+    e1h_y1_b = e1h @ y1 @ b
+    by2h_e2 = b @ y2h @ e2
+    return {
+        "3.1": _relative(e2 @ b_pinv @ e1h_y1_b - e2, norms["e2"]),
+        "3.2": _relative(x1 @ e1h_y1_b - x1 @ b, _frobenius(x1 @ b)),
+        "3.3": _relative(y1 @ (e1h @ y1) - y1, norms["y1"]),
+        "4.1": _relative(by2h_e2 @ (b_pinv @ e1h) - e1h, norms["e1"]),
+        "4.2": _relative(by2h_e2 @ x2h - b @ x2h, _frobenius(b @ x2h)),
+        "4.3": _relative(e2 @ (y2h @ e2) - e2, norms["e2"]),
+    }
+
+
+def general_capacitance(v_ap, u, b):
+    """``_capacitance``' ``(r, residual)`` in its K x K form, the reference
+    for the K = 1 route."""
+    cap = b @ (v_ap @ u)
+    scale = math.sqrt(len(b)) + _frobenius(cap)
+    cap = cap + np.eye(len(b))
+    cap_inv, sigma = _inverse(cap, scale, SingularCapacitanceError, "capacitance tensor")
+    return -(cap_inv @ b) @ v_ap, float(_rank_floor(scale, cap.shape, 1.0) / sigma[-1])
+
+
+#: How a K = 1 draw of ``rank_one_case`` places ``u`` and ``v^H``: generic
+#: (both null-space parts kept), inside both column spaces (the capacitance
+#: split), inside one of them (one-sided: a zero y_i), or with ``u`` scaled
+#: by 2**-540 so that its Gram ``|y1|^2`` underflows and the cut leaves
+#: ``e1 = 0`` while ``y1`` stays.
+RANK_ONE_KINDS = ("generic", "column-spaces", "u-inside", "v-inside", "cut-gram")
+
+
+@st.composite
+def rank_one_case(draw):
+    """A K = 1 update of a rank-deficient or invertible base at N = 2..16,
+    of one of ``RANK_ONE_KINDS``, with ``u``, ``b`` and ``v`` each scaled by
+    2**-300, 1 or 2**300 and ``b`` sometimes 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 16))
+    a = rand_matrix(rng, n, n, rank=draw(st.integers(1, n)))
+    kind = draw(st.sampled_from(RANK_ONE_KINDS))
+    u, v = rand_matrix(rng, n, 1), rand_matrix(rng, 1, n)
+    if kind in ("column-spaces", "u-inside"):
+        u = a @ u
+    if kind in ("column-spaces", "v-inside"):
+        v = v @ a
+    if kind == "cut-gram":
+        u = u * 2.0**-540
+    b = rand_matrix(rng, 1, 1) * draw(st.sampled_from([1.0, 1.0, 1.0, 0.0]))
+    factor = st.sampled_from([2.0**-300, 1.0, 2.0**300])
+    u, b, v = u * draw(factor), b * draw(factor), v * draw(factor)
+    shape = PairedShape((n,), (n,))
+    upd = LowRankUpdate(
+        fold(u, PairedShape((n,), (1,))),
+        fold(b, PairedShape((1,), (1,))),
+        fold(v, PairedShape((1,), (n,))),
+        1,
+    )
+    return fold(a, shape), upd
+
+
+class TestRankOneRoute:
+    """At K = 1 the six conditions and the capacitance step take scalar
+    routes; they agree with the N x K and K x K forms that run above K = 1."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rank_one_case())
+    def test_agrees_with_the_general_form(self, case):
+        a, upd = case
+        split, _, v_ap, b_pinv, _ = woodbury._decompose("update_pinv", a, pinv(a), upd)
+        u, b = upd.u.matrix, upd.b.matrix
+        if b_pinv is None:
+            # C keeps its bits, so its residual does; r agrees to rounding
+            try:
+                want_right, want_residual = general_capacitance(v_ap, u, b)
+            except SingularCapacitanceError:
+                with pytest.raises(SingularCapacitanceError):
+                    woodbury._capacitance("update_pinv", v_ap, u, b)
+                return
+            right, residual = woodbury._capacitance("update_pinv", v_ap, u, b)
+            assert residual == want_residual
+            assert np.all(np.abs(right - want_right) <= 8 * 2.0**-52 * np.abs(want_right))
+            return
+        got = woodbury._residuals(split, split.e1.conj().T, b, b_pinv)
+        want = general_residuals(split, b, b_pinv)
+        tol = woodbury.CONDITION_TOL
+        assert {k: r <= tol for k, r in got.items()} == {k: r <= tol for k, r in want.items()}
+        for label, r in want.items():
+            # a residual above 1e-10 is a part's norm, nearly exact in both
+            # forms; below, both are rounding of at most a few N-term sums
+            bound = 8 * 2.0**-52 * r if r > 1e-10 else 4 * len(u) * 2.0**-52
+            assert abs(got[label] - r) <= bound, label
+
+    def test_paths_against_lapack(self):
+        # seeded K = 1 draws at unit scale: each takes the path its split
+        # calls for (both null-space parts kept: the identity; neither: the
+        # capacitance step; one: the fallback), and the result agrees with
+        # LAPACK's direct pseudoinverse of the corrected tensor.  Rounding
+        # may leave a part that the kind has none of above the split's floor
+        # (TestCapacitancePath), so the path follows the split, not the kind
+        rng = np.random.default_rng(41)
+        kinds, paths = ("generic", "column-spaces", "u-inside", "v-inside"), []
+        for draw in range(200):
+            n = int(rng.integers(2, 17))
+            kind = kinds[draw % 4]
+            a = rand_matrix(rng, n, n, rank=int(rng.integers(1, n)) if kind != "column-spaces" else n)
+            u, v = rand_matrix(rng, n, 1), rand_matrix(rng, 1, n)
+            if kind in ("column-spaces", "u-inside"):
+                u = a @ u
+            if kind in ("column-spaces", "v-inside"):
+                v = v @ a
+            base = fold(a, PairedShape((n,), (n,)))
+            upd = LowRankUpdate(
+                fold(u, PairedShape((n,), (1,))),
+                fold(rand_matrix(rng, 1, 1), PairedShape((1,), (1,))),
+                fold(v, PairedShape((1,), (n,))),
+                1,
+            )
+            result = update_pinv(base, pinv(base), upd)
+            kept = int(result.parts.y1.matrix.any()) + int(result.parts.y2.matrix.any())
+            paths.append(result.path)
+            assert result.path == ("capacitance", "fallback", "identity")[kept], kind
+            s = apply_update(base, upd).matrix
+            want = np.linalg.pinv(s, rtol=n * 2.0**-52)
+            sigma = np.linalg.svd(s, compute_uv=False)
+            cond = sigma[0] / sigma[sigma > n * 2.0**-52 * sigma[0]][-1]
+            assert_close(result.s_pinv.matrix, want, 64 * cond * n * 2.0**-52)
+        assert min(paths.count(path) for path in ("identity", "capacitance", "fallback")) >= 40
 
 
 class TestThinProducts:
