@@ -1,15 +1,18 @@
 """Rank predicates, tensor inverse and Moore-Penrose pseudoinverse, plus the
 four-rule verifier.
 
-The rank predicates and both inverses go through the flattened matrix: a
-rank is the number of singular values the kernel keeps, and the tensor
-pseudoinverse is the fold of the matrix pseudoinverse, so it inherits every
-guarantee of the matrix kernel.  ``pinv`` is defined for arbitrary paired
+The rank predicates and both inverses go through the flattened matrix and
+the kernel's one rank decision (:func:`einalg.matkernel._cut`): a rank is
+the number of singular values it keeps, ``inverse`` raises where it drops
+one, and the tensor pseudoinverse is the fold of the matrix pseudoinverse,
+so it inherits every guarantee of the matrix kernel.  So the four
+predicates agree with ``inverse`` on every finite tensor, a 1 x 1 one near
+the largest float included.  ``pinv`` is defined for arbitrary paired
 shapes, not only square tensors; low-rank update code relies on
-pseudoinverses of rectangular and even scalar-shaped operands.  Both hand
-the kernel the tensor's matrix, which is finite complex by construction, with
-no second scan of its entries, so a non-finite result is an overflow and
-raises :class:`~einalg.errors.NumericalError`.
+pseudoinverses of rectangular and even scalar-shaped operands.  All of them
+hand the kernel the tensor's matrix, which is finite complex by
+construction, with no second scan of its entries, so a non-finite result is
+an overflow and raises :class:`~einalg.errors.NumericalError`.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ class PenroseReport:
 
 def unfold_rank(a: EinsteinTensor) -> int:
     """Numerical rank of the flattened matrix."""
-    return matkernel.numerical_rank(a.matrix)
+    return int(matkernel._cut(a.matrix)[2].sum())
 
 
 def full_row_rank(a: EinsteinTensor) -> bool:

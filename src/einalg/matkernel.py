@@ -3,11 +3,15 @@
 The decomposition is LAPACK's SVD as bundled with numpy, truncated at the
 standard numerical-rank threshold ``sigma_max * max(m, n) * 2**-52``; only
 :func:`einalg.inverses.pinv` scales it, by its ``tol``.
-Inverses are assembled as ``(v / s) @ u^H`` without floating-point warnings.
-A 1 x 1 matrix ``x``, or a stack of them, makes no LAPACK call in the
-pseudoinverse and the inverse: its one singular value is ``|x|``, cut by the
-same rule, and its inverse is ``1 / x`` (the rank-one case of the update
-identities, Sherman and Morrison 1950).
+One private step, :func:`_cut`, makes the rank decision and assembles the
+pseudoinverse ``(v / s) @ u^H`` without floating-point warnings; the
+pseudoinverse, the inverse and its singular verdict, and every rank count
+(:func:`numerical_rank` and the predicates of :mod:`einalg.inverses`) read
+it.  A 1 x 1 matrix ``x``, or a stack of them, makes no LAPACK call there:
+its one singular value is ``|x|``, cut by the same rule, and its inverse is
+``1 / x`` (the rank-one case of the update identities, Sherman and Morrison
+1950).  Only :func:`svd`, which returns LAPACK's factors, takes a 1 x 1
+matrix to LAPACK.
 The entries of every input must be finite, the rule of every tensor
 (:func:`einalg.tensor._finite_norm`): a non-finite one is a
 :class:`~einalg.errors.DomainError`.  A largest singular value beyond the
@@ -81,41 +85,49 @@ def _lapack_svd(mat: np.ndarray, stage: str | None = None):
 def _kept(s: np.ndarray, shape: tuple[int, ...], tol: float, scale: float | None = None) -> np.ndarray:
     """Which singular values of a matrix of ``shape``, or of each matrix of a
     stack, are above the rank rule of their own largest, or of ``scale`` when
-    given.  This is the kernel's one rank cut."""
+    given.  This is the kernel's one rank rule."""
     return s > _rank_floor(s[..., :1] if scale is None else scale, shape, tol)
 
 
-def _pinv_1x1(
+def _cut(
     stack: np.ndarray, tol: float = 1.0, scale: float | None = None, stage: str | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(p, s, kept)`` for a stack of 1 x 1 matrices ``x``, with no LAPACK
-    call: ``s = |x|`` is each one singular value, shaped as LAPACK's, under
-    :func:`_lapack_svd`'s overflow rule; ``kept`` is the rank rule's verdict
-    on it (:func:`_kept`), and ``p`` is ``1 / x`` where it holds, else 0.
+    """``(p, s, kept)`` of a finite matrix, or of each finite matrix of a
+    stack, with no check of the entries: the kernel's one rank decision.
+    ``s`` holds the singular values, largest first, under
+    :func:`_lapack_svd`'s overflow rule, which names ``stage`` when given;
+    ``kept`` is the rank rule's verdict on them (:func:`_kept`, at ``tol``
+    and ``scale``), and ``p`` the pseudoinverse that keeps just those.
 
-    The quotient is :func:`~einalg.tensor._reciprocal`'s at ``s``, which
-    returns 1 / x also for an ``x`` near the largest float, and is not
-    finite where ``1 / s`` overflows, as in :func:`_inverted`."""
+    A 1 x 1 matrix ``x`` makes no LAPACK call: ``s = |x|``, and ``p`` is
+    ``1 / x`` where it is kept, else 0, by
+    :func:`~einalg.tensor._reciprocal`, which returns ``1 / x`` also for an
+    ``x`` near the largest float.  Any other is LAPACK's, assembled as
+    ``(v / s) @ u^H`` with ``s = inf`` where a value is cut, which makes its
+    column an exact zero; LAPACK's ``u`` and ``vh`` are overwritten, so the
+    only new array is ``p``.  An overflow, in the floor or in ``p``, leaves
+    a non-finite value, not a warning: every step runs under one guard."""
     with np.errstate(over="ignore", invalid="ignore"):
-        s = np.abs(stack[..., 0])
-        _finite(stage or "SVD of a 1 x 1 matrix", "sigma_max", s)
-        kept = _kept(s, (1, 1), tol, scale)
-        return _reciprocal(stack, s[..., None], kept[..., None]), s, kept
-
-
-def _inverted(u: np.ndarray, s: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """``(v / s) @ u^H`` of a thin SVD or of a stack of them, with ``s = inf``
-    where a value is cut, which makes its column an exact zero; an overflow
-    leaves non-finite entries, not a warning.  ``u`` and ``vh`` are LAPACK's
-    own arrays and are overwritten: the only new array is the result."""
-    with np.errstate(over="ignore", invalid="ignore"):
+        if stack.shape[-2:] == (1, 1):
+            s = np.abs(stack[..., 0])
+            _finite(stage or "SVD of a 1 x 1 matrix", "sigma_max", s)
+            kept = _kept(s, (1, 1), tol, scale)
+            return _reciprocal(stack, s[..., None], kept[..., None]), s, kept
+        u, s, vh = _lapack_svd(stack, stage)
+        kept = _kept(s, stack.shape[-2:], tol, scale)
         np.conj(vh, out=vh)
-        vh /= s[..., None]
-        return vh.swapaxes(-1, -2) @ np.conj(u, out=u).swapaxes(-1, -2)
+        vh /= np.where(kept, s, np.inf)[..., None]
+        return vh.swapaxes(-1, -2) @ np.conj(u, out=u).swapaxes(-1, -2), s, kept
 
 
 def svd(mat) -> Svd:
-    """Thin SVD truncated at ``sigma_max * max(m, n) * 2**-52``."""
+    """Thin SVD truncated at ``sigma_max * max(m, n) * 2**-52``.
+
+    The factors are LAPACK's, of a 1 x 1 matrix too, so this alone keeps
+    LAPACK's refusal of a 1 x 1 ``x`` whose ``sigma_max`` it returns as
+    ``nan`` though ``|x|`` is finite (``x`` near the largest float); every
+    other function of the kernel cuts and inverts ``x`` by ``|x|``
+    (:func:`_cut`)."""
     mat = _as_matrix(mat)
     u, s, vh = _lapack_svd(mat)
     rank = int(np.count_nonzero(_kept(s, mat.shape, 1.0)))
@@ -131,18 +143,15 @@ def pinv_matrix(mat) -> np.ndarray:
 
 def _pinv_stack(stack: np.ndarray, tol: float = 1.0, stage: str | None = None) -> np.ndarray:
     """:func:`pinv_matrix` of a finite matrix, or of each finite matrix of a
-    stack from one LAPACK call, with no check of the entries; an overflowed
-    SVD names ``stage`` when given (:func:`_lapack_svd`).  A stack of 1 x 1
-    matrices makes no LAPACK call: each gets ``1 / x`` where the rule keeps
-    ``|x|``, else 0 (:func:`_pinv_1x1`).
+    stack from one LAPACK call, with no check of the entries: the ``p`` of
+    :func:`_cut`, whose overflowed SVD names ``stage`` when given.  A stack
+    of 1 x 1 matrices makes no LAPACK call: each gets ``1 / x`` where the
+    rule keeps ``|x|``, else 0.
 
-    Every pseudoinverse of the kernel is cut and assembled here, so a slice
-    of a stack gets the bits it gets alone: LAPACK factors each slice as it
-    would alone, and the cut and the assembly act on each slice alike."""
-    if stack.shape[-2:] == (1, 1):
-        return _pinv_1x1(stack, tol, stage=stage)[0]
-    u, s, vh = _lapack_svd(stack, stage)
-    return _inverted(u, np.where(_kept(s, stack.shape[-2:], tol), s, np.inf), vh)
+    A slice of a stack gets the bits it gets alone: LAPACK factors each
+    slice as it would alone, and the cut and the assembly act on each slice
+    alike."""
+    return _cut(stack, tol, stage=stage)[0]
 
 
 def inv_matrix(mat) -> np.ndarray:
@@ -162,23 +171,19 @@ def _inverse(
     shape: PairedShape | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`inv_matrix` of a finite square matrix, with no check of the
-    entries, and the matrix's singular values, largest first.  ``scale``, at
-    least ``sigma_max``, replaces it in the rank rule: for a matrix summed from
-    terms of that size, whose rounding it has to stand above.  A 1 x 1 matrix
-    makes no LAPACK call: its inverse is ``1 / x`` (:func:`_pinv_1x1`).
+    entries, and the matrix's singular values, largest first: the ``p`` and
+    ``s`` of :func:`_cut`.  ``scale``, at least ``sigma_max``, replaces it in
+    the rank rule: for a matrix summed from terms of that size, whose
+    rounding it has to stand above.  A 1 x 1 matrix makes no LAPACK call:
+    its inverse is ``1 / x``.
 
     Every inverse of the package is taken here, so this owns the verdict that
-    an operand is singular: when the rule drops the rank, it raises the
+    an operand is singular: when the cut drops the rank, it raises the
     caller's ``error`` as "<subject> is singular: numerical rank r of n",
     or "<subject> of shape <shape> is singular: ..." when ``shape`` is
     given, with that ``rank`` and, as ``sigma_min``, the smallest singular
     value the rule keeps (0.0 at rank 0)."""
-    scalar = mat.shape == (1, 1)
-    if scalar:
-        inv, s, kept = _pinv_1x1(mat, scale=scale)
-    else:
-        u, s, vh = _lapack_svd(mat)
-        kept = _kept(s, mat.shape, 1.0, scale)
+    inv, s, kept = _cut(mat, scale=scale)
     rank = int(np.count_nonzero(kept))
     if rank < len(s):
         if shape is not None:
@@ -188,9 +193,10 @@ def _inverse(
             rank=rank,
             sigma_min=float(s[rank - 1]) if rank else 0.0,
         )
-    return (inv if scalar else _inverted(u, s, vh)), s
+    return inv, s
 
 
 def numerical_rank(mat) -> int:
-    """Number of singular values above the truncation threshold."""
-    return svd(mat).rank
+    """Number of singular values above the truncation threshold: those
+    :func:`_cut` keeps."""
+    return int(np.count_nonzero(_cut(_as_matrix(mat))[2]))

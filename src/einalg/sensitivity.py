@@ -164,7 +164,7 @@ def measure_error(
     perturbation that actually happened.  The split stays matrices and
     only the norms it kept are read, so on the identity path the one tensor
     built is ``a^+``.  Raises :class:`~einalg.errors.NumericalError` if
-    ``x``, the update or ``y`` overflows.
+    ``x``, the update, ``y`` or ``eps_d`` overflows.
     """
     _conform("measure_error", "the shape of delta_d", delta_d.shape, d.shape)
     _conform("measure_error", "the row modes of d", d.row_dims, a.row_dims)
@@ -189,7 +189,7 @@ def measure_error(
     norm_d = fro_norm(d)
     norms = split.norms
     eps_a = max(norms["x1"], norms["x2"], norms["e1"], norms["e2"]) / norm_a
-    eps_d = fro_norm(delta_d) / norm_d if norm_d > 0 else 0.0
+    eps_d = _finite("measure_error", "eps_d = |delta_d| / |d|", fro_norm(delta_d) / norm_d)
     return BoundReport(
         norm_a=norm_a,
         norm_a_pinv=fro_norm(a_pinv),

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from einalg import (
@@ -111,6 +111,9 @@ def near_rank_cut(draw):
 class TestRankRule:
     @settings(max_examples=200, deadline=None)
     @given(near_rank_cut())
+    # regression: LAPACK's SVD gives sigma_max = nan for this finite x, where
+    # inverse gives 1 / x, and the four predicates raised NumericalError
+    @example(EinsteinTensor(PairedShape((1,), (1,)), [[1.8941775056029057e300 + 1.7976931348623157e308j]]))
     def test_predicates_share_the_inverse_rule(self, t):
         try:
             inverse(t)

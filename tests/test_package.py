@@ -225,6 +225,83 @@ def unrelated(mat, k):
     assert sorted(_shape_raisers(ast.parse(source))) == ["__post_init__", "inv_matrix"]
 
 
+#: The library's modules, parsed, by name
+_LIBRARY = {path.stem: ast.parse(path.read_text()) for path in sorted(Path(einalg.__file__).parent.glob("*.py"))}
+
+
+def _dotted(expr):
+    """``"np.linalg.svd"`` for the expression ``np.linalg.svd``, or ``None``
+    for anything but a chain of names and attributes."""
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        head = _dotted(expr.value)
+        return head and f"{head}.{expr.attr}"
+    return None
+
+
+def _callers(name, node, where=None):
+    """The owner of each call in ``node`` of a function whose dotted name
+    ends in ``name``: the enclosing function, or the module-level name the
+    call's value is assigned to."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _callers(name, child, child.name)
+            continue
+        owner = where
+        if where is None and isinstance(child, ast.Assign):
+            owner = getattr(child.targets[0], "id", None)
+        if isinstance(child, ast.Call) and f".{_dotted(child.func)}".endswith(f".{name}"):
+            yield owner
+        yield from _callers(name, child, owner)
+
+
+@pytest.mark.parametrize("name, owners", [
+    # the kernel's one LAPACK call, read by svd and by the one rank decision
+    ("linalg.svd", [("matkernel", "_lapack_svd")]),
+    ("_lapack_svd", [("matkernel", "_cut"), ("matkernel", "svd")]),
+    # one warning guard for the library, and the kernel's one for its step
+    ("errstate", [("matkernel", "_cut"), ("tensor", "_quiet_overflow")]),
+])
+def test_kernel_rule_has_one_owner(name, owners):
+    # every pseudoinverse, inverse and rank count of the package reads
+    # matkernel._cut, so no second path can cut or assemble on its own
+    found = [(stem, where) for stem, tree in _LIBRARY.items() for where in _callers(name, tree)]
+    assert sorted(found) == owners
+
+
+def _private_definitions(tree):
+    """The private functions, classes and methods, and the private
+    module-level constants, that ``tree`` defines."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (sub.name for sub in node.body if isinstance(sub, ast.FunctionDef))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (name.id for name in ast.walk(target) if isinstance(name, ast.Name))
+
+
+def test_no_dead_private_helper():
+    # a private name the library itself never reads, by name or attribute,
+    # is left over from a simplification; a docstring naming it is no reader
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in _LIBRARY.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) or isinstance(node, ast.Attribute)
+    }
+    private = [
+        (stem, name)
+        for stem, tree in _LIBRARY.items()
+        for name in _private_definitions(tree)
+        if name.startswith("_") and not name.startswith("__")
+    ]
+    assert private
+    assert [(stem, name) for stem, name in private if name not in read] == []
+
+
 def _tensor(rows, cols, entries):
     return einalg.EinsteinTensor((rows, cols), entries)
 
@@ -339,6 +416,14 @@ OVERFLOWS = {
             _rank_one((0.0, 1.0), 1.0, (0.0, 1.0)), _column(1e9, 0.0),
         ),
         "measure_error overflowed: the measured error |y - x| / |x| is inf",
+    ),
+    # x = a^+ d = 1e-310 e1 and y - x = a^+ delta_d = 0, but |delta_d| / |d|
+    # is 1e320
+    "measure_error-eps_d": (
+        lambda: einalg.measure_error(
+            _D, _column(1e-310, 0.0), _rank_one((0.0, 0.0), 1.0, (0.0, 0.0)), _column(0.0, 1e10)
+        ),
+        "measure_error overflowed: eps_d = |delta_d| / |d| is inf",
     ),
     "sweep-alpha-a": (_swept(1e308), "sweep overflowed: alpha |a| at alpha = 1e+308 is inf"),
     "sweep-a-pinv": (_swept(1e-310), "sweep overflowed: |a^+| / alpha at alpha = 1e-310 is inf"),
