@@ -100,7 +100,7 @@ def pinv(a: EinsteinTensor, tol: float = 1.0) -> EinsteinTensor:
     ``nan`` or ``inf`` would cut every singular value, and a negative one
     would act as 0."""
     tol = _nonnegative("tol", tol)
-    return _returned("pinv", a.shape.transposed, matkernel._pinv_stack(a.matrix, tol=tol))
+    return _returned("pinv", a.shape.transposed, matkernel._cut(a.matrix, tol)[0])
 
 
 @_quiet_overflow

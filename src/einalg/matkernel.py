@@ -4,14 +4,16 @@ The decomposition is LAPACK's SVD as bundled with numpy, truncated at the
 standard numerical-rank threshold ``sigma_max * max(m, n) * 2**-52``; only
 :func:`einalg.inverses.pinv` scales it, by its ``tol``.
 One private step, :func:`_cut`, makes the rank decision and assembles the
-pseudoinverse ``(v / s) @ u^H`` without floating-point warnings; the
-pseudoinverse, the inverse and its singular verdict, and every rank count
-(:func:`numerical_rank` and the predicates of :mod:`einalg.inverses`) read
-it.  A 1 x 1 matrix ``x``, or a stack of them, makes no LAPACK call there:
-its one singular value is ``|x|``, cut by the same rule, and its inverse is
-``1 / x`` (the rank-one case of the update identities, Sherman and Morrison
-1950).  Only :func:`svd`, which returns LAPACK's factors, takes a 1 x 1
-matrix to LAPACK.
+pseudoinverse ``(v / s) @ u^H`` without floating-point warnings, of one
+matrix or of each matrix of a stack; every pseudoinverse
+(:func:`pinv_matrix`, :func:`einalg.inverses.pinv` and the split's K x K
+stack in :mod:`einalg.woodbury`), the inverse and its singular verdict, and
+every rank count (:func:`numerical_rank` and the predicates of
+:mod:`einalg.inverses`) read it.  A 1 x 1 matrix ``x``, or a stack of them,
+makes no LAPACK call there: its one singular value is ``|x|``, cut by the
+same rule, and its inverse is ``1 / x`` (the rank-one case of the update
+identities, Sherman and Morrison 1950).  Only :func:`svd`, which returns
+LAPACK's factors, takes a 1 x 1 matrix to LAPACK.
 The entries of every input must be finite, the rule of every tensor
 (:func:`einalg.tensor._finite_norm`): a non-finite one is a
 :class:`~einalg.errors.DomainError`.  A largest singular value beyond the
@@ -97,7 +99,10 @@ def _cut(
     ``s`` holds the singular values, largest first, under
     :func:`_lapack_svd`'s overflow rule, which names ``stage`` when given;
     ``kept`` is the rank rule's verdict on them (:func:`_kept`, at ``tol``
-    and ``scale``), and ``p`` the pseudoinverse that keeps just those.
+    and ``scale``), and ``p`` the pseudoinverse that keeps just those.  A
+    stack is factored in one LAPACK call, and each slice gets the bits it
+    gets alone: LAPACK factors each slice as it would alone, and the cut and
+    the assembly act on each slice alike.
 
     A 1 x 1 matrix ``x`` makes no LAPACK call: ``s = |x|``, and ``p`` is
     ``1 / x`` where it is kept, else 0, by
@@ -135,23 +140,11 @@ def svd(mat) -> Svd:
 
 
 def pinv_matrix(mat) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via the truncated SVD."""
-    result = _pinv_stack(_as_matrix(mat))
+    """Moore-Penrose pseudoinverse via the truncated SVD: the ``p`` of
+    :func:`_cut`, checked finite."""
+    result = _cut(_as_matrix(mat))[0]
     _finite_norm(result, stage="pinv_matrix")
     return result
-
-
-def _pinv_stack(stack: np.ndarray, tol: float = 1.0, stage: str | None = None) -> np.ndarray:
-    """:func:`pinv_matrix` of a finite matrix, or of each finite matrix of a
-    stack from one LAPACK call, with no check of the entries: the ``p`` of
-    :func:`_cut`, whose overflowed SVD names ``stage`` when given.  A stack
-    of 1 x 1 matrices makes no LAPACK call: each gets ``1 / x`` where the
-    rule keeps ``|x|``, else 0.
-
-    A slice of a stack gets the bits it gets alone: LAPACK factors each
-    slice as it would alone, and the cut and the assembly act on each slice
-    alike."""
-    return _cut(stack, tol, stage=stage)[0]
 
 
 def inv_matrix(mat) -> np.ndarray:

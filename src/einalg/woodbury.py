@@ -14,10 +14,10 @@ Two identities are implemented for a base tensor perturbed by a correction
   forms ``e_i = y_i * (y_i^H * y_i)^+``, checks six applicability conditions,
   and then assembles the updated pseudoinverse from those parts.
 
-At K = 1, the Sherman-Morrison case, every K x K factor is a scalar: the six
-conditions are scalar statements on two inner products and the split's kept
-norms, and the capacitance is one inner product, so neither forms an N-sized
-product.
+At K = 1, the Sherman-Morrison case, the six conditions are scalar
+statements on two inner products and the split's kept norms, with no N-sized
+product; the capacitance step forms the same K x K products at every K, and
+inverts a 1 x 1 ``C`` as ``1 / C``, with no LAPACK call.
 
 :func:`update_pinv` takes the first when the split leaves no null-space part
 and the second otherwise, and falls back to a direct pseudoinverse when the
@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import ShapeError, SingularCapacitanceError
 from .inverses import pinv
-from .matkernel import _inverse, _pinv_stack, _rank_floor
+from .matkernel import _cut, _inverse, _rank_floor
 from .shapes import PairedShape, _as_int, _conform
 from .tensor import (
     EinsteinTensor,
@@ -295,27 +295,17 @@ def _capacitance(
     that a ``C`` in which the two terms cancel to rounding is singular;
     ``residual`` is that rule's floor over ``C``'s smallest singular value,
     about ``K 2**-52 cond(C)`` when nothing cancels, and the rule drops the
-    rank when it reaches 1.  At K = 1 (a 1 x 1 ``b``) ``v a^+ u`` is one
-    inner product and ``r`` is ``v a^+`` times a scalar; ``C`` has the bits
-    of the K x K products, and ``r`` agrees with them to rounding.  Raises
+    rank when it reaches 1.  The products are the same at every K; at K = 1
+    the kernel inverts ``C`` as ``1 / C``, with no LAPACK call.  Raises
     :class:`~einalg.errors.SingularCapacitanceError` if the rule drops the
     rank, and :class:`~einalg.errors.NumericalError` naming ``stage`` if ``C``
     or ``r`` overflows."""
-    scalar = len(b) == 1
-    if scalar:
-        # K = 1: v a^+ u is one inner product, and C and C^-1 b are scalars
-        # taken with CPython's complex product, which gives matmul's bits
-        cap = np.array([[complex(b[0, 0]) * complex(np.dot(v_ap[0], u[:, 0]))]])
-    else:
-        cap = np.matmul(b, np.matmul(v_ap, u))
+    cap = np.matmul(b, np.matmul(v_ap, u))
     # a finite norm means finite entries, to which adding I cannot overflow
     scale = math.sqrt(len(b)) + _finite(stage, "the capacitance tensor's norm", _frobenius(cap))
     cap += np.eye(len(b))
     cap_inv, sigma = _inverse(cap, scale, SingularCapacitanceError, "capacitance tensor")
-    if scalar:
-        right = v_ap * -(complex(cap_inv[0, 0]) * complex(b[0, 0]))
-    else:
-        right = np.matmul(-np.matmul(cap_inv, b), v_ap)
+    right = np.matmul(-np.matmul(cap_inv, b), v_ap)
     _finite(stage, "the capacitance factor", right)
     return right, float(_rank_floor(scale, cap.shape, 1.0) / sigma[-1])
 
@@ -417,7 +407,7 @@ def _decompose(
     ``a^+`` plus one correction built from them and K-sized pieces.  The
     matrix ``b^+`` is taken in one LAPACK call on a (3, K, K) stack with the
     two Gram pseudoinverses.  At K = 1 that stack makes no LAPACK call
-    (:func:`~einalg.matkernel._pinv_stack`), and its two Grams are the
+    (:func:`~einalg.matkernel._cut`), and its two Grams are the
     squared norms ``|y_i|^2`` the split kept, with no product formed; they
     are checked finite as the products would be.  ``floor`` is the split's
     floor relative to ``|u|`` and ``|v^H|`` (:func:`decompose_update`); it
@@ -452,7 +442,7 @@ def _decompose(
         _finite("decompose_update", "the Gram tensor y1^H y1", stack[0])
         _finite("decompose_update", "the Gram tensor y2^H y2", stack[1])
         stack[2] = b  # a tensor's entries, finite
-        gram1_pinv, gram2_pinv, b_pinv = _pinv_stack(stack, stage="decompose_update")
+        gram1_pinv, gram2_pinv, b_pinv = _cut(stack, stage="decompose_update")[0]
         e1, e2 = np.matmul(y1, gram1_pinv), np.matmul(y2, gram2_pinv)
     # y2 needs no check: it is zero, or its Gram, whose diagonal holds its
     # squared column norms, is finite; each other part gets the check that
@@ -510,7 +500,7 @@ def _residuals(
     are the references the residuals need.
 
     At K = 1 (a 1 x 1 ``b``, the shape test of
-    :func:`~einalg.matkernel._pinv_stack`) no N-sized product is formed and
+    :func:`~einalg.matkernel._cut`) no N-sized product is formed and
     ``e1h`` is not read: each deviation is one part times a scalar, whose
     Frobenius norm is the part's kept norm times the scalar's modulus
     (:func:`_scalar_residuals`)."""
@@ -661,23 +651,22 @@ def update_pinv(
     returned; otherwise the corrected tensor is pseudo-inverted directly, so a
     valid pseudoinverse comes back either way (``path`` of the result says
     which ran).  A split with a null-space part checks the six conditions,
-    and the identity result is :func:`smw_pinv`'s assembly with the split's
-    ``a^+ u`` and ``v a^+`` standing in for ``a^+ x1`` and ``x2^H a^+``.
-    ``b^+`` is taken in the split's LAPACK call (none at K = 1, where it is
-    ``1 / b``) and kept as a matrix, and the conditions skip the shape
-    checks of :func:`check_conditions`: the split was built here, to the
-    update's shapes.  A split with none (every invertible base, and ``u``
-    and ``v^H`` inside the column spaces) runs no condition but takes the
+    which at K = 1 form no N-sized product (two inner products and the
+    split's kept norms, :func:`check_conditions`), and the identity result
+    is :func:`smw_pinv`'s assembly with the split's ``a^+ u`` and ``v a^+``
+    standing in for ``a^+ x1`` and ``x2^H a^+``.  ``b^+`` is taken in the
+    split's LAPACK call (none at K = 1, where it is ``1 / b``) and kept as
+    a matrix, and the conditions skip the shape checks of
+    :func:`check_conditions`: the split was built here, to the update's
+    shapes.  A split with none (every invertible base, and ``u`` and
+    ``v^H`` inside the column spaces) runs no condition but takes the
     capacitance step that :func:`smw_invertible` takes on ``a^-1``:
     ``s^+ = a^+ - (a^+ u) C^-1 b (v a^+)``, ``C = I + b (v a^+ u)``, whose
-    inverse at K = 1 is ``1 / C``, with no LAPACK call.  At K = 1 neither
-    the six conditions nor ``C`` and its factor form an N-sized product:
-    the conditions take two inner products and the split's kept norms, and
-    ``C`` one inner product (:func:`check_conditions`).  Its report is the
-    one residual ``C``
-    (:class:`ConditionReport`), which also holds the split's floor relative
-    to ``|u|`` (:func:`decompose_update`): on an ill-conditioned base, or
-    one with a kept singular value at the cutoff, the formula cancels against ``a^+``'s largest entries, and the update
+    inverse at K = 1 is ``1 / C``, with no LAPACK call.  Its report is the
+    one residual ``C`` (:class:`ConditionReport`), which also holds the
+    split's floor relative to ``|u|`` (:func:`decompose_update`): on an
+    ill-conditioned base, or one with a kept singular value at the cutoff,
+    the formula cancels against ``a^+``'s largest entries, and the update
     falls back.  An identity-path or capacitance call costs O(N^2 K) and
     builds one tensor, ``s^+``, around the array just computed; a fallback
     builds two, the corrected tensor and its pseudoinverse.  The six split

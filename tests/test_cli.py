@@ -618,6 +618,19 @@ class TestSmwCommand:
         assert code == 2
         assert "hermitian mode needs a Hermitian base tensor and u == v^H" in capsys.readouterr().err
 
+    def test_hermitian_mode_deviation_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
+        # regression: u - v^H was built as a tensor, whose add refused the
+        # overflow, so an input that only fails the precondition exited 3
+        save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.eye(2)))
+        save_tensor(tmp_path / "u.json", EinsteinTensor(((2,), (1,)), [[1e308], [0.0]]))
+        save_tensor(tmp_path / "b.json", EinsteinTensor(((1,), (1,)), [[1.0]]))
+        save_tensor(tmp_path / "v.json", EinsteinTensor(((1,), (2,)), [[-1e308, 0.0]]))
+        out = tmp_path / "out.json"
+        code = run("smw", *(tmp_path / f"{name}.json" for name in "aubv"), "--mode", "hermitian", "-o", out)
+        assert code == 2
+        assert "hermitian mode needs a Hermitian base tensor and u == v^H" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json", "b.json", "u.json", "v.json"]
+
     @staticmethod
     def hermitian_files(tmp_path, rng):
         """Hermitian rank-3 base and ``u = v^H`` in its null space, saved as

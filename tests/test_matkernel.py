@@ -21,7 +21,7 @@ from einalg import (
     pinv_matrix,
     svd,
 )
-from einalg.matkernel import _lapack_svd, _pinv_stack
+from einalg.matkernel import _cut, _lapack_svd
 from einalg.tensor import _returned
 
 from conftest import rand_matrix
@@ -162,13 +162,13 @@ class TestPinvStack:
             gram.conj().T @ gram,
         ]
         stack = np.stack(slices).astype(np.complex128)
-        got = _pinv_stack(stack)
+        got = _cut(stack)[0]
         assert len(got) == len(slices)
         for mat, p in zip(slices, got):
             assert np.array_equal(p, pinv_matrix(mat))
         # a scaled cut is set through pinv
         shape = PairedShape((k,), (k,))
-        got = _pinv_stack(stack, tol=1e6)
+        got = _cut(stack, tol=1e6)[0]
         assert len(got) == len(slices)
         for mat, p in zip(slices, got):
             assert np.array_equal(p, pinv(fold(mat, shape), tol=1e6).matrix)
@@ -188,7 +188,7 @@ class TestOverflow:
             inv_matrix(np.array([[1e-310, 0.0], [0.0, 1e-310]]))
 
     def test_stack_of_subnormal_is_not_finite(self):
-        got = _pinv_stack(np.array([[[5e-324 + 0j]], [[2.0]]]))
+        got = _cut(np.array([[[5e-324 + 0j]], [[2.0]]]))[0]
         assert not np.isfinite(got[0]).any()
         assert got[1] == 0.5
 
@@ -202,7 +202,7 @@ class TestOverflow:
 
     def test_stack_with_sigma_max_beyond_float_range(self):
         with pytest.raises(NumericalError, match="^SVD of a 2 x 2 matrix overflowed"):
-            _pinv_stack(np.stack([np.eye(2), np.full((2, 2), 1e308)]).astype(np.complex128))
+            _cut(np.stack([np.eye(2), np.full((2, 2), 1e308)]).astype(np.complex128))[0]
 
 
 #: Complex numbers whose parts span the float range, 0 and subnormals included
@@ -256,12 +256,12 @@ class TestOneByOne:
     @given(st.lists(_COMPLEX, min_size=1, max_size=6), st.sampled_from([1.0, 1e6, 2.0**60]))
     def test_stack_slice_gets_its_bits_alone(self, xs, tol):
         stack = np.array(xs, dtype=np.complex128).reshape(-1, 1, 1)
-        alone = [_outcome(lambda: _pinv_stack(mat, tol))[0] for mat in stack]
+        alone = [_outcome(lambda: _cut(mat, tol)[0])[0] for mat in stack]
         if any(p is None for p in alone):
             with pytest.raises(NumericalError):
-                _pinv_stack(stack, tol)
+                _cut(stack, tol)[0]
             return
-        got = _pinv_stack(stack, tol)
+        got = _cut(stack, tol)[0]
         assert got.shape == stack.shape
         for p, q in zip(got, alone):
             assert np.array_equal(p, q, equal_nan=True)
@@ -269,8 +269,8 @@ class TestOneByOne:
     def test_cut_by_tol(self):
         # |x| * 2**-52 * tol at or above |x| cuts it, as for any matrix
         stack = np.array([[[3.0 + 4.0j]], [[0.0]]])
-        assert np.array_equal(_pinv_stack(stack, tol=2.0**52), np.zeros((2, 1, 1)))
-        assert _pinv_stack(stack, tol=2.0**52 - 1)[0, 0, 0] == pytest.approx(0.12 - 0.16j, rel=1e-15)
+        assert np.array_equal(_cut(stack, tol=2.0**52)[0], np.zeros((2, 1, 1)))
+        assert _cut(stack, tol=2.0**52 - 1)[0][0, 0, 0] == pytest.approx(0.12 - 0.16j, rel=1e-15)
 
     def test_zero_has_rank_0(self):
         zero = EinsteinTensor(_SCALAR, [[0.0]])
@@ -293,12 +293,12 @@ class TestOneByOne:
     def test_stack_overflow_names_the_stage(self):
         stack = np.array([[[1.0]], [[1.5e308 - 1.5e308j]]])
         with pytest.raises(NumericalError, match=r"^decompose_update overflowed: sigma_max is not finite$"):
-            _pinv_stack(stack, stage="decompose_update")
+            _cut(stack, stage="decompose_update")[0]
 
     def test_result_near_the_largest_float(self):
         # |x| is finite, but numpy's own complex division gives 1 / x = 0
         # here: its denominator, about |x|^2 / 1e308, overflows
-        got = _pinv_stack(np.array([[[1e308 + 1e308j]]]))[0, 0, 0]
+        got = _cut(np.array([[[1e308 + 1e308j]]]))[0][0, 0, 0]
         assert np.isclose(got, 5e-309 - 5e-309j, rtol=1e-14, atol=0.0)
         # LAPACK's own SVD of this x gives sigma_max = nan, though |x| is the
         # largest float, so the LAPACK route refused it

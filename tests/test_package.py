@@ -302,6 +302,63 @@ def test_no_dead_private_helper():
     assert [(stem, name) for stem, name in private if name not in read] == []
 
 
+def _parameters(func):
+    """The names of every parameter of a function or lambda node."""
+    args = func.args
+    extra = (arg for arg in (args.vararg, args.kwarg) if arg is not None)
+    return [arg.arg for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, *extra)]
+
+
+def _passes_on(func):
+    """Whether ``func`` is undecorated and its body, past its docstring,
+    only returns a call, indexed or not, whose arguments are exactly
+    ``func``'s parameters.  A decorator (``functools.cache`` on a
+    constant's builder) makes the function more than its call."""
+    body = func.body[ast.get_docstring(func) is not None:]
+    if func.decorator_list or len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value.value if isinstance(body[0].value, ast.Subscript) else body[0].value
+    if not isinstance(call, ast.Call):
+        return False
+    args = [arg.value if isinstance(arg, ast.Starred) else arg for arg in call.args]
+    args += [keyword.value for keyword in call.keywords]
+    names = sorted(arg.id for arg in args if isinstance(arg, ast.Name))
+    return len(names) == len(args) and names == sorted(_parameters(func))
+
+
+def test_no_pass_through_helper():
+    # a private function that only hands its own parameters on to one call
+    # is a second name for that call, and its callers can make the call
+    assert _passes_on(ast.parse(
+        'def _p(stack, tol=1.0, stage=None):\n    """doc"""\n    return _cut(stack, tol, stage=stage)[0]'
+    ).body[0])
+    found = [
+        (stem, node.name)
+        for stem, tree in _LIBRARY.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and _passes_on(node)
+    ]
+    assert found == []
+
+
+def test_no_ignored_parameter():
+    # a parameter that a function, method or lambda of the library never
+    # reads is one the code ignores; a nested function reading it counts
+    found = [
+        (stem, getattr(node, "name", "<lambda>"), name)
+        for stem, tree in _LIBRARY.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for name in set(_parameters(node)) - {
+            child.id
+            for part in (node.body if isinstance(node.body, list) else [node.body])
+            for child in ast.walk(part)
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load)
+        }
+    ]
+    assert found == []
+
+
 def _tensor(rows, cols, entries):
     return einalg.EinsteinTensor((rows, cols), entries)
 

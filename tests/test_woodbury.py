@@ -793,13 +793,14 @@ class TestIdentityPathCost:
             smw_invertible(a_inv, upd)
             assert shapes == k_square(size, size)
 
-    def test_k1_conditions_and_capacitance_form_no_product(self, rng, monkeypatch):
+    def test_k1_conditions_form_no_product_and_capacitance_is_k_sized(self, rng, monkeypatch):
         # at K = 1 the six conditions are scalar statements on two inner
-        # products and the split's kept norms, and C is one inner product:
-        # neither makes a matmul call, so update_pinv's products are the four
-        # projections, the two scaled parts e_i, the two of the factors and
-        # a^+ + l r on the identity path, and the projections and a^+ + l r
-        # on the capacitance path
+        # products and the split's kept norms and make no matmul call, so
+        # update_pinv's products are the four projections, the two scaled
+        # parts e_i, the two of the factors and a^+ + l r on the identity
+        # path; the capacitance step makes the K x K products of every K,
+        # each K-sized on at least two sides, so the capacitance path's only
+        # N x N products are the projections and a^+ + l r
         n, dims = 64, (4, 4, 4)
         a = low_rank_tensor(rng, dims, dims, n - 3)
         a_pinv = pinv(a)
@@ -830,10 +831,14 @@ class TestIdentityPathCost:
         _, _, v_ap, _, _ = woodbury._decompose("update_pinv", a, a_pinv, upd)
         sizes, _ = record_work(monkeypatch)
         woodbury._capacitance("update_pinv", v_ap, upd.u.matrix, upd.b.matrix)
+        capacitance = sizes[:]
         result = update_pinv(a, a_pinv, upd)
         monkeypatch.undo()
         assert result.path == "capacitance"
-        assert sizes == [col, row, col, row, (1, n, 1, n)]
+        # v a^+ u, b (v a^+ u), C^-1 b and (C^-1 b)(v a^+)
+        assert capacitance == [(1, 1, n, 1), (1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, n)]
+        assert all(sorted(size[1:]).count(1) >= 2 for size in capacitance)
+        assert sizes == [*capacitance, col, row, col, row, *capacitance, (1, n, 1, n)]
 
     def test_result_is_not_copied(self, rng):
         # the N x N result is the one array the call allocates at that size:
