@@ -47,7 +47,7 @@ from .errors import (
     ShapeError,
 )
 from .inverses import PENROSE_TOL, inverse, pinv, verify_penrose
-from .tensor import _adjoint, _quiet_overflow, _relative, fro_norm, is_hermitian
+from .tensor import _adjoint_deviation, is_hermitian
 from .woodbury import LowRankUpdate
 
 EXIT_OK = 0
@@ -112,7 +112,6 @@ def cmd_pinv(args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
-@_quiet_overflow
 def cmd_smw(args) -> int:
     report_path = args.report or (args.output + ".report.json")
     _distinct_outputs(
@@ -124,11 +123,13 @@ def cmd_smw(args) -> int:
     v = _load(args.v)
     upd = LowRankUpdate(u=u, b=b, v=v, order=len(u.col_dims))
     if args.mode == "hermitian":
-        # compared as matrices under the overflow guard: a deviation that
-        # overflows is inf and fails the check, as a large one does
-        u_vs_vh = _relative(u.matrix - _adjoint(v.matrix), fro_norm(u))
-        if not (is_hermitian(a, tol=args.tol) and u_vs_vh <= args.tol):
-            raise ShapeError("hermitian mode needs a Hermitian base tensor and u == v^H")
+        # u and v^H share a shape once the correction conforms to a square
+        # base; a deviation beyond the float range is inf and fails the check
+        upd._conform("update_pinv", a.shape)
+        if not (is_hermitian(a, tol=args.tol) and _adjoint_deviation(u, v) <= args.tol):
+            raise ShapeError(
+                "hermitian mode needs a Hermitian base tensor and u == v^H"
+            )
     # an invertible base's pseudoinverse is its inverse, bit for bit, and
     # inverse raises on a singular base; the base's a^+ is not bound here, so
     # it is not held through save_tensor

@@ -407,7 +407,6 @@ def _returned(
     return tensor
 
 
-@_quiet_overflow
 def is_hermitian(a: EinsteinTensor, tol: float = 1e-10) -> bool:
     """Whether ``a`` equals its Hermitian transpose up to ``tol`` (relative).
 
@@ -415,7 +414,15 @@ def is_hermitian(a: EinsteinTensor, tol: float = 1e-10) -> bool:
     >= 0."""
     tol = _nonnegative("tol", tol)
     _conform("is_hermitian", "the column modes", a.col_dims, a.row_dims)
-    return _relative(a.matrix - _adjoint(a.matrix), fro_norm(a)) <= tol
+    return _adjoint_deviation(a, a) <= tol
+
+
+@_quiet_overflow
+def _adjoint_deviation(a: EinsteinTensor, b: EinsteinTensor) -> float:
+    """:func:`_relative` deviation of ``a`` from ``b^H``, whose shape the
+    caller has checked is ``a``'s, taken on the matrices with no tensor
+    built: a difference beyond the float range is ``inf``, not an error."""
+    return _relative(a.matrix - _adjoint(b.matrix), fro_norm(a))
 
 
 def unfold(a: EinsteinTensor) -> np.ndarray:

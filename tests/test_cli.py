@@ -631,6 +631,22 @@ class TestSmwCommand:
         assert "hermitian mode needs a Hermitian base tensor and u == v^H" in capsys.readouterr().err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json", "b.json", "u.json", "v.json"]
 
+    @pytest.mark.parametrize("v_cols", [3, 1])
+    def test_hermitian_mode_refuses_u_and_v_adjoint_of_other_shapes(self, tmp_path, capsys, v_cols):
+        # regression: u - v^H was compared as matrices before any shape
+        # check, so v on (1,)|(3,) raised numpy's broadcast ValueError (a
+        # traceback) and v on (1,)|(1,) was broadcast against u
+        save_tensor(tmp_path / "a.json", EinsteinTensor(((2,), (2,)), np.eye(2)))
+        save_tensor(tmp_path / "u.json", EinsteinTensor(((2,), (1,)), [[1.0], [1.0]]))
+        save_tensor(tmp_path / "b.json", EinsteinTensor(((1,), (1,)), [[1.0]]))
+        save_tensor(tmp_path / "v.json", EinsteinTensor(((1,), (v_cols,)), np.ones((1, v_cols))))
+        out = tmp_path / "out.json"
+        code = run("smw", *(tmp_path / f"{name}.json" for name in "aubv"), "--mode", "hermitian", "-o", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"update_pinv: the shape of u b v must be (2 | 2), got (2 | {v_cols})" in err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a.json", "b.json", "u.json", "v.json"]
+
     @staticmethod
     def hermitian_files(tmp_path, rng):
         """Hermitian rank-3 base and ``u = v^H`` in its null space, saved as
