@@ -151,18 +151,16 @@ def cmd_smw(args) -> int:
         os.remove(args.output)  # both files or neither
         raise
     with fh:
-        json.dump(
+        fh.write(json.dumps(
             {
                 "residuals": {k: _json_residual(residuals[k]) for k in sorted(residuals)},
                 "applicable": applicable,
                 "path": path,
                 "tol": report.tol,
             },
-            fh,
             indent=2,
             allow_nan=False,
-        )
-        fh.write("\n")
+        ) + "\n")
     return EXIT_OK if applicable else EXIT_CONDITIONS_FAILED
 
 

@@ -4,8 +4,9 @@ The decomposition is LAPACK's SVD as bundled with numpy, truncated at the
 standard numerical-rank threshold ``sigma_max * max(m, n) * 2**-52``; only
 :func:`einalg.inverses.pinv` scales it, by its ``tol``.
 One private step, :func:`_cut`, makes the rank decision and assembles the
-pseudoinverse ``(v / s) @ u^H`` without floating-point warnings, of one
-matrix or of each matrix of a stack; every pseudoinverse
+pseudoinverse ``(v / s) @ u^H``, of one matrix or of each matrix of a
+stack, with no floating-point warning: it runs under the package's one
+guard, :data:`einalg.tensor._quiet_overflow`.  Every pseudoinverse
 (:func:`pinv_matrix`, :func:`einalg.inverses.pinv` and the split's K x K
 stack in :mod:`einalg.woodbury`), the inverse and its singular verdict, and
 every rank count (:func:`numerical_rank` and the predicates of
@@ -30,7 +31,7 @@ import numpy as np
 
 from .errors import NumericalError, ShapeError, SingularError, SingularMatrixError
 from .shapes import PairedShape, _conform
-from .tensor import _entries, _finite, _finite_norm, _reciprocal
+from .tensor import _entries, _finite, _finite_norm, _quiet_overflow, _reciprocal
 
 __all__ = ["Svd", "svd", "pinv_matrix", "inv_matrix", "numerical_rank"]
 
@@ -91,6 +92,7 @@ def _kept(s: np.ndarray, shape: tuple[int, ...], tol: float, scale: float | None
     return s > _rank_floor(s[..., :1] if scale is None else scale, shape, tol)
 
 
+@_quiet_overflow
 def _cut(
     stack: np.ndarray, tol: float = 1.0, scale: float | None = None, stage: str | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,18 +113,18 @@ def _cut(
     ``(v / s) @ u^H`` with ``s = inf`` where a value is cut, which makes its
     column an exact zero; LAPACK's ``u`` and ``vh`` are overwritten, so the
     only new array is ``p``.  An overflow, in the floor or in ``p``, leaves
-    a non-finite value, not a warning: every step runs under one guard."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if stack.shape[-2:] == (1, 1):
-            s = np.abs(stack[..., 0])
-            _finite(stage or "SVD of a 1 x 1 matrix", "sigma_max", s)
-            kept = _kept(s, (1, 1), tol, scale)
-            return _reciprocal(stack, s[..., None], kept[..., None]), s, kept
-        u, s, vh = _lapack_svd(stack, stage)
-        kept = _kept(s, stack.shape[-2:], tol, scale)
-        np.conj(vh, out=vh)
-        vh /= np.where(kept, s, np.inf)[..., None]
-        return vh.swapaxes(-1, -2) @ np.conj(u, out=u).swapaxes(-1, -2), s, kept
+    a non-finite value, not a warning: every step runs under one guard,
+    :data:`~einalg.tensor._quiet_overflow`."""
+    if stack.shape[-2:] == (1, 1):
+        s = np.abs(stack[..., 0])
+        _finite(stage or "SVD of a 1 x 1 matrix", "sigma_max", s)
+        kept = _kept(s, (1, 1), tol, scale)
+        return _reciprocal(stack, s[..., None], kept[..., None]), s, kept
+    u, s, vh = _lapack_svd(stack, stage)
+    kept = _kept(s, stack.shape[-2:], tol, scale)
+    np.conj(vh, out=vh)
+    vh /= np.where(kept, s, np.inf)[..., None]
+    return vh.swapaxes(-1, -2) @ np.conj(u, out=u).swapaxes(-1, -2), s, kept
 
 
 def svd(mat) -> Svd:

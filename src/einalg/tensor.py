@@ -50,9 +50,12 @@ __all__ = [
 ]
 
 
-#: Decorator for the entry points whose products of finite operands may
-#: overflow: they check their results finite and raise, so numpy's
-#: floating-point warning would only come first.
+#: The package's one floating-point guard, for the functions whose products
+#: of finite operands may overflow: they check their results finite and
+#: raise, so numpy's floating-point warning would only come first.  It is a
+#: decorator only.  From numpy 2.0 the decorator keeps a token per call, so
+#: guarded calls nest and run in threads; a ``with`` on this one shared
+#: instance is neither re-entrant nor thread-safe.
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 

@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import inspect
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -260,14 +261,57 @@ def _callers(name, node, where=None):
     # the kernel's one LAPACK call, read by svd and by the one rank decision
     ("linalg.svd", [("matkernel", "_lapack_svd")]),
     ("_lapack_svd", [("matkernel", "_cut"), ("matkernel", "svd")]),
-    # one warning guard for the library, and the kernel's one for its step
-    ("errstate", [("matkernel", "_cut"), ("tensor", "_quiet_overflow")]),
+    # one warning guard for the library
+    ("errstate", [("tensor", "_quiet_overflow")]),
 ])
 def test_kernel_rule_has_one_owner(name, owners):
     # every pseudoinverse, inverse and rank count of the package reads
     # matkernel._cut, so no second path can cut or assemble on its own
     found = [(stem, where) for stem, tree in _LIBRARY.items() for where in _callers(name, tree)]
     assert sorted(found) == owners
+
+
+def _guard_entries(node, where=None):
+    """The enclosing function of each ``with`` in ``node`` that enters
+    ``_quiet_overflow``, by name or attribute."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _guard_entries(child, child.name)
+            continue
+        if isinstance(child, (ast.With, ast.AsyncWith)) and any(
+            f".{_dotted(item.context_expr)}".endswith("._quiet_overflow") for item in child.items
+        ):
+            yield where
+        yield from _guard_entries(child, where)
+
+
+def test_guard_is_only_a_decorator():
+    # _quiet_overflow is one shared np.errstate: only its decorator form
+    # keeps a token per call, and a with on it fails when nested or threaded
+    found = [(stem, where) for stem, tree in _LIBRARY.items() for where in _guard_entries(tree)]
+    assert found == []
+
+
+def test_guard_scan_sees_every_with():
+    source = """
+def pinv(a):
+    with _quiet_overflow:
+        pass
+
+class Tensor:
+    def add(self, b):
+        with open(b) as fh, tensor._quiet_overflow:
+            pass
+
+with _quiet_overflow:
+    pass
+
+@_quiet_overflow
+def guarded(a):
+    with np.errstate(over="ignore"):
+        pass
+"""
+    assert list(_guard_entries(ast.parse(source))) == ["pinv", "add", None]
 
 
 def _private_definitions(tree):
@@ -498,6 +542,69 @@ def test_overflow_names_its_stage(call, message):
     with pytest.raises(einalg.NumericalError) as exc:
         call()
     assert str(exc.value).startswith(message)
+
+
+#: One call per kind of guarded work that returns.  A fallback update runs
+#: the guarded apply_update inside update_pinv's guard, and inside
+#: measure_error's too
+GUARDED = {
+    "update_pinv-fallback": lambda: einalg.update_pinv(_D, _D, _rank_one((1.0, 0.0), 1.0, (0.0, 1.0))),
+    "measure_error-fallback": lambda: einalg.measure_error(
+        _D, _column(1.0, 0.0), _rank_one((1.0, 0.0), 1.0, (0.0, 1.0)), _column(0.1, 0.0)
+    ),
+    "update_pinv-identity": lambda: einalg.update_pinv(_D, _D, _rank_one((0.0, 1.0), 1.0, (0.0, 1.0))),
+    "update_pinv-capacitance": lambda: einalg.update_pinv(_I2, _I2, _rank_one((1.0, 0.0), 1.0, (1.0, 0.0))),
+    "pinv": lambda: einalg.pinv(_D),
+    "inverse": lambda: einalg.inverse(_I2),
+    "numerical_rank": lambda: einalg.numerical_rank(_D.matrix),
+    "is_invertible": lambda: einalg.is_invertible(_D),
+    "pinv_matrix": lambda: einalg.pinv_matrix(_D.matrix),
+    "inv_matrix": lambda: einalg.inv_matrix(_I2.matrix),
+}
+
+#: A numpy error state unlike both the default and the guard's own; underflow
+#: stays ignored, as by default, since the guard leaves it alone
+_STATE = {"divide": "raise", "over": "raise", "under": "ignore", "invalid": "raise"}
+
+
+def test_guarded_updates_take_their_path():
+    for path in ("fallback", "identity", "capacitance"):
+        assert GUARDED[f"update_pinv-{path}"]().path == path
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        *((call, None) for call in GUARDED.values()),
+        *((call, einalg.NumericalError) for call, _ in OVERFLOWS.values()),
+    ],
+    ids=[*GUARDED, *(f"{name}-raises" for name in OVERFLOWS)],
+)
+def test_guard_restores_the_callers_error_state(call, error):
+    # every guarded call, nested ones included, hands numpy's error state
+    # back as it found it and lets no warning out; before numpy 2.0, a
+    # guarded call nested in another left overflow and invalid ignored
+    with np.errstate(**_STATE), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error):
+                call()
+        assert np.geterr() == _STATE
+
+
+def test_numpy_floor_has_one_value():
+    # the package needs numpy 2.0, from which its guard nests, and CI
+    # installs that floor, so the declared floor is the tested one
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    assert [dep for dep in project["dependencies"] if dep.startswith("numpy")] == ["numpy>=2.0"]
+    assert [dep for extra in project["optional-dependencies"].values() for dep in extra if "numpy" in dep] == []
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text().splitlines()
+    installs = [line for line in workflow if "pip install" in line]
+    assert len(installs) == 1 and re.findall(r'numpy[^"\s]*', installs[0]) == ["numpy>=2.0"]
 
 
 def _mismatches():
