@@ -36,7 +36,12 @@ tensor-file reader rejects it as an entry.  The file reader keeps
 ``ValueError`` for a malformed file, which :class:`ShapeError` and
 :class:`DomainError` also are.
 
-A value computed from finite operands that comes out not finite is an
+Nor is a floating-point event of the arithmetic ever numpy's error or
+warning: every public function gives the same result, or the same error,
+whatever numpy's error state (``np.seterr``, ``np.errstate``), because the
+steps whose arithmetic can overflow or underflow run under the package's
+one guard, :data:`einalg.tensor._quiet_overflow`, which ignores every
+event.  A value computed from finite operands that comes out not finite is an
 overflow, never bad input: a :class:`NumericalError` whose message starts
 ``"<stage> overflowed: "``, ``<stage>`` naming the function it occurred in.
 One rule decides it and writes the rest: :func:`einalg.tensor._finite_norm`

@@ -5,8 +5,11 @@ standard numerical-rank threshold ``sigma_max * max(m, n) * 2**-52``; only
 :func:`einalg.inverses.pinv` scales it, by its ``tol``.
 One private step, :func:`_cut`, makes the rank decision and assembles the
 pseudoinverse ``(v / s) @ u^H``, of one matrix or of each matrix of a
-stack, with no floating-point warning: it runs under the package's one
-guard, :data:`einalg.tensor._quiet_overflow`.  Every pseudoinverse
+stack.  It and :func:`svd` run under the package's one guard,
+:data:`einalg.tensor._quiet_overflow`, so no floating-point event of the
+rank floor or the assembly reaches the caller, whatever numpy's error
+state: an overflow is left to the finite checks, and an underflow is
+gradual.  Every pseudoinverse
 (:func:`pinv_matrix`, :func:`einalg.inverses.pinv` and the split's K x K
 stack in :mod:`einalg.woodbury`), the inverse and its singular verdict, and
 every rank count (:func:`numerical_rank` and the predicates of
@@ -113,8 +116,9 @@ def _cut(
     ``(v / s) @ u^H`` with ``s = inf`` where a value is cut, which makes its
     column an exact zero; LAPACK's ``u`` and ``vh`` are overwritten, so the
     only new array is ``p``.  An overflow, in the floor or in ``p``, leaves
-    a non-finite value, not a warning: every step runs under one guard,
-    :data:`~einalg.tensor._quiet_overflow`."""
+    a non-finite value, and an underflow a subnormal or zero, never a
+    warning or numpy's ``FloatingPointError``: every step runs under one
+    guard, :data:`~einalg.tensor._quiet_overflow`."""
     if stack.shape[-2:] == (1, 1):
         s = np.abs(stack[..., 0])
         _finite(stage or "SVD of a 1 x 1 matrix", "sigma_max", s)
@@ -127,8 +131,10 @@ def _cut(
     return vh.swapaxes(-1, -2) @ np.conj(u, out=u).swapaxes(-1, -2), s, kept
 
 
+@_quiet_overflow
 def svd(mat) -> Svd:
-    """Thin SVD truncated at ``sigma_max * max(m, n) * 2**-52``.
+    """Thin SVD truncated at ``sigma_max * max(m, n) * 2**-52``, under the
+    guard, as :func:`_cut` is: the floor of a tiny ``sigma_max`` underflows.
 
     The factors are LAPACK's, of a 1 x 1 matrix too, so this alone keeps
     LAPACK's refusal of a 1 x 1 ``x`` whose ``sigma_max`` it returns as

@@ -164,7 +164,9 @@ def measure_error(
     perturbation that actually happened.  The split stays matrices and
     only the norms it kept are read, so on the identity path the one tensor
     built is ``a^+``.  Raises :class:`~einalg.errors.NumericalError` if
-    ``x``, the update, ``y`` or ``eps_d`` overflows.
+    ``x``, the update, ``y``, ``|a|``, ``|a^+|``, ``eps_a`` or ``eps_d``
+    overflows, and no numpy floating-point error, whatever numpy's error
+    state: the whole call runs under the package's one guard.
     """
     _conform("measure_error", "the shape of delta_d", delta_d.shape, d.shape)
     _conform("measure_error", "the row modes of d", d.row_dims, a.row_dims)
@@ -185,14 +187,15 @@ def measure_error(
     measured_error = _frobenius(y_minus_x) / norm_x
     _finite("measure_error", "the measured error |y - x| / |x|", measured_error)
 
-    norm_a = fro_norm(a)
-    norm_d = fro_norm(d)
+    norm_a = _finite("measure_error", "the norm |a|", fro_norm(a))
+    norm_a_pinv = _finite("measure_error", "the norm |a^+|", fro_norm(a_pinv))
     norms = split.norms
     eps_a = max(norms["x1"], norms["x2"], norms["e1"], norms["e2"]) / norm_a
-    eps_d = _finite("measure_error", "eps_d = |delta_d| / |d|", fro_norm(delta_d) / norm_d)
+    eps_a = _finite("measure_error", "eps_a = max(|x1|, |x2|, |e1|, |e2|) / |a|", eps_a)
+    eps_d = _finite("measure_error", "eps_d = |delta_d| / |d|", fro_norm(delta_d) / fro_norm(d))
     return BoundReport(
         norm_a=norm_a,
-        norm_a_pinv=fro_norm(a_pinv),
+        norm_a_pinv=norm_a_pinv,
         eps_a=eps_a,
         eps_d=eps_d,
         measured_error=measured_error,

@@ -50,13 +50,17 @@ __all__ = [
 ]
 
 
-#: The package's one floating-point guard, for the functions whose products
-#: of finite operands may overflow: they check their results finite and
-#: raise, so numpy's floating-point warning would only come first.  It is a
+#: The package's one floating-point guard, for the functions whose
+#: arithmetic on finite operands may overflow or underflow: it ignores every
+#: numpy floating-point event, so the caller's ``np.seterr`` or
+#: ``np.errstate`` is no hidden input.  An overflow is still caught, by the
+#: result's finite check (:func:`_finite`, :func:`_finite_norm`), and an
+#: underflow is gradual, as IEEE arithmetic gives it; the error state only
+#: decides what numpy reports, so no result bit depends on it.  It is a
 #: decorator only.  From numpy 2.0 the decorator keeps a token per call, so
 #: guarded calls nest and run in threads; a ``with`` on this one shared
 #: instance is neither re-entrant nor thread-safe.
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+_quiet_overflow = np.errstate(all="ignore")
 
 
 class EinsteinTensor:
@@ -257,13 +261,24 @@ def _frobenius(mat: np.ndarray) -> float:
     the norm of the scaled parts (``m`` itself when it is inf or nan; when
     it is zero, as for a matrix with no entries, the sum of squares, which
     keeps a nan that ``max`` dropped).
-    Neither step rounds or overflows, also for a subnormal ``m``.
-    ``np.vdot`` is a BLAS call, not a ufunc, so its overflow to ``inf`` raises
-    no floating-point warning.
+    The scaling neither rounds nor overflows ``m``, also a subnormal one; a
+    part more than the float range below ``m`` underflows, which moves the
+    norm by far less than its rounding.
+    ``np.vdot`` is a BLAS call, not a ufunc, so its overflow to ``inf`` or
+    underflow raises no floating-point warning: this fast branch, which every
+    tensor built and every residual takes, needs no guard.  The rescale's
+    ufuncs do, so it is :func:`_rescaled`, under the guard.
     """
     norm = math.sqrt(np.vdot(mat, mat).real)
     if math.isfinite(norm) and norm >= _SQRT_TINY:
         return norm
+    return _rescaled(mat, norm)
+
+
+@_quiet_overflow
+def _rescaled(mat: np.ndarray, norm: float) -> float:
+    """:func:`_frobenius` of ``mat`` whose sum of squares, with square root
+    ``norm``, left the squared range, by the exact power-of-two rescale."""
     m = float(max(np.abs(mat.real).max(initial=0.0), np.abs(mat.imag).max(initial=0.0)))
     if not 0.0 < m < math.inf:
         return m or norm

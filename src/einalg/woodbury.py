@@ -34,8 +34,10 @@ capacitance | fallback path is one private step on matrices, shared by
 :func:`~einalg.sensitivity.measure_error`.
 Because the inputs are finite tensors, a non-finite intermediate is an
 overflow and raises :class:`~einalg.errors.NumericalError` naming the
-function it occurred in; the public functions run with numpy's overflow
-warnings off, so none comes first.
+function it occurred in; the public functions run under the package's one
+guard, :data:`~einalg.tensor._quiet_overflow`, which ignores every numpy
+floating-point event, so no warning comes first, and numpy's error state
+changes no result.
 """
 
 from __future__ import annotations

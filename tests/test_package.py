@@ -3,13 +3,16 @@
 import ast
 import importlib.util
 import inspect
+import json
+import pickle
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import einalg
@@ -261,14 +264,29 @@ def _callers(name, node, where=None):
     # the kernel's one LAPACK call, read by svd and by the one rank decision
     ("linalg.svd", [("matkernel", "_lapack_svd")]),
     ("_lapack_svd", [("matkernel", "_cut"), ("matkernel", "svd")]),
-    # one warning guard for the library
+    # one warning guard for the library, and no module sets numpy's global
+    # error state in its place
     ("errstate", [("tensor", "_quiet_overflow")]),
+    ("seterr", []),
+    ("seterrcall", []),
 ])
 def test_kernel_rule_has_one_owner(name, owners):
     # every pseudoinverse, inverse and rank count of the package reads
     # matkernel._cut, so no second path can cut or assemble on its own
     found = [(stem, where) for stem, tree in _LIBRARY.items() for where in _callers(name, tree)]
     assert sorted(found) == owners
+
+
+def test_guard_ignores_every_event():
+    # the one np.errstate call is the guard's, and it leaves no category of
+    # floating-point event to the caller's error state
+    (guard,) = [
+        node.value
+        for node in _LIBRARY["tensor"].body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_quiet_overflow"
+    ]
+    assert _dotted(guard.func) == "np.errstate" and not guard.args
+    assert [(keyword.arg, ast.literal_eval(keyword.value)) for keyword in guard.keywords] == [("all", "ignore")]
 
 
 def _guard_entries(node, where=None):
@@ -526,6 +544,29 @@ OVERFLOWS = {
         ),
         "measure_error overflowed: eps_d = |delta_d| / |d| is inf",
     ),
+    # y1 = u = 1e-150 e2, so |e1| = 1e150, over |a| = 1e-160
+    "measure_error-eps_a": (
+        lambda: einalg.measure_error(
+            _tensor((2,), (2,), np.diag([1e-160, 0.0])), _column(1e-160, 0.0),
+            _rank_one((0.0, 1e-150), 1.0, (0.0, 1.0)), _column(0.0, 0.0),
+        ),
+        "measure_error overflowed: eps_a = max(|x1|, |x2|, |e1|, |e2|) / |a| is inf",
+    ),
+    # finite entries whose norms pass the float range: |a^+| = 2e308, |a| = 2e308
+    "measure_error-norm_a_pinv": (
+        lambda: einalg.measure_error(
+            1e-308 * einalg.identity((4,)), _column(1e-308, 0.0, 0.0, 0.0),
+            _rank_one((1e-160, 0.0, 0.0, 0.0), 1.0, (1e-160, 0.0, 0.0, 0.0)), _column(0.0, 0.0, 0.0, 0.0),
+        ),
+        "measure_error overflowed: the norm |a^+| is inf",
+    ),
+    "measure_error-norm_a": (
+        lambda: einalg.measure_error(
+            1e308 * einalg.identity((4,)), _column(1e308, 0.0, 0.0, 0.0),
+            _rank_one((1e-160, 0.0, 0.0, 0.0), 1.0, (1e-160, 0.0, 0.0, 0.0)), _column(0.0, 0.0, 0.0, 0.0),
+        ),
+        "measure_error overflowed: the norm |a| is inf",
+    ),
     "sweep-alpha-a": (_swept(1e308), "sweep overflowed: alpha |a| at alpha = 1e+308 is inf"),
     "sweep-a-pinv": (_swept(1e-310), "sweep overflowed: |a^+| / alpha at alpha = 1e-310 is inf"),
     # each check runs once, at the alpha where its value is largest: here
@@ -544,27 +585,111 @@ def test_overflow_names_its_stage(call, message):
     assert str(exc.value).startswith(message)
 
 
-#: One call per kind of guarded work that returns.  A fallback update runs
-#: the guarded apply_update inside update_pinv's guard, and inside
-#: measure_error's too
+def _through_file(write, read):
+    """``read(path)`` after ``write(path)``, ``path`` a file in a new
+    temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.json"
+        write(path)
+        return read(path)
+
+
+#: The scale of the contract's operands, and tensors at it: entries 1e600
+#: apart, whose norm's rescale underflows, and bases whose rank floor does
+_S = 1e-300
+_WIDE = _column(_S, 1e300)
+_TINY = _tensor((2,), (2,), np.diag([_S, 0.1 * _S]))
+_TINY_PINV = einalg.pinv(_TINY)
+_SD = _S * _D
+_SD_PINV = einalg.pinv(_SD)
+_SI = _S * _I2
+#: s diag(1, 0) + e2 s e2^H: b = s on a null-space part, taking the identity
+_NULL = _rank_one((0.0, 1.0), _S, (0.0, 1.0))
+_NULL_PARTS = einalg.decompose_update(_SD, _SD_PINV, _NULL)
+#: a unit-scale update whose correction, 1e-310 e1 e1^H, is subnormal
+_SUBNORMAL = _rank_one((_S, 0.0), 1.0, (1e-10, 0.0))
+
+#: The floating-point contract: one call per public callable but the error
+#: classes, at a scale where its arithmetic underflows (the integer and
+#: record ones have no float arithmetic, but a row all the same), that
+#: returns.  A fallback update runs the guarded apply_update inside
+#: update_pinv's guard, and inside measure_error's too, and "-fallback",
+#: "-identity" and "-capacitance" name the path an update takes
 GUARDED = {
-    "update_pinv-fallback": lambda: einalg.update_pinv(_D, _D, _rank_one((1.0, 0.0), 1.0, (0.0, 1.0))),
-    "measure_error-fallback": lambda: einalg.measure_error(
-        _D, _column(1.0, 0.0), _rank_one((1.0, 0.0), 1.0, (0.0, 1.0)), _column(0.1, 0.0)
+    "PairedShape": lambda: einalg.PairedShape((2,), (2,)),
+    "phi_index": lambda: einalg.phi_index((2, 3), (2, 3)),
+    "phi_inverse": lambda: einalg.phi_inverse(6, (2, 3)),
+    "EinsteinTensor": lambda: _column(_S, 1e300),
+    "EinsteinTensor.H": lambda: _WIDE.H,
+    "EinsteinTensor-divide": lambda: _column(1e-10, 1.0) / 1e300,
+    "zeros": lambda: einalg.zeros(((2,), (2,))),
+    "identity": lambda: einalg.identity((2,)),
+    "add": lambda: einalg.add(_WIDE, _WIDE),
+    "scale": lambda: einalg.scale(_column(1e-10, 1.0), _S),
+    "einstein_product": lambda: einalg.einstein_product(_column(1e-200, 1.0), _column(1e-200, 1.0).H),
+    "conj_transpose": lambda: einalg.conj_transpose(_WIDE),
+    "kronecker": lambda: einalg.kronecker(_column(1e-200, 1.0), _column(1e-200, 1.0)),
+    "trace": lambda: einalg.trace(_TINY),
+    "inner": lambda: einalg.inner(_column(1e-200, 1.0), _column(1e-200, 1.0)),
+    "fro_norm": lambda: einalg.fro_norm(_WIDE),
+    "is_hermitian": lambda: einalg.is_hermitian(_tensor((2,), (2,), [[0.0, _S], [0.0, 1e300]])),
+    "unfold": lambda: einalg.unfold(_WIDE),
+    "fold": lambda: einalg.fold(_WIDE.matrix, ((2,), (1,))),
+    "unfold_rank": lambda: einalg.unfold_rank(_TINY),
+    "full_row_rank": lambda: einalg.full_row_rank(_TINY),
+    "full_column_rank": lambda: einalg.full_column_rank(_TINY),
+    "is_invertible": lambda: einalg.is_invertible(_TINY),
+    "Svd": lambda: einalg.Svd(np.eye(2), np.diag(_TINY.matrix).real, np.eye(2)).rank,
+    "svd": lambda: einalg.svd(_TINY.matrix),
+    "pinv_matrix": lambda: einalg.pinv_matrix(_TINY.matrix),
+    "inv_matrix": lambda: einalg.inv_matrix(_TINY.matrix),
+    "numerical_rank": lambda: einalg.numerical_rank(_TINY.matrix),
+    "PenroseReport": lambda: einalg.PenroseReport((1e-320,) * 4, 1e-10).passed,
+    "inverse": lambda: einalg.inverse(_TINY),
+    "pinv": lambda: einalg.pinv(_TINY),
+    "verify_penrose": lambda: einalg.verify_penrose(_TINY, _TINY_PINV),
+    "LowRankUpdate": lambda: _rank_one((_S, 0.0), _S, (_S, 0.0)),
+    "SplitParts": lambda: einalg.SplitParts(*[_WIDE] * 6),
+    "ConditionReport": lambda: einalg.ConditionReport({"C": 1e-320}, 1e-8).applicable,
+    "UpdatedPinv.parts": lambda: einalg.update_pinv(_SD, _SD_PINV, _NULL).parts,
+    "apply_update": lambda: einalg.apply_update(_I2, _SUBNORMAL),
+    "smw_invertible": lambda: einalg.smw_invertible(_I2, _SUBNORMAL),
+    "decompose_update": lambda: einalg.decompose_update(_SD, _SD_PINV, _NULL),
+    "check_conditions": lambda: einalg.check_conditions(_NULL_PARTS, _NULL.b),
+    "smw_pinv": lambda: einalg.smw_pinv(_SD_PINV, _NULL_PARTS, einalg.pinv(_NULL.b)),
+    "smw_pinv_orthogonal": lambda: einalg.smw_pinv_orthogonal(
+        _SD_PINV, _NULL_PARTS.e1, _NULL_PARTS.e2, einalg.pinv(_NULL.b)
     ),
-    "update_pinv-identity": lambda: einalg.update_pinv(_D, _D, _rank_one((0.0, 1.0), 1.0, (0.0, 1.0))),
-    "update_pinv-capacitance": lambda: einalg.update_pinv(_I2, _I2, _rank_one((1.0, 0.0), 1.0, (1.0, 0.0))),
-    "pinv": lambda: einalg.pinv(_D),
-    "inverse": lambda: einalg.inverse(_I2),
-    "numerical_rank": lambda: einalg.numerical_rank(_D.matrix),
-    "is_invertible": lambda: einalg.is_invertible(_D),
-    "pinv_matrix": lambda: einalg.pinv_matrix(_D.matrix),
-    "inv_matrix": lambda: einalg.inv_matrix(_I2.matrix),
+    "smw_pinv_hermitian": lambda: einalg.smw_pinv_hermitian(
+        _SD_PINV, _NULL_PARTS.x1, _NULL_PARTS.e1, einalg.pinv(_NULL.b)
+    ),
+    "update_pinv-fallback": lambda: einalg.update_pinv(_SD, _SD_PINV, _rank_one((_S, 0.0), 1.0, (0.0, 1.0))),
+    "update_pinv-identity": lambda: einalg.update_pinv(_SD, _SD_PINV, _NULL),
+    "update_pinv-capacitance": lambda: einalg.update_pinv(_I2, _I2, _SUBNORMAL),
+    "SolveResult": lambda: einalg.SolveResult(_WIDE, True, 1e-320),
+    "PerturbationSpec": lambda: einalg.PerturbationSpec(_S, _S),
+    "BoundReport": lambda: einalg.BoundReport(_S, 1e300, _S, _S),
+    "solve": lambda: einalg.solve(_TINY, _column(_S, _S)),
+    "norm_bound": lambda: einalg.norm_bound(_S, 1e300, einalg.PerturbationSpec(_S, _S)),
+    # C = 1 - (1 / s) s e1^H (s I)^+ s e1 is singular, so the update falls back
+    "measure_error-fallback": lambda: einalg.measure_error(
+        _SI, _column(_S, _S), _rank_one((_S, 0.0), -1 / _S, (_S, 0.0)), _column(0.1 * _S, 0.0)
+    ),
+    "sweep": lambda: einalg.sweep(_TINY, _column(_S, _S), [_S], _S, [0.5, 1.0]),
+    "load_tensor": lambda: _through_file(
+        lambda path: path.write_text(json.dumps(einalg.tensor_to_dict(_WIDE))), einalg.load_tensor
+    ),
+    "save_tensor": lambda: _through_file(lambda path: einalg.save_tensor(path, _WIDE), Path.read_text),
+    "tensor_to_dict": lambda: einalg.tensor_to_dict(_WIDE),
+    "tensor_from_dict": lambda: einalg.tensor_from_dict(einalg.tensor_to_dict(_WIDE)),
+    "tensor_from_block_display": lambda: einalg.tensor_from_block_display(
+        [[_S, 1e300], [0.0, 1.0]], (1, 2), (2, 1)
+    ),
 }
 
-#: A numpy error state unlike both the default and the guard's own; underflow
-#: stays ignored, as by default, since the guard leaves it alone
-_STATE = {"divide": "raise", "over": "raise", "under": "ignore", "invalid": "raise"}
+#: A numpy error state unlike both the default and the guard's own: every
+#: event raises
+_STATE = {"divide": "raise", "over": "raise", "under": "raise", "invalid": "raise"}
 
 
 def test_guarded_updates_take_their_path():
@@ -583,7 +708,7 @@ def test_guarded_updates_take_their_path():
 def test_guard_restores_the_callers_error_state(call, error):
     # every guarded call, nested ones included, hands numpy's error state
     # back as it found it and lets no warning out; before numpy 2.0, a
-    # guarded call nested in another left overflow and invalid ignored
+    # guarded call nested in another left every event ignored
     with np.errstate(**_STATE), warnings.catch_warnings():
         warnings.simplefilter("error")
         if error is None:
@@ -592,6 +717,89 @@ def test_guard_restores_the_callers_error_state(call, error):
             with pytest.raises(error):
                 call()
         assert np.geterr() == _STATE
+
+
+#: Every contract row, by id: GUARDED's, which return, and OVERFLOWS', which
+#: raise NumericalError
+_CONTRACT = {**GUARDED, **{f"{name}-raises": call for name, (call, _) in OVERFLOWS.items()}}
+
+#: numpy's default error state
+_DEFAULT = {"divide": "warn", "over": "warn", "under": "ignore", "invalid": "warn"}
+
+
+def _outcome(call, **state):
+    """What ``call()`` gives under numpy's error ``state``, with every warning
+    an error: the pickle of its result, or the type and message of its error."""
+    with np.errstate(**state), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return pickle.dumps(call())
+        except (einalg.EinalgError, ArithmeticError, Warning) as err:
+            return type(err), str(err)
+
+
+@pytest.mark.parametrize("call", _CONTRACT.values(), ids=_CONTRACT)
+def test_error_state_changes_no_outcome(call):
+    # numpy's error state is no input of the library: by default, with every
+    # event raised, and with every event warned, a call gives the same
+    # result bit for bit, or the same einalg error and message
+    outcome = _outcome(call, **_DEFAULT)
+    assert isinstance(outcome, bytes) or issubclass(outcome[0], einalg.EinalgError), outcome
+    assert _outcome(call, all="raise") == outcome
+    assert _outcome(call, all="warn") == outcome
+
+
+def test_every_public_callable_has_a_contract_row():
+    # a new public function or class adds a GUARDED row, keyed by its name
+    # before any "-" or "."; the error classes compute nothing
+    public = {
+        name
+        for name in einalg.__all__
+        if callable(obj := getattr(einalg, name)) and not (isinstance(obj, type) and issubclass(obj, Exception))
+    }
+    assert {re.split(r"[-.]", key)[0] for key in GUARDED} == public
+
+
+def _drawn(seed, n, k, kind, e):
+    """A seeded complex n x n base ``a`` of rank n - 1, ``d``, ``delta_d`` and
+    an update of K = ``k`` columns, ``kind`` ``"generic"``, ``"column"``
+    (``u`` and ``v^H`` in ``a``'s column spaces) or ``"null"`` (orthogonal to
+    them).  Every tensor is scaled by ``2**e`` but ``b``, by ``2**-e``, so
+    the update keeps its size relative to ``a``."""
+    rng = np.random.default_rng(seed)
+
+    def rand(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    a = rand(n, n - 1) @ rand(n - 1, n)
+    u, v = rand(n, k), rand(k, n)
+    if kind == "column":
+        u, v = a @ u, v @ a
+    elif kind == "null":
+        a_pinv = np.linalg.pinv(a)
+        u, v = u - a @ (a_pinv @ u), v - (v @ a_pinv) @ a
+
+    def scaled(mat, f=2.0**e):
+        return _tensor((len(mat),), (len(mat[0]),), f * mat)
+
+    upd = einalg.LowRankUpdate(scaled(u), scaled(rand(k, k), 2.0**-e), scaled(v), 1)
+    return scaled(a), scaled(rand(n, 1)), upd, scaled(0.1 * rand(n, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(1, 2),
+    st.sampled_from(["generic", "column", "null"]), st.integers(-1000, 1000),
+)
+@example(0, 2, 1, "null", -1000)
+def test_no_scale_makes_the_error_state_an_input(seed, n, k, kind, e):
+    a, d, upd, delta_d = _drawn(seed, n, k, kind, e)
+    for call in (
+        lambda: einalg.pinv(a),
+        lambda: einalg.update_pinv(a, einalg.pinv(a), upd),
+        lambda: einalg.measure_error(a, d, upd, delta_d),
+    ):
+        assert _outcome(call, all="raise") == _outcome(call, **_DEFAULT)
 
 
 def test_numpy_floor_has_one_value():
