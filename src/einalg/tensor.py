@@ -259,19 +259,24 @@ def _frobenius(mat: np.ndarray) -> float:
     first scaled by the exact power of two ``2**-e`` that brings their
     largest magnitude ``m`` into [0.5, 1), and the norm is ``2**e`` times
     the norm of the scaled parts (``m`` itself when it is inf or nan; when
-    it is zero, as for a matrix with no entries, the sum of squares, which
-    keeps a nan that ``max`` dropped).
+    it is zero, the sum of squares, which keeps a nan that ``max`` dropped).
     The scaling neither rounds nor overflows ``m``, also a subnormal one; a
     part more than the float range below ``m`` underflows, which moves the
     norm by far less than its rounding.
     ``np.vdot`` is a BLAS call, not a ufunc, so its overflow to ``inf`` or
     underflow raises no floating-point warning: this fast branch, which every
     tensor built and every residual takes, needs no guard.  The rescale's
-    ufuncs do, so it is :func:`_rescaled`, under the guard.
+    ufuncs do, so it is :func:`_rescaled`, under the guard.  A matrix of
+    zeros, or one with no entries, returns an exact 0.0 before the rescale:
+    a zero sum of squares comes only from such a matrix or from entries
+    whose squares underflow, and one scan for a nonzero entry tells them
+    apart.
     """
     norm = math.sqrt(np.vdot(mat, mat).real)
     if math.isfinite(norm) and norm >= _SQRT_TINY:
         return norm
+    if norm == 0.0 and not mat.any():
+        return 0.0
     return _rescaled(mat, norm)
 
 

@@ -203,26 +203,30 @@ class UpdatedPinv:
         return "capacitance" if "C" in self.report.residuals else "identity"
 
 
-#: Widest thin operand that :func:`_mat_cols` and :func:`_rows_mat` take as
-#: that many matrix-vector products rather than one GEMM.  OpenBLAS packs the
-#: whole N x N operand for a complex GEMM however thin the other side is, so
-#: at 2 or 3 columns that costs more than as many ``zgemv`` passes; numpy
-#: already hands one column to ``zgemv``.  Medians in µs, complex128, one
-#: OpenBLAS thread on a 2-core x86-64 host, GEMM -> K matrix-vector products:
+#: Widest thin operand that :func:`_mat_cols` takes as that many
+#: matrix-vector products rather than one GEMM, on either side of an N x N
+#: matrix.  OpenBLAS packs the whole N x N operand for a complex GEMM however
+#: thin the other side is, so at 2 or 3 vectors that costs more than as many
+#: ``zgemv`` passes; numpy already hands one vector to ``zgemv``.  Medians in
+#: µs, complex128, one OpenBLAS thread on a 2-core x86-64 host, GEMM -> K
+#: matrix-vector products:
 #:
-#:   m @ cols     K=2            K=3            K=4
-#:   N = 64       8 -> 6         10 -> 8        5 -> 7
-#:   N = 256      58 -> 38       94 -> 58       49 -> 75
-#:   N = 512      434 -> 377     574 -> 560     378 -> 717
-#:   N = 1024     1732 -> 1510   2308 -> 2166   1721 -> 2930
-#:   rows @ m
-#:   N = 64       8 -> 6         9 -> 8         7 -> 6
-#:   N = 256      74 -> 35       101 -> 55      102 -> 69
-#:   N = 512      394 -> 372     500 -> 551     446 -> 712
-#:   N = 1024     1619 -> 1491   1999 -> 2197   1912 -> 2960
+#:   m @ cols               K=2            K=3            K=4
+#:   N = 64                 7 -> 5         9 -> 7         7 -> 8
+#:   N = 256                64 -> 57       99 -> 63       66 -> 84
+#:   N = 512                375 -> 339     510 -> 504     388 -> 644
+#:   N = 1024               1545 -> 1317   2010 -> 1926   1594 -> 2642
+#:   (m.T @ rows.T).T
+#:   N = 64                 7 -> 5         10 -> 6        7 -> 7
+#:   N = 256                74 -> 40       109 -> 59      75 -> 77
+#:   N = 512                482 -> 329     584 -> 486     486 -> 646
+#:   N = 1024               2017 -> 1347   2631 -> 2068   2162 -> 2874
 #:
-#: The gain is up to 2x at N = 256; from N = 512 the two forms are within 10%
-#: at 2-3 columns, and from 4 columns GEMM is up to 2x faster.
+#: The gain is up to 1.8x at N = 256 and 2-3 vectors, and from 4 vectors GEMM
+#: is up to 1.7x faster, so one cut-off serves both sides.  Rows go through
+#: the transposes because the plain ``rows @ m`` GEMM with 4 rows takes 109,
+#: 491 and 1941 µs at N = 256, 512 and 1024: 1.45x slower than the
+#: transposed one at N = 256, within 1% at 512 and 11% faster at 1024.
 _MATVEC_MAX = 3
 
 
@@ -230,18 +234,12 @@ def _mat_cols(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """``m @ cols`` for a thin ``cols``, as one matrix-vector product per
     column in one batched call when it has 2 to ``_MATVEC_MAX`` columns.  That
     result is the transposed view of the (K, N) column stack, so a second
-    product of its columns reads them without a copy."""
+    product of its columns reads them without a copy.  Thin rows times
+    ``m`` are ``_mat_cols(m.T, rows.T).T``, on views, so this one rule
+    decides both sides."""
     if not 1 < cols.shape[1] <= _MATVEC_MAX:
         return np.matmul(m, cols)
     return np.matmul(m, cols.T[:, :, None])[:, :, 0].T
-
-
-def _rows_mat(rows: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``rows @ m`` for a thin ``rows``, as one vector-matrix product per row
-    in one batched call when it has 2 to ``_MATVEC_MAX`` rows."""
-    if not 1 < rows.shape[0] <= _MATVEC_MAX:
-        return np.matmul(rows, m)
-    return np.matmul(rows[:, None, :], m)[:, 0, :]
 
 
 @_quiet_overflow
@@ -276,7 +274,7 @@ def smw_invertible(a_inv: EinsteinTensor, upd: LowRankUpdate) -> EinsteinTensor:
     upd._conform("smw_invertible", a_inv.shape)
     a_inv_mat, u = a_inv.matrix, upd.u.matrix
     right = _capacitance(
-        "smw_invertible", _rows_mat(upd.v.matrix, a_inv_mat), u, upd.b.matrix
+        "smw_invertible", _mat_cols(a_inv_mat.T, upd.v.matrix.T).T, u, upd.b.matrix
     )[0]
     return _corrected("smw_invertible", a_inv, _mat_cols(a_inv_mat, u), right)
 
@@ -408,12 +406,11 @@ def _decompose(
     ``x2^H a^+``, as ``a^+ a a^+ = a^+``), so the updated pseudoinverse is
     ``a^+`` plus one correction built from them and K-sized pieces.  The
     matrix ``b^+`` is taken in one LAPACK call on a (3, K, K) stack with the
-    two Gram pseudoinverses.  At K = 1 that stack makes no LAPACK call
-    (:func:`~einalg.matkernel._cut`), and its two Grams are the
-    squared norms ``|y_i|^2`` the split kept, with no product formed; they
-    are checked finite as the products would be.  ``floor`` is the split's
-    floor relative to ``|u|`` and ``|v^H|`` (:func:`decompose_update`); it
-    and the zero tests use the norms the tensors kept when they were built.
+    pseudoinverses of the two Grams ``y_i^H y_i``, which are products at
+    every K, checked finite; at K = 1 that stack makes no LAPACK call
+    (:func:`~einalg.matkernel._cut`).  ``floor`` is the split's floor
+    relative to ``|u|`` and ``|v^H|`` (:func:`decompose_update`); it and the
+    zero tests use the norms the tensors kept when they were built.
     A shape that does not conform names ``stage``, the public caller.
 
     When the split leaves both ``y1`` and ``y2`` exact zeros (no null-space
@@ -427,20 +424,16 @@ def _decompose(
     a_mat, ap, u, v, b = a.matrix, a_pinv.matrix, upd.u.matrix, upd.v.matrix, upd.b.matrix
     norm_u, norm_v = fro_norm(upd.u), fro_norm(upd.v)
     floor = _rank_floor(fro_norm(a) * fro_norm(a_pinv), a_mat.shape, 2.0)
-    ap_u, v_ap = _mat_cols(ap, u), _rows_mat(v, ap)
+    ap_u, v_ap = _mat_cols(ap, u), _mat_cols(ap.T, v.T).T
     x1, y1, ap_u, norm_x1, norm_y1 = _split(u, _mat_cols(a_mat, ap_u), ap_u, floor * norm_u, norm_u)
-    x2h, y2h, v_ap, norm_x2h, norm_y2h = _split(v, _rows_mat(v_ap, a_mat), v_ap, floor * norm_v, norm_v)
+    x2h, y2h, v_ap, norm_x2h, norm_y2h = _split(v, _mat_cols(a_mat.T, v_ap.T).T, v_ap, floor * norm_v, norm_v)
     if norm_y1 == norm_y2h == 0.0:
         e1, e2, b_pinv = np.zeros_like(y1), np.zeros(y2h.shape[::-1], y2h.dtype), None
     else:
         y2 = _adjoint(y2h)
         stack = np.empty((3, *b.shape), dtype=np.complex128)
-        if len(b) == 1:
-            # K = 1: each Gram is its part's squared norm, which the split kept
-            stack[0], stack[1] = norm_y1 * norm_y1, norm_y2h * norm_y2h
-        else:
-            np.matmul(_adjoint(y1), y1, out=stack[0])
-            np.matmul(y2h, y2, out=stack[1])
+        np.matmul(_adjoint(y1), y1, out=stack[0])
+        np.matmul(y2h, y2, out=stack[1])
         _finite("decompose_update", "the Gram tensor y1^H y1", stack[0])
         _finite("decompose_update", "the Gram tensor y2^H y2", stack[1])
         stack[2] = b  # a tensor's entries, finite
@@ -455,10 +448,8 @@ def _decompose(
         "y1": _finite_norm(y1, norm_y1, stage),
         "x2": _finite_norm(x2h, norm_x2h, stage),
         "y2": norm_y2h,
-        # e_i is y_i times a finite K x K factor, so a zero y_i gives zeros,
-        # which _frobenius would scan in its underflow branch
-        "e1": _finite_norm(e1, 0.0 if norm_y1 == 0.0 else None, stage),
-        "e2": _finite_norm(e2, 0.0 if norm_y2h == 0.0 else None, stage),
+        "e1": _finite_norm(e1, stage=stage),
+        "e2": _finite_norm(e2, stage=stage),
     }
     return _Split(x1, y1, x2h, y2h, e1, e2, norms, upd.u.shape, upd.v.shape.transposed), ap_u, v_ap, b_pinv, floor
 
@@ -588,7 +579,7 @@ def _assembled(
     _conform(stage, "the shape of a_pinv", (a_pinv.row_dims, a_pinv.col_dims), want)
     ap, x2h = a_pinv.matrix, _adjoint(parts.x2.matrix)
     ap_x1 = _mat_cols(ap, parts.x1.matrix)
-    x2h_ap = _rows_mat(x2h, ap)
+    x2h_ap = _mat_cols(ap.T, x2h.T).T
     factors = _factors(parts.e2.matrix, x2h, _adjoint(parts.e1.matrix), b_pinv.matrix, ap_x1, x2h_ap)
     return _corrected(stage, a_pinv, *factors)
 

@@ -440,9 +440,10 @@ class TestMeasureErrorThroughFactors:
         # each size is (batch, rows, inner, cols)
         assert len(sizes) == 29
         assert not [s for s in sizes if s[1:] in ((n, n, n), (n, 2 * k, n))]
-        # the split's four projections, each K matrix-vector products in one call
-        col, row = (k, n, n, 1), (k, 1, n, n)
-        assert [s for s in sizes if s[0] != 1] == [col, row, col, row]
+        # the split's four projections, each K matrix-vector products in one
+        # call, the rows of v a^+ and (v a^+) a as the columns of their
+        # transposes
+        assert [s for s in sizes if s[0] != 1] == [(k, n, n, 1)] * 4
         assert sizes.count((1, n, n, 1)) == 2
         applied = [s for s in sizes if s[0] == 1 and s[3] == 1 and s != (1, n, n, 1)]
         assert applied == [(1, 2 * k, n, 1), (1, n, 2 * k, 1)]

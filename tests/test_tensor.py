@@ -563,6 +563,23 @@ class TestTraceInnerNorm:
         mat = np.array([[3e-320, 4e-320j], [0.0, -0.0]])
         assert _frobenius(mat) == pytest.approx(5e-320, rel=1e-3, abs=0.0)
 
+    def test_zero_matrix_needs_no_rescale(self, monkeypatch):
+        # a zero sum of squares with no nonzero entry is an exact 0.0 before
+        # the rescale; a nonzero entry whose square underflows still takes it
+        def refused(*args):
+            raise AssertionError("rescaled")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(ea.tensor, "_rescaled", refused)
+            for shape in ((1, 1), (256, 4), (0, 3)):
+                norm = _frobenius(np.zeros(shape, dtype=np.complex128))
+                assert norm == 0.0 and isinstance(norm, float)
+            mat = np.zeros((256, 4), dtype=np.complex128)
+            mat[7, 2] = 1e-200
+            with pytest.raises(AssertionError, match="rescaled"):
+                _frobenius(mat)
+        assert _frobenius(mat) == 1e-200
+
     def test_norm_beyond_float_range_is_inf(self):
         # every entry is finite, the norm itself is not: the tensor is still built
         t = EinsteinTensor(PairedShape((2,), (1,)), [[1.5e308], [1.5e308j]])

@@ -716,9 +716,10 @@ class TestIdentityPathCost:
         assert [s for s in sizes if s[1] == s[3] == n] == [(1, n, 2 * k, n)]
         # the four projections a^+ u, v a^+, a (a^+ u) and (v a^+) a are the
         # only other products with an N x N operand, and with K <= 3 each is
-        # K matrix-vector products in one call
-        col, row = (k, n, n, 1), (k, 1, n, n)
-        assert [s for s in sizes if s[2] == n and n in (s[1], s[3])] == [col, row, col, row]
+        # K matrix-vector products in one call, the rows of v a^+ and
+        # (v a^+) a as the columns of their transposes
+        col = (k, n, n, 1)
+        assert [s for s in sizes if s[2] == n and n in (s[1], s[3])] == [col] * 4
         # only what update_pinv returns, s^+ (b^+ stays a matrix); the six
         # split parts are wrapped on the first read of parts, and only then
         assert built == [a.shape]
@@ -796,15 +797,17 @@ class TestIdentityPathCost:
     def test_k1_conditions_form_no_product_and_capacitance_is_k_sized(self, rng, monkeypatch):
         # at K = 1 the six conditions are scalar statements on two inner
         # products and the split's kept norms and make no matmul call, so
-        # update_pinv's products are the four projections, the two scaled
-        # parts e_i, the two of the factors and a^+ + l r on the identity
-        # path; the capacitance step makes the K x K products of every K,
-        # each K-sized on at least two sides, so the capacitance path's only
-        # N x N products are the projections and a^+ + l r
+        # update_pinv's products are the four projections (the rows of v a^+
+        # and (v a^+) a as the columns of their transposes), the two Grams
+        # y_i^H y_i, the two scaled parts e_i, the two of the factors and
+        # a^+ + l r on the identity path; the capacitance step makes the
+        # K x K products of every K, each K-sized on at least two sides, so
+        # the capacitance path's only N x N products are the projections
+        # and a^+ + l r
         n, dims = 64, (4, 4, 4)
         a = low_rank_tensor(rng, dims, dims, n - 3)
         a_pinv = pinv(a)
-        col, row = (1, n, n, 1), (1, 1, n, n)
+        col = (1, n, n, 1)
         for k in ((1,), (1, 1)):
             upd = LowRankUpdate(
                 u=rand_tensor(rng, dims, k),
@@ -818,8 +821,9 @@ class TestIdentityPathCost:
             result = update_pinv(a, a_pinv, upd)
             monkeypatch.undo()
             assert result.path == "identity"
-            scaled, factors = [(1, n, 1, 1)] * 2, [(1, 1, n, 1), (1, 1, 1, n)]
-            assert sizes == [col, row, col, row, *scaled, *factors, (1, n, 2, n)]
+            grams, scaled = [(1, 1, n, 1)] * 2, [(1, n, 1, 1)] * 2
+            factors = [(1, 1, n, 1), (1, 1, 1, n)]
+            assert sizes == [*[col] * 4, *grams, *scaled, *factors, (1, n, 2, n)]
             want = pinv(apply_update(a, upd))
             assert fro_norm(result.s_pinv - want) <= 1e-8 * fro_norm(want)
         upd = LowRankUpdate(
@@ -838,7 +842,7 @@ class TestIdentityPathCost:
         # v a^+ u, b (v a^+ u), C^-1 b and (C^-1 b)(v a^+)
         assert capacitance == [(1, 1, n, 1), (1, 1, 1, 1), (1, 1, 1, 1), (1, 1, 1, n)]
         assert all(sorted(size[1:]).count(1) >= 2 for size in capacitance)
-        assert sizes == [*capacitance, col, row, col, row, *capacitance, (1, n, 1, n)]
+        assert sizes == [*capacitance, *[col] * 4, *capacitance, (1, n, 1, n)]
 
     def test_result_is_not_copied(self, rng):
         # the N x N result is the one array the call allocates at that size:
@@ -1026,22 +1030,25 @@ class TestRankOneRoute:
 
 class TestThinProducts:
     """Products of an N x N matrix with 2 or 3 vectors run as matrix-vector
-    products; any other width is the plain ``np.matmul``."""
+    products; any other width is the plain ``np.matmul``.  Rows times the
+    matrix go through the same rule on transposed views."""
 
     @settings(max_examples=100, deadline=None)
     @given(thin_product())
     def test_matches_matmul(self, case):
         m, cols, rows = case
-        pairs = [(woodbury._mat_cols(m, cols), m, cols), (woodbury._rows_mat(rows, m), rows, m)]
-        for got, left, right in pairs:
-            want = np.matmul(left, right)
-            if not 1 < cols.shape[1] <= woodbury._MATVEC_MAX:
-                assert np.array_equal(got, want)
-            else:
-                # both sum the same terms, in orders whose rounding differs by
-                # a few ulps of the sum of their magnitudes
-                scale = np.matmul(np.abs(left), np.abs(right))
-                assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * scale)
+        got_cols, want_cols = woodbury._mat_cols(m, cols), np.matmul(m, cols)
+        got_rows, want_rows = woodbury._mat_cols(m.T, rows.T).T, np.matmul(rows, m)
+        if not 1 < cols.shape[1] <= woodbury._MATVEC_MAX:
+            assert np.array_equal(got_cols, want_cols)
+        # both sum the same terms, in orders whose rounding differs by a few
+        # ulps of the sum of their magnitudes; on the row side that holds at
+        # every width, as BLAS may take a transposed GEMM in another order
+        for got, want, scale in (
+            (got_cols, want_cols, np.matmul(np.abs(m), np.abs(cols))),
+            (got_rows, want_rows, np.matmul(np.abs(rows), np.abs(m))),
+        ):
+            assert np.all(np.abs(got - want) <= 8 * np.finfo(float).eps * scale)
 
     @settings(max_examples=40, deadline=None)
     @given(rank_deficient_update())
@@ -1345,6 +1352,21 @@ class TestCapacitancePath:
         result = update_pinv(a, a_pinv, upd)
         assert result.path == "capacitance"
         assert np.array_equal(result.s_pinv.matrix, a_pinv.matrix)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_scaled_parts_are_exact_zeros(self, rng, k):
+        # u and v^H inside a's column spaces: no null-space part, so e1 and e2
+        # are zeros, whose kept norms are an exact 0.0
+        a = conditioned_tensor(rng, (4, 4), 13, 10.0)
+        upd = LowRankUpdate(
+            einstein_product(a, rand_tensor(rng, (4, 4), (k,))),
+            rand_tensor(rng, (k,), (k,)),
+            einstein_product(rand_tensor(rng, (k,), (4, 4)), a),
+            1,
+        )
+        parts = decompose_update(a, pinv(a), upd)
+        assert not (parts.y1.matrix.any() or parts.y2.matrix.any())
+        assert fro_norm(parts.e1) == fro_norm(parts.e2) == 0.0
 
     def test_smw_invertible_shares_the_step(self, rng, monkeypatch):
         # smw_invertible is the same step on a^-1 (see
