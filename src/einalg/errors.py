@@ -29,7 +29,13 @@ each kind of public input has one reader:
   with ``a``'s row modes in ``solve``, ...).  One rule,
   :func:`einalg.shapes._conform`, decides every such verdict, and a
   mismatch is a :class:`ShapeError` ``"<stage>: <what> must be <want>, got
-  <got>"``, ``<stage>`` naming the public function or constructor.
+  <got>"``, ``<stage>`` naming the public function or constructor;
+* an update factor of :class:`~einalg.woodbury.LowRankUpdate` must be an
+  :class:`~einalg.tensor.EinsteinTensor`, and the ``parts`` of
+  :func:`~einalg.woodbury.check_conditions` and
+  :func:`~einalg.woodbury.smw_pinv` a :class:`~einalg.woodbury.SplitParts`,
+  else a :class:`ShapeError`; other operands that are not tensors are not
+  yet checked.
 
 A bool is a number as a scalar or an entry, but not an integer, and the
 tensor-file reader rejects it as an entry.  The file reader keeps

@@ -14,10 +14,12 @@ Two identities are implemented for a base tensor perturbed by a correction
   forms ``e_i = y_i * (y_i^H * y_i)^+``, checks six applicability conditions,
   and then assembles the updated pseudoinverse from those parts.
 
-At K = 1, the Sherman-Morrison case, the six conditions are scalar
-statements on two inner products and the split's kept norms, with no N-sized
-product; the capacitance step forms the same K x K products at every K, and
-inverts a 1 x 1 ``C`` as ``1 / C``, with no LAPACK call.
+The six conditions are one table, each an equality ``Z M1 = Z M2`` of a
+split part ``Z`` under two K x K factors; at K = 1, the Sherman-Morrison
+case, the factors are numbers, so each residual is a part's kept norm times
+a modulus, with no N-sized product.  The capacitance step forms the same
+K x K products at every K, and inverts a 1 x 1 ``C`` as ``1 / C``, with no
+LAPACK call.
 
 :func:`update_pinv` takes the first when the split leaves no null-space part
 and the second otherwise, and falls back to a direct pseudoinverse when the
@@ -43,6 +45,7 @@ changes no result.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -87,6 +90,14 @@ __all__ = [
 CONDITION_TOL = 1e-8
 
 
+def _instance(value, kind: type, what: str) -> None:
+    """Raise :class:`~einalg.errors.ShapeError` ``"<what>, got <type>"``
+    unless ``value`` is a ``kind``: the type rule of an update's factors and
+    of a split's ``parts``."""
+    if not isinstance(value, kind):
+        raise ShapeError(f"{what}, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class LowRankUpdate:
     """Correction ``u * b * v`` contracted over ``order`` shared modes.
@@ -104,9 +115,7 @@ class LowRankUpdate:
 
     def __post_init__(self):
         for name, factor in zip("ubv", (self.u, self.b, self.v)):
-            if not isinstance(factor, EinsteinTensor):
-                kind = type(factor).__name__
-                raise ShapeError(f"update factor {name} must be an EinsteinTensor, got {kind}")
+            _instance(factor, EinsteinTensor, f"update factor {name} must be an EinsteinTensor")
         object.__setattr__(self, "order", _as_int(self.order, "order", ShapeError))
         k = self.u.col_dims
         _conform("LowRankUpdate", "the number of column modes of u", len(k), self.order)
@@ -159,9 +168,10 @@ class ConditionReport:
     the split's floor relative to ``|u|`` (:func:`decompose_update`) and the
     rank floor of the capacitance ``C`` over its smallest singular value
     (about ``K 2**-52 cond(C)``; ``inf`` when the rank rule drops ``C``'s
-    rank).  At K = 1 each condition residual is a part's kept norm times the
-    modulus of a scalar (:func:`check_conditions`), equal to the N x K
-    form's up to rounding.  ``applicable`` is true iff every residual is <=
+    rank).  A condition's residual is ``|Z M1 - Z M2|`` over
+    ``max(1, |Z M2|)`` for a split part ``Z`` and K x K factors
+    (:func:`check_conditions`); at K = 1 it is a part's kept norm times the
+    modulus of a number.  ``applicable`` is true iff every residual is <=
     ``tol``.
     """
 
@@ -462,17 +472,21 @@ def check_conditions(parts: SplitParts, b: EinsteinTensor) -> ConditionReport:
     3.2: x1 e1^H y1 b = x1 b        4.2: b y2^H e2 x2^H = b x2^H
     3.3: y1 e1^H y1 = y1            4.3: e2 y2^H e2 = e2
 
-    ``b+`` is taken from ``b``, which must be K-square
-    (:func:`~einalg.shapes._conform`), and the report applies
-    ``CONDITION_TOL``.  At K = 1 every factor but the parts is a scalar, and
-    each deviation is one part times a scalar: with ``p = e1^H y1``,
-    ``t = y2^H e2`` and ``q = b t``, the residuals are ``|e2| |b+ p b - 1|``,
-    ``|x1| |b| |p - 1|``, ``|y1| |p - 1|``, ``|e1| |q b+ - 1|``,
-    ``|x2| |q - b|`` and ``|e2| |t - 1|``, each over ``max(1, reference)``,
-    from the parts' kept norms and no N x K product.  Raises
-    :class:`~einalg.errors.NumericalError` if ``b+`` or a residual is not
-    finite, which from finite parts means an overflow.
+    Each is one part ``Z`` against itself times a K x K factor, with
+    ``p = e1^H y1``, ``t = y2^H e2`` and ``q = b t``: ``e2 (b+ p b) = e2``,
+    ``x1 (p b) = x1 b``, ``y1 p = y1``, ``(q b+) e1^H = e1^H``,
+    ``q x2^H = b x2^H`` and ``e2 t = e2``, and each residual is
+    ``|Z M1 - Z M2|`` over ``max(1, |Z M2|)``.  ``b+`` is taken from ``b``,
+    which must be K-square (:func:`~einalg.shapes._conform`), and the report
+    applies ``CONDITION_TOL``.  At K = 1 every factor is a number, and each
+    residual is a part's kept norm times a modulus, such as
+    ``|x1| |p b - b|`` over ``max(1, |x1| |b|)``, with no N x K product.
+    Raises :class:`~einalg.errors.ShapeError` if ``parts`` is not a
+    :class:`SplitParts`, and :class:`~einalg.errors.NumericalError` if
+    ``b+`` or a residual is not finite, which from finite parts means an
+    overflow.
     """
+    _instance(parts, SplitParts, "check_conditions: parts must be a SplitParts")
     k = parts.x1.col_dims
     _conform("check_conditions", "the shape of b", (b.row_dims, b.col_dims), (k, k))
     b_pinv = pinv(b)
@@ -492,60 +506,54 @@ def _residuals(
     the K x N ``e1^H`` and the middle factors as matrices; the split's norms
     are the references the residuals need.
 
-    At K = 1 (a 1 x 1 ``b``, the shape test of
-    :func:`~einalg.matkernel._cut`) no N-sized product is formed and
-    ``e1h`` is not read: each deviation is one part times a scalar, whose
-    Frobenius norm is the part's kept norm times the scalar's modulus
-    (:func:`_scalar_residuals`)."""
+    The six conditions are one table: each states ``Z M1 = Z M2`` (``M1 Z =
+    M2 Z`` when ``Z`` sits on the right) for a part ``Z`` and two K x K
+    factors, built from ``p = e1^H y1``, ``t = y2^H e2`` and ``q = b t``,
+    with ``M2`` the identity (None) or ``b``, and :func:`_deviation` gives
+    each residual's two norms.  The K x K factors are folded first, so the
+    table takes 14 products, 8 of them with an N x K result.  At K = 1 (a
+    1 x 1 ``b``, the shape test of :func:`~einalg.matkernel._cut`) ``b``,
+    ``b+``, ``p``, ``t`` and every factor are Python complex numbers, taken
+    with no N-sized product, and ``e1h`` is not read."""
+    x1, y1, x2h, y2h, e2, norms = split.x1, split.y1, split.x2h, split.y2h, split.e2, split.norms
     if len(b) == 1:
-        residuals = _scalar_residuals(split, complex(b[0, 0]), complex(b_pinv[0, 0]))
+        b, b_pinv, mul = complex(b[0, 0]), complex(b_pinv[0, 0]), operator.mul
+        p, t = complex(np.vdot(split.e1, y1)), complex(np.dot(y2h[0], e2[:, 0]))
     else:
-        x1, y1, x2h, y2h, e2, norms = split.x1, split.y1, split.x2h, split.y2h, split.e2, split.norms
-        e1h_y1 = np.matmul(e1h, y1)
-        e1h_y1_b = np.matmul(e1h_y1, b)
-        by2h_e2 = np.matmul(np.matmul(b, y2h), e2)
-        x1_b = np.matmul(x1, b)
-        b_x2h = np.matmul(b, x2h)
-        residuals = {
-            "3.1": _relative(np.matmul(np.matmul(e2, b_pinv), e1h_y1_b) - e2, norms["e2"]),
-            "3.2": _relative(np.matmul(x1, e1h_y1_b) - x1_b, _frobenius(x1_b)),
-            "3.3": _relative(np.matmul(y1, e1h_y1) - y1, norms["y1"]),
-            "4.1": _relative(np.matmul(by2h_e2, np.matmul(b_pinv, e1h)) - e1h, norms["e1"]),
-            "4.2": _relative(np.matmul(by2h_e2, x2h) - b_x2h, _frobenius(b_x2h)),
-            "4.3": _relative(np.matmul(e2, np.matmul(y2h, e2)) - e2, norms["e2"]),
-        }
-    for label, residual in residuals.items():
-        _finite("check_conditions", f"condition {label} residual", residual)
+        mul, p, t = np.matmul, np.matmul(e1h, y1), np.matmul(y2h, e2)
+    q, p_b = mul(b, t), mul(p, b)
+    # label, Z, its kept norm, M1, M2, whether Z sits on the left
+    table = (
+        ("3.1", e2, norms["e2"], mul(b_pinv, p_b), None, True),
+        ("3.2", x1, norms["x1"], p_b, b, True),
+        ("3.3", y1, norms["y1"], p, None, True),
+        ("4.1", e1h, norms["e1"], mul(q, b_pinv), None, False),
+        ("4.2", x2h, norms["x2"], q, b, False),
+        ("4.3", e2, norms["e2"], t, None, True),
+    )
+    residuals = {}
+    for label, z, norm, m1, m2, z_first in table:
+        residual = _relative(*_deviation(z, norm, m1, m2, z_first))
+        residuals[label] = _finite("check_conditions", f"condition {label} residual", residual)
     return residuals
 
 
-def _scalar_residuals(split: _Split, b: complex, b_pinv: complex) -> dict[str, float]:
-    """:func:`_residuals` of a K = 1 split, from the two inner products
-    ``p = e1^H y1`` and ``t = y2^H e2`` and the split's kept norms: with
-    ``q = b t``, the deviations of 3.1-3.3 are ``e2 (b+ p b - 1)``,
-    ``x1 b (p - 1)`` and ``y1 (p - 1)``, those of 4.1-4.3
-    ``(q b+ - 1) e1^H``, ``(q - b) x2^H`` and ``e2 (t - 1)``, and a vector
-    times a scalar has the Frobenius norm ``|z| |c|``.  A modulus beyond the
-    float range is ``inf``, not the ``OverflowError`` of ``abs``."""
-    norms = split.norms
-    p = complex(np.vdot(split.e1, split.y1))
-    t = complex(np.dot(split.y2h[0], split.e2[:, 0]))
-    q = b * t
-    modulus_b = _modulus(b)
-    x1_b, b_x2h = norms["x1"] * modulus_b, modulus_b * norms["x2"]
-    return {
-        "3.1": _relative(norms["e2"] * _modulus(b_pinv * (p * b) - 1), norms["e2"]),
-        "3.2": _relative(x1_b * _modulus(p - 1), x1_b),
-        "3.3": _relative(norms["y1"] * _modulus(p - 1), norms["y1"]),
-        "4.1": _relative(norms["e1"] * _modulus(q * b_pinv - 1), norms["e1"]),
-        "4.2": _relative(norms["x2"] * _modulus(q - b), b_x2h),
-        "4.3": _relative(norms["e2"] * _modulus(t - 1), norms["e2"]),
-    }
-
-
-def _modulus(z: complex) -> float:
-    """``|z|``, ``inf`` where it is beyond the float range."""
-    return math.hypot(z.real, z.imag)
+def _deviation(z: np.ndarray, norm: float, m1, m2, z_first: bool) -> tuple[float, float]:
+    """``(|Z M1 - Z M2|_F, |Z M2|_F)`` for a part ``Z`` with kept norm
+    ``norm`` (``M Z`` in place of ``Z M`` unless ``z_first``), ``M2`` None
+    for the identity.  For Python complex factors (K = 1) ``Z (M1 - M2)`` is
+    a part times a number, whose Frobenius norm is ``norm`` times the
+    number's modulus; otherwise both products are formed and subtracted at
+    N x K, which measured faster than one product with ``M1 - M2`` at
+    N = 16 to 256 (ROADMAP, *Measured; do not repeat*).  A modulus is ``math.hypot``'s, ``inf`` beyond the float range where
+    ``abs`` raises ``OverflowError``."""
+    if isinstance(m1, complex):
+        d = m1 - (1 if m2 is None else m2)
+        reference = norm if m2 is None else norm * math.hypot(m2.real, m2.imag)
+        return norm * math.hypot(d.real, d.imag), reference
+    times = (lambda m: np.matmul(z, m)) if z_first else (lambda m: np.matmul(m, z))
+    z_m2 = z if m2 is None else times(m2)
+    return _frobenius(times(m1) - z_m2), norm if m2 is None else _frobenius(z_m2)
 
 
 @_quiet_overflow
@@ -563,8 +571,10 @@ def smw_pinv(a_pinv: EinsteinTensor, parts: SplitParts, b_pinv: EinsteinTensor) 
     result that checks it finite and keeps its norm; the result is returned
     without a copy.
     Nothing is recomputed or validated beyond shapes, so callers pair this
-    with :func:`check_conditions`.
+    with :func:`check_conditions`; a ``parts`` that is not a
+    :class:`SplitParts` raises :class:`~einalg.errors.ShapeError`.
     """
+    _instance(parts, SplitParts, "smw_pinv: parts must be a SplitParts")
     return _assembled("smw_pinv", a_pinv, parts, b_pinv)
 
 
@@ -644,8 +654,9 @@ def update_pinv(
     returned; otherwise the corrected tensor is pseudo-inverted directly, so a
     valid pseudoinverse comes back either way (``path`` of the result says
     which ran).  A split with a null-space part checks the six conditions,
-    which at K = 1 form no N-sized product (two inner products and the
-    split's kept norms, :func:`check_conditions`), and the identity result
+    whose K x K factors are folded first and at K = 1 are numbers, so
+    there they form no N-sized product (two inner products and the split's
+    kept norms, :func:`check_conditions`), and the identity result
     is :func:`smw_pinv`'s assembly with the split's ``a^+ u`` and ``v a^+``
     standing in for ``a^+ x1`` and ``x2^H a^+``.  ``b^+`` is taken in the
     split's LAPACK call (none at K = 1, where it is ``1 / b``) and kept as

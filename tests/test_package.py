@@ -815,6 +815,18 @@ def test_numpy_floor_has_one_value():
     assert len(installs) == 1 and re.findall(r'numpy[^"\s]*', installs[0]) == ["numpy>=2.0"]
 
 
+def test_python_floor_is_tested():
+    # CI runs tier-1 under every Python of its matrix, and the floor that
+    # requires-python declares is one of them
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    floor = tomllib.loads((root / "pyproject.toml").read_text())["project"]["requires-python"]
+    assert re.fullmatch(r">=\d+\.\d+", floor)
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text().splitlines()
+    matrix = [line for line in workflow if re.match(r"\s*python-version: \[", line)]
+    assert len(matrix) == 1 and floor[2:] in re.findall(r'"([\d.]+)"', matrix[0])
+
+
 def _mismatches():
     """One call per shapes._conform call site, with operands whose modes do
     not conform, and the start of its message, "<stage>: <what> must be "."""

@@ -435,10 +435,10 @@ class TestMeasureErrorThroughFactors:
         sizes, built = record_work(monkeypatch)
         report = measure_error(a, d, upd, delta)
         monkeypatch.undo()
-        # x = a^+ d, 8 in the split, 15 in the conditions, 2 for the factors
-        # l and r, then a^+ delta_d, r (d + delta_d) and l (r (d + delta_d));
-        # each size is (batch, rows, inner, cols)
-        assert len(sizes) == 29
+        # x = a^+ d, 8 in the split, 14 in the six conditions, 2 for the
+        # factors l and r, then a^+ delta_d, r (d + delta_d) and
+        # l (r (d + delta_d)); each size is (batch, rows, inner, cols)
+        assert len(sizes) == 28
         assert not [s for s in sizes if s[1:] in ((n, n, n), (n, 2 * k, n))]
         # the split's four projections, each K matrix-vector products in one
         # call, the rows of v a^+ and (v a^+) a as the columns of their

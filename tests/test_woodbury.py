@@ -177,6 +177,18 @@ class TestNonConformingOperands:
         with pytest.raises(ShapeError, match="^check_conditions: the shape of b must be "):
             check_conditions(parts, b)
 
+    @pytest.mark.parametrize("parts", ["p", None, ()], ids=["str", "None", "tuple"])
+    def test_check_conditions_parts_not_a_split(self, parts):
+        # regression: reading parts.x1 leaked AttributeError
+        with pytest.raises(ShapeError, match="^check_conditions: parts must be a SplitParts, got "):
+            check_conditions(parts, identity([2]))
+
+    @pytest.mark.parametrize("parts", ["p", None, ()], ids=["str", "None", "tuple"])
+    def test_smw_pinv_parts_not_a_split(self, parts):
+        t = identity([2])
+        with pytest.raises(ShapeError, match="^smw_pinv: parts must be a SplitParts, got "):
+            smw_pinv(t, parts, t)
+
 
 class TestSmwInvertible:
     def test_zero_update_returns_base_inverse(self, rng):
@@ -707,11 +719,12 @@ class TestIdentityPathCost:
         monkeypatch.undo()
         assert result.report.applicable
         # 8 in the split (four projections, two Grams, two scaled parts),
-        # 15 in the six conditions, 2 for the factors l and r, which reuse
-        # the split's a^+ u and v a^+ as a^+ x1 and x2^H a^+, and 1 for
-        # a^+ + l r; the K x K pseudoinverses are cut and assembled in the
-        # matrix kernel's one pass over the stack, not here
-        assert len(sizes) == 26
+        # 14 in the six conditions (6 for their K x K factors, 8 N-sized), 2
+        # for the factors l and r, which reuse the split's a^+ u and v a^+
+        # as a^+ x1 and x2^H a^+, and 1 for a^+ + l r; the K x K
+        # pseudoinverses are cut and assembled in the matrix kernel's one
+        # pass over the stack, not here
+        assert len(sizes) == 25
         assert not [s for s in sizes if s[1:] == (n, n, n)]
         assert [s for s in sizes if s[1] == s[3] == n] == [(1, n, 2 * k, n)]
         # the four projections a^+ u, v a^+, a (a^+ u) and (v a^+) a are the
@@ -896,8 +909,9 @@ def rank_deficient_update(draw):
 
 
 def general_residuals(split, b, b_pinv):
-    """The six residuals in their N x K form, ``_residuals``' route above
-    K = 1, written out here as the reference for the K = 1 route."""
+    """The six residuals as the equalities are written, products taken left
+    to right at N x K with no K x K factor folded first: the reference for
+    ``_residuals``' table at every K."""
     x1, y1, x2h, y2h, e2, norms = split.x1, split.y1, split.x2h, split.y2h, split.e2, split.norms
     e1h = split.e1.conj().T
     e1h_y1_b = e1h @ y1 @ b
@@ -959,9 +973,33 @@ def rank_one_case(draw):
     return fold(a, shape), upd
 
 
+def assert_agrees_with_the_general_form(split, b, b_pinv):
+    """``_residuals`` against :func:`general_residuals`: the same verdicts at
+    ``CONDITION_TOL``, and the same values to rounding."""
+    got = woodbury._residuals(split, split.e1.conj().T, b, b_pinv)
+    want = general_residuals(split, b, b_pinv)
+    tol = woodbury.CONDITION_TOL
+    assert {k: r <= tol for k, r in got.items()} == {k: r <= tol for k, r in want.items()}
+    for label, r in want.items():
+        # a residual above 1e-10 is a part's norm, nearly exact in both
+        # forms; below, both are rounding of at most a few N-term sums
+        bound = 8 * 2.0**-52 * r if r > 1e-10 else 4 * len(split.x1) * 2.0**-52
+        assert abs(got[label] - r) <= bound, label
+
+
 class TestRankOneRoute:
-    """At K = 1 the six conditions and the capacitance step take scalar
-    routes; they agree with the N x K and K x K forms that run above K = 1."""
+    """At K = 1 the conditions' table takes Python numbers for its factors,
+    and the capacitance step inverts a 1 x 1 ``C`` as ``1 / C``; both agree
+    with the N x K and K x K forms, and the table does at every K."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(rank_deficient_update())
+    def test_table_agrees_with_the_general_form(self, case):
+        # K = 1 to 5 at N = 16 and 64, with K x K factors folded first
+        a, upd = case
+        split, _, _, b_pinv, _ = woodbury._decompose("update_pinv", a, pinv(a), upd)
+        assume(b_pinv is not None)
+        assert_agrees_with_the_general_form(split, upd.b.matrix, b_pinv)
 
     @settings(max_examples=400, deadline=None)
     @given(rank_one_case())
@@ -981,15 +1019,7 @@ class TestRankOneRoute:
             assert residual == want_residual
             assert np.all(np.abs(right - want_right) <= 8 * 2.0**-52 * np.abs(want_right))
             return
-        got = woodbury._residuals(split, split.e1.conj().T, b, b_pinv)
-        want = general_residuals(split, b, b_pinv)
-        tol = woodbury.CONDITION_TOL
-        assert {k: r <= tol for k, r in got.items()} == {k: r <= tol for k, r in want.items()}
-        for label, r in want.items():
-            # a residual above 1e-10 is a part's norm, nearly exact in both
-            # forms; below, both are rounding of at most a few N-term sums
-            bound = 8 * 2.0**-52 * r if r > 1e-10 else 4 * len(u) * 2.0**-52
-            assert abs(got[label] - r) <= bound, label
+        assert_agrees_with_the_general_form(split, b, b_pinv)
 
     def test_paths_against_lapack(self):
         # seeded K = 1 draws at unit scale: each takes the path its split
